@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -64,18 +65,25 @@ def _load_config(path) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: config must be a JSON object of sections")
+    return doc
 
 
 def _effective_config(args, command: str) -> dict:
     """Merge the file config with CLI overrides for one command."""
     raw = _load_config(args.config)
-    cfg = dict(raw.get("common", {}))
-    cfg.update(raw.get(command, {}))
+    cfg = {}
+    for section in ("common", command):
+        values = raw.get(section, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        cfg.update(values)
     if args.preset is not None:
         cfg["preset"] = args.preset
     if args.seed is not None:
@@ -150,10 +158,23 @@ def _resolve_base(cfg: dict):
         unknown = set(cfg["coefficients"]) - set(ModelCoefficients.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown coefficients {sorted(unknown)}")
-        coeffs = replace(coeffs, **{k: float(v) for k, v in cfg["coefficients"].items()})
+        coeffs = replace(coeffs, **{k: _number(f"coefficients.{k}", v)
+                                     for k, v in cfg["coefficients"].items()})
         coeffs.validate()
     init = initial_state(preset, exog, seed)
     return preset, exog, coeffs, init
+
+
+def _number(key: str, value, nonneg: bool = False) -> float:
+    """``value`` as a finite float (>= 0 if ``nonneg``), else a ConfigError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (nonneg and x < 0):
+        need = "a finite number >= 0" if nonneg else "a finite number"
+        raise ConfigError(f"{key} must be {need}, not {value!r}")
+    return x
 
 
 def _resolve_policy(cfg: dict, preset) -> PolicyVector:
@@ -164,10 +185,11 @@ def _resolve_policy(cfg: dict, preset) -> PolicyVector:
         unknown = set(choice) - set(POLICY_FIELDS)
         if unknown:
             raise ConfigError(f"unknown policy fields {sorted(unknown)}")
-        return replace(preset.reference_policy,
-                       **{k: float(v) for k, v in choice.items()})
+        return replace(preset.reference_policy, **{
+            k: _number(f"policy.{k}", v, nonneg=True) for k, v in choice.items()})
     if isinstance(choice, (list, tuple)) and len(choice) == len(POLICY_FIELDS):
-        return PolicyVector.from_array(choice)
+        return PolicyVector.from_array([_number(f"policy.{f}", v, nonneg=True)
+                                        for f, v in zip(POLICY_FIELDS, choice)])
     raise ConfigError("policy must be a field map or a 7-element list")
 
 
@@ -360,7 +382,7 @@ def _resolve_sites(cfg: dict):
         return iceland_sites()
     if isinstance(choice, list) and choice:
         try:
-            return [SiteState(**{k: (v if k == "name" else float(v))
+            return [SiteState(**{k: (v if k == "name" else _number(f"sites.{k}", v))
                                  for k, v in s.items()}) for s in choice]
         except TypeError as e:
             raise ConfigError(f"bad site entry: {e}")
@@ -370,12 +392,21 @@ def _resolve_sites(cfg: dict):
 def cmd_redistribute(args) -> int:
     cfg = _effective_config(args, "redistribute")
     sites = _resolve_sites(cfg)
-    y0, y1 = cfg.get("years", [2024, 2033])
-    years = list(range(int(y0), int(y1) + 1))
+    span = cfg.get("years", [2024, 2033])
+    if not (isinstance(span, list) and len(span) == 2
+            and all(isinstance(y, int) for y in span)):
+        raise ConfigError(f"years must be [first, last] integers, not {span!r}")
+    years = list(range(span[0], span[1] + 1))
     if not years:
         raise ConfigError("empty year range")
-    params = IslandParams(**{k: float(v)
-                             for k, v in cfg.get("island_params", {}).items()})
+    island = cfg.get("island_params", {})
+    if not isinstance(island, dict):
+        raise ConfigError("island_params must be an object")
+    unknown = set(island) - set(IslandParams.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown island_params {sorted(unknown)}")
+    params = IslandParams(**{k: _number(f"island_params.{k}", v)
+                             for k, v in island.items()})
     sched_choice = cfg.get("schedule", "redistribution")
     if sched_choice == "redistribution":
         schedule = iceland_redistribution_schedule(sites, years)
@@ -390,8 +421,8 @@ def cmd_redistribute(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, "redistribute")
     rows = []
+    share_total = result.visitors.sum(axis=0)
     for i, name in enumerate(result.site_names):
-        share_total = result.visitors[:, :].sum(axis=0)
         for t, year in enumerate(result.years):
             rows.append([name, year, repr(float(result.visitors[i, t])),
                          repr(float(result.env[i, t])),

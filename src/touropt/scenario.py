@@ -7,6 +7,10 @@ permanently raises effective capacity, community programs lift
 satisfaction immediately, and marketing adds to next year's baseline
 demand.  Negative-surplus years allocate nothing.
 
+The feedback is step 5 of ``sd_core.simulate``, the one year loop, so a
+zero allocation equals the plain run by construction.  This module holds
+the allocation and feedback parameters and lines scenario runs up.
+
 Allocation vectors whose shares sum above 1 are scaled down to sum 1
 before a run (a surplus cannot be over-spent); the scaling is recorded on
 the result so reports can show it.
@@ -14,20 +18,17 @@ the result so reports can show it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .sd_core import (
+    ChannelAmounts,
     ExogenousSeries,
     ModelCoefficients,
     PolicyVector,
     SimState,
     Trajectory,
-    effective_price,
-    step_environment,
-    step_finance,
-    step_social,
-    step_visitors,
+    allocate_surplus,
+    simulate,
 )
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "ScenarioResult",
     "DEFAULT_SCENARIOS",
     "allocate_surplus",
-    "apply_feedback",
     "run_scenario",
     "compare_scenarios",
 ]
@@ -102,13 +102,6 @@ class FeedbackCoefficients:
                 raise ValueError(f"{f} must be >= 0")
 
 
-class ChannelAmounts(NamedTuple):
-    env: float
-    infra: float
-    community: float
-    marketing: float
-
-
 # the four canonical comparison scenarios
 DEFAULT_SCENARIOS = (
     AllocationPolicy("Environment First", 0.7, 0.1, 0.1, 0.2),
@@ -116,46 +109,6 @@ DEFAULT_SCENARIOS = (
     AllocationPolicy("Infrastructure-Led", 0.3, 0.6, 0.1, 0.0),
     AllocationPolicy("Community Focus", 0.2, 0.2, 0.6, 0.3),
 )
-
-
-def allocate_surplus(r_net: float, policy: AllocationPolicy) -> ChannelAmounts:
-    """Channel dollars for one year: max(0, surplus) times each share.
-
-    Plain products of the shares as stored; normalization of over-committed
-    vectors happens when a scenario run starts, not here.
-    """
-    surplus = max(0.0, r_net)
-    return ChannelAmounts(
-        env=surplus * policy.theta_env,
-        infra=surplus * policy.theta_infra,
-        community=surplus * policy.theta_community,
-        marketing=surplus * policy.theta_marketing,
-    )
-
-
-@dataclass(frozen=True)
-class _Carry:
-    """Feedback carried into the next simulated year."""
-
-    capacity_limit: float   # effective cap, only ever grows
-    v_base_bonus: float     # marketing-driven demand add-on, next year only
-    extra_env: float        # extra protection budget, next year only
-
-
-def apply_feedback(state: SimState, carry: _Carry, amounts: ChannelAmounts,
-                   fb: FeedbackCoefficients) -> tuple:
-    """Translate channel dollars into next-year parameters and an immediate
-    satisfaction lift.  Returns (updated state, updated carry)."""
-    sat = state.satisfaction \
-        + fb.community_efficiency * amounts.community * (1.0 - state.satisfaction)
-    sat = min(1.0, max(0.0, sat))
-    new_state = replace(state, satisfaction=sat)
-    new_carry = _Carry(
-        capacity_limit=carry.capacity_limit + fb.infra_efficiency * amounts.infra,
-        v_base_bonus=fb.marketing_efficiency * amounts.marketing,
-        extra_env=amounts.env,
-    )
-    return new_state, new_carry
 
 
 @dataclass
@@ -177,47 +130,14 @@ def run_scenario(alloc: AllocationPolicy, policy: PolicyVector,
                  feedback: FeedbackCoefficients | None = None) -> ScenarioResult:
     """Simulate with surplus allocation feeding back each year.
 
-    With an all-zero allocation this reproduces the plain simulation
-    bit-for-bit: the loop calls the same step functions in the same order
-    with zero-valued add-ons.
+    One ``sd_core.simulate`` call with the normalized allocation, so an
+    all-zero allocation reproduces the plain simulation bit-for-bit.
     """
     fb = feedback if feedback is not None else FeedbackCoefficients()
     used, scale = alloc.normalized()
-    init.validate()
-    traj = Trajectory(years=list(exog.years), states=[init])
-    spend, caps = [], []
-    state = init
-    carry = _Carry(policy.capacity_limit, 0.0, 0.0)
-    for t in range(len(exog) - 1):
-        visitors, f_pr, f_gla, f_att = step_visitors(
-            state, exog, t + 1, policy, coeffs,
-            v_base_bonus=carry.v_base_bonus, capacity_limit=carry.capacity_limit)
-        flows = step_finance(visitors, exog, t, policy, coeffs,
-                             state.net_revenue_cum)
-        exp_env_eff = flows.exp_env + carry.extra_env
-        env_next = step_environment(state.env_index, exp_env_eff, exog, t,
-                                    policy, coeffs)
-        exp_glacier = policy.glacier_ratio * exp_env_eff
-        exp_waste = (1.0 - policy.glacier_ratio) * exp_env_eff
-        sat_next = step_social(state.satisfaction, env_next, visitors,
-                               exp_glacier, exp_waste, exog, t, coeffs)
-        state = SimState(visitors, env_next, sat_next, flows.r_net_cum)
-        amounts = allocate_surplus(flows.r_net, used)
-        state, carry = apply_feedback(state, carry, amounts, fb)
-        traj.states.append(state)
-        traj.p_effective.append(effective_price(coeffs.P_visitor_base,
-                                                policy.carbon_fee, policy.tax_rate))
-        traj.f_glacier.append(f_gla)
-        traj.f_attraction.append(f_att)
-        traj.f_price.append(f_pr)
-        traj.r_tourism.append(flows.r_tourism)
-        traj.r_gov_total.append(flows.r_gov_total)
-        traj.exp_env.append(exp_env_eff)
-        traj.exp_gov_total.append(flows.exp_gov_total)
-        traj.r_net.append(flows.r_net)
-        spend.append(amounts)
-        caps.append(carry.capacity_limit)
-    return ScenarioResult(alloc.name, traj, used, scale, spend, caps)
+    traj, _ = simulate(policy, exog, coeffs, init, used, fb)
+    return ScenarioResult(alloc.name, traj, used, scale, traj.channel_spend,
+                          traj.effective_capacity)
 
 
 def compare_scenarios(allocs, policy: PolicyVector, exog: ExogenousSeries,

@@ -21,6 +21,16 @@ Each simulated year applies, in order:
                   and unemployment pressure, and pull toward the
                   environment index.
 
+With ``allocation`` (shares theta_env/_infra/_community/_marketing) and
+``feedback`` (infra_/marketing_/community_efficiency), as held by
+``scenario.AllocationPolicy`` and ``FeedbackCoefficients``, ``simulate``
+ends each year with:
+
+5. feedback    -- max(0, r_net) is split across the four channels;
+                  community money lifts S at once, infrastructure money
+                  raises capacity for good, environment and marketing
+                  money add to next year's protection budget and demand.
+
 Everything here is a pure function of its inputs: identical inputs give
 bit-identical outputs, and many policies can be simulated in parallel.
 """
@@ -46,7 +56,7 @@ __all__ = [
     "Trajectory",
     "ObjectiveTriple",
     "FinanceFlows",
-    "effective_price",
+    "ChannelAmounts",
     "glacier_factor",
     "attraction_factor",
     "price_factor",
@@ -54,6 +64,7 @@ __all__ = [
     "step_finance",
     "step_environment",
     "step_social",
+    "allocate_surplus",
     "simulate",
 ]
 
@@ -304,18 +315,27 @@ class FinanceFlows(NamedTuple):
     r_net_cum: float
 
 
+class ChannelAmounts(NamedTuple):
+    """One year's surplus spending per feedback channel, USD."""
+
+    env: float
+    infra: float
+    community: float
+    marketing: float
+
+
 @dataclass
 class Trajectory:
     """Full time series of a run: one state per year plus annual flows.
 
     ``states`` has one entry per calendar year covered (the first entry is
     the initial state); the diagnostic lists cover the transitions, so
-    their length is ``len(states) - 1``.
+    their length is ``len(states) - 1``.  ``channel_spend`` (ChannelAmounts)
+    and ``effective_capacity`` are filled only by runs with an allocation.
     """
 
     years: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    p_effective: list = field(default_factory=list)
     f_glacier: list = field(default_factory=list)
     f_attraction: list = field(default_factory=list)
     f_price: list = field(default_factory=list)
@@ -324,6 +344,8 @@ class Trajectory:
     exp_env: list = field(default_factory=list)
     exp_gov_total: list = field(default_factory=list)
     r_net: list = field(default_factory=list)
+    channel_spend: list = field(default_factory=list)
+    effective_capacity: list = field(default_factory=list)
 
     def final_state(self) -> SimState:
         return self.states[-1]
@@ -335,13 +357,6 @@ class Trajectory:
 
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
-def effective_price(p_visitor_base: float, carbon_fee: float, tax_rate: float) -> float:
-    """Out-of-pocket price per visitor: (base + fee) * (1 + tax)."""
-    if p_visitor_base < 0 or carbon_fee < 0 or tax_rate < 0:
-        raise ValueError("effective_price inputs must be >= 0")
-    return (p_visitor_base + carbon_fee) * (1.0 + tax_rate)
 
 
 def glacier_factor(g_retreat: float, g_baseline: float, kappa: float) -> float:
@@ -458,37 +473,70 @@ def step_social(satisfaction: float, env_next: float, v_next: float,
     return _clamp01(satisfaction + gain - crowd - unemp + env_pull)
 
 
+def allocate_surplus(r_net: float, allocation) -> ChannelAmounts:
+    """Channel dollars for one year: max(0, surplus) times each share.
+
+    Plain products of the shares as stored; normalization of over-committed
+    vectors happens when a scenario run starts, not here.
+    """
+    surplus = max(0.0, r_net)
+    return ChannelAmounts(
+        env=surplus * allocation.theta_env,
+        infra=surplus * allocation.theta_infra,
+        community=surplus * allocation.theta_community,
+        marketing=surplus * allocation.theta_marketing,
+    )
+
+
 def simulate(policy: PolicyVector, exog: ExogenousSeries,
-             coeffs: ModelCoefficients, init: SimState) -> tuple:
+             coeffs: ModelCoefficients, init: SimState,
+             allocation=None, feedback=None) -> tuple:
     """Run the full horizon and return (Trajectory, ObjectiveTriple).
 
     The horizon is the year range of ``exog``: the initial state stands
     for the first year, and one transition is applied per remaining year.
+    With ``allocation`` and ``feedback`` each year's surplus feeds back
+    into the dynamics (step 5 of the module docstring).
     Deterministic: identical inputs give bit-identical outputs.
     """
+    if (allocation is None) != (feedback is None):
+        raise ValueError("allocation and feedback must be given together")
+    if policy.tax_rate < 0 or policy.carbon_fee < 0 or coeffs.P_visitor_base < 0:
+        raise ValueError("tax_rate, carbon_fee and P_visitor_base must be >= 0")
     init.validate()
     traj = Trajectory(years=list(exog.years), states=[init])
     state = init
+    capacity, v_base_bonus, extra_env = policy.capacity_limit, 0.0, 0.0
     for t in range(len(exog) - 1):
-        visitors, f_pr, f_gla, f_att = step_visitors(state, exog, t + 1, policy, coeffs)
+        visitors, f_pr, f_gla, f_att = step_visitors(
+            state, exog, t + 1, policy, coeffs, v_base_bonus, capacity)
         flows = step_finance(visitors, exog, t, policy, coeffs,
                              state.net_revenue_cum)
-        env_next = step_environment(state.env_index, flows.exp_env, exog, t,
+        # a plain run adds nothing, not even 0.0, so a -0.0 budget stays -0.0
+        exp_env = flows.exp_env if allocation is None else flows.exp_env + extra_env
+        env_next = step_environment(state.env_index, exp_env, exog, t,
                                     policy, coeffs)
-        exp_glacier = policy.glacier_ratio * flows.exp_env
-        exp_waste = (1.0 - policy.glacier_ratio) * flows.exp_env
+        exp_glacier = policy.glacier_ratio * exp_env
+        exp_waste = (1.0 - policy.glacier_ratio) * exp_env
         sat_next = step_social(state.satisfaction, env_next, visitors,
                                exp_glacier, exp_waste, exog, t, coeffs)
+        if allocation is not None:
+            amounts = allocate_surplus(flows.r_net, allocation)
+            sat_next = min(1.0, max(0.0, sat_next + feedback.community_efficiency
+                                    * amounts.community * (1.0 - sat_next)))
+            capacity = capacity + feedback.infra_efficiency * amounts.infra
+            v_base_bonus = feedback.marketing_efficiency * amounts.marketing
+            extra_env = amounts.env
+            traj.channel_spend.append(amounts)
+            traj.effective_capacity.append(capacity)
         state = SimState(visitors, env_next, sat_next, flows.r_net_cum)
         traj.states.append(state)
-        traj.p_effective.append(effective_price(coeffs.P_visitor_base,
-                                                policy.carbon_fee, policy.tax_rate))
         traj.f_glacier.append(f_gla)
         traj.f_attraction.append(f_att)
         traj.f_price.append(f_pr)
         traj.r_tourism.append(flows.r_tourism)
         traj.r_gov_total.append(flows.r_gov_total)
-        traj.exp_env.append(flows.exp_env)
+        traj.exp_env.append(exp_env)
         traj.exp_gov_total.append(flows.exp_gov_total)
         traj.r_net.append(flows.r_net)
     return traj, traj.objectives()

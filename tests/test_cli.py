@@ -19,6 +19,16 @@ def _meta_lines(path):
         return [line for line in fh if line.startswith("#")]
 
 
+def _assert_config_error(tmp_path, capsys, command, doc, key):
+    """Running ``command`` on config ``doc`` exits 2 with ``key`` named."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main([command, "--preset", "iceland", "--seed", "0",
+                 "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 class TestSimulateCommand:
     def test_smoke_and_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -217,6 +227,28 @@ class TestRedistributeCommand:
         _, rows = _read_csv(out / "flow_sites.csv")
         assert len(rows) == 7 * 3
 
+    @pytest.mark.parametrize("years", [[2024], [2024, 2026, 2028], "2024-2026",
+                                       [2024, "x"]])
+    def test_bad_years_is_config_error(self, tmp_path, capsys, years):
+        _assert_config_error(tmp_path, capsys, "redistribute",
+                             {"redistribute": {"years": years}}, "years")
+
+    def test_unknown_island_param_is_config_error(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "redistribute",
+                             {"redistribute": {"island_params": {"warp": 1.0}}},
+                             "warp")
+
+    def test_non_numeric_island_param_is_config_error(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "redistribute",
+                             {"redistribute": {"island_params": {"phi": "x"}}},
+                             "island_params.phi")
+
+    def test_non_numeric_site_field_is_config_error(self, tmp_path, capsys):
+        site = dict(name="A", env_index=0.8, satisfaction=0.7, visitors="x",
+                    capacity=1e5, population=1e4, price=1.0, marketing=1.0)
+        _assert_config_error(tmp_path, capsys, "redistribute",
+                             {"redistribute": {"sites": [site]}}, "sites.visitors")
+
 
 class TestSynthCommand:
     def test_writes_loadable_dataset(self, tmp_path):
@@ -254,6 +286,32 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"simulate": {"policy": {"magic": 1.0}}}))
         assert main(["simulate", "--preset", "juneau", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("capacity_limit", -5), ("tax_rate", "x"), ("carbon_fee", None),
+        ("ship_limit", "inf"), ("env_ratio", "nan")])
+    def test_bad_policy_value_is_config_error(self, tmp_path, capsys, field, value):
+        _assert_config_error(tmp_path, capsys, "simulate",
+                             {"simulate": {"policy": {field: value}}},
+                             f"policy.{field}")
+
+    def test_bad_policy_list_entry_is_config_error(self, tmp_path, capsys):
+        policy = [0.1, 0.2, 0.5, 2e6, -700.0, 10.0, 0.5]
+        _assert_config_error(tmp_path, capsys, "simulate",
+                             {"simulate": {"policy": policy}}, "policy.ship_limit")
+
+    def test_non_numeric_coefficient_is_config_error(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "simulate",
+                             {"simulate": {"coefficients": {"alpha": "x"}}},
+                             "coefficients.alpha")
+
+    def test_non_object_document_is_config_error(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "simulate", "[1, 2]", "JSON object")
+
+    @pytest.mark.parametrize("section", ["simulate", "common"])
+    def test_non_object_section_is_config_error(self, tmp_path, capsys, section):
+        _assert_config_error(tmp_path, capsys, "simulate", {section: 5},
+                             repr(section))
 
     def test_negative_seed_is_config_error(self, tmp_path):
         assert main(["simulate", "--preset", "juneau", "--seed", "-3",

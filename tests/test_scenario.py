@@ -8,17 +8,52 @@ from touropt.scenario import (
     ChannelAmounts,
     FeedbackCoefficients,
     allocate_surplus,
-    apply_feedback,
     compare_scenarios,
     run_scenario,
 )
-from touropt.scenario import _Carry
 
-from helpers import random_policy
+from helpers import flat_exog, mid_state, neutral_coeffs, random_policy, slack_policy
+
+
+DIAGNOSTIC_SERIES = ("f_glacier", "f_attraction", "f_price", "r_tourism",
+                     "r_gov_total", "exp_env", "exp_gov_total", "r_net")
+
+# repr of (f1, f2, f3) for each preset's reference policy on its seed-0
+# dataset: the plain run, then each of DEFAULT_SCENARIOS in order.  Any
+# change to the order of the year loop's float operations shows here.
+PINNED_OBJECTIVES = {
+    "juneau": [
+        ("1410219517.3797061", "0.8628822043617687", "0.7784252812208596"),
+        ("1849963744.6563678", "0.9675042939452128", "0.9183599622263415"),
+        ("1894182369.7326775", "0.9477954040137191", "0.9081598681495723"),
+        ("1544219284.3620744", "0.9398705457247492", "0.8878847549492903"),
+        ("1881949289.3391862", "0.932358483459383", "0.9281071799516396"),
+    ],
+    "iceland": [
+        ("1140682286.1050954", "0.9080274590026403", "0.8741649719593195"),
+        ("1308948615.581302", "0.9635601457854914", "0.9507429958285243"),
+        ("1322518707.7405987", "0.9455281198165646", "0.9412388584350212"),
+        ("1179837219.5478237", "0.9465934804549966", "0.9322595286313955"),
+        ("1315414951.1843913", "0.9331978395161449", "0.9479518516397795"),
+    ],
+}
 
 
 def _by_name(name):
     return next(s for s in DEFAULT_SCENARIOS if s.name == name)
+
+
+@pytest.mark.parametrize("preset_name", sorted(PINNED_OBJECTIVES))
+def test_objectives_pinned_bit_for_bit(preset_name):
+    preset = tp.get_preset(preset_name)
+    exog = tp.synth_dataset(preset, seed=0)
+    init = tp.initial_state(preset, exog, seed=0)
+    args = (preset.reference_policy, exog, preset.coefficients, init)
+    _, plain = tp.simulate(*args)
+    runs = [plain] + [run_scenario(a, *args, preset.feedback).objectives()
+                      for a in DEFAULT_SCENARIOS]
+    got = [tuple(repr(v) for v in objs) for objs in runs]
+    assert got == PINNED_OBJECTIVES[preset_name]
 
 
 class TestAllocationPolicy:
@@ -58,28 +93,43 @@ class TestAllocateSurplus:
 
 
 class TestApplyFeedback:
+    """The feedback step of the year loop, seen through hand-computable runs."""
+
     def test_zero_amounts_identity(self):
-        state = tp.SimState(1e6, 0.5, 0.5, 0.0)
-        carry = _Carry(2e6, 0.0, 0.0)
-        new_state, new_carry = apply_feedback(
-            state, carry, ChannelAmounts(0, 0, 0, 0), FeedbackCoefficients())
-        assert new_state.satisfaction == state.satisfaction
-        assert new_carry.capacity_limit == 2e6
-        assert new_carry.v_base_bonus == 0.0 and new_carry.extra_env == 0.0
+        # expenditure far above revenue: every year's r_net is negative
+        exog = flat_exog(EXP_gov_base=1e9)
+        policy = slack_policy(capacity_limit=2e6)
+        coeffs, init = neutral_coeffs(), mid_state()
+        res = run_scenario(_by_name("Balanced Growth"), policy, exog, coeffs,
+                           init, FeedbackCoefficients())
+        traj, _ = tp.simulate(policy, exog, coeffs, init)
+        assert all(r < 0 for r in traj.r_net)
+        assert res.trajectory.states == traj.states
+        for name in DIAGNOSTIC_SERIES:
+            assert getattr(res.trajectory, name) == getattr(traj, name), name
+        assert res.channel_spend == [ChannelAmounts(0.0, 0.0, 0.0, 0.0)] * 4
+        assert res.effective_capacity == [2e6] * 4
 
     def test_infrastructure_gain(self):
         fb = FeedbackCoefficients(infra_efficiency=0.04)
-        state = tp.SimState(1e6, 0.5, 0.5, 0.0)
-        _, carry = apply_feedback(state, _Carry(2e6, 0.0, 0.0),
-                                  ChannelAmounts(0, 1e5, 0, 0), fb)
-        assert carry.capacity_limit == pytest.approx(2e6 + 4e3)
+        infra = AllocationPolicy("infra", 0.0, 1.0, 0.0, 0.0)
+        res = run_scenario(infra, slack_policy(capacity_limit=2e6), flat_exog(),
+                           neutral_coeffs(), mid_state(), fb)
+        surplus = 1e7 - 0.3 * 1e7
+        assert res.trajectory.r_net == [surplus] * 4
+        assert res.effective_capacity == pytest.approx(
+            [2e6 + 0.04 * surplus * k for k in range(1, 5)])
 
     def test_saturated_satisfaction_gains_nothing(self):
-        fb = FeedbackCoefficients(community_efficiency=1e-6)
-        state = tp.SimState(1e6, 0.5, 1.0, 0.0)
-        new_state, _ = apply_feedback(state, _Carry(2e6, 0.0, 0.0),
-                                      ChannelAmounts(0, 0, 1e7, 0), fb)
-        assert new_state.satisfaction == 1.0
+        fb = FeedbackCoefficients(community_efficiency=1e-8)
+        community = AllocationPolicy("community", 0.0, 0.0, 1.0, 0.0)
+        args = (slack_policy(), flat_exog(), neutral_coeffs())
+        res = run_scenario(community, *args, mid_state(satisfaction=0.5), fb)
+        lifted = res.trajectory.states[1].satisfaction
+        assert lifted == pytest.approx(0.5 + 1e-8 * 7e6 * 0.5)
+        full = run_scenario(community, *args, mid_state(satisfaction=1.0),
+                            FeedbackCoefficients(community_efficiency=1e-6))
+        assert [s.satisfaction for s in full.trajectory.states] == [1.0] * 5
 
 
 class TestRunScenario:
@@ -90,13 +140,11 @@ class TestRunScenario:
                            juneau.coefficients, juneau_init, juneau.feedback)
         traj, _ = tp.simulate(juneau.reference_policy, juneau_exog,
                               juneau.coefficients, juneau_init)
-        for a, b in zip(res.trajectory.states, traj.states):
-            assert a.visitors == b.visitors
-            assert a.env_index == b.env_index
-            assert a.satisfaction == b.satisfaction
-            assert a.net_revenue_cum == b.net_revenue_cum
-        assert res.trajectory.r_net == traj.r_net
-        assert res.trajectory.exp_env == traj.exp_env
+        assert res.trajectory.states == traj.states
+        for name in DIAGNOSTIC_SERIES:
+            assert getattr(res.trajectory, name) == getattr(traj, name), name
+        assert res.channel_spend == [ChannelAmounts(0.0, 0.0, 0.0, 0.0)] * 16
+        assert res.effective_capacity == [juneau.reference_policy.capacity_limit] * 16
 
     def test_spending_never_exceeds_committed_surplus(self, juneau, juneau_exog,
                                                       juneau_init):

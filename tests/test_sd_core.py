@@ -5,7 +5,6 @@ import touropt as tp
 from touropt.errors import DataError
 from touropt.sd_core import (
     attraction_factor,
-    effective_price,
     glacier_factor,
     price_factor,
     simulate,
@@ -25,21 +24,6 @@ from helpers import (
     random_state,
     slack_policy,
 )
-
-
-class TestEffectivePrice:
-    def test_identity_without_levies(self):
-        assert effective_price(100.0, 0.0, 0.0) == 100.0
-
-    def test_hand_values(self):
-        assert effective_price(100.0, 10.0, 0.1) == pytest.approx(121.0)
-        assert effective_price(50.0, 100.0, 0.3) == pytest.approx(195.0)
-
-    def test_negative_input_rejected(self):
-        with pytest.raises(ValueError):
-            effective_price(-1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            effective_price(100.0, -5.0, 0.0)
 
 
 class TestGlacierFactor:
@@ -220,6 +204,21 @@ class TestSimulate:
         assert all(s.env_index == 0.5 for s in traj.states)
         assert all(s.satisfaction == 0.5 for s in traj.states)
         assert objs.revenue == pytest.approx(5 * (1e7 - 0.3 * 8e6))
+
+    @pytest.mark.parametrize("policy, coeffs", [
+        (slack_policy(tax_rate=-0.1), neutral_coeffs()),
+        (slack_policy(carbon_fee=-5.0), neutral_coeffs()),
+        (slack_policy(), neutral_coeffs(P_visitor_base=-1.0))])
+    def test_negative_price_input_rejected(self, policy, coeffs):
+        with pytest.raises(ValueError):
+            simulate(policy, flat_exog(), coeffs, mid_state())
+
+    def test_allocation_and_feedback_go_together(self):
+        args = (slack_policy(), flat_exog(), neutral_coeffs(), mid_state())
+        with pytest.raises(ValueError):
+            simulate(*args, allocation=tp.AllocationPolicy("off", 0, 0, 0, 0))
+        with pytest.raises(ValueError):
+            simulate(*args, feedback=tp.FeedbackCoefficients())
 
     def test_determinism(self, juneau, juneau_exog, juneau_init):
         policy = juneau.reference_policy
