@@ -177,6 +177,45 @@ def _number(key: str, value, nonneg: bool = False) -> float:
     return x
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an integer, else a ConfigError naming ``key``."""
+    x = _number(key, value)
+    if not x.is_integer():
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return int(x)
+
+
+def _optional_number(key: str, value):
+    return None if value is None else _number(key, value)
+
+
+# parser of each optimize ``ea`` key; absent keys take EAConfig's defaults
+# (population size and generations come from the preset)
+_EA_KEYS = {
+    "population_size": _integer,
+    "generations": _integer,
+    "eta_c": _number,
+    "eta_m": _number,
+    "mutation_prob": _optional_number,
+    "crossover_prob": _number,
+    "hv_window": _integer,
+    "hv_rel_tol": _number,
+}
+
+
+def _resolve_ea(cfg: dict, preset, seed: int) -> EAConfig:
+    ea_cfg = cfg.get("ea", {})
+    if not isinstance(ea_cfg, dict):
+        raise ConfigError("ea must be an object")
+    unknown = sorted(f"ea.{k}" for k in set(ea_cfg) - set(_EA_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown ea keys {unknown}")
+    values = {"population_size": preset.ea_population,
+              "generations": preset.ea_generations}
+    values.update({k: _EA_KEYS[k](f"ea.{k}", v) for k, v in ea_cfg.items()})
+    return EAConfig(seed=seed, **values)
+
+
 def _resolve_policy(cfg: dict, preset) -> PolicyVector:
     choice = cfg.get("policy")
     if choice is None:
@@ -234,18 +273,7 @@ def cmd_optimize(args) -> int:
     cfg = _effective_config(args, "optimize")
     seed = _require_seed(cfg, "optimize")
     preset, exog, coeffs, init = _resolve_base(cfg)
-    ea_cfg = cfg.get("ea", {})
-    config = EAConfig(
-        population_size=int(ea_cfg.get("population_size", preset.ea_population)),
-        generations=int(ea_cfg.get("generations", preset.ea_generations)),
-        eta_c=float(ea_cfg.get("eta_c", 15.0)),
-        eta_m=float(ea_cfg.get("eta_m", 20.0)),
-        mutation_prob=ea_cfg.get("mutation_prob"),
-        crossover_prob=float(ea_cfg.get("crossover_prob", 0.9)),
-        seed=seed,
-        hv_window=int(ea_cfg.get("hv_window", 10)),
-        hv_rel_tol=float(ea_cfg.get("hv_rel_tol", 1e-4)),
-    )
+    config = _resolve_ea(cfg, preset, seed)
 
     def problem(genome):
         policy = PolicyVector.from_array(genome)
@@ -286,8 +314,12 @@ def cmd_optimize(args) -> int:
 def _resolve_space(cfg: dict, preset, policy) -> ParameterSpace:
     choice = cfg.get("space", "full")
     if isinstance(choice, dict):
-        return ParameterSpace.from_dict(
-            {k: (float(v[0]), float(v[1])) for k, v in choice.items()})
+        bounds = {}
+        for k, v in choice.items():
+            if not (isinstance(v, list) and len(v) == 2):
+                raise ConfigError(f"space.{k} must be [low, high], not {v!r}")
+            bounds[k] = (_number(f"space.{k}", v[0]), _number(f"space.{k}", v[1]))
+        return ParameterSpace.from_dict(bounds)
     if choice == "full":
         return full_space(preset.bounds, preset.coefficients)
     if choice == "policy":
@@ -295,7 +327,8 @@ def _resolve_space(cfg: dict, preset, policy) -> ParameterSpace:
             {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
     if choice == "policy_uncertainty":
         return uncertainty_space(policy, preset.bounds,
-                                 rel=float(cfg.get("uncertainty_rel", 0.2)))
+                                 rel=_number("uncertainty_rel",
+                                             cfg.get("uncertainty_rel", 0.2)))
     raise ConfigError(f"unknown space {choice!r}")
 
 
@@ -313,10 +346,10 @@ def cmd_sensitivity(args) -> int:
     space = _resolve_space(cfg, preset, policy)
     report = analyze_model(
         space, exog, coeffs, policy, init, method=method, output=output,
-        morris_r=int(cfg.get("morris_r", 20)),
-        morris_levels=int(cfg.get("morris_levels", 4)),
-        sobol_n=int(cfg.get("sobol_n", 512)),
-        n_boot=int(cfg.get("bootstrap", 200)),
+        morris_r=_integer("morris_r", cfg.get("morris_r", 20)),
+        morris_levels=_integer("morris_levels", cfg.get("morris_levels", 4)),
+        sobol_n=_integer("sobol_n", cfg.get("sobol_n", 512)),
+        n_boot=_integer("bootstrap", cfg.get("bootstrap", 200)),
         seed=seed,
     )
     out = Path(cfg["out"])

@@ -7,8 +7,12 @@ hypervolume used both as a quality log and as the convergence signal
 (stop when improvement over a sliding window falls below tolerance).
 
 All dominance logic is in maximization form; objectives are stored as
-returned by the problem, with no sign flips.  Runs are reproducible: a
-single seeded generator drives every random draw in a fixed order.
+returned by the problem, with no sign flips.  Every pairwise comparison
+goes through one numpy primitive, :func:`dominance_matrix`, which the
+sort, the all-time archive and the front verification share;
+:func:`dominates` is its NaN-checking scalar counterpart.  Runs are
+reproducible: a single seeded generator drives every random draw in a
+fixed order.
 """
 
 from __future__ import annotations
@@ -21,12 +25,15 @@ import numpy as np
 
 from .errors import ConfigError, EvaluationError
 
+_VERIFY_BLOCK = 256  # rows compared against the whole front at a time
+
 __all__ = [
     "Individual",
     "EAConfig",
     "ParetoFront",
     "EvolveResult",
     "dominates",
+    "dominance_matrix",
     "fast_nondominated_sort",
     "crowding_distance",
     "tournament_select",
@@ -85,11 +92,17 @@ class ParetoFront:
         return np.array([ind.objectives for ind in self.individuals], dtype=float)
 
     def check_nondominated(self) -> bool:
-        objs = [ind.objectives for ind in self.individuals]
-        for i, a in enumerate(objs):
-            for j, b in enumerate(objs):
-                if i != j and dominates(a, b):
-                    return False
+        """True when no member dominates another; NaN raises.
+
+        Compares blocks of rows against the whole front, so memory stays
+        at ``_VERIFY_BLOCK`` x len(front) bools.
+        """
+        objs = self.objective_array()
+        if np.isnan(objs).any():
+            raise EvaluationError("NaN objective in front verification")
+        for start in range(0, len(objs), _VERIFY_BLOCK):
+            if dominance_matrix(objs[start:start + _VERIFY_BLOCK], objs).any():
+                return False
         return True
 
 
@@ -106,15 +119,26 @@ def dominates(a, b) -> bool:
     return better
 
 
-def _dominates_nocheck(a, b) -> bool:
-    """Hot-path dominance for objectives already validated finite."""
-    better = False
-    for x, y in zip(a, b):
-        if x < y:
-            return False
-        if x > y:
-            better = True
-    return better
+def dominance_matrix(a, b=None, *, weak: bool = False) -> np.ndarray:
+    """Pairwise maximization dominance between the rows of ``a`` and ``b``.
+
+    ``D[i, j]`` is True when row i of ``a`` dominates row j of ``b`` (no
+    worse everywhere, better somewhere); ``b`` defaults to ``a``.  With
+    ``weak`` it is True when row i is merely no worse everywhere, so equal
+    rows cover each other.  Built one objective column at a time, so memory
+    stays at len(a) x len(b) bools.  NaN compares false everywhere:
+    callers that may hold NaN check for it first.
+    """
+    a = np.asarray(a, dtype=float)
+    b = a if b is None else np.asarray(b, dtype=float)
+    ge = np.ones((len(a), len(b)), dtype=bool)
+    gt = np.zeros_like(ge)
+    for m in range(a.shape[1]):
+        x, y = a[:, m, None], b[None, :, m]
+        ge &= x >= y
+        if not weak:
+            gt |= x > y
+    return ge if weak else ge & gt
 
 
 def fast_nondominated_sort(objectives) -> list:
@@ -122,30 +146,21 @@ def fast_nondominated_sort(objectives) -> list:
 
     Takes a sequence of objective tuples, returns fronts as lists of
     indices; front 0 is the non-dominated set and the fronts partition the
-    population.
+    population.  Within a front, members appear in the order their last
+    dominator is peeled, ties by ascending index.
     """
-    objs = [tuple(o) for o in objectives]
+    objs = np.asarray(objectives, dtype=float)
     n = len(objs)
-    for o in objs:
-        if any(math.isnan(v) for v in o):
-            raise EvaluationError(f"NaN objective in population: {o}")
-    dominated_by = [[] for _ in range(n)]  # indices each solution dominates
-    dom_count = [0] * n
-    fronts = [[]]
-    dominates_ = _dominates_nocheck
-    for p in range(n):
-        op = objs[p]
-        for q in range(p + 1, n):
-            oq = objs[q]
-            if dominates_(op, oq):
-                dominated_by[p].append(q)
-                dom_count[q] += 1
-            elif dominates_(oq, op):
-                dominated_by[q].append(p)
-                dom_count[p] += 1
-    for p in range(n):
-        if dom_count[p] == 0:
-            fronts[0].append(p)
+    if n == 0:
+        return []
+    nan_rows = np.isnan(objs).any(axis=1)
+    if nan_rows.any():
+        row = tuple(objs[int(np.argmax(nan_rows))].tolist())
+        raise EvaluationError(f"NaN objective in population: {row}")
+    dom = dominance_matrix(objs)
+    dom_count = dom.sum(axis=0).tolist()  # how many solutions dominate each
+    dominated_by = [np.flatnonzero(row).tolist() for row in dom]
+    fronts = [[p for p in range(n) if dom_count[p] == 0]]
     i = 0
     while fronts[i]:
         nxt = []
@@ -180,9 +195,8 @@ def crowding_distance(objectives) -> np.ndarray:
         span = hi - lo
         if span == 0.0:
             continue
-        for k in range(1, n - 1):
-            gap = objs[order[k + 1], m] - objs[order[k - 1], m]
-            dist[order[k]] += gap / span
+        col = objs[order, m]
+        dist[order[1:-1]] += (col[2:] - col[:-2]) / span
     return dist
 
 
@@ -334,27 +348,33 @@ def hypervolume_3d(points, reference_point) -> float:
 
 
 class _Archive:
-    """All-time non-dominated set with vectorized dominance screening."""
+    """All-time non-dominated set, updated a generation at a time."""
 
     def __init__(self):
         self.members: list = []
         self._objs = np.empty((0, 3))
 
-    def add(self, cand: Individual) -> bool:
-        co = np.asarray(cand.objectives, dtype=float)
-        arr = self._objs
-        if len(self.members):
-            # any member at least as good everywhere covers the candidate
-            if bool((arr >= co).all(axis=1).any()):
-                return False
-            beaten = (arr <= co).all(axis=1)
-            if bool(beaten.any()):
-                keep = ~beaten
-                self.members = [m for m, k in zip(self.members, keep) if k]
-                arr = arr[keep]
-        self.members.append(cand)
-        self._objs = np.vstack([arr, co[None, :]])
-        return True
+    def add(self, cands) -> None:
+        """Insert ``cands`` with the result of inserting them one by one.
+
+        Candidate j enters unless an old member or an earlier candidate is
+        at least as good everywhere; each entrant then evicts every member,
+        and every earlier entrant, that it is at least as good as.
+        Survivors keep their order: old members first, then entrants.
+        """
+        if not cands:
+            return
+        new = np.array([c.objectives for c in cands], dtype=float)
+        old = self._objs
+        among = dominance_matrix(new, weak=True)
+        covered = (dominance_matrix(old, new, weak=True).any(axis=0)
+                   | np.triu(among, 1).any(axis=0))
+        entered = np.flatnonzero(~covered)
+        keep_old = ~dominance_matrix(new[entered], old, weak=True).any(axis=0)
+        keep_new = entered[~np.tril(among[np.ix_(entered, entered)], -1).any(axis=0)]
+        self.members = ([m for m, k in zip(self.members, keep_old) if k]
+                        + [cands[i] for i in keep_new])
+        self._objs = np.vstack([old[keep_old], new[keep_new]])
 
 
 @dataclass
@@ -395,8 +415,7 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     _assign_ranks_and_crowding(pop)
 
     archive = _Archive()
-    for ind in pop:
-        archive.add(ind)
+    archive.add(pop)
 
     if config.reference_point is not None:
         ref = tuple(float(v) for v in config.reference_point)
@@ -427,8 +446,7 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
                 g = polynomial_mutation(g, config.eta_m, pm, lows, highs, rng)
                 offspring.append(Individual(g, evaluate(g)))
         pop = environmental_selection(pop + offspring, config.population_size)
-        for ind in offspring:
-            archive.add(ind)
+        archive.add(offspring)
         gens += 1
         hv_log.append(archive_hv())
         if gens > config.hv_window:

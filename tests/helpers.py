@@ -144,3 +144,82 @@ def hv_grid_oracle(points, ref):
                             * (axes[1][j + 1] - axes[1][j])
                             * (axes[2][k + 1] - axes[2][k]))
     return vol
+
+
+def _dominates_ref(a, b):
+    better = False
+    for x, y in zip(a, b):
+        if x < y:
+            return False
+        if x > y:
+            better = True
+    return better
+
+
+def pairwise_nondominated_sort(objectives):
+    """Reference: Deb's sort with the pairwise Python dominance loop.
+
+    Same peel order as ``fast_nondominated_sort``, so front lists must
+    match it element for element, order within each front included.
+    """
+    objs = [tuple(o) for o in objectives]
+    n = len(objs)
+    dominated_by = [[] for _ in range(n)]
+    dom_count = [0] * n
+    for p in range(n):
+        for q in range(p + 1, n):
+            if _dominates_ref(objs[p], objs[q]):
+                dominated_by[p].append(q)
+                dom_count[q] += 1
+            elif _dominates_ref(objs[q], objs[p]):
+                dominated_by[q].append(p)
+                dom_count[p] += 1
+    fronts = [[p for p in range(n) if dom_count[p] == 0]]
+    while fronts[-1]:
+        nxt = []
+        for p in fronts[-1]:
+            for q in dominated_by[p]:
+                dom_count[q] -= 1
+                if dom_count[q] == 0:
+                    nxt.append(q)
+        fronts.append(nxt)
+    fronts.pop()
+    return fronts
+
+
+def crowding_loop(objectives):
+    """Reference: crowding distance with the per-member inner loop."""
+    objs = np.asarray(objectives, dtype=float)
+    n = len(objs)
+    dist = np.zeros(n)
+    if n <= 2:
+        dist[:] = np.inf
+        return dist
+    for m in range(objs.shape[1]):
+        order = np.argsort(objs[:, m], kind="stable")
+        lo, hi = objs[order[0], m], objs[order[-1], m]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        span = hi - lo
+        if span == 0.0:
+            continue
+        for k in range(1, n - 1):
+            gap = objs[order[k + 1], m] - objs[order[k - 1], m]
+            dist[order[k]] += gap / span
+    return dist
+
+
+def archive_one_at_a_time(members, candidates):
+    """Reference: insert ``candidates`` into an archive one by one.
+
+    A candidate enters unless a member is at least as good everywhere, and
+    then evicts every member it is at least as good as.
+    """
+    members = list(members)
+    for cand in candidates:
+        if any(all(x >= y for x, y in zip(m.objectives, cand.objectives))
+               for m in members):
+            continue
+        members = [m for m in members
+                   if not all(x <= y for x, y in zip(m.objectives, cand.objectives))]
+        members.append(cand)
+    return members

@@ -118,6 +118,25 @@ class TestOptimizeCommand:
             outs.append(_read_csv(out / "pareto_front.csv"))
         assert outs[0][0] == outs[1][0]  # same header
 
+    @pytest.mark.parametrize("ea, key", [
+        ({"populaton_size": 4}, "ea.populaton_size"),
+        ({"mutation_prob": "x"}, "ea.mutation_prob"),
+        ({"generations": 1.7}, "ea.generations"),
+        ({"population_size": "many"}, "ea.population_size"),
+        ({"hv_window": 2.5}, "ea.hv_window"),
+        ({"eta_c": float("inf")}, "ea.eta_c"),
+        (5, "ea")])
+    def test_bad_ea_entry_is_config_error(self, tmp_path, capsys, ea, key):
+        _assert_config_error(tmp_path, capsys, "optimize",
+                             {"optimize": {"ea": ea}}, key)
+
+    def test_integral_floats_and_null_mutation_prob_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimize": {"ea": {
+            "population_size": 8.0, "generations": 1, "mutation_prob": None}}}))
+        assert main(["optimize", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -174,6 +193,20 @@ class TestSensitivityCommand:
     def test_missing_seed_is_config_error(self, tmp_path):
         assert main(["sensitivity", "--preset", "juneau",
                      "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("bounds", [[0.0], [0.0, 0.1, 0.2], [0.0, "x"],
+                                        [None, 0.1], 0.1, "0-1"])
+    def test_bad_space_entry_is_config_error(self, tmp_path, capsys, bounds):
+        _assert_config_error(tmp_path, capsys, "sensitivity",
+                             {"sensitivity": {"space": {"tax_rate": bounds}}},
+                             "space.tax_rate")
+
+    @pytest.mark.parametrize("key, value", [
+        ("morris_r", "x"), ("morris_levels", 4.5), ("sobol_n", "many"),
+        ("bootstrap", None), ("sobol_n", 32.5)])
+    def test_non_integer_setting_is_config_error(self, tmp_path, capsys, key, value):
+        _assert_config_error(tmp_path, capsys, "sensitivity",
+                             {"sensitivity": {"method": "sobol", key: value}}, key)
 
 
 class TestScenarioCommand:

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from touropt import moea
 from touropt.errors import ConfigError, EvaluationError
 from touropt.moea import (
     EAConfig,
     Individual,
+    ParetoFront,
+    _Archive,
     crowding_distance,
+    dominance_matrix,
     dominates,
     environmental_selection,
     evolve,
@@ -18,7 +22,13 @@ from touropt.moea import (
     tournament_select,
 )
 
-from helpers import brute_force_fronts, hv_grid_oracle
+from helpers import (
+    archive_one_at_a_time,
+    brute_force_fronts,
+    crowding_loop,
+    hv_grid_oracle,
+    pairwise_nondominated_sort,
+)
 
 
 class _ScriptedRng:
@@ -51,6 +61,40 @@ class TestDominates:
             dominates((float("nan"), 1, 1), (0, 0, 0))
 
 
+def _grid(rng, n, levels=3):
+    """``n`` objective triples on a small integer grid: many ties and clones."""
+    return [tuple(float(v) for v in rng.integers(0, levels, 3)) for _ in range(n)]
+
+
+class TestDominanceMatrix:
+    def test_matches_scalar_dominates_on_tie_heavy_grids(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            objs = _grid(rng, int(rng.integers(1, 30)))
+            d = dominance_matrix(objs)
+            assert d.shape == (len(objs), len(objs)) and d.dtype == bool
+            for i, a in enumerate(objs):
+                for j, b in enumerate(objs):
+                    assert d[i, j] == dominates(a, b)
+
+    def test_rectangular_inputs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            a = _grid(rng, int(rng.integers(1, 25)))
+            b = _grid(rng, int(rng.integers(1, 25)))
+            d = dominance_matrix(a, b)
+            w = dominance_matrix(a, b, weak=True)
+            assert d.shape == w.shape == (len(a), len(b))
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    assert d[i, j] == dominates(x, y)
+                    assert w[i, j] == all(u >= v for u, v in zip(x, y))
+
+    def test_empty_side(self):
+        assert dominance_matrix(np.empty((0, 3)), [(1.0, 2.0, 3.0)]).shape == (0, 1)
+        assert dominance_matrix([(1.0, 2.0, 3.0)], np.empty((0, 3))).shape == (1, 0)
+
+
 class TestSorting:
     def test_chain_gives_singleton_fronts(self):
         fronts = fast_nondominated_sort([(3, 3, 3), (2, 2, 2), (1, 1, 1)])
@@ -75,6 +119,20 @@ class TestSorting:
             brute = [sorted(f) for f in brute_force_fronts(objs)]
             assert fast == brute
 
+    def test_fronts_and_order_match_pairwise_reference(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            n = int(rng.integers(0, 60))
+            if trial % 2:
+                objs = _grid(rng, n, levels=int(rng.integers(2, 5)))
+            else:
+                objs = [tuple(rng.uniform(0, 1, 3)) for _ in range(n)]
+            assert fast_nondominated_sort(objs) == pairwise_nondominated_sort(objs)
+
+    def test_nan_raises(self):
+        with pytest.raises(EvaluationError):
+            fast_nondominated_sort([(1.0, 1.0, 1.0), (0.0, float("nan"), 0.0)])
+
     def test_partition_property(self):
         rng = np.random.default_rng(2)
         objs = [tuple(rng.uniform(0, 1, 3)) for _ in range(40)]
@@ -98,6 +156,79 @@ class TestCrowding:
         d = crowding_distance([(1, 1, 1)] * 5)
         assert np.isinf(d).sum() == 2
         assert np.all(d[~np.isinf(d)] == 0.0)
+
+
+    def test_matches_loop_reference_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            if trial % 2:
+                objs = _grid(rng, n, levels=int(rng.integers(1, 5)))
+            else:
+                objs = [tuple(rng.normal(0, 1e6, 3)) for _ in range(n)]
+            assert np.array_equal(crowding_distance(objs), crowding_loop(objs))
+
+
+class TestArchive:
+    def test_batched_insert_matches_one_at_a_time(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            levels = int(rng.integers(2, 6))
+            archive, members = _Archive(), []
+            for _ in range(int(rng.integers(1, 5))):  # successive generations
+                batch = [Individual(np.zeros(1), o)
+                         for o in _grid(rng, int(rng.integers(0, 25)), levels)]
+                if batch and rng.random() < 0.5:  # exact clones inside a batch
+                    batch.append(batch[int(rng.integers(len(batch)))])
+                archive.add(batch)
+                members = archive_one_at_a_time(members, batch)
+                assert [id(m) for m in archive.members] == [id(m) for m in members]
+                assert np.array_equal(archive._objs.reshape(-1, 3),
+                                      np.array([m.objectives for m in members],
+                                               dtype=float).reshape(-1, 3))
+
+    def test_equal_objectives_keep_the_first(self):
+        first = Individual(np.zeros(1), (1.0, 1.0, 1.0))
+        twin = Individual(np.ones(1), (1.0, 1.0, 1.0))
+        archive = _Archive()
+        archive.add([first, twin])
+        archive.add([Individual(np.ones(1), (1.0, 1.0, 1.0))])
+        assert archive.members == [first] and archive.members[0] is first
+
+
+class TestFrontVerification:
+    def _front(self, objs):
+        return ParetoFront([Individual(np.zeros(1), o) for o in objs], (0.0, 0.0, 0.0))
+
+    def test_dominated_pair_in_different_row_blocks(self, monkeypatch):
+        # 600 points on a line are mutually non-dominated; (590, 9.5, 1) is
+        # dominated by (590, 10, 1) alone, which sits two row blocks away
+        objs = [(float(i), float(600 - i), 1.0) for i in range(600)]
+        assert self._front(objs).check_nondominated()
+        objs[10] = (590.0, 9.5, 1.0)
+        shapes = []
+
+        def recording(a, b=None, **kw):
+            shapes.append((len(a), len(b)))
+            return dominance_matrix(a, b, **kw)
+
+        monkeypatch.setattr(moea, "dominance_matrix", recording)
+        assert not self._front(objs).check_nondominated()
+        assert shapes == [(256, 600), (256, 600), (88, 600)]
+        objs[10], objs[590] = objs[590], objs[10]
+        assert not self._front(objs).check_nondominated()
+
+    def test_duplicates_do_not_dominate(self):
+        assert self._front([(1.0, 2.0, 3.0)] * 300).check_nondominated()
+
+    def test_empty_front(self):
+        assert self._front([]).check_nondominated()
+
+    def test_nan_front_raises(self):
+        objs = [(float(i), float(600 - i), 1.0) for i in range(600)]
+        objs[400] = (float("nan"), 1.0, 1.0)
+        with pytest.raises(EvaluationError):
+            self._front(objs).check_nondominated()
 
 
 class TestTournament:
