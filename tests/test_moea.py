@@ -157,7 +157,6 @@ class TestCrowding:
         assert np.isinf(d).sum() == 2
         assert np.all(d[~np.isinf(d)] == 0.0)
 
-
     def test_matches_loop_reference_bit_for_bit(self):
         rng = np.random.default_rng(13)
         for trial in range(300):
@@ -193,7 +192,7 @@ class TestArchive:
         archive = _Archive()
         archive.add([first, twin])
         archive.add([Individual(np.ones(1), (1.0, 1.0, 1.0))])
-        assert archive.members == [first] and archive.members[0] is first
+        assert len(archive.members) == 1 and archive.members[0] is first
 
 
 class TestFrontVerification:
