@@ -3,7 +3,8 @@
 Evolves a population of seven-lever policies against the Juneau dynamics,
 then inspects the three corners of the resulting front: the
 revenue-maximal, environment-maximal, and satisfaction-maximal solutions.
-The whole run is reproducible from the seed.
+Each generation is simulated in one ``simulate_batch`` call, and the whole
+run is reproducible from the seed.
 """
 
 import numpy as np
@@ -16,10 +17,10 @@ init = tp.initial_state(preset, exog, seed=0)
 coeffs = preset.coefficients
 
 
-def problem(genome):
-    policy = tp.PolicyVector.from_array(genome)
-    _, objs = tp.simulate(policy, exog, coeffs, init)
-    return objs
+def problem(genomes):
+    """Objectives of a whole generation: (N, 7) policies -> (N, 3)."""
+    return tp.simulate_batch(tp.PolicyVector(), exog, coeffs, init,
+                             dict(zip(tp.POLICY_FIELDS, genomes.T)))
 
 
 config = tp.EAConfig(population_size=100, generations=40, seed=7)

@@ -14,6 +14,7 @@ from .errors import ConfigError, DataError, EvaluationError, TouroptError
 from .sd_core import (
     ICELAND_BOUNDS,
     JUNEAU_BOUNDS,
+    POLICY_FIELDS,
     ExogenousSeries,
     ModelCoefficients,
     ObjectiveTriple,
@@ -22,6 +23,7 @@ from .sd_core import (
     SimState,
     Trajectory,
     simulate,
+    simulate_batch,
 )
 from .moea import EAConfig, EvolveResult, Individual, ParetoFront, evolve, hypervolume_3d
 from .gsa import (

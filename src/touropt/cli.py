@@ -25,7 +25,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DataError, EvaluationError
-from .sd_core import POLICY_FIELDS, ModelCoefficients, PolicyVector, simulate
+from .sd_core import (
+    POLICY_FIELDS,
+    ModelCoefficients,
+    PolicyVector,
+    simulate,
+    simulate_batch,
+)
 from .moea import EAConfig, evolve
 from .gsa import (
     OUTPUT_NAMES,
@@ -76,13 +82,20 @@ def _load_config(path) -> dict:
 
 
 def _effective_config(args, command: str) -> dict:
-    """Merge the file config with CLI overrides for one command."""
+    """Merge the file config with CLI overrides for one command.
+
+    The command's section may hold only the keys that command reads, and
+    ``common`` only keys some command reads.
+    """
     raw = _load_config(args.config)
     cfg = {}
-    for section in ("common", command):
+    for section, known in (("common", _ALL_KEYS), (command, _COMMAND_KEYS[command])):
         values = raw.get(section, {})
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be an object")
+        unknown = sorted(f"{section}.{k}" for k in set(values) - known)
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
         cfg.update(values)
     if args.preset is not None:
         cfg["preset"] = args.preset
@@ -91,7 +104,7 @@ def _effective_config(args, command: str) -> dict:
     if args.out is not None:
         cfg["out"] = args.out
     cfg.setdefault("out", "out")
-    if cfg.get("seed") is not None and int(cfg["seed"]) < 0:
+    if cfg.get("seed") is not None and _integer("seed", cfg["seed"]) < 0:
         raise ConfigError("seed must be a non-negative integer")
     return cfg
 
@@ -145,9 +158,7 @@ def _resolve_base(cfg: dict):
     if preset_name is None and dataset is None:
         raise ConfigError("config needs a 'preset' or a 'dataset' path")
     preset = get_preset(preset_name) if preset_name else get_preset("juneau")
-    seed = int(cfg.get("seed", 0))
-    if dataset is not None and preset_name is not None and cfg.get("synthetic"):
-        raise ConfigError("give either 'dataset' or synthetic 'preset' data, not both")
+    seed = _integer("seed", cfg.get("seed", 0))
     if dataset is not None:
         table = load_table(dataset, cfg.get("column_map"))
         exog = interpolate_missing(table, cfg.get("column_defaults"))
@@ -235,7 +246,7 @@ def _resolve_policy(cfg: dict, preset) -> PolicyVector:
 def _require_seed(cfg: dict, command: str) -> int:
     if cfg.get("seed") is None:
         raise ConfigError(f"{command} requires a seed (--seed or config)")
-    return int(cfg["seed"])
+    return _integer("seed", cfg["seed"])
 
 
 def cmd_simulate(args) -> int:
@@ -275,10 +286,9 @@ def cmd_optimize(args) -> int:
     preset, exog, coeffs, init = _resolve_base(cfg)
     config = _resolve_ea(cfg, preset, seed)
 
-    def problem(genome):
-        policy = PolicyVector.from_array(genome)
-        _, objs = simulate(policy, exog, coeffs, init)
-        return objs
+    def problem(genomes):
+        return simulate_batch(PolicyVector(), exog, coeffs, init,
+                              dict(zip(POLICY_FIELDS, genomes.T)))
 
     result = evolve(problem, preset.bounds.lows(), preset.bounds.highs(), config)
     front = result.front
@@ -480,7 +490,7 @@ def cmd_synth(args) -> int:
     if cfg.get("preset") is None:
         raise ConfigError("synth requires a preset")
     preset = get_preset(cfg["preset"])
-    seed = int(cfg.get("seed", 0))
+    seed = _integer("seed", cfg.get("seed", 0))
     series = synth_dataset(preset, seed)
     warnings = validate_ranges(series, preset.envelope)
     out = Path(cfg["out"])
@@ -493,6 +503,22 @@ def cmd_synth(args) -> int:
           f"{len(warnings)} warnings)")
     return EXIT_OK
 
+
+# the keys each command's config section may hold: the flags' keys, the
+# dataset keys of _resolve_base, then the command's own
+_FLAG_KEYS = frozenset({"preset", "seed", "out"})
+_BASE_KEYS = _FLAG_KEYS | {"dataset", "column_map", "column_defaults", "coefficients"}
+_COMMAND_KEYS = {
+    "simulate": _BASE_KEYS | {"policy"},
+    "optimize": _BASE_KEYS | {"ea"},
+    "sensitivity": _BASE_KEYS | {"policy", "space", "uncertainty_rel", "method",
+                                "output", "morris_r", "morris_levels",
+                                "sobol_n", "bootstrap"},
+    "scenario": _BASE_KEYS | {"policy", "scenarios"},
+    "redistribute": _FLAG_KEYS | {"sites", "years", "island_params", "schedule"},
+    "synth": _FLAG_KEYS,
+}
+_ALL_KEYS = frozenset().union(*_COMMAND_KEYS.values())
 
 COMMANDS = {
     "simulate": cmd_simulate,

@@ -9,9 +9,10 @@ bootstrap percentile intervals.
 
 Sampling is plain seeded pseudo-random (recorded in result metadata, no
 low-discrepancy sequence); accuracy targets are set accordingly.  Both
-analyses evaluate the model at every sample point, so wiring in the
-simulator means one full simulation per point; the three objectives are
-extracted from the same run, never re-simulated per output.
+analyses evaluate the model once per sample point and take the three
+objectives from that one run, never re-simulating per output.  The whole
+Saltelli matrix goes to ``sd_core.simulate_batch`` in one call; Morris
+runs its points one by one through the closure of :func:`make_model`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, EvaluationError
 from .sd_core import (
+    COEFF_FIELDS,
     POLICY_FIELDS,
     ExogenousSeries,
     ModelCoefficients,
@@ -30,6 +32,7 @@ from .sd_core import (
     PolicyVector,
     SimState,
     simulate,
+    simulate_batch,
 )
 
 __all__ = [
@@ -50,8 +53,6 @@ __all__ = [
 ]
 
 OUTPUT_NAMES = ("f1", "f2", "f3")  # revenue, environment, satisfaction
-
-COEFF_FIELDS = tuple(ModelCoefficients.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -337,7 +338,9 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
                   n_boot: int = 200, seed: int = 0) -> AnalysisReport:
     """Sensitivity of the simulation objectives over a parameter space.
 
-    One simulation per sample point feeds all three outputs; ``output``
+    One simulation per sample point feeds all three outputs: Sobol runs
+    the whole design in one ``simulate_batch`` call and names the first
+    NaN sample in design order, Morris runs point by point.  ``output``
     narrows which ranked tables are returned while the parameters-by-
     outputs matrix always covers f1..f3 (mu* for Morris, S_T for Sobol).
     """
@@ -358,9 +361,12 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     elif method == "sobol":
         design = saltelli_sample(space, sobol_n, seed)
         points = design.matrix()
-        evals = np.empty((points.shape[0], 3))
-        for i in range(points.shape[0]):
-            evals[i] = model(points[i])
+        evals = simulate_batch(policy, exog, coeffs, init,
+                               dict(zip(space.names, points.T)))
+        nan_rows = np.isnan(evals).any(axis=1)
+        if nan_rows.any():
+            row = points[int(np.argmax(nan_rows))]
+            raise EvaluationError(f"NaN objective at sample {dict(zip(space.names, row))}")
         results = {name: sobol_indices(design, evals[:, j], n_boot=n_boot, seed=seed)
                    for j, name in enumerate(OUTPUT_NAMES)}
         matrix = np.column_stack([results[name].st for name in OUTPUT_NAMES])

@@ -10,9 +10,10 @@ All dominance logic is in maximization form; objectives are stored as
 returned by the problem, with no sign flips.  Every pairwise comparison
 goes through one numpy primitive, :func:`dominance_matrix`, which the
 sort, the all-time archive and the front verification share;
-:func:`dominates` is its NaN-checking scalar counterpart.  Runs are
-reproducible: a single seeded generator drives every random draw in a
-fixed order.
+:func:`dominates` is its NaN-checking scalar counterpart.  The problem
+is evaluated a generation at a time, (N, genes) genomes to (N, 3)
+objectives.  Runs are reproducible: a single seeded generator drives
+every random draw in a fixed order, and evaluation draws none.
 """
 
 from __future__ import annotations
@@ -388,10 +389,14 @@ class EvolveResult:
 def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     """Run the full NSGA-II loop.
 
-    ``problem`` maps a genome array to a tuple of three objective values
-    (all maximized) and must be deterministic.  Stops at the generation
-    limit, or earlier once the archive hypervolume improves by less than
-    ``hv_rel_tol`` (relatively) over ``hv_window`` generations.
+    ``problem`` maps an (N, n_genes) array of genomes to an (N, 3) array
+    of their objective values (all maximized) and must be deterministic.
+    It is called once for the initial population and once per generation,
+    after all of that generation's offspring are drawn; evaluation draws
+    no random numbers, so the seeded stream does not depend on it.  Stops
+    at the generation limit, or earlier once the archive hypervolume
+    improves by less than ``hv_rel_tol`` (relatively) over ``hv_window``
+    generations.
     """
     config.validate()
     lows = np.asarray(lows, dtype=float)
@@ -402,16 +407,20 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / n_genes
     rng = np.random.default_rng(config.seed)
 
-    def evaluate(genome) -> tuple:
-        vals = tuple(float(v) for v in problem(genome))
-        if len(vals) != 3 or any(not math.isfinite(v) for v in vals):
-            raise EvaluationError(f"bad objectives {vals} for genome {genome}")
-        return vals
+    def evaluate(genomes) -> list:
+        objs = np.asarray(problem(np.array(genomes)), dtype=float)
+        if objs.shape != (len(genomes), 3):
+            raise EvaluationError(f"problem returned shape {objs.shape} for "
+                                  f"{len(genomes)} genomes; expected ({len(genomes)}, 3)")
+        bad = ~np.isfinite(objs).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EvaluationError(f"bad objectives {tuple(objs[i].tolist())} "
+                                  f"for genome {genomes[i]}")
+        return [Individual(g, tuple(o)) for g, o in zip(genomes, objs.tolist())]
 
-    pop = []
-    for _ in range(config.population_size):
-        genome = lows + (highs - lows) * rng.random(n_genes)
-        pop.append(Individual(genome, evaluate(genome)))
+    pop = evaluate([lows + (highs - lows) * rng.random(n_genes)
+                    for _ in range(config.population_size)])
     _assign_ranks_and_crowding(pop)
 
     archive = _Archive()
@@ -443,8 +452,8 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
             else:
                 ga, gb = pa.genome.copy(), pb.genome.copy()
             for g in (ga, gb):
-                g = polynomial_mutation(g, config.eta_m, pm, lows, highs, rng)
-                offspring.append(Individual(g, evaluate(g)))
+                offspring.append(polynomial_mutation(g, config.eta_m, pm, lows, highs, rng))
+        offspring = evaluate(offspring)
         pop = environmental_selection(pop + offspring, config.population_size)
         archive.add(offspring)
         gens += 1

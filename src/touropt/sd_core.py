@@ -31,14 +31,23 @@ ends each year with:
                   raises capacity for good, environment and marketing
                   money add to next year's protection budget and demand.
 
+Each stage is written once, as a private helper that runs on Python
+floats or on numpy arrays of runs.  ``simulate`` runs the stages on
+floats and keeps the full :class:`Trajectory`; ``simulate_batch`` runs
+them on arrays, vectorised over runs that override any policy or
+coefficient field row by row, looping over years, and returns only the
+objectives, bit for bit those of ``simulate``.  The ``step_*`` functions
+are one-year calls of the same stages.
+
 Everything here is a pure function of its inputs: identical inputs give
-bit-identical outputs, and many policies can be simulated in parallel.
+bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -66,6 +75,7 @@ __all__ = [
     "step_social",
     "allocate_surplus",
     "simulate",
+    "simulate_batch",
 ]
 
 POLICY_FIELDS = (
@@ -211,6 +221,8 @@ class ModelCoefficients:
             raise ValueError("eps_crowd must be > 0")
 
 
+COEFF_FIELDS = tuple(ModelCoefficients.__dataclass_fields__)
+
 SERIES_FIELDS = (
     "V_base",
     "R_gov_base",
@@ -355,23 +367,140 @@ class Trajectory:
         return ObjectiveTriple(last.net_revenue_cum, last.env_index, last.satisfaction)
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+# The year equations below are written once, as private stage helpers that
+# run on Python floats or, row by row, on numpy arrays.  Their only
+# branches are _where, _max, _min, _clamp01 and _floor, whose array forms
+# give the bits of the float forms: Python's max(a, b) keeps ``a`` unless
+# ``b > a``, so NaN, -0.0 and ties resolve the same way on both.
+
+_BLOCK = 1024  # rows per simulate_batch block, so temporaries stay small
+_DRIVERS = ("G_retreat", "V_base", "R_gov_base", "EXP_gov_base",
+            "CO2_emission", "population", "unemployment")
 
 
-def glacier_factor(g_retreat: float, g_baseline: float, kappa: float) -> float:
-    """Scenic-appeal multiplier, 1 at baseline retreat, floored at 0."""
+def _where(cond, a, b):
+    """``a if cond else b``, row by row when ``cond`` is an array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _max(a, b):
+    """Python's ``max(a, b)``: ``b`` only where ``b > a``."""
+    return _where(b > a, b, a)
+
+
+def _min(a, b):
+    """Python's ``min(a, b)``: ``b`` only where ``b < a``."""
+    return _where(b < a, b, a)
+
+
+def _clamp01(x):
+    return _where(x < 0.0, 0.0, _where(x > 1.0, 1.0, x))
+
+
+def _floor(x):
+    """Whole units as a float; -0.0 becomes 0.0, as through ``math.floor``.
+
+    On floats NaN raises ValueError and infinity OverflowError.
+    """
+    if isinstance(x, np.ndarray):
+        return np.floor(x) + 0.0
+    return float(math.floor(x))
+
+
+def _glacier(g_retreat, g_baseline, kappa):
+    return _max(0.0, 1.0 - kappa * (g_retreat / g_baseline - 1.0))
+
+
+def _attraction(env_index, satisfaction, f_glacier, alpha):
+    return (1.0 + alpha * (env_index + satisfaction - 1.0)) * f_glacier
+
+
+def _price(eps_price, tax_rate, carbon_fee, k1):
+    return 1.0 + eps_price * (tax_rate + carbon_fee / k1)
+
+
+def _check_glacier(g_baseline, kappa) -> None:
     if g_baseline <= 0:
         raise ValueError("g_baseline must be > 0")
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    return max(0.0, 1.0 - kappa * (g_retreat / g_baseline - 1.0))
+
+
+def _check_price(k1) -> None:
+    if k1 <= 0:
+        raise ValueError("k1 must be > 0")
+
+
+def _check_population(pop, t: int) -> None:
+    if pop <= 0:
+        raise DataError(f"population must be > 0 at year index {t}")
+
+
+def _visitors(env, sat, g_retreat, v_base, v_base_bonus, cap, p, c) -> tuple:
+    """Stage 1: (visitors, f_price, f_glacier, f_attraction) of the year entered."""
+    f_gla = _glacier(g_retreat, c.G_retreat_baseline, c.kappa)
+    f_att = _attraction(env, sat, f_gla, c.alpha)
+    f_pr = _max(0.0, _price(c.eps_price, p.tax_rate, p.carbon_fee, c.k1))
+    v_unconstrained = (v_base + v_base_bonus) * f_pr * f_att + p.dev_incentive * c.K_dev
+    # whole vessels only: floor keeps arrivals within ship_limit * capacity
+    ship_cap = _floor(p.ship_limit) * c.P_ship_capacity
+    visitors = _min(_min(v_unconstrained, cap), ship_cap)
+    visitors = _where(sat < c.S_threshold, visitors * c.R_social, visitors)
+    return _max(0.0, visitors), f_pr, f_gla, f_att
+
+
+def _finance(v, r_gov_base, exp_gov_base, p, c, prev_cum) -> tuple:
+    """Stage 2: the fields of :class:`FinanceFlows`, in order."""
+    r_tourism = v * (c.P_visitor_base * p.tax_rate + p.carbon_fee)
+    r_gov_total = r_gov_base + r_tourism + p.dev_incentive * c.K_gov_dev
+    exp_env = p.env_ratio * r_gov_total
+    exp_gov_total = c.alpha_gov_base * exp_gov_base + exp_env
+    r_net = r_gov_total - exp_gov_total
+    return r_tourism, r_gov_total, exp_env, exp_gov_total, r_net, prev_cum + r_net
+
+
+def _environment(env, exp_env, g_retreat, co2, p, c) -> tuple:
+    """Stage 3: (next E, glacier works spend, waste treatment spend)."""
+    exp_glacier = p.glacier_ratio * exp_env
+    exp_waste = (1.0 - p.glacier_ratio) * exp_env
+    headroom = 1.0 - env
+    gain = (c.alpha_g * exp_glacier + c.alpha_w * exp_waste) * headroom
+    loss = c.beta1 * g_retreat + c.beta2 * co2
+    recover = c.delta * headroom
+    return _clamp01(env + gain - loss + recover), exp_glacier, exp_waste
+
+
+def _social(sat, env_next, v, exp_glacier, exp_waste, pop, unemployment, c):
+    """Stage 4: next S."""
+    headroom = 1.0 - sat
+    gain = (c.p_glacier * exp_glacier + c.p_waste * exp_waste) * headroom
+    crowd = c.p2 * v / (pop + c.eps_crowd)
+    unemp = c.p4 * unemployment
+    env_pull = c.p3 * (env_next - sat)
+    return _clamp01(sat + gain - crowd - unemp + env_pull)
+
+
+def _feedback(r_net, sat, capacity, allocation, feedback) -> tuple:
+    """Stage 5: (ChannelAmounts, lifted S, new capacity, next year's demand bonus)."""
+    amounts = allocate_surplus(r_net, allocation)
+    sat = _min(1.0, _max(0.0, sat + feedback.community_efficiency
+                         * amounts.community * (1.0 - sat)))
+    capacity = capacity + feedback.infra_efficiency * amounts.infra
+    return amounts, sat, capacity, feedback.marketing_efficiency * amounts.marketing
+
+
+def glacier_factor(g_retreat: float, g_baseline: float, kappa: float) -> float:
+    """Scenic-appeal multiplier, 1 at baseline retreat, floored at 0."""
+    _check_glacier(g_baseline, kappa)
+    return _glacier(g_retreat, g_baseline, kappa)
 
 
 def attraction_factor(env_index: float, satisfaction: float,
                       f_glacier: float, alpha: float) -> float:
     """Composite appeal: (1 + alpha*(E + S - 1)) scaled by glacier appeal."""
-    return (1.0 + alpha * (env_index + satisfaction - 1.0)) * f_glacier
+    return _attraction(env_index, satisfaction, f_glacier, alpha)
 
 
 def price_factor(eps_price: float, tax_rate: float, carbon_fee: float,
@@ -381,9 +510,8 @@ def price_factor(eps_price: float, tax_rate: float, carbon_fee: float,
     May go negative for strong elasticities; the visitor step clamps it
     at 0 before use.
     """
-    if k1 <= 0:
-        raise ValueError("k1 must be > 0")
-    return 1.0 + eps_price * (tax_rate + carbon_fee / k1)
+    _check_price(k1)
+    return _price(eps_price, tax_rate, carbon_fee, k1)
 
 
 def step_visitors(prev: SimState, exog: ExogenousSeries, t_next: int,
@@ -402,20 +530,12 @@ def step_visitors(prev: SimState, exog: ExogenousSeries, t_next: int,
     """
     if t_next >= len(exog) or t_next < 0:
         raise DataError(f"exogenous data missing for year index {t_next}")
-    f_gla = glacier_factor(float(exog.G_retreat[t_next]),
-                           coeffs.G_retreat_baseline, coeffs.kappa)
-    f_att = attraction_factor(prev.env_index, prev.satisfaction, f_gla, coeffs.alpha)
-    f_pr = max(0.0, price_factor(coeffs.eps_price, policy.tax_rate,
-                                 policy.carbon_fee, coeffs.k1))
-    v_base = float(exog.V_base[t_next]) + v_base_bonus
-    v_unconstrained = v_base * f_pr * f_att + policy.dev_incentive * coeffs.K_dev
-    # whole vessels only: floor keeps arrivals within ship_limit * capacity
-    ship_cap = math.floor(policy.ship_limit) * coeffs.P_ship_capacity
+    _check_glacier(coeffs.G_retreat_baseline, coeffs.kappa)
+    _check_price(coeffs.k1)
     cap = policy.capacity_limit if capacity_limit is None else capacity_limit
-    visitors = min(v_unconstrained, cap, ship_cap)
-    if prev.satisfaction < coeffs.S_threshold:
-        visitors *= coeffs.R_social
-    return max(0.0, visitors), f_pr, f_gla, f_att
+    return _visitors(prev.env_index, prev.satisfaction,
+                     float(exog.G_retreat[t_next]), float(exog.V_base[t_next]),
+                     v_base_bonus, cap, policy, coeffs)
 
 
 def step_finance(v_next: float, exog: ExogenousSeries, t: int,
@@ -424,14 +544,9 @@ def step_finance(v_next: float, exog: ExogenousSeries, t: int,
     """Government accounts for the transition year (exogenous index ``t``)."""
     if v_next < 0:
         raise ValueError("visitor count must be >= 0")
-    r_tourism = v_next * (coeffs.P_visitor_base * policy.tax_rate + policy.carbon_fee)
-    r_gov_total = float(exog.R_gov_base[t]) + r_tourism \
-        + policy.dev_incentive * coeffs.K_gov_dev
-    exp_env = policy.env_ratio * r_gov_total
-    exp_gov_total = coeffs.alpha_gov_base * float(exog.EXP_gov_base[t]) + exp_env
-    r_net = r_gov_total - exp_gov_total
-    return FinanceFlows(r_tourism, r_gov_total, exp_env, exp_gov_total,
-                        r_net, prev_cum + r_net)
+    return FinanceFlows(*_finance(v_next, float(exog.R_gov_base[t]),
+                                  float(exog.EXP_gov_base[t]), policy, coeffs,
+                                  prev_cum))
 
 
 def step_environment(env_index: float, exp_env: float, exog: ExogenousSeries,
@@ -443,14 +558,8 @@ def step_environment(env_index: float, exp_env: float, exog: ExogenousSeries,
     waste treatment; both act with a (1 - E) saturation, so money matters
     most when the index is low.
     """
-    exp_glacier = policy.glacier_ratio * exp_env
-    exp_waste = (1.0 - policy.glacier_ratio) * exp_env
-    headroom = 1.0 - env_index
-    gain = (coeffs.alpha_g * exp_glacier + coeffs.alpha_w * exp_waste) * headroom
-    loss = coeffs.beta1 * float(exog.G_retreat[t]) \
-        + coeffs.beta2 * float(exog.CO2_emission[t])
-    recover = coeffs.delta * headroom
-    return _clamp01(env_index + gain - loss + recover)
+    return _environment(env_index, exp_env, float(exog.G_retreat[t]),
+                        float(exog.CO2_emission[t]), policy, coeffs)[0]
 
 
 def step_social(satisfaction: float, env_next: float, v_next: float,
@@ -463,14 +572,9 @@ def step_social(satisfaction: float, env_next: float, v_next: float,
     index is also pulled toward the new environment index.
     """
     pop = float(exog.population[t])
-    if pop <= 0:
-        raise DataError(f"population must be > 0 at year index {t}")
-    headroom = 1.0 - satisfaction
-    gain = (coeffs.p_glacier * exp_glacier + coeffs.p_waste * exp_waste) * headroom
-    crowd = coeffs.p2 * v_next / (pop + coeffs.eps_crowd)
-    unemp = coeffs.p4 * float(exog.unemployment[t])
-    env_pull = coeffs.p3 * (env_next - satisfaction)
-    return _clamp01(satisfaction + gain - crowd - unemp + env_pull)
+    _check_population(pop, t)
+    return _social(satisfaction, env_next, v_next, exp_glacier, exp_waste, pop,
+                   float(exog.unemployment[t]), coeffs)
 
 
 def allocate_surplus(r_net: float, allocation) -> ChannelAmounts:
@@ -479,7 +583,7 @@ def allocate_surplus(r_net: float, allocation) -> ChannelAmounts:
     Plain products of the shares as stored; normalization of over-committed
     vectors happens when a scenario run starts, not here.
     """
-    surplus = max(0.0, r_net)
+    surplus = _max(0.0, r_net)
     return ChannelAmounts(
         env=surplus * allocation.theta_env,
         infra=surplus * allocation.theta_infra,
@@ -504,39 +608,122 @@ def simulate(policy: PolicyVector, exog: ExogenousSeries,
     if policy.tax_rate < 0 or policy.carbon_fee < 0 or coeffs.P_visitor_base < 0:
         raise ValueError("tax_rate, carbon_fee and P_visitor_base must be >= 0")
     init.validate()
+    if len(exog) > 1:
+        # the visitor stage's coefficient checks, once: they hold for every year
+        _check_glacier(coeffs.G_retreat_baseline, coeffs.kappa)
+        _check_price(coeffs.k1)
+    g_retreat, v_base, r_gov, exp_gov, co2, pop, unemp = (
+        getattr(exog, name).tolist() for name in _DRIVERS)
     traj = Trajectory(years=list(exog.years), states=[init])
     state = init
     capacity, v_base_bonus, extra_env = policy.capacity_limit, 0.0, 0.0
     for t in range(len(exog) - 1):
-        visitors, f_pr, f_gla, f_att = step_visitors(
-            state, exog, t + 1, policy, coeffs, v_base_bonus, capacity)
-        flows = step_finance(visitors, exog, t, policy, coeffs,
-                             state.net_revenue_cum)
-        # a plain run adds nothing, not even 0.0, so a -0.0 budget stays -0.0
-        exp_env = flows.exp_env if allocation is None else flows.exp_env + extra_env
-        env_next = step_environment(state.env_index, exp_env, exog, t,
-                                    policy, coeffs)
-        exp_glacier = policy.glacier_ratio * exp_env
-        exp_waste = (1.0 - policy.glacier_ratio) * exp_env
-        sat_next = step_social(state.satisfaction, env_next, visitors,
-                               exp_glacier, exp_waste, exog, t, coeffs)
+        visitors, f_pr, f_gla, f_att = _visitors(
+            state.env_index, state.satisfaction, g_retreat[t + 1], v_base[t + 1],
+            v_base_bonus, capacity, policy, coeffs)
+        r_tourism, r_gov_total, exp_env, exp_gov_total, r_net, r_net_cum = _finance(
+            visitors, r_gov[t], exp_gov[t], policy, coeffs, state.net_revenue_cum)
         if allocation is not None:
-            amounts = allocate_surplus(flows.r_net, allocation)
-            sat_next = min(1.0, max(0.0, sat_next + feedback.community_efficiency
-                                    * amounts.community * (1.0 - sat_next)))
-            capacity = capacity + feedback.infra_efficiency * amounts.infra
-            v_base_bonus = feedback.marketing_efficiency * amounts.marketing
+            # a plain run adds nothing, not even 0.0, so a -0.0 budget stays -0.0
+            exp_env = exp_env + extra_env
+        env_next, exp_glacier, exp_waste = _environment(
+            state.env_index, exp_env, g_retreat[t], co2[t], policy, coeffs)
+        _check_population(pop[t], t)
+        sat_next = _social(state.satisfaction, env_next, visitors, exp_glacier,
+                           exp_waste, pop[t], unemp[t], coeffs)
+        if allocation is not None:
+            amounts, sat_next, capacity, v_base_bonus = _feedback(
+                r_net, sat_next, capacity, allocation, feedback)
             extra_env = amounts.env
             traj.channel_spend.append(amounts)
             traj.effective_capacity.append(capacity)
-        state = SimState(visitors, env_next, sat_next, flows.r_net_cum)
+        state = SimState(visitors, env_next, sat_next, r_net_cum)
         traj.states.append(state)
         traj.f_glacier.append(f_gla)
         traj.f_attraction.append(f_att)
         traj.f_price.append(f_pr)
-        traj.r_tourism.append(flows.r_tourism)
-        traj.r_gov_total.append(flows.r_gov_total)
+        traj.r_tourism.append(r_tourism)
+        traj.r_gov_total.append(r_gov_total)
         traj.exp_env.append(exp_env)
-        traj.exp_gov_total.append(flows.exp_gov_total)
-        traj.r_net.append(flows.r_net)
+        traj.exp_gov_total.append(exp_gov_total)
+        traj.r_net.append(r_net)
     return traj, traj.objectives()
+
+
+def _raise_first_failure(policy, coeffs, exog, init, rows: dict, n: int) -> None:
+    """Raise what ``simulate`` raises on the first failing row, if any.
+
+    Only rows that may fail -- a bad input the checks look at, or a
+    negative ``eps_crowd`` that can zero the crowding denominator -- are
+    run through ``simulate`` to find out.  A bad initial state or
+    population fails every row, so the first row then reports.
+    """
+    def value(name, owner):
+        return rows.get(name, getattr(owner, name))
+
+    maybe = ((value("tax_rate", policy) < 0) | (value("carbon_fee", policy) < 0)
+             | (value("P_visitor_base", coeffs) < 0))
+    if len(exog) > 1:
+        maybe = (maybe | (value("G_retreat_baseline", coeffs) <= 0)
+                 | (value("kappa", coeffs) < 0) | (value("k1", coeffs) <= 0)
+                 | ~np.isfinite(value("ship_limit", policy))
+                 | (value("eps_crowd", coeffs) < 0))
+    try:
+        init.validate()
+        shared = len(exog) > 1 and bool(np.any(exog.population[:-1] <= 0))
+    except ValueError:
+        shared = True
+    suspects = range(min(n, 1)) if shared else np.flatnonzero(
+        np.broadcast_to(maybe, (n,)))
+    for i in suspects:
+        one = {name: float(col[i]) for name, col in rows.items()}
+        simulate(replace(policy, **{k: v for k, v in one.items() if k in POLICY_FIELDS}),
+                 exog,
+                 replace(coeffs, **{k: v for k, v in one.items() if k not in POLICY_FIELDS}),
+                 init)
+
+
+def simulate_batch(policy: PolicyVector, exog: ExogenousSeries,
+                   coeffs: ModelCoefficients, init: SimState,
+                   rows: dict) -> np.ndarray:
+    """Objectives of N runs at once, as an (N, 3) float64 array of f1, f2, f3.
+
+    ``rows`` maps :class:`PolicyVector` or :class:`ModelCoefficients`
+    field names to (N,) arrays; row i overrides those fields of ``policy``
+    and ``coeffs``.  The stage helpers of ``simulate`` run on arrays of
+    ``_BLOCK`` rows, looping over years, so row i holds the bits of
+    ``simulate``'s ObjectiveTriple for the same inputs.  Errors are those
+    ``simulate`` raises on the first row that fails.  No allocation
+    feedback and no trajectory: use ``simulate`` for those.
+    """
+    rows = {name: np.asarray(col, dtype=float) for name, col in rows.items()}
+    unknown = sorted(set(rows) - set(POLICY_FIELDS) - set(COEFF_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown row fields {unknown}")
+    shapes = {col.shape for col in rows.values()}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise ValueError(f"rows must be 1-D arrays of one length, got shapes {sorted(shapes)}")
+    n = shapes.pop()[0]
+    _raise_first_failure(policy, coeffs, exog, init, rows, n)
+    g_retreat, v_base, r_gov, exp_gov, co2, pop, unemp = (
+        getattr(exog, name).tolist() for name in _DRIVERS)
+    out = np.empty((n, 3))
+    for lo in range(0, n, _BLOCK):
+        block = {name: col[lo:lo + _BLOCK] for name, col in rows.items()}
+        p = SimpleNamespace(**{f: block.get(f, getattr(policy, f)) for f in POLICY_FIELDS})
+        c = SimpleNamespace(**{f: block.get(f, getattr(coeffs, f)) for f in COEFF_FIELDS})
+        env, sat, cum = init.env_index, init.satisfaction, init.net_revenue_cum
+        # overflow to inf and inf - inf = NaN pass silently, as on floats
+        with np.errstate(all="ignore"):
+            for t in range(len(exog) - 1):
+                visitors = _visitors(env, sat, g_retreat[t + 1], v_base[t + 1], 0.0,
+                                     p.capacity_limit, p, c)[0]
+                flows = _finance(visitors, r_gov[t], exp_gov[t], p, c, cum)
+                env_next, exp_glacier, exp_waste = _environment(
+                    env, flows[2], g_retreat[t], co2[t], p, c)
+                sat = _social(sat, env_next, visitors, exp_glacier, exp_waste,
+                              pop[t], unemp[t], c)
+                env, cum = env_next, flows[5]
+        chunk = out[lo:lo + _BLOCK]
+        chunk[:, 0], chunk[:, 1], chunk[:, 2] = cum, env, sat
+    return out

@@ -79,9 +79,9 @@ def randomized_runs(juneau):
 
 @pytest.fixture(scope="module")
 def toy_run():
-    def toy(g):
-        x = float(g[0])
-        return (-x * x, -(x - 1.0) ** 2, -(x + 1.0) ** 2)
+    def toy(genomes):
+        x = genomes[:, 0]
+        return np.column_stack([-x * x, -(x - 1.0) ** 2, -(x + 1.0) ** 2])
 
     cfg = EAConfig(population_size=100, generations=50, seed=42, hv_rel_tol=0.0)
     t0 = time.time()
@@ -93,10 +93,9 @@ def toy_run():
 def juneau_optimize(juneau, juneau_exog, juneau_init):
     coeffs = juneau.coefficients
 
-    def problem(genome):
-        policy = tp.PolicyVector.from_array(genome)
-        _, objs = tp.simulate(policy, juneau_exog, coeffs, juneau_init)
-        return objs
+    def problem(genomes):
+        return tp.simulate_batch(tp.PolicyVector(), juneau_exog, coeffs, juneau_init,
+                                 dict(zip(tp.POLICY_FIELDS, genomes.T)))
 
     cfg = EAConfig(population_size=100, generations=40, seed=7)
     t0 = time.time()

@@ -346,6 +346,50 @@ class TestConfigHandling:
         _assert_config_error(tmp_path, capsys, "simulate", {section: 5},
                              repr(section))
 
+    @pytest.mark.parametrize("command", ["sensitivity", "synth", "redistribute"])
+    @pytest.mark.parametrize("seed", ["x", 1.7, [1], -2])
+    def test_bad_config_seed_is_config_error(self, tmp_path, capsys, command, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"common": {"seed": seed}}))
+        assert main([command, "--preset", "juneau", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed" in err
+
+    def test_integral_float_seed_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"common": {"seed": 2.0}}))
+        out = tmp_path / "x"
+        assert main(["synth", "--preset", "juneau", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        ref = tmp_path / "ref"
+        assert main(["synth", "--preset", "juneau", "--seed", "2",
+                     "--out", str(ref)]) == 0
+        body = [ln for ln in (out / "dataset.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        assert body == [ln for ln in (ref / "dataset.csv").read_text().splitlines()
+                        if not ln.startswith("#")]
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("sensitivity", {"sensitivity": {"foo": 1, "morris_r": 2}}, "sensitivity.foo"),
+        ("simulate", {"simulate": {"synthetic": True}}, "simulate.synthetic"),
+        ("simulate", {"simulate": {"morris_r": 2}}, "simulate.morris_r"),
+        ("optimize", {"optimize": {"populaton_size": 4}}, "optimize.populaton_size"),
+        ("scenario", {"scenario": {"scenario": "default"}}, "scenario.scenario"),
+        ("redistribute", {"redistribute": {"dataset": "x.csv"}}, "redistribute.dataset"),
+        ("synth", {"synth": {"policy": {}}}, "synth.policy"),
+        ("simulate", {"common": {"sead": 1}}, "common.sead")])
+    def test_unknown_section_key_is_config_error(self, tmp_path, capsys, command,
+                                                 doc, key):
+        _assert_config_error(tmp_path, capsys, command, doc, key)
+
+    def test_common_holds_keys_of_other_commands(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"common": {"morris_r": 2, "ea": {}},
+                                   "sensitivity": {"foo": 1}}))
+        assert main(["simulate", "--preset", "juneau", "--config", str(cfg),
+                     "--seed", "0", "--out", str(tmp_path / "x")]) == 0
+
     def test_negative_seed_is_config_error(self, tmp_path):
         assert main(["simulate", "--preset", "juneau", "--seed", "-3",
                      "--out", str(tmp_path / "x")]) == 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,6 +200,23 @@ class TestAnalyzeModel:
                                method="morris", morris_r=6, seed=2)
         for res in report.tables.values():
             assert np.all(np.isfinite(res.mu_star))
+
+    def test_sobol_names_first_nan_sample(self, juneau, juneau_exog, juneau_init):
+        # p2 = 1e308 makes crowding inf; large p_glacier makes the protection
+        # gain inf too, and S = inf - inf is NaN on most, not all, samples
+        coeffs = replace(juneau.coefficients, p2=1e308)
+        space = ParameterSpace.from_dict({"p_glacier": (0.0, 1e302),
+                                          "tax_rate": (0.0, 0.3)})
+        points = saltelli_sample(space, 8, seed=3).matrix()
+        nan_rows = [i for i, row in enumerate(points) if any(math.isnan(v) for v in tp.simulate(
+            replace(juneau.reference_policy, tax_rate=float(row[1])), juneau_exog,
+            replace(coeffs, p_glacier=float(row[0])), juneau_init)[1])]
+        assert 0 < nan_rows[0] and len(nan_rows) < len(points)
+        with pytest.raises(EvaluationError) as exc:
+            analyze_model(space, juneau_exog, coeffs, juneau.reference_policy,
+                          juneau_init, method="sobol", sobol_n=8, seed=3)
+        first = points[nan_rows[0]]
+        assert str(exc.value) == f"NaN objective at sample {dict(zip(space.names, first))}"
 
     def test_unknown_parameter_rejected(self, juneau, juneau_exog, juneau_init):
         space = ParameterSpace.from_dict({"warp_field": (0.0, 1.0)})

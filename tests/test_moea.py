@@ -389,9 +389,9 @@ class TestHypervolume:
         assert hypervolume_3d(pts, (0, 0, 0)) == pytest.approx(1.0)
 
 
-def _toy(g):
-    x = float(g[0])
-    return (-x * x, -(x - 1.0) ** 2, -(x + 1.0) ** 2)
+def _toy(genomes):
+    x = genomes[:, 0]
+    return np.column_stack([-x * x, -(x - 1.0) ** 2, -(x + 1.0) ** 2])
 
 
 class TestEvolve:
@@ -436,11 +436,37 @@ class TestEvolve:
             assert -2.0 <= ind.genome[0] <= 2.0
 
     def test_nan_objective_rejected(self):
-        def bad(g):
-            return (float("nan"), 0.0, 0.0)
+        def bad(genomes):
+            return np.full((len(genomes), 3), np.nan)
 
         with pytest.raises(EvaluationError):
             evolve(bad, [0.0], [1.0], EAConfig(population_size=4, generations=1))
+
+    def test_problem_called_once_per_generation(self):
+        calls = []
+
+        def counted(genomes):
+            calls.append((type(genomes), genomes.shape))
+            return _toy(genomes)
+
+        cfg = EAConfig(population_size=12, generations=5, seed=3, hv_rel_tol=0.0)
+        res = evolve(counted, [-2.0, 0.0], [2.0, 1.0], cfg)
+        assert res.generations_run == 5
+        assert calls == [(np.ndarray, (12, 2))] * (1 + res.generations_run)
+
+    def test_nan_row_rejected(self):
+        def one_nan(genomes):
+            objs = _toy(genomes)
+            objs[len(genomes) // 2, 1] = np.nan
+            return objs
+
+        with pytest.raises(EvaluationError, match="bad objectives"):
+            evolve(one_nan, [-2.0], [2.0], EAConfig(population_size=8, generations=2))
+
+    def test_wrong_output_shape_rejected(self):
+        with pytest.raises(EvaluationError, match="shape"):
+            evolve(lambda g: _toy(g)[:, :2], [-2.0], [2.0],
+                   EAConfig(population_size=8, generations=2))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -1,13 +1,24 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import touropt as tp
 from touropt.errors import DataError
 from touropt.sd_core import (
+    _BLOCK,
+    COEFF_FIELDS,
+    _clamp01,
+    _floor,
+    _max,
+    _min,
+    POLICY_FIELDS,
     attraction_factor,
     glacier_factor,
     price_factor,
     simulate,
+    simulate_batch,
     step_environment,
     step_finance,
     step_social,
@@ -328,3 +339,174 @@ class TestValidation:
             tp.SimState(1.0, 1.2, 0.5, 0.0).validate()
         with pytest.raises(ValueError):
             tp.SimState(-1.0, 0.5, 0.5, 0.0).validate()
+
+
+# the coefficients gsa.full_space varies, and a draw of each over its
+# random_coeffs range
+FULL_SPACE_DRAWS = {
+    "eps_price": (-2.0, 0.0),
+    "kappa": (0.0, 0.5),
+    "alpha_g": (0.0, 5e-8),
+    "alpha_w": (0.0, 5e-8),
+    "delta": (0.0, 0.3),
+}
+OTHER_COEFFS = tuple(f for f in COEFF_FIELDS if f not in FULL_SPACE_DRAWS)
+
+
+def _row_inputs(policy, coeffs, rows, i):
+    one = {name: float(col[i]) for name, col in rows.items()}
+    return (replace(policy, **{k: v for k, v in one.items() if k in POLICY_FIELDS}),
+            replace(coeffs, **{k: v for k, v in one.items() if k not in POLICY_FIELDS}))
+
+
+def _simulate_rows(policy, exog, coeffs, init, rows):
+    """Reference: one ``simulate`` call per row."""
+    n = len(next(iter(rows.values())))
+    out = []
+    for i in range(n):
+        p, c = _row_inputs(policy, coeffs, rows, i)
+        out.append(simulate(p, exog, c, init)[1])
+    return np.array(out, dtype=float).reshape(n, 3)
+
+
+def _outcome(fn):
+    """(error type, message) that ``fn`` raises, or None."""
+    try:
+        fn()
+    except Exception as e:  # noqa: BLE001 -- the type is what is compared
+        return type(e), str(e)
+    return None
+
+
+def _first_row_error(policy, exog, coeffs, init, rows):
+    n = len(next(iter(rows.values())))
+    for i in range(n):
+        p, c = _row_inputs(policy, coeffs, rows, i)
+        err = _outcome(lambda: simulate(p, exog, c, init))
+        if err is not None:
+            return err
+    return None
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSimulateBatch:
+    def test_matches_simulate_bit_for_bit(self, juneau):
+        """10,000 rows over 100 random (exog, coeffs, init) sets."""
+        rng = np.random.default_rng(20241018)
+        lo, hi = juneau.bounds.lows(), juneau.bounds.highs()
+        n_rows = 0
+        for k in range(100):
+            exog = random_exog(rng)
+            coeffs = random_coeffs(rng)
+            init = random_state(rng, exog)
+            policy = random_policy(rng, juneau.bounds)
+            genomes = lo + (hi - lo) * rng.random((100, len(lo)))
+            rows = dict(zip(POLICY_FIELDS, genomes.T))
+            rows.update({name: rng.uniform(a, b, 100)
+                         for name, (a, b) in FULL_SPACE_DRAWS.items()})
+            other = OTHER_COEFFS[k % len(OTHER_COEFFS)]
+            rows[other] = getattr(coeffs, other) * rng.uniform(0.5, 1.5, 100)
+            got = simulate_batch(policy, exog, coeffs, init, rows)
+            want = _simulate_rows(policy, exog, coeffs, init, rows)
+            assert _same_bits(got, want), f"set {k}, extra coefficient {other}"
+            n_rows += len(got)
+        assert n_rows == 10_000
+
+    def test_array_branches_match_python_bits(self):
+        special = [np.nan, -np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 1.5, np.inf]
+        a, b = (np.array(v) for v in zip(*[(x, y) for x in special for y in special]))
+        for fn, ref in ((_max, max), (_min, min)):
+            want = np.array([ref(x, y) for x, y in zip(a.tolist(), b.tolist())])
+            assert _same_bits(fn(a, b), want)
+            assert _same_bits(fn(0.0, b), np.array([ref(0.0, y) for y in b.tolist()]))
+        x = np.array(special)
+        assert _same_bits(_clamp01(x), np.array(
+            [0.0 if v < 0.0 else (1.0 if v > 1.0 else v) for v in special]))
+        finite = np.array([-1.5, -0.5, -0.0, 0.0, 0.5, 799.9, 1e300])
+        assert _same_bits(_floor(finite) * 5000.0,
+                          np.array([math.floor(v) * 5000.0 for v in finite.tolist()]))
+
+    def test_nan_and_signed_zero_inputs(self, juneau, juneau_exog, juneau_init):
+        rows = {"eps_price": [np.nan, -0.0, 0.0, -0.5],
+                "kappa": [0.0, np.nan, -0.0, 0.2],
+                "tax_rate": [-0.0, 0.0, np.nan, 0.1],
+                "env_ratio": [0.1, -0.0, 0.2, np.nan]}
+        rows = {k: np.array(v) for k, v in rows.items()}
+        args = (juneau.reference_policy, juneau_exog, juneau.coefficients, juneau_init)
+        assert _same_bits(simulate_batch(*args, rows), _simulate_rows(*args, rows))
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_block_edges(self, juneau, juneau_exog, juneau_init, n):
+        rng = np.random.default_rng(n)
+        rows = {"tax_rate": rng.uniform(0.0, 0.3, n),
+                "ship_limit": rng.uniform(600.0, 800.0, n),
+                "kappa": rng.uniform(0.1, 0.3, n)}
+        args = (juneau.reference_policy, juneau_exog, juneau.coefficients, juneau_init)
+        got = simulate_batch(*args, rows)
+        assert _same_bits(got, _simulate_rows(*args, rows))
+
+    def test_late_override_mixes_shared_and_row_values(self, juneau, juneau_exog,
+                                                       juneau_init):
+        # p4 enters only the social stage: visitors stay shared floats until
+        # the first year's satisfaction differs row by row
+        rows = {"p4": np.linspace(0.0, 0.5, 7)}
+        args = (juneau.reference_policy, juneau_exog, juneau.coefficients, juneau_init)
+        assert _same_bits(simulate_batch(*args, rows), _simulate_rows(*args, rows))
+
+    def test_empty_batch(self, juneau, juneau_exog, juneau_init):
+        out = simulate_batch(juneau.reference_policy, juneau_exog,
+                             juneau.coefficients, juneau_init,
+                             {"tax_rate": np.empty(0)})
+        assert out.shape == (0, 3)
+
+    @pytest.mark.parametrize("rows", [
+        {"magic": [1.0]},
+        {"tax_rate": [0.1, 0.2], "kappa": [0.1]},
+        {"tax_rate": [[0.1]]},
+        {}])
+    def test_bad_rows_rejected(self, rows):
+        with pytest.raises(ValueError):
+            simulate_batch(slack_policy(), flat_exog(), neutral_coeffs(),
+                           mid_state(), rows)
+
+    @pytest.mark.parametrize("case", [
+        "tax_rate", "kappa", "k1", "population", "zero_horizon", "first_row_wins",
+        "ship_nan", "ship_inf", "crowd_denominator", "bad_init"])
+    def test_errors_match_simulate(self, case):
+        policy, coeffs, init = slack_policy(), neutral_coeffs(p2=1e-3), mid_state()
+        exog = flat_exog(n=5)
+        ok = [0.1, 0.1, 0.1, 0.1, 0.1]
+        rows = {"tax_rate": ok}
+        if case == "tax_rate":
+            rows = {"tax_rate": [0.1, 0.1, 0.1, -0.1, 0.2]}
+        elif case in ("kappa", "k1"):
+            rows = {case: [0.1, 0.1, -0.1 if case == "kappa" else 0.0, 0.1, 0.1]}
+        elif case == "population":
+            exog = flat_exog(n=5, population=[3e4, 3e4, 0.0, 3e4, 3e4])
+        elif case == "zero_horizon":
+            exog = flat_exog(n=1)
+            rows = {"kappa": [0.1, -0.1, 0.2], "k1": [1.0, 0.0, 2.0]}
+        elif case == "first_row_wins":
+            rows = {"k1": [1.0, 0.0, 1.0, 1.0], "tax_rate": [0.1, 0.1, 0.1, -0.5]}
+        elif case == "ship_nan":
+            rows = {"ship_limit": [700.0, np.nan, 700.0]}
+        elif case == "ship_inf":
+            rows = {"ship_limit": [700.0, 700.0, np.inf]}
+        elif case == "crowd_denominator":
+            rows = {"eps_crowd": [1.0, -1.0, -32000.0, 1.0]}
+        elif case == "bad_init":
+            init = replace(init, satisfaction=1.5)
+            rows = {"tax_rate": [0.1, -0.1]}
+        rows = {k: np.asarray(v, dtype=float) for k, v in rows.items()}
+        want = _first_row_error(policy, exog, coeffs, init, rows)
+        got = _outcome(lambda: simulate_batch(policy, exog, coeffs, init, rows))
+        assert got == want
+        if case == "zero_horizon":
+            assert want is None
+            out = simulate_batch(policy, exog, coeffs, init, rows)
+            assert out.tolist() == [[0.0, 0.5, 0.5]] * 3
+        else:
+            assert want is not None
