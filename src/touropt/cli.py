@@ -345,17 +345,12 @@ def _resolve_space(cfg: dict, preset, policy) -> ParameterSpace:
 def cmd_sensitivity(args) -> int:
     cfg = _effective_config(args, "sensitivity")
     seed = _require_seed(cfg, "sensitivity")
-    method = cfg.get("method", "morris")
-    if method not in ("morris", "sobol"):
-        raise ConfigError(f"unknown method {method!r}; use morris or sobol")
-    output = cfg.get("output", "all")
-    if output not in OUTPUT_NAMES + ("all",):
-        raise ConfigError(f"output must be f1, f2, f3 or all, not {output!r}")
     preset, exog, coeffs, init = _resolve_base(cfg)
     policy = _resolve_policy(cfg, preset)
     space = _resolve_space(cfg, preset, policy)
     report = analyze_model(
-        space, exog, coeffs, policy, init, method=method, output=output,
+        space, exog, coeffs, policy, init, method=cfg.get("method", "morris"),
+        output=cfg.get("output", "all"),
         morris_r=_integer("morris_r", cfg.get("morris_r", 20)),
         morris_levels=_integer("morris_levels", cfg.get("morris_levels", 4)),
         sobol_n=_integer("sobol_n", cfg.get("sobol_n", 512)),
@@ -382,7 +377,7 @@ def cmd_sensitivity(args) -> int:
         "outputs": list(report.outputs),
         "rows": report.matrix_records(),
     })
-    print(f"sensitivity: {method} over {len(space)} parameters, wrote "
+    print(f"sensitivity: {report.method} over {len(space)} parameters, wrote "
           f"{len(report.tables)} table(s) and the matrix to {out}")
     return EXIT_OK
 

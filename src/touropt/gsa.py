@@ -5,7 +5,10 @@ summarizes each parameter by mu* (mean absolute elementary effect) and
 sigma (spread of the effects, an interaction/nonlinearity signal).  Sobol
 first/total indices use the classic two-matrix sampling design with the
 symmetrized direct estimator for S_i, Jansen's estimator for S_Ti, and
-bootstrap percentile intervals.
+bootstrap percentile intervals.  Both estimators are means of per-row
+terms, so the bootstrap is per-row terms resampled by gather: the term
+blocks are computed once per output and each resample takes a row mean
+of their gathered columns.
 
 Sampling is plain seeded pseudo-random (recorded in result metadata, no
 low-discrepancy sequence); accuracy targets are set accordingly.  Both
@@ -240,19 +243,16 @@ def saltelli_sample(space: ParameterSpace, n: int, seed: int = 0) -> SaltelliDes
     return SaltelliDesign(space, n, A, B, AB, BA)
 
 
-def _sobol_point_estimates(yA, yB, yAB, yBA) -> tuple:
+def _check_n_boot(n_boot: int) -> None:
+    if n_boot < 1:
+        raise ConfigError(f"bootstrap must be at least 1 resample, not {n_boot!r}")
+
+
+def _output_variance(yA, yB) -> float:
     var = np.var(np.concatenate([yA, yB]))
     if var <= 0.0:
         raise EvaluationError("zero output variance: Sobol indices undefined")
-    k = yAB.shape[0]
-    s1 = np.empty(k)
-    st = np.empty(k)
-    for i in range(k):
-        v_i = 0.5 * (np.mean(yB * (yAB[i] - yA)) + np.mean(yA * (yBA[i] - yB)))
-        e_i = 0.5 * (np.mean((yA - yAB[i]) ** 2) + np.mean((yB - yBA[i]) ** 2)) / 2.0
-        s1[i] = v_i / var
-        st[i] = e_i / var
-    return s1, st
+    return var
 
 
 def sobol_indices(design: SaltelliDesign, outputs: np.ndarray,
@@ -261,21 +261,33 @@ def sobol_indices(design: SaltelliDesign, outputs: np.ndarray,
     """First-order and total-effect indices with bootstrap intervals.
 
     S_i uses the symmetrized direct estimator over both matrix halves,
-    S_Ti the Jansen squared-difference form.  The bootstrap resamples
-    design rows jointly across all matrices.
+    S_Ti the Jansen squared-difference form.  Both are means of per-row
+    terms, so the four (k, n) term blocks are computed once and the
+    bootstrap is per-row terms resampled by gather: each resample draws
+    n design rows (jointly across all matrices), takes those columns of
+    every block and averages along the rows.
     """
+    _check_n_boot(n_boot)
     yA, yB, yAB, yBA = design.split_outputs(outputs)
     if not np.all(np.isfinite(outputs)):
         raise EvaluationError("non-finite model output in Sobol design")
-    s1, st = _sobol_point_estimates(yA, yB, yAB, yBA)
+    terms = (yB * (yAB - yA), yA * (yBA - yB), (yA - yAB) ** 2, (yB - yBA) ** 2)
+
+    def indices(var, m1, m2, m3, m4):
+        return 0.5 * (m1 + m2) / var, 0.5 * (m3 + m4) / 2.0 / var
+
+    s1, st = indices(_output_variance(yA, yB), *(t.mean(axis=1) for t in terms))
     k, n = len(design.space), design.n
     rng = np.random.default_rng(seed)
     boots1 = np.empty((n_boot, k))
     bootst = np.empty((n_boot, k))
     for b in range(n_boot):
         idx = rng.integers(0, n, size=n)
-        boots1[b], bootst[b] = _sobol_point_estimates(
-            yA[idx], yB[idx], yAB[:, idx], yBA[:, idx])
+        # take() keeps each gathered block C-ordered, so its row means are
+        # the same pairwise sums as the means of 1-D resampled rows
+        boots1[b], bootst[b] = indices(_output_variance(yA[idx], yB[idx]),
+                                       *(t.take(idx, axis=1).mean(axis=1)
+                                         for t in terms))
     alpha = 0.5 * (1.0 - ci_level)
     lo1, hi1 = np.quantile(boots1, [alpha, 1.0 - alpha], axis=0)
     lot, hit = np.quantile(bootst, [alpha, 1.0 - alpha], axis=0)
@@ -343,9 +355,15 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     NaN sample in design order, Morris runs point by point.  ``output``
     narrows which ranked tables are returned while the parameters-by-
     outputs matrix always covers f1..f3 (mu* for Morris, S_T for Sobol).
+    ``method``, ``output`` and (for Sobol) ``n_boot`` are checked before
+    any sampling or simulation.
     """
+    if method not in ("morris", "sobol"):
+        raise ConfigError(f"unknown method {method!r}; use 'morris' or 'sobol'")
     if output not in OUTPUT_NAMES + ("all",):
-        raise ConfigError(f"output must be one of {OUTPUT_NAMES + ('all',)}")
+        raise ConfigError(f"output must be f1, f2, f3 or all, not {output!r}")
+    if method == "sobol":
+        _check_n_boot(n_boot)
     model = make_model(space, exog, coeffs, policy, init)
     wanted = OUTPUT_NAMES if output == "all" else (output,)
     k = len(space)
@@ -358,7 +376,7 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
         results = {name: morris_indices(space, samples, evals[:, :, j])
                    for j, name in enumerate(OUTPUT_NAMES)}
         matrix = np.column_stack([results[name].mu_star for name in OUTPUT_NAMES])
-    elif method == "sobol":
+    else:
         design = saltelli_sample(space, sobol_n, seed)
         points = design.matrix()
         evals = simulate_batch(policy, exog, coeffs, init,
@@ -370,8 +388,6 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
         results = {name: sobol_indices(design, evals[:, j], n_boot=n_boot, seed=seed)
                    for j, name in enumerate(OUTPUT_NAMES)}
         matrix = np.column_stack([results[name].st for name in OUTPUT_NAMES])
-    else:
-        raise ConfigError(f"unknown method {method!r}; use 'morris' or 'sobol'")
     tables = {name: results[name] for name in wanted}
     return AnalysisReport(method=method, space=space, tables=tables, matrix=matrix)
 

@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from touropt.cli import main
 
@@ -207,6 +213,58 @@ class TestSensitivityCommand:
     def test_non_integer_setting_is_config_error(self, tmp_path, capsys, key, value):
         _assert_config_error(tmp_path, capsys, "sensitivity",
                              {"sensitivity": {"method": "sobol", key: value}}, key)
+
+    @pytest.mark.parametrize("n_boot", [0, -1])
+    def test_no_bootstrap_resamples_is_config_error(self, tmp_path, capsys,
+                                                    monkeypatch, n_boot):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the bootstrap check")
+        monkeypatch.setattr("touropt.gsa.simulate_batch", no_simulation)
+        _assert_config_error(tmp_path, capsys, "sensitivity",
+                             {"sensitivity": {"method": "sobol", "space": "full",
+                                              "sobol_n": 16, "bootstrap": n_boot}},
+                             "bootstrap")
+
+    def test_one_bootstrap_resample_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sensitivity": {
+            "method": "sobol", "space": "full", "sobol_n": 16, "bootstrap": 1}}))
+        out = tmp_path / "s"
+        assert main(["sensitivity", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        header, rows = _read_csv(out / "sobol_f1.csv")
+        assert len(rows) == 12
+        assert all(r[3] == r[2] == r[4] for r in rows)  # one resample: zero width
+
+    @pytest.mark.parametrize("key, value", [("method", "laplace"), ("output", "f4"),
+                                            ("output", ["f1"])])
+    def test_bad_method_or_output_is_config_error(self, tmp_path, capsys, key, value):
+        _assert_config_error(tmp_path, capsys, "sensitivity",
+                             {"sensitivity": {key: value}}, key)
+
+    _SETTING = st.one_of(st.integers(-2, 8), st.floats(-2.0, 8.0),
+                         st.sampled_from(["", "4", "x", None, True]))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @example(method="sobol", morris_r=2, morris_levels=4, sobol_n=4, bootstrap=0)
+    @given(method=st.sampled_from(["morris", "sobol"]),
+           morris_r=_SETTING.filter(lambda v: not isinstance(v, (int, float)) or v <= 3),
+           morris_levels=_SETTING, sobol_n=_SETTING,
+           bootstrap=_SETTING.filter(lambda v: not isinstance(v, (int, float)) or v <= 5))
+    def test_fuzz_integer_settings(self, method, morris_r, morris_levels, sobol_n,
+                                   bootstrap):
+        doc = {"sensitivity": {"method": method, "space": "full",
+                               "morris_r": morris_r, "morris_levels": morris_levels,
+                               "sobol_n": sobol_n, "bootstrap": bootstrap}}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["sensitivity", "--preset", "juneau", "--seed", "0",
+                             "--config", str(cfg), "--out", str(Path(tmp) / "s")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestScenarioCommand:

@@ -17,6 +17,8 @@ from touropt.gsa import (
     uncertainty_space,
 )
 
+from helpers import sobol_bootstrap_loop
+
 
 def _unit_space(k):
     return ParameterSpace.from_dict({f"x{i+1}": (0.0, 1.0) for i in range(k)})
@@ -170,6 +172,57 @@ class TestSobolIndices:
         assert res.st[2] == pytest.approx(v13 / total, abs=0.08)
 
 
+def _spread_outputs(design):
+    """A nonlinear output of the design whose values span 1e-3 to 1e9."""
+    u = design.space.to_unit(design.matrix())
+    e = 0.5 * u[:, 0] + 0.3 * u[:, 1] * u[:, 2] + 0.2 * u[:, 5] ** 3
+    return 10.0 ** (-3.0 + 12.0 * (e - e.min()) / (e.max() - e.min()))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestSobolBootstrapReference:
+    """``sobol_indices`` against the per-resample loop it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 37, 512, 1000])
+    @pytest.mark.parametrize("n_boot", [1, 7, 200])
+    def test_bit_for_bit(self, n, n_boot):
+        design = saltelli_sample(_unit_space(12), n, seed=n)
+        y = _spread_outputs(design)
+        assert y.min() == pytest.approx(1e-3) and y.max() == pytest.approx(1e9)
+        res = sobol_indices(design, y, n_boot=n_boot, seed=n_boot)
+        ref = sobol_bootstrap_loop(design, y, n_boot=n_boot, seed=n_boot)
+        for got, want in zip((res.s1, res.st, res.s1_ci, res.st_ci), ref):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_zero_variance_resample_same_error(self):
+        # one non-constant row: about a third of the resamples miss it
+        design = saltelli_sample(_unit_space(3), 8, seed=9)
+        y = np.ones(8 * 8)
+        y[0] = 2.0
+        with pytest.raises(EvaluationError) as want:
+            sobol_bootstrap_loop(design, y, n_boot=20, seed=9)
+        with pytest.raises(EvaluationError) as got:
+            sobol_indices(design, y, n_boot=20, seed=9)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_output_rejected(self, bad):
+        design = saltelli_sample(_unit_space(3), 16, seed=10)
+        y = design.matrix().sum(axis=1)
+        y[17] = bad
+        with pytest.raises(EvaluationError, match="non-finite"):
+            sobol_indices(design, y, n_boot=5, seed=10)
+
+    @pytest.mark.parametrize("n_boot", [0, -1])
+    def test_no_resamples_is_config_error(self, n_boot):
+        design = saltelli_sample(_unit_space(2), 16, seed=11)
+        with pytest.raises(ConfigError, match="bootstrap"):
+            sobol_indices(design, design.matrix().sum(axis=1), n_boot=n_boot)
+
+
 class TestAnalyzeModel:
     def test_matrix_shape_contract(self, juneau, juneau_exog, juneau_init):
         space = ParameterSpace.from_dict(
@@ -227,6 +280,13 @@ class TestAnalyzeModel:
     def test_unknown_method_rejected(self, juneau, juneau_exog, juneau_init):
         space = ParameterSpace.from_dict({"tax_rate": (0.0, 0.3)})
         with pytest.raises(ConfigError):
+            analyze_model(space, juneau_exog, juneau.coefficients,
+                          juneau.reference_policy, juneau_init, method="sobolev")
+
+    def test_method_checked_before_model(self, juneau, juneau_exog, juneau_init):
+        # an unknown parameter would fail in make_model; the method fails first
+        space = ParameterSpace.from_dict({"warp_field": (0.0, 1.0)})
+        with pytest.raises(ConfigError, match="unknown method"):
             analyze_model(space, juneau_exog, juneau.coefficients,
                           juneau.reference_policy, juneau_init, method="sobolev")
 
