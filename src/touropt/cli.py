@@ -171,7 +171,10 @@ def _resolve_base(cfg: dict):
             raise ConfigError(f"unknown coefficients {sorted(unknown)}")
         coeffs = replace(coeffs, **{k: _number(f"coefficients.{k}", v)
                                      for k, v in cfg["coefficients"].items()})
-        coeffs.validate()
+        try:
+            coeffs.validate()  # its messages start with the field name
+        except ValueError as e:
+            raise ConfigError(f"coefficients.{e}")
     init = initial_state(preset, exog, seed)
     return preset, exog, coeffs, init
 
@@ -253,10 +256,7 @@ def cmd_simulate(args) -> int:
     cfg = _effective_config(args, "simulate")
     preset, exog, coeffs, init = _resolve_base(cfg)
     policy = _resolve_policy(cfg, preset)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     traj, objs = simulate(policy, exog, coeffs, init)
-    meta = _meta(cfg, "simulate")
     rows = []
     for i, year in enumerate(traj.years):
         st = traj.states[i]
@@ -264,10 +264,14 @@ def cmd_simulate(args) -> int:
         diag = [traj.r_tourism[trans], traj.r_gov_total[trans],
                 traj.exp_env[trans], traj.exp_gov_total[trans],
                 traj.r_net[trans], traj.f_price[trans], traj.f_glacier[trans],
-                traj.f_attraction[trans]] if i > 0 else [""] * 8
-        rows.append([int(year), repr(st.visitors), repr(st.env_index),
-                     repr(st.satisfaction), repr(st.net_revenue_cum)]
-                    + [repr(v) if v != "" else "" for v in diag])
+                traj.f_attraction[trans]] if i > 0 else []
+        values = [st.visitors, st.env_index, st.satisfaction, st.net_revenue_cum] + diag
+        if not all(math.isfinite(v) for v in values):
+            raise EvaluationError(f"non-finite simulation result in year {int(year)}")
+        rows.append([int(year)] + [repr(v) for v in values] + [""] * (8 - len(diag)))
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    meta = _meta(cfg, "simulate")
     _write_csv(out / "trajectory.csv", meta,
                ["year", "visitors", "env_index", "satisfaction",
                 "net_revenue_cum", "r_tourism", "r_gov_total", "exp_env",
@@ -419,6 +423,9 @@ def _resolve_sites(cfg: dict):
     if choice == "iceland7":
         return iceland_sites()
     if isinstance(choice, list) and choice:
+        for i, s in enumerate(choice):
+            if not isinstance(s, dict):
+                raise ConfigError(f"sites[{i}] must be an object, not {s!r}")
         try:
             return [SiteState(**{k: (v if k == "name" else _number(f"sites.{k}", v))
                                  for k, v in s.items()}) for s in choice]

@@ -132,10 +132,7 @@ def morris_sample(space: ParameterSpace, r: int, levels: int = 4,
     with Delta = levels / (2 * (levels - 1)).
     """
     space.validate()
-    if levels < 4 or levels % 2:
-        raise ConfigError("levels must be even and >= 4")
-    if r < 1:
-        raise ConfigError("need at least one trajectory")
+    _check_morris(r, levels)
     k = len(space)
     delta = levels / (2.0 * (levels - 1.0))
     step = 1.0 / (levels - 1.0)
@@ -226,8 +223,7 @@ class SaltelliDesign:
 def saltelli_sample(space: ParameterSpace, n: int, seed: int = 0) -> SaltelliDesign:
     """Two independent base matrices plus the column-swapped variants."""
     space.validate()
-    if n < 2:
-        raise ConfigError("base sample size must be >= 2")
+    _check_sobol_n(n)
     k = len(space)
     rng = np.random.default_rng(seed)
     unit = rng.random((n, 2 * k))
@@ -241,6 +237,19 @@ def saltelli_sample(space: ParameterSpace, n: int, seed: int = 0) -> SaltelliDes
         BA[i] = B
         BA[i, :, i] = A[:, i]
     return SaltelliDesign(space, n, A, B, AB, BA)
+
+
+def _check_morris(r: int, levels: int, r_key: str = "r",
+                  levels_key: str = "levels") -> None:
+    if levels < 4 or levels % 2:
+        raise ConfigError(f"{levels_key} must be even and >= 4, not {levels!r}")
+    if r < 1:
+        raise ConfigError(f"{r_key} must be at least one trajectory, not {r!r}")
+
+
+def _check_sobol_n(n: int, key: str = "n") -> None:
+    if n < 2:
+        raise ConfigError(f"{key} (base sample size) must be >= 2, not {n!r}")
 
 
 def _check_n_boot(n_boot: int) -> None:
@@ -355,14 +364,17 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     NaN sample in design order, Morris runs point by point.  ``output``
     narrows which ranked tables are returned while the parameters-by-
     outputs matrix always covers f1..f3 (mu* for Morris, S_T for Sobol).
-    ``method``, ``output`` and (for Sobol) ``n_boot`` are checked before
-    any sampling or simulation.
+    ``method``, ``output`` and the chosen method's sizes are checked
+    before any sampling or simulation, naming the argument.
     """
     if method not in ("morris", "sobol"):
         raise ConfigError(f"unknown method {method!r}; use 'morris' or 'sobol'")
     if output not in OUTPUT_NAMES + ("all",):
         raise ConfigError(f"output must be f1, f2, f3 or all, not {output!r}")
-    if method == "sobol":
+    if method == "morris":
+        _check_morris(morris_r, morris_levels, "morris_r", "morris_levels")
+    else:
+        _check_sobol_n(sobol_n, "sobol_n")
         _check_n_boot(n_boot)
     model = make_model(space, exog, coeffs, policy, init)
     wanted = OUTPUT_NAMES if output == "all" else (output,)

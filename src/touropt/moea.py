@@ -9,11 +9,19 @@ hypervolume used both as a quality log and as the convergence signal
 All dominance logic is in maximization form; objectives are stored as
 returned by the problem, with no sign flips.  Every pairwise comparison
 goes through one numpy primitive, :func:`dominance_matrix`, which the
-sort, the all-time archive and the front verification share;
-:func:`dominates` is its NaN-checking scalar counterpart.  The problem
-is evaluated a generation at a time, (N, genes) genomes to (N, 3)
-objectives.  Runs are reproducible: a single seeded generator drives
-every random draw in a fixed order, and evaluation draws none.
+sort (a front-by-front peel of the matrix), the all-time archive and the
+front verification share; :func:`dominates` is its NaN-checking scalar
+counterpart.  The problem is evaluated a generation at a time, (N, genes)
+genomes to (N, 3) objectives.
+
+Inside :func:`evolve` the population lives in arrays: genomes (N, genes),
+objectives (N, 3), rank and crowding (N,).  A generation's variation
+draws its uint64s from the seeded generator in one block and replays over
+them what the per-call operators (:func:`tournament_select`,
+:func:`sbx_crossover`, :func:`polynomial_mutation`) would consume, so
+runs are byte-identical to a loop over those operators.  Runs are
+reproducible: a single seeded generator drives every random draw in a
+fixed order, and evaluation draws none.
 """
 
 from __future__ import annotations
@@ -148,7 +156,8 @@ def fast_nondominated_sort(objectives) -> list:
     Takes a sequence of objective tuples, returns fronts as lists of
     indices; front 0 is the non-dominated set and the fronts partition the
     population.  Within a front, members appear in the order their last
-    dominator is peeled, ties by ascending index.
+    dominator is peeled, ties by ascending index.  Peels the dominance
+    matrix a front at a time.
     """
     objs = np.asarray(objectives, dtype=float)
     n = len(objs)
@@ -159,20 +168,17 @@ def fast_nondominated_sort(objectives) -> list:
         row = tuple(objs[int(np.argmax(nan_rows))].tolist())
         raise EvaluationError(f"NaN objective in population: {row}")
     dom = dominance_matrix(objs)
-    dom_count = dom.sum(axis=0).tolist()  # how many solutions dominate each
-    dominated_by = [np.flatnonzero(row).tolist() for row in dom]
-    fronts = [[p for p in range(n) if dom_count[p] == 0]]
-    i = 0
-    while fronts[i]:
-        nxt = []
-        for p in fronts[i]:
-            for q in dominated_by[p]:
-                dom_count[q] -= 1
-                if dom_count[q] == 0:
-                    nxt.append(q)
-        i += 1
-        fronts.append(nxt)
-    fronts.pop()
+    dom_count = dom.sum(axis=0)  # how many solutions dominate each
+    front = np.flatnonzero(dom_count == 0)
+    fronts = []
+    while front.size:
+        fronts.append(front.tolist())
+        peeled = dom[front]
+        dom_count -= peeled.sum(axis=0)
+        nxt = np.flatnonzero((dom_count == 0) & peeled.any(axis=0))
+        # position of each newcomer's last dominator in the peeled front
+        last = len(front) - 1 - np.argmax(peeled[::-1, nxt], axis=0)
+        front = nxt[np.argsort(last, kind="stable")]
     return fronts
 
 
@@ -201,25 +207,27 @@ def crowding_distance(objectives) -> np.ndarray:
     return dist
 
 
-def _crowded_better(a: Individual, b: Individual) -> bool:
-    if a.rank != b.rank:
-        return a.rank < b.rank
-    return a.crowding > b.crowding
-
-
 def tournament_select(population, rng) -> Individual:
     """Binary tournament: lower rank wins, larger crowding breaks ties,
     the first-drawn candidate wins remaining ties."""
     i = int(rng.integers(len(population)))
     j = int(rng.integers(len(population)))
     a, b = population[i], population[j]
-    return b if _crowded_better(b, a) else a
+    if a.rank != b.rank:
+        return b if b.rank < a.rank else a
+    return b if b.crowding > a.crowding else a
 
 
 def _sbx_beta(u: float, eta: float) -> float:
     if u <= 0.5:
         return (2.0 * u) ** (1.0 / (eta + 1.0))
     return (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+
+
+def _mutation_delta(u: float, eta: float) -> float:
+    if u < 0.5:
+        return (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
+    return 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
 
 
 def sbx_crossover(parent_a, parent_b, eta_c: float, lows, highs, rng) -> tuple:
@@ -249,44 +257,159 @@ def polynomial_mutation(genome, eta_m: float, prob: float, lows, highs, rng) -> 
     for i in range(len(x)):
         if rng.random() >= prob:
             continue
-        u = float(rng.random())
-        if u < 0.5:
-            delta = (2.0 * u) ** (1.0 / (eta_m + 1.0)) - 1.0
-        else:
-            delta = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta_m + 1.0))
-        x[i] += delta * (hi[i] - lo[i])
+        x[i] += _mutation_delta(float(rng.random()), eta_m) * (hi[i] - lo[i])
     np.clip(x, lo, hi, out=x)
     return x
 
 
-def _assign_ranks_and_crowding(population) -> list:
-    fronts = fast_nondominated_sort([ind.objectives for ind in population])
-    for rank, front in enumerate(fronts):
-        dists = crowding_distance([population[i].objectives for i in front])
-        for k, idx in enumerate(front):
-            population[idx].rank = rank
-            population[idx].crowding = float(dists[k])
-    return fronts
+_U32 = 0xFFFFFFFF
+_TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53, as numpy's next_double scales
+
+
+def _replay(raw, n: int, g: int, cx: float, pm: float, has_half: bool, half: int):
+    """Walk one generation of per-call draws through the uint64s ``raw``.
+
+    Per offspring pair the per-call loop draws four ``integers(n)``
+    tournament indices, a crossover double, ``g`` SBX doubles when the pair
+    crosses, and per child gene a double plus one more when it mutates.
+    A bounded integer takes the generator's buffered 32-bit half if it
+    holds one, else the low half of a fresh uint64 (buffering the high
+    half), and rejects the draw when the low 32 bits of ``x * n`` fall
+    below ``2**32 % n`` (Lemire); a double takes a fresh uint64 ``u`` as
+    ``(u >> 11) * 2**-53``.  ``has_half``/``half`` are the generator's
+    buffer on entry; like numpy, ``half`` keeps the last high half loaded
+    after it is used.
+
+    Returns None when ``raw`` may be too short; otherwise the tournament
+    indices, crossover flags, start positions of the SBX and mutation
+    draws, the doubles, the next-gene positions, the number of uint64s
+    consumed and the buffer on exit.
+    """
+    size = len(raw)
+    dbl = (raw >> np.uint64(11)).astype(float) * _TO_DOUBLE
+    # next_gene[k]: where the next gene's draw starts if one starts at k;
+    # size + 1 marks running past the end
+    next_gene = np.concatenate([np.arange(1, size + 1) + (dbl < pm), [size + 1] * 2])
+    child_end = next_gene
+    for _ in range(g - 1):
+        child_end = next_gene[child_end]
+    threshold = (1 << 32) % n
+    pos = 0
+    picks, cross, sbx_at, mut_at = [], [], [], []
+    for _ in range(n // 2):
+        for _ in range(4):
+            while True:
+                if has_half:
+                    x, has_half = half, False
+                elif pos == size:
+                    return None
+                else:
+                    word = int(raw[pos])
+                    x, half, has_half = word & _U32, word >> 32, True
+                    pos += 1
+                m = x * n
+                if m & _U32 >= threshold:
+                    break
+            picks.append(m >> 32)
+        if pos + 1 + 5 * g > size:  # the rest of the pair needs at most this
+            return None
+        crosses = bool(dbl[pos] < cx)
+        cross.append(crosses)
+        pos += 1
+        if crosses:
+            sbx_at.append(pos)
+            pos += g
+        mut_at.append(pos)
+        pos = int(child_end[pos])
+        mut_at.append(pos)
+        pos = int(child_end[pos])
+    return picks, cross, sbx_at, mut_at, dbl, next_gene, pos, has_half, half
+
+
+def _offspring(rng, genomes, rank, crowd, lows, highs, config: EAConfig, pm: float):
+    """One generation of offspring, bit-equal to the per-call loop.
+
+    The per-call loop makes ``n / 2`` pairs: two :func:`tournament_select`
+    parents, :func:`sbx_crossover` with probability ``crossover_prob``
+    (else copies), and :func:`polynomial_mutation` of each child.  This
+    draws the generation's uint64s in one block, walks them with
+    :func:`_replay`, does the arithmetic on arrays and leaves the PCG64
+    generator in the state the loop would.  The SBX spread and mutation
+    step stay Python-float powers: ``np.power`` differs from them in the
+    last bit for some inputs.  Returns the (n, genes) children in the
+    loop's order.
+    """
+    n, g = genomes.shape
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    raw = bitgen.random_raw(n // 2 * (3 + 5 * g))  # enough unless a draw is rejected
+    while (plan := _replay(raw, n, g, config.crossover_prob, pm,
+                           bool(saved["has_uint32"]), saved["uinteger"])) is None:
+        raw = np.concatenate([raw, bitgen.random_raw(len(raw))])
+    picks, cross, sbx_at, mut_at, dbl, next_gene, consumed, has_half, half = plan
+    bitgen.state = saved
+    bitgen.advance(consumed)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = int(has_half), half
+    bitgen.state = state
+
+    i, j = np.array(picks).reshape(-1, 2).T
+    second = (rank[j] < rank[i]) | ((rank[j] == rank[i]) & (crowd[j] > crowd[i]))
+    kids = genomes[np.where(second, j, i)]  # parents a0, b0, a1, b1, ...
+    if sbx_at:
+        us = dbl[np.add.outer(sbx_at, np.arange(g))]
+        beta = np.array([_sbx_beta(u, config.eta_c) for u in us.ravel().tolist()])
+        beta = beta.reshape(us.shape)
+        rows = 2 * np.flatnonzero(cross)
+        pa, pb = kids[rows], kids[rows + 1]
+        kids[rows] = np.clip(0.5 * ((1.0 + beta) * pa + (1.0 - beta) * pb), lows, highs)
+        kids[rows + 1] = np.clip(0.5 * ((1.0 - beta) * pa + (1.0 + beta) * pb), lows, highs)
+    at = np.empty((n, g), dtype=np.intp)
+    at[:, 0] = mut_at
+    for k in range(1, g):
+        at[:, k] = next_gene[at[:, k - 1]]
+    hit = dbl[at] < pm
+    if hit.any():
+        delta = [_mutation_delta(u, config.eta_m) for u in dbl[at[hit] + 1].tolist()]
+        kids[hit] += np.array(delta) * (highs - lows)[np.nonzero(hit)[1]]
+    return np.clip(kids, lows, highs, out=kids)
+
+
+def _select(objs, n: int) -> tuple:
+    """Elitist selection on an (N, 3) objective array.
+
+    Returns the indices of the ``n`` survivors -- whole fronts in rank
+    order, the front that overflows truncated by descending crowding
+    distance -- and every row's front index and crowding distance.
+    """
+    fronts = fast_nondominated_sort(objs)
+    rank = np.empty(len(objs), dtype=np.intp)
+    crowd = np.empty(len(objs))
+    for r, front in enumerate(fronts):
+        rank[front] = r
+        crowd[front] = crowding_distance(objs[front])
+    keep = []
+    for front in fronts:
+        if len(keep) + len(front) > n:
+            f = np.array(front)
+            front = f[np.argsort(-crowd[f], kind="stable")][: n - len(keep)].tolist()
+        keep.extend(front)
+        if len(keep) == n:
+            break
+    return keep, rank, crowd
 
 
 def environmental_selection(pool, n: int) -> list:
     """Elitist reduction of a parent+offspring pool to ``n`` survivors.
 
     Whole fronts are admitted in rank order; the first front that
-    overflows is truncated by descending crowding distance.
+    overflows is truncated by descending crowding distance.  Sets every
+    pool member's ``rank`` and ``crowding``.
     """
-    fronts = _assign_ranks_and_crowding(pool)
-    survivors = []
-    for front in fronts:
-        members = [pool[i] for i in front]
-        if len(survivors) + len(members) <= n:
-            survivors.extend(members)
-        else:
-            members.sort(key=lambda ind: -ind.crowding)
-            survivors.extend(members[: n - len(survivors)])
-        if len(survivors) == n:
-            break
-    return survivors
+    keep, rank, crowd = _select(np.array([ind.objectives for ind in pool], dtype=float), n)
+    for ind, r, c in zip(pool, rank.tolist(), crowd.tolist()):
+        ind.rank, ind.crowding = r, c
+    return [pool[i] for i in keep]
 
 
 def _staircase_insert(xs, ys, area, x, y, ref_x, ref_y) -> float:
@@ -323,27 +446,31 @@ def _staircase_insert(xs, ys, area, x, y, ref_x, ref_y) -> float:
 def hypervolume_3d(points, reference_point) -> float:
     """Exact dominated hypervolume of 3-D maximization points.
 
-    Sweeps the third objective from high to low while maintaining the
-    union area of the first two as a staircase.  Every point must
-    dominate the reference point.
+    Takes an (n, 3) array (or a sequence of triples).  Sweeps the third
+    objective from high to low while maintaining the union area of the
+    first two as a staircase.  Every point must dominate the reference
+    point.
     """
     ref = tuple(float(v) for v in reference_point)
-    pts = [tuple(float(v) for v in p) for p in points]
-    if not pts:
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not len(pts):
         return 0.0
-    for p in pts:
-        if not dominates(p, ref):
-            raise ValueError(f"front point {p} does not dominate reference {ref}")
-    pts.sort(key=lambda p: -p[2])
+    if np.isnan(pts).any() or any(math.isnan(v) for v in ref):
+        raise EvaluationError(f"NaN objective in hypervolume against reference {ref}")
+    below = ~((pts >= ref).all(axis=1) & (pts > ref).any(axis=1))
+    if below.any():
+        p = tuple(pts[int(np.argmax(below))].tolist())
+        raise ValueError(f"front point {p} does not dominate reference {ref}")
+    pts = pts[np.argsort(-pts[:, 2], kind="stable")].tolist()
     xs, ys = [], []
     area = 0.0
     volume = 0.0
     prev_z = pts[0][2]
-    for p in pts:
-        if p[2] < prev_z:
-            volume += area * (prev_z - p[2])
-            prev_z = p[2]
-        area = _staircase_insert(xs, ys, area, p[0], p[1], ref[0], ref[1])
+    for x, y, z in pts:
+        if z < prev_z:
+            volume += area * (prev_z - z)
+            prev_z = z
+        area = _staircase_insert(xs, ys, area, x, y, ref[0], ref[1])
     volume += area * (prev_z - ref[2])
     return volume
 
@@ -407,7 +534,7 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / n_genes
     rng = np.random.default_rng(config.seed)
 
-    def evaluate(genomes) -> list:
+    def evaluate(genomes) -> np.ndarray:
         objs = np.asarray(problem(np.array(genomes)), dtype=float)
         if objs.shape != (len(genomes), 3):
             raise EvaluationError(f"problem returned shape {objs.shape} for "
@@ -417,45 +544,39 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
             i = int(np.argmax(bad))
             raise EvaluationError(f"bad objectives {tuple(objs[i].tolist())} "
                                   f"for genome {genomes[i]}")
-        return [Individual(g, tuple(o)) for g, o in zip(genomes, objs.tolist())]
+        return objs
 
-    pop = evaluate([lows + (highs - lows) * rng.random(n_genes)
-                    for _ in range(config.population_size)])
-    _assign_ranks_and_crowding(pop)
+    def individuals(genomes, objs) -> list:
+        # each member owns its row, so the archive keeps no generation's array alive
+        return [Individual(g.copy(), tuple(o)) for g, o in zip(genomes, objs.tolist())]
+
+    genomes = lows + (highs - lows) * rng.random((config.population_size, n_genes))
+    objs = evaluate(genomes)
+    _, rank, crowd = _select(objs, len(objs))
 
     archive = _Archive()
-    archive.add(pop)
+    archive.add(individuals(genomes, objs))
 
     if config.reference_point is not None:
         ref = tuple(float(v) for v in config.reference_point)
     else:
-        objs = np.array([ind.objectives for ind in pop])
         lo = objs.min(axis=0)
         span = objs.max(axis=0) - lo
         ref = tuple(lo - 0.01 * span - 1e-9 * (1.0 + np.abs(lo)))
 
     def archive_hv() -> float:
-        pts = [ind.objectives for ind in archive.members
-               if all(v > r for v, r in zip(ind.objectives, ref))]
-        return hypervolume_3d(pts, ref) if pts else 0.0
+        pts = archive._objs[(archive._objs > ref).all(axis=1)]
+        return hypervolume_3d(pts, ref) if len(pts) else 0.0
 
     hv_log = [archive_hv()]
     gens = 0
     for _ in range(config.generations):
-        offspring = []
-        while len(offspring) < config.population_size:
-            pa = tournament_select(pop, rng)
-            pb = tournament_select(pop, rng)
-            if rng.random() < config.crossover_prob:
-                ga, gb = sbx_crossover(pa.genome, pb.genome, config.eta_c,
-                                       lows, highs, rng)
-            else:
-                ga, gb = pa.genome.copy(), pb.genome.copy()
-            for g in (ga, gb):
-                offspring.append(polynomial_mutation(g, config.eta_m, pm, lows, highs, rng))
-        offspring = evaluate(offspring)
-        pop = environmental_selection(pop + offspring, config.population_size)
-        archive.add(offspring)
+        kids = _offspring(rng, genomes, rank, crowd, lows, highs, config, pm)
+        kid_objs = evaluate(kids)
+        pool, pool_objs = np.vstack([genomes, kids]), np.vstack([objs, kid_objs])
+        keep, rank, crowd = _select(pool_objs, config.population_size)
+        genomes, objs, rank, crowd = pool[keep], pool_objs[keep], rank[keep], crowd[keep]
+        archive.add(individuals(kids, kid_objs))
         gens += 1
         hv_log.append(archive_hv())
         if gens > config.hv_window:
@@ -464,6 +585,9 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
             if gain < config.hv_rel_tol * max(abs(base), 1e-30):
                 break
 
+    population = individuals(genomes, objs)
+    for ind, r, c in zip(population, rank.tolist(), crowd.tolist()):
+        ind.rank, ind.crowding = r, c
     front = ParetoFront(individuals=list(archive.members), reference_point=ref)
     return EvolveResult(front=front, hypervolume_log=hv_log,
-                        generations_run=gens, population=pop)
+                        generations_run=gens, population=population)

@@ -202,6 +202,8 @@ class ModelCoefficients:
     eps_crowd: float = 1.0              # denominator guard, persons
 
     def validate(self) -> None:
+        """Raise ValueError for the first out-of-range field; the message
+        starts with the field's name."""
         nonneg = (
             "alpha", "kappa", "P_visitor_base", "P_ship_capacity", "K_dev",
             "K_gov_dev", "alpha_gov_base", "S_threshold", "R_social",
@@ -210,7 +212,7 @@ class ModelCoefficients:
         )
         for name in nonneg:
             if getattr(self, name) < 0:
-                raise ValueError(f"coefficient {name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0")
         if self.k1 <= 0:
             raise ValueError("k1 must be > 0")
         if self.G_retreat_baseline <= 0:

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from touropt.errors import EvaluationError
+from touropt import moea
+from touropt.errors import ConfigError, EvaluationError
 from touropt.sd_core import ExogenousSeries, ModelCoefficients, PolicyVector, SimState
 
 
@@ -262,3 +263,167 @@ def sobol_bootstrap_loop(design, outputs, n_boot=200, ci_level=0.95, seed=0):
     lo1, hi1 = np.quantile(boots1, [alpha, 1.0 - alpha], axis=0)
     lot, hit = np.quantile(bootst, [alpha, 1.0 - alpha], axis=0)
     return s1, st, 0.5 * (hi1 - lo1), 0.5 * (hit - lot)
+
+
+def _peel_nondominated_sort(objectives) -> list:
+    """Reference: Deb's sort over ``dominance_matrix`` with the Python peel."""
+    objs = np.asarray(objectives, dtype=float)
+    n = len(objs)
+    if n == 0:
+        return []
+    nan_rows = np.isnan(objs).any(axis=1)
+    if nan_rows.any():
+        row = tuple(objs[int(np.argmax(nan_rows))].tolist())
+        raise EvaluationError(f"NaN objective in population: {row}")
+    dom = moea.dominance_matrix(objs)
+    dom_count = dom.sum(axis=0).tolist()  # how many solutions dominate each
+    dominated_by = [np.flatnonzero(row).tolist() for row in dom]
+    fronts = [[p for p in range(n) if dom_count[p] == 0]]
+    i = 0
+    while fronts[i]:
+        nxt = []
+        for p in fronts[i]:
+            for q in dominated_by[p]:
+                dom_count[q] -= 1
+                if dom_count[q] == 0:
+                    nxt.append(q)
+        i += 1
+        fronts.append(nxt)
+    fronts.pop()
+    return fronts
+
+
+def _assign_ranks_and_crowding(population) -> list:
+    fronts = _peel_nondominated_sort([ind.objectives for ind in population])
+    for rank, front in enumerate(fronts):
+        dists = moea.crowding_distance([population[i].objectives for i in front])
+        for k, idx in enumerate(front):
+            population[idx].rank = rank
+            population[idx].crowding = float(dists[k])
+    return fronts
+
+
+def environmental_selection_reference(pool, n: int) -> list:
+    """Reference: ranks and crowding set per ``Individual``, survivors by a
+    Python sort of the overflowing front."""
+    fronts = _assign_ranks_and_crowding(pool)
+    survivors = []
+    for front in fronts:
+        members = [pool[i] for i in front]
+        if len(survivors) + len(members) <= n:
+            survivors.extend(members)
+        else:
+            members.sort(key=lambda ind: -ind.crowding)
+            survivors.extend(members[: n - len(survivors)])
+        if len(survivors) == n:
+            break
+    return survivors
+
+
+def hypervolume_reference(points, reference_point) -> float:
+    """Reference: the sweep with a per-point ``dominates`` check and a
+    Python sort."""
+    ref = tuple(float(v) for v in reference_point)
+    pts = [tuple(float(v) for v in p) for p in points]
+    if not pts:
+        return 0.0
+    for p in pts:
+        if not moea.dominates(p, ref):
+            raise ValueError(f"front point {p} does not dominate reference {ref}")
+    pts.sort(key=lambda p: -p[2])
+    xs, ys = [], []
+    area = 0.0
+    volume = 0.0
+    prev_z = pts[0][2]
+    for p in pts:
+        if p[2] < prev_z:
+            volume += area * (prev_z - p[2])
+            prev_z = p[2]
+        area = moea._staircase_insert(xs, ys, area, p[0], p[1], ref[0], ref[1])
+    volume += area * (prev_z - ref[2])
+    return volume
+
+
+def evolve_reference(problem, lows, highs, config):
+    """Reference NSGA-II loop: one ``Individual`` per genome, the per-call
+    ``tournament_select``/``sbx_crossover``/``polynomial_mutation``, the
+    Python peel and the per-point hypervolume filter.  ``moea.evolve`` must
+    match it bit for bit, generator state included; returns the
+    ``EvolveResult`` and the generator."""
+    config.validate()
+    lows = np.asarray(lows, dtype=float)
+    highs = np.asarray(highs, dtype=float)
+    if lows.shape != highs.shape or np.any(lows > highs):
+        raise ConfigError("invalid bounds")
+    n_genes = len(lows)
+    pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / n_genes
+    rng = np.random.default_rng(config.seed)
+
+    def evaluate(genomes) -> list:
+        objs = np.asarray(problem(np.array(genomes)), dtype=float)
+        if objs.shape != (len(genomes), 3):
+            raise EvaluationError(f"problem returned shape {objs.shape} for "
+                                  f"{len(genomes)} genomes; expected ({len(genomes)}, 3)")
+        bad = ~np.isfinite(objs).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EvaluationError(f"bad objectives {tuple(objs[i].tolist())} "
+                                  f"for genome {genomes[i]}")
+        return [moea.Individual(g, tuple(o)) for g, o in zip(genomes, objs.tolist())]
+
+    pop = evaluate([lows + (highs - lows) * rng.random(n_genes)
+                    for _ in range(config.population_size)])
+    _assign_ranks_and_crowding(pop)
+
+    archive = moea._Archive()
+    archive.add(pop)
+
+    if config.reference_point is not None:
+        ref = tuple(float(v) for v in config.reference_point)
+    else:
+        objs = np.array([ind.objectives for ind in pop])
+        lo = objs.min(axis=0)
+        span = objs.max(axis=0) - lo
+        ref = tuple(lo - 0.01 * span - 1e-9 * (1.0 + np.abs(lo)))
+
+    def archive_hv() -> float:
+        pts = [ind.objectives for ind in archive.members
+               if all(v > r for v, r in zip(ind.objectives, ref))]
+        return hypervolume_reference(pts, ref) if pts else 0.0
+
+    hv_log = [archive_hv()]
+    gens = 0
+    for _ in range(config.generations):
+        offspring = generation_reference(pop, rng, lows, highs, config, pm)
+        offspring = evaluate(offspring)
+        pop = environmental_selection_reference(pop + offspring, config.population_size)
+        archive.add(offspring)
+        gens += 1
+        hv_log.append(archive_hv())
+        if gens > config.hv_window:
+            base = hv_log[-1 - config.hv_window]
+            gain = hv_log[-1] - base
+            if gain < config.hv_rel_tol * max(abs(base), 1e-30):
+                break
+
+    front = moea.ParetoFront(individuals=list(archive.members), reference_point=ref)
+    return moea.EvolveResult(front=front, hypervolume_log=hv_log,
+                             generations_run=gens, population=pop), rng
+
+
+def generation_reference(pop, rng, lows, highs, config, pm) -> list:
+    """Reference variation: one generation's offspring genomes, drawn with
+    the per-call operators from a population of ranked ``Individual``s."""
+    offspring = []
+    while len(offspring) < config.population_size:
+        pa = moea.tournament_select(pop, rng)
+        pb = moea.tournament_select(pop, rng)
+        if rng.random() < config.crossover_prob:
+            ga, gb = moea.sbx_crossover(pa.genome, pb.genome, config.eta_c,
+                                        lows, highs, rng)
+        else:
+            ga, gb = pa.genome.copy(), pb.genome.copy()
+        for g in (ga, gb):
+            offspring.append(moea.polynomial_mutation(g, config.eta_m, pm,
+                                                      lows, highs, rng))
+    return offspring

@@ -57,6 +57,30 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "x")]) == 3
 
+    def test_dataset_naming_a_directory_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"simulate": {"dataset": str(tmp_path), "preset": "juneau"}}))
+        assert main(["simulate", "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_non_finite_result_is_numeric_failure_before_writing(self, tmp_path,
+                                                                  capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulate": {"policy": {"tax_rate": 1e308}}}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_coefficient_is_config_error(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "simulate",
+                             {"simulate": {"coefficients": {"kappa": -1}}},
+                             "coefficients.kappa")
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -242,6 +266,14 @@ class TestSensitivityCommand:
         _assert_config_error(tmp_path, capsys, "sensitivity",
                              {"sensitivity": {key: value}}, key)
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"morris_r": 0}, "morris_r"),
+        ({"morris_levels": 3}, "morris_levels"),
+        ({"method": "sobol", "sobol_n": 1}, "sobol_n"),
+    ])
+    def test_out_of_range_size_names_key(self, tmp_path, capsys, doc, key):
+        _assert_config_error(tmp_path, capsys, "sensitivity", {"sensitivity": doc}, key)
+
     _SETTING = st.one_of(st.integers(-2, 8), st.floats(-2.0, 8.0),
                          st.sampled_from(["", "4", "x", None, True]))
 
@@ -265,6 +297,9 @@ class TestSensitivityCommand:
                              "--config", str(cfg), "--out", str(Path(tmp) / "s")])
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
+        if code == 2:  # a bad setting is named by its config key
+            assert any(key in err.getvalue() for key in
+                       ("morris_r", "morris_levels", "sobol_n", "bootstrap"))
 
 
 class TestScenarioCommand:
@@ -339,6 +374,11 @@ class TestRedistributeCommand:
                     capacity=1e5, population=1e4, price=1.0, marketing=1.0)
         _assert_config_error(tmp_path, capsys, "redistribute",
                              {"redistribute": {"sites": [site]}}, "sites.visitors")
+
+    @pytest.mark.parametrize("entry", [1, "A", None, [1, 2]])
+    def test_non_object_site_is_config_error(self, tmp_path, capsys, entry):
+        _assert_config_error(tmp_path, capsys, "redistribute",
+                             {"redistribute": {"sites": [entry]}}, "sites")
 
 
 class TestSynthCommand:

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import touropt as tp
 from touropt import moea
 from touropt.errors import ConfigError, EvaluationError
 from touropt.moea import (
@@ -21,12 +23,17 @@ from touropt.moea import (
     sbx_crossover,
     tournament_select,
 )
+from touropt.sd_core import POLICY_FIELDS, PolicyVector, simulate_batch
 
 from helpers import (
     archive_one_at_a_time,
     brute_force_fronts,
     crowding_loop,
+    environmental_selection_reference,
+    evolve_reference,
+    generation_reference,
     hv_grid_oracle,
+    hypervolume_reference,
     pairwise_nondominated_sort,
 )
 
@@ -360,6 +367,19 @@ class TestEnvironmentalSelection:
         second_members = [s for s in pool[n - 1:]]
         assert extra[0].crowding == max(m.crowding for m in second_members)
 
+    def test_matches_reference_on_tie_heavy_pools(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            objs = _grid(rng, int(rng.integers(4, 60)), levels=int(rng.integers(2, 5)))
+            n = int(rng.integers(1, len(objs) + 1))
+            pool = [Individual(np.zeros(1), o) for o in objs]
+            twins = [Individual(np.zeros(1), o) for o in objs]
+            got = environmental_selection(pool, n)
+            want = environmental_selection_reference(twins, n)
+            assert [pool.index(m) for m in got] == [twins.index(m) for m in want]
+            assert [(m.rank, m.crowding) for m in pool] == [(m.rank, m.crowding)
+                                                            for m in twins]
+
 
 class TestHypervolume:
     def test_unit_box(self):
@@ -387,6 +407,30 @@ class TestHypervolume:
     def test_duplicate_points_ignored(self):
         pts = [(1, 1, 1), (1, 1, 1), (0.5, 0.5, 0.5)]
         assert hypervolume_3d(pts, (0, 0, 0)) == pytest.approx(1.0)
+
+    def test_array_input_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        for trial in range(300):
+            n = int(rng.integers(1, 80))
+            pts = rng.normal(0.0, 1e6, (n, 3)) + 5e6
+            if trial % 3 == 1:  # ties in every coordinate
+                pts = np.array(_grid(rng, n, levels=int(rng.integers(1, 5)))) + 1.0
+            elif trial % 3 == 2:  # z ties: the sweep's insertion order decides the bits
+                pts[:, 2] = rng.integers(1, 4, n)
+            ref = (0.0, -0.5, 0.25)
+            got = hypervolume_3d(pts, ref)
+            assert np.float64(got).tobytes() == np.float64(
+                hypervolume_reference(pts.tolist(), ref)).tobytes()
+
+    @pytest.mark.parametrize("pts, ref", [([(1, 1, 1), (1, float("nan"), 1)], (0, 0, 0)),
+                                          ([(1, 1, 1)], (0, float("nan"), 0))])
+    def test_nan_raises(self, pts, ref):
+        with pytest.raises(EvaluationError):
+            hypervolume_3d(np.array(pts, dtype=float), ref)
+
+    def test_point_equal_to_reference_rejected(self):
+        with pytest.raises(ValueError, match="does not dominate"):
+            hypervolume_3d(np.array([[2.0, 2.0, 2.0], [0.0, 0.0, 0.0]]), (0, 0, 0))
 
 
 def _toy(genomes):
@@ -491,3 +535,137 @@ class TestReferencePoint:
         assert len(res.front.reference_point) == 3
         assert all(math.isfinite(r) for r in res.front.reference_point)
         assert res.hypervolume_log[-1] > 0.0
+
+
+def _tie_toy(genomes):
+    """Objectives on a half-integer grid of the genes: many ties and clones."""
+    x = np.round(genomes * 2.0) / 2.0
+    return np.column_stack([-(x ** 2).sum(axis=1), -((x - 1.0) ** 2).sum(axis=1),
+                            np.round(x[:, 0])])
+
+
+def _fingerprint(result):
+    """Every result bit: hypervolume log, front and final population in order."""
+    front, pop = result.front.individuals, result.population
+    return (np.array(result.hypervolume_log).tobytes(), result.generations_run,
+            np.array(result.front.reference_point).tobytes(),
+            np.array([m.genome for m in front]).tobytes(),
+            np.array([m.objectives for m in front]).tobytes(),
+            np.array([m.genome for m in pop]).tobytes(),
+            np.array([m.objectives for m in pop]).tobytes(),
+            [m.rank for m in pop], np.array([m.crowding for m in pop]).tobytes())
+
+
+def _run_both(monkeypatch, problem, lows, highs, cfg, make_rng=np.random.default_rng):
+    """Run ``evolve`` and the per-call reference on generators from
+    ``make_rng``; require the same result bits and final generator state."""
+    made = []
+
+    def factory(seed):
+        made.append(make_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", factory)
+    result = evolve(problem, lows, highs, cfg)
+    reference, reference_rng = evolve_reference(problem, lows, highs, cfg)
+    assert _fingerprint(result) == _fingerprint(reference)
+    assert made[0].bit_generator.state == reference_rng.bit_generator.state
+    return result
+
+
+class TestArrayGeneration:
+    """``evolve``'s array generation against the per-call reference loop."""
+
+    @pytest.mark.parametrize("preset, seed", [("juneau", 1), ("juneau", 2),
+                                              ("iceland", 1), ("iceland", 2)])
+    def test_preset_runs_match_reference(self, monkeypatch, preset, seed):
+        p = tp.get_preset(preset)
+        exog = tp.synth_dataset(p, seed)
+        init = tp.initial_state(p, exog, seed)
+
+        def problem(genomes):
+            return simulate_batch(PolicyVector(), exog, p.coefficients, init,
+                                  dict(zip(POLICY_FIELDS, genomes.T)))
+
+        cfg = EAConfig(population_size=p.ea_population,
+                       generations=p.ea_generations, seed=seed)
+        _run_both(monkeypatch, problem, p.bounds.lows(), p.bounds.highs(), cfg)
+
+    @pytest.mark.parametrize("n", [4, 10, 36])
+    def test_tie_heavy_sweep_matches_reference(self, monkeypatch, n):
+        for k, (g, cx, pm) in enumerate(itertools.product(
+                [1, 3, 5, 11], [0.0, 0.5, 0.9, 1.0], [None, 0.0, 1.0])):
+            cfg = EAConfig(population_size=n, generations=5, seed=100 * n + k,
+                           crossover_prob=cx, mutation_prob=pm, hv_rel_tol=0.0)
+            _run_both(monkeypatch, _tie_toy, [-2.0] * g, [2.0] * g, cfg)
+
+    def test_degenerate_and_mixed_boxes_match_reference(self, monkeypatch):
+        cfg = EAConfig(population_size=12, generations=6, seed=3, hv_rel_tol=0.0)
+        _run_both(monkeypatch, _tie_toy, [0.5] * 3, [0.5] * 3, cfg)
+        _run_both(monkeypatch, _tie_toy, [0.0, 0.5, -1.0], [1.0, 0.5, 3.0], cfg)
+        # default plateau stop
+        _run_both(monkeypatch, _tie_toy, [-2.0] * 2, [2.0] * 2,
+                  EAConfig(population_size=8, generations=60, seed=4, hv_window=3))
+
+    @pytest.mark.parametrize("cx, pm", [(0.9, None), (1.0, 1.0)])
+    def test_rejected_tournament_draw_matches_reference(self, monkeypatch, cx, pm):
+        # PCG64(0) advanced by 9,823,191 uint64s: integers(100) rejects the
+        # low half of the next uint64 (Lemire).  The initial population's
+        # 100 x g doubles come first, so generation 1's first draw hits it.
+        word = int(np.random.PCG64(0).advance(9_823_191).random_raw())
+        assert ((word & 0xFFFFFFFF) * 100) & 0xFFFFFFFF < (1 << 32) % 100
+        g = 3
+        starts, short = [], []
+        offspring, replay = moea._offspring, moea._replay
+
+        def offspring_spy(rng, *args):
+            starts.append(rng.bit_generator.state["has_uint32"])
+            return offspring(rng, *args)
+
+        def replay_spy(*args):
+            plan = replay(*args)
+            short.append(plan is None)
+            return plan
+
+        monkeypatch.setattr(moea, "_offspring", offspring_spy)
+        monkeypatch.setattr(moea, "_replay", replay_spy)
+        cfg = EAConfig(population_size=100, generations=4, crossover_prob=cx,
+                       mutation_prob=pm, hv_rel_tol=0.0)
+        _run_both(monkeypatch, _tie_toy, [-2.0] * g, [2.0] * g, cfg,
+                  make_rng=lambda seed: np.random.Generator(
+                      np.random.PCG64(0).advance(9_823_191 - 100 * g)))
+        # the odd draw leaves a 32-bit half buffered into the next generation
+        assert starts[0] == 0 and all(starts[1:])
+        # with every pair crossing and every gene mutating the block is
+        # exactly the no-rejection worst case, so the rejection overruns it
+        assert any(short) == (cx == 1.0)
+
+    @pytest.mark.parametrize("n, g, cx, pm", [(4, 1, 0.9, None), (10, 3, 1.0, 1.0),
+                                               (36, 7, 0.5, 0.0), (100, 11, 0.9, 0.3)])
+    def test_generation_starting_with_buffered_half(self, n, g, cx, pm):
+        rng = np.random.default_rng(n + g)
+        lows, highs = -np.ones(g), np.linspace(0.5, 3.0, g)
+        genomes = lows + (highs - lows) * rng.random((n, g))
+        rank = rng.integers(0, 3, n)
+        crowd = rng.choice([0.0, 0.5, 1.5, math.inf], n)
+        pop = [Individual(x, (0.0, 0.0, 0.0), int(r), float(c))
+               for x, r, c in zip(genomes, rank, crowd)]
+        cfg = EAConfig(population_size=n, crossover_prob=cx, mutation_prob=pm)
+        pm = 1.0 / g if pm is None else pm
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        for r in (ours, theirs):
+            r.integers(n)  # leaves the high half of a uint64 buffered
+        assert ours.bit_generator.state["has_uint32"] == 1
+        kids = moea._offspring(ours, genomes, rank, crowd, lows, highs, cfg, pm)
+        want = np.array(generation_reference(pop, theirs, lows, highs, cfg, pm))
+        assert kids.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_no_per_call_operators_in_evolve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-call operator used")
+
+        for name in ("tournament_select", "sbx_crossover", "polynomial_mutation"):
+            monkeypatch.setattr(moea, name, forbidden)
+        cfg = EAConfig(population_size=10, generations=3, seed=1)
+        assert evolve(_tie_toy, [-2.0] * 2, [2.0] * 2, cfg).generations_run == 3
