@@ -43,6 +43,7 @@ from .gsa import (
 )
 from .scenario import DEFAULT_SCENARIOS, AllocationPolicy, compare_scenarios
 from .flow import (
+    SCHEDULE_FIELDS,
     IslandParams,
     SiteState,
     constant_schedule,
@@ -104,6 +105,9 @@ def _effective_config(args, command: str) -> dict:
     if args.out is not None:
         cfg["out"] = args.out
     cfg.setdefault("out", "out")
+    for key in ("preset", "dataset"):
+        if not isinstance(cfg.get(key), (str, type(None))):
+            raise ConfigError(f"{key} must be a string, not {cfg[key]!r}")
     if cfg.get("seed") is not None and _integer("seed", cfg["seed"]) < 0:
         raise ConfigError("seed must be a non-negative integer")
     return cfg
@@ -160,8 +164,13 @@ def _resolve_base(cfg: dict):
     preset = get_preset(preset_name) if preset_name else get_preset("juneau")
     seed = _integer("seed", cfg.get("seed", 0))
     if dataset is not None:
+        for key in ("column_map", "column_defaults"):
+            if not isinstance(cfg.get(key), (dict, type(None))):
+                raise ConfigError(f"{key} must be an object, not {cfg[key]!r}")
+        defaults = {k: _number(f"column_defaults.{k}", v)
+                    for k, v in (cfg.get("column_defaults") or {}).items()}
         table = load_table(dataset, cfg.get("column_map"))
-        exog = interpolate_missing(table, cfg.get("column_defaults"))
+        exog = interpolate_missing(table, defaults)
     else:
         exog = synth_dataset(preset, seed)
     coeffs = preset.coefficients
@@ -394,6 +403,12 @@ def cmd_scenario(args) -> int:
     if choice == "default":
         allocs = list(DEFAULT_SCENARIOS)
     elif isinstance(choice, list) and choice:
+        for i, s in enumerate(choice):
+            if not isinstance(s, dict):
+                raise ConfigError(f"scenarios[{i}] must be an object, not {s!r}")
+            unknown = sorted(f"scenarios[{i}].{k}" for k in set(s) - _SCENARIO_KEYS)
+            if unknown:
+                raise ConfigError(f"unknown scenario keys {unknown}")
         try:
             allocs = [AllocationPolicy(s["name"], float(s["theta_env"]),
                                        float(s["theta_infra"]),
@@ -405,6 +420,16 @@ def cmd_scenario(args) -> int:
         raise ConfigError("scenarios must be 'default' or a non-empty list")
     comparison = compare_scenarios(allocs, policy, exog, coeffs, init,
                                    preset.feedback)
+    rows, summary = comparison["rows"], comparison["summary"]
+    values = np.array([row[3] for row in rows]
+                      + [s[f] for s in summary for f in OUTPUT_NAMES])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        where = (f"{rows[i][2]} of scenario {rows[i][0]!r} in year {rows[i][1]}"
+                 if i < len(rows) else
+                 f"objectives of scenario {summary[(i - len(rows)) // 3]['scenario']!r}")
+        raise EvaluationError(f"non-finite {where}")
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, "scenario")
@@ -434,12 +459,37 @@ def _resolve_sites(cfg: dict):
     raise ConfigError("sites must be 'iceland7' or a non-empty list")
 
 
+def _resolve_schedule(cfg: dict, sites, years) -> dict:
+    choice = cfg.get("schedule", "redistribution")
+    if choice == "redistribution":
+        return iceland_redistribution_schedule(sites, years)
+    if choice == "constant":
+        return constant_schedule(sites, years)
+    if not isinstance(choice, dict):
+        raise ConfigError("schedule must be 'redistribution', 'constant', or a map")
+    schedule = {}
+    for site, entry in choice.items():
+        if not isinstance(entry, dict):
+            raise ConfigError(f"schedule.{site} must be an object of per-year "
+                              f"lists, not {entry!r}")
+        unknown = sorted(f"schedule.{site}.{k}" for k in set(entry) - set(SCHEDULE_FIELDS))
+        if unknown:
+            raise ConfigError(f"unknown schedule fields {unknown}")
+        schedule[site] = {}
+        for fld, seq in entry.items():
+            key = f"schedule.{site}.{fld}"
+            if not isinstance(seq, list):
+                raise ConfigError(f"{key} must be a list of finite numbers, not {seq!r}")
+            schedule[site][fld] = [_number(key, v) for v in seq]
+    return schedule
+
+
 def cmd_redistribute(args) -> int:
     cfg = _effective_config(args, "redistribute")
     sites = _resolve_sites(cfg)
     span = cfg.get("years", [2024, 2033])
     if not (isinstance(span, list) and len(span) == 2
-            and all(isinstance(y, int) for y in span)):
+            and all(isinstance(y, int) and not isinstance(y, bool) for y in span)):
         raise ConfigError(f"years must be [first, last] integers, not {span!r}")
     years = list(range(span[0], span[1] + 1))
     if not years:
@@ -452,16 +502,7 @@ def cmd_redistribute(args) -> int:
         raise ConfigError(f"unknown island_params {sorted(unknown)}")
     params = IslandParams(**{k: _number(f"island_params.{k}", v)
                              for k, v in island.items()})
-    sched_choice = cfg.get("schedule", "redistribution")
-    if sched_choice == "redistribution":
-        schedule = iceland_redistribution_schedule(sites, years)
-    elif sched_choice == "constant":
-        schedule = constant_schedule(sites, years)
-    elif isinstance(sched_choice, dict):
-        schedule = sched_choice
-    else:
-        raise ConfigError("schedule must be 'redistribution', 'constant', or a map")
-    result = redistribute(sites, params, schedule, years)
+    result = redistribute(sites, params, _resolve_schedule(cfg, sites, years), years)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, "redistribute")
@@ -521,6 +562,7 @@ _COMMAND_KEYS = {
     "synth": _FLAG_KEYS,
 }
 _ALL_KEYS = frozenset().union(*_COMMAND_KEYS.values())
+_SCENARIO_KEYS = frozenset(AllocationPolicy.__dataclass_fields__)
 
 COMMANDS = {
     "simulate": cmd_simulate,

@@ -90,6 +90,8 @@ def load_table(path, column_map: dict | None = None) -> RawAnnualTable:
                     if r and not (r[0] or "").lstrip().startswith("#")]
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}")
+    except UnicodeDecodeError as e:
+        raise DataError(f"dataset {path} is not UTF-8 text ({e.reason})")
     except OSError as e:
         raise DataError(f"dataset {path} cannot be read: {e.strerror}")
     if not rows:

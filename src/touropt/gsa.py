@@ -7,15 +7,18 @@ first/total indices use the classic two-matrix sampling design with the
 symmetrized direct estimator for S_i, Jansen's estimator for S_Ti, and
 bootstrap percentile intervals.  Both estimators are means of per-row
 terms, so the bootstrap is per-row terms resampled by gather: the term
-blocks are computed once per output and each resample takes a row mean
-of their gathered columns.
+blocks of every output are computed once and stacked, and each resample
+draws its rows once and takes a row mean of the gathered columns, for all
+outputs together (:func:`_sobol_tables`; ``sobol_indices`` is its
+one-output case, with the same bits).
 
 Sampling is plain seeded pseudo-random (recorded in result metadata, no
 low-discrepancy sequence); accuracy targets are set accordingly.  Both
 analyses evaluate the model once per sample point and take the three
 objectives from that one run, never re-simulating per output.  The whole
-Saltelli matrix goes to ``sd_core.simulate_batch`` in one call; Morris
-runs its points one by one through the closure of :func:`make_model`.
+Saltelli matrix goes to ``sd_core.simulate_batch`` in one call and its
+three outputs to one bootstrap pass; Morris runs its points one by one
+through the closure of :func:`make_model`.
 """
 
 from __future__ import annotations
@@ -210,14 +213,20 @@ class SaltelliDesign:
 
     def split_outputs(self, y: np.ndarray) -> tuple:
         k, n = len(self.space), self.n
-        y = np.asarray(y, dtype=float)
-        if y.shape[0] != n * (2 * k + 2):
-            raise ConfigError(f"expected {n * (2 * k + 2)} outputs, got {y.shape[0]}")
+        y = self._checked(y)
         yA = y[:n]
         yB = y[n:2 * n]
         yAB = np.stack([y[(2 + i) * n:(3 + i) * n] for i in range(k)])
         yBA = np.stack([y[(2 + k + i) * n:(3 + k + i) * n] for i in range(k)])
         return yA, yB, yAB, yBA
+
+    def _checked(self, y: np.ndarray) -> np.ndarray:
+        """``y`` as floats, after checking it has one row per design point."""
+        y = np.asarray(y, dtype=float)
+        rows = self.n * (2 * len(self.space) + 2)
+        if y.shape[0] != rows:
+            raise ConfigError(f"expected {rows} outputs, got {y.shape[0]}")
+        return y
 
 
 def saltelli_sample(space: ParameterSpace, n: int, seed: int = 0) -> SaltelliDesign:
@@ -257,11 +266,9 @@ def _check_n_boot(n_boot: int) -> None:
         raise ConfigError(f"bootstrap must be at least 1 resample, not {n_boot!r}")
 
 
-def _output_variance(yA, yB) -> float:
-    var = np.var(np.concatenate([yA, yB]))
-    if var <= 0.0:
+def _check_variance(var: np.ndarray) -> None:
+    if np.any(var <= 0.0):
         raise EvaluationError("zero output variance: Sobol indices undefined")
-    return var
 
 
 def sobol_indices(design: SaltelliDesign, outputs: np.ndarray,
@@ -270,38 +277,66 @@ def sobol_indices(design: SaltelliDesign, outputs: np.ndarray,
     """First-order and total-effect indices with bootstrap intervals.
 
     S_i uses the symmetrized direct estimator over both matrix halves,
-    S_Ti the Jansen squared-difference form.  Both are means of per-row
-    terms, so the four (k, n) term blocks are computed once and the
-    bootstrap is per-row terms resampled by gather: each resample draws
-    n design rows (jointly across all matrices), takes those columns of
-    every block and averages along the rows.
+    S_Ti the Jansen squared-difference form.  One output's case of
+    :func:`_sobol_tables`.
+    """
+    return _sobol_tables(design, np.asarray(outputs, dtype=float)[:, None],
+                         n_boot, ci_level, seed)[0]
+
+
+def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
+                  ci_level: float, seed: int) -> list:
+    """One :class:`SobolResult` per column of the (N, m) outputs ``Y``.
+
+    Both estimators are means of per-row terms, so the four (k, n) term
+    blocks of every output are computed once, stacked C-ordered as one
+    (4*m*k, n) block, and the bootstrap is per-row terms resampled by
+    gather: each resample draws n design rows (jointly across all matrices
+    and outputs), takes those columns of the block and averages along the
+    rows.  take() keeps the gathered block C-ordered, so each row mean is
+    the same pairwise sum as the mean of a 1-D resampled row, and every
+    column gets the bits of its own ``sobol_indices`` call: the resamples
+    are those of ``default_rng(seed)`` whatever m is.
     """
     _check_n_boot(n_boot)
-    yA, yB, yAB, yBA = design.split_outputs(outputs)
-    if not np.all(np.isfinite(outputs)):
+    Y = design._checked(Y)
+    k, n = len(design.space), design.n
+    Yt = np.ascontiguousarray(Y.T)  # (m, N): one row per output
+    m = Yt.shape[0]
+    bad = ~np.isfinite(Yt).all(axis=1)
+    if bad.any():
+        first = int(np.argmax(bad))
+        if first:  # outputs before the first bad one fail first, as in separate calls
+            _sobol_tables(design, Y[:, :first], n_boot, ci_level, seed)
         raise EvaluationError("non-finite model output in Sobol design")
-    terms = (yB * (yAB - yA), yA * (yBA - yB), (yA - yAB) ** 2, (yB - yBA) ** 2)
+    yA, yB = Yt[:, None, :n], Yt[:, None, n:2 * n]
+    yAB = Yt[:, 2 * n:(2 + k) * n].reshape(m, k, n)
+    yBA = Yt[:, (2 + k) * n:].reshape(m, k, n)
+    terms = np.stack([yB * (yAB - yA), yA * (yBA - yB),
+                      (yA - yAB) ** 2, (yB - yBA) ** 2]).reshape(4 * m * k, n)
+    yAyB = Yt[:, :2 * n]
 
-    def indices(var, m1, m2, m3, m4):
+    def indices(var, means):
+        m1, m2, m3, m4 = means.reshape(4, m, k)
+        var = var[:, None]
         return 0.5 * (m1 + m2) / var, 0.5 * (m3 + m4) / 2.0 / var
 
-    s1, st = indices(_output_variance(yA, yB), *(t.mean(axis=1) for t in terms))
-    k, n = len(design.space), design.n
+    var = np.var(yAyB, axis=1)
+    _check_variance(var)
+    s1, st = indices(var, terms.mean(axis=1))
     rng = np.random.default_rng(seed)
-    boots1 = np.empty((n_boot, k))
-    bootst = np.empty((n_boot, k))
+    boots1 = np.empty((n_boot, m, k))
+    bootst = np.empty((n_boot, m, k))
     for b in range(n_boot):
         idx = rng.integers(0, n, size=n)
-        # take() keeps each gathered block C-ordered, so its row means are
-        # the same pairwise sums as the means of 1-D resampled rows
-        boots1[b], bootst[b] = indices(_output_variance(yA[idx], yB[idx]),
-                                       *(t.take(idx, axis=1).mean(axis=1)
-                                         for t in terms))
+        var = np.var(yAyB.take(np.concatenate([idx, idx + n]), axis=1), axis=1)
+        _check_variance(var)
+        boots1[b], bootst[b] = indices(var, terms.take(idx, axis=1).mean(axis=1))
     alpha = 0.5 * (1.0 - ci_level)
     lo1, hi1 = np.quantile(boots1, [alpha, 1.0 - alpha], axis=0)
     lot, hit = np.quantile(bootst, [alpha, 1.0 - alpha], axis=0)
-    return SobolResult(design.space.names, s1, st,
-                       0.5 * (hi1 - lo1), 0.5 * (hit - lot), n)
+    return [SobolResult(design.space.names, s1[j], st[j], 0.5 * (hi1[j] - lo1[j]),
+                        0.5 * (hit[j] - lot[j]), n) for j in range(m)]
 
 
 def make_model(space: ParameterSpace, exog: ExogenousSeries,
@@ -397,8 +432,8 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
         if nan_rows.any():
             row = points[int(np.argmax(nan_rows))]
             raise EvaluationError(f"NaN objective at sample {dict(zip(space.names, row))}")
-        results = {name: sobol_indices(design, evals[:, j], n_boot=n_boot, seed=seed)
-                   for j, name in enumerate(OUTPUT_NAMES)}
+        results = dict(zip(OUTPUT_NAMES,
+                           _sobol_tables(design, evals, n_boot, 0.95, seed)))
         matrix = np.column_stack([results[name].st for name in OUTPUT_NAMES])
     tables = {name: results[name] for name in wanted}
     return AnalysisReport(method=method, space=space, tables=tables, matrix=matrix)

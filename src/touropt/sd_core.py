@@ -36,8 +36,10 @@ floats or on numpy arrays of runs.  ``simulate`` runs the stages on
 floats and keeps the full :class:`Trajectory`; ``simulate_batch`` runs
 them on arrays, vectorised over runs that override any policy or
 coefficient field row by row, looping over years, and returns only the
-objectives, bit for bit those of ``simulate``.  The ``step_*`` functions
-are one-year calls of the same stages.
+objectives, bit for bit those of ``simulate``.  Terms fixed by the policy
+and the coefficients are computed once per run (``simulate``) or per block
+of rows (``simulate_batch``) by one helper that both share.  The
+``step_*`` functions are one-year calls of the same stages.
 
 Everything here is a pure function of its inputs: identical inputs give
 bit-identical outputs.
@@ -440,33 +442,66 @@ def _check_population(pop, t: int) -> None:
         raise DataError(f"population must be > 0 at year index {t}")
 
 
-def _visitors(env, sat, g_retreat, v_base, v_base_bonus, cap, p, c) -> tuple:
+class _Run(NamedTuple):
+    """Terms of the year equations fixed by the policy and the coefficients."""
+
+    f_price: float        # max(0, price factor)
+    ship_cap: float       # whole vessel slots times visitors per slot
+    dev_visitors: float   # dev_incentive * K_dev
+    levy: float           # USD per visitor: P_visitor_base * tax_rate + carbon_fee
+    dev_grants: float     # dev_incentive * K_gov_dev
+    env_ratio: float
+    glacier_ratio: float
+    waste_ratio: float    # 1 - glacier_ratio
+
+
+def _run_constants(p, c, visitors: bool = True) -> _Run:
+    """The :class:`_Run` terms of policy ``p`` under coefficients ``c``.
+
+    Computed once per run on floats and once per block on arrays, with the
+    operations and operands the year equations used, so the bits are those
+    of the per-year terms.  ``visitors=False`` leaves the visitor-stage
+    terms as None: their price factor divides by k1 and their vessel floor
+    raises on a non-finite ship_limit, which the one-year finance and
+    environment steps never looked at.
+    """
+    f_price = ship_cap = dev_visitors = None
+    if visitors:
+        f_price = _max(0.0, _price(c.eps_price, p.tax_rate, p.carbon_fee, c.k1))
+        # whole vessels only: floor keeps arrivals within ship_limit * capacity
+        ship_cap = _floor(p.ship_limit) * c.P_ship_capacity
+        dev_visitors = p.dev_incentive * c.K_dev
+    return _Run(f_price, ship_cap, dev_visitors,
+                c.P_visitor_base * p.tax_rate + p.carbon_fee,
+                p.dev_incentive * c.K_gov_dev, p.env_ratio, p.glacier_ratio,
+                1.0 - p.glacier_ratio)
+
+
+def _visitors(env, sat, g_retreat, v_base, v_base_bonus, cap, run, c) -> tuple:
     """Stage 1: (visitors, f_price, f_glacier, f_attraction) of the year entered."""
     f_gla = _glacier(g_retreat, c.G_retreat_baseline, c.kappa)
     f_att = _attraction(env, sat, f_gla, c.alpha)
-    f_pr = _max(0.0, _price(c.eps_price, p.tax_rate, p.carbon_fee, c.k1))
-    v_unconstrained = (v_base + v_base_bonus) * f_pr * f_att + p.dev_incentive * c.K_dev
-    # whole vessels only: floor keeps arrivals within ship_limit * capacity
-    ship_cap = _floor(p.ship_limit) * c.P_ship_capacity
-    visitors = _min(_min(v_unconstrained, cap), ship_cap)
+    # the bonus is added even when it is 0.0: that turns a -0.0 demand into 0.0
+    v_unconstrained = (v_base + v_base_bonus) * run.f_price * f_att + run.dev_visitors
+    visitors = _min(_min(v_unconstrained, cap), run.ship_cap)
     visitors = _where(sat < c.S_threshold, visitors * c.R_social, visitors)
-    return _max(0.0, visitors), f_pr, f_gla, f_att
+    return _max(0.0, visitors), run.f_price, f_gla, f_att
 
 
-def _finance(v, r_gov_base, exp_gov_base, p, c, prev_cum) -> tuple:
+def _finance(v, r_gov_base, exp_gov_base, run, c, prev_cum) -> tuple:
     """Stage 2: the fields of :class:`FinanceFlows`, in order."""
-    r_tourism = v * (c.P_visitor_base * p.tax_rate + p.carbon_fee)
-    r_gov_total = r_gov_base + r_tourism + p.dev_incentive * c.K_gov_dev
-    exp_env = p.env_ratio * r_gov_total
+    r_tourism = v * run.levy
+    r_gov_total = r_gov_base + r_tourism + run.dev_grants
+    exp_env = run.env_ratio * r_gov_total
     exp_gov_total = c.alpha_gov_base * exp_gov_base + exp_env
     r_net = r_gov_total - exp_gov_total
     return r_tourism, r_gov_total, exp_env, exp_gov_total, r_net, prev_cum + r_net
 
 
-def _environment(env, exp_env, g_retreat, co2, p, c) -> tuple:
+def _environment(env, exp_env, g_retreat, co2, run, c) -> tuple:
     """Stage 3: (next E, glacier works spend, waste treatment spend)."""
-    exp_glacier = p.glacier_ratio * exp_env
-    exp_waste = (1.0 - p.glacier_ratio) * exp_env
+    exp_glacier = run.glacier_ratio * exp_env
+    exp_waste = run.waste_ratio * exp_env
     headroom = 1.0 - env
     gain = (c.alpha_g * exp_glacier + c.alpha_w * exp_waste) * headroom
     loss = c.beta1 * g_retreat + c.beta2 * co2
@@ -537,7 +572,7 @@ def step_visitors(prev: SimState, exog: ExogenousSeries, t_next: int,
     cap = policy.capacity_limit if capacity_limit is None else capacity_limit
     return _visitors(prev.env_index, prev.satisfaction,
                      float(exog.G_retreat[t_next]), float(exog.V_base[t_next]),
-                     v_base_bonus, cap, policy, coeffs)
+                     v_base_bonus, cap, _run_constants(policy, coeffs), coeffs)
 
 
 def step_finance(v_next: float, exog: ExogenousSeries, t: int,
@@ -547,8 +582,9 @@ def step_finance(v_next: float, exog: ExogenousSeries, t: int,
     if v_next < 0:
         raise ValueError("visitor count must be >= 0")
     return FinanceFlows(*_finance(v_next, float(exog.R_gov_base[t]),
-                                  float(exog.EXP_gov_base[t]), policy, coeffs,
-                                  prev_cum))
+                                  float(exog.EXP_gov_base[t]),
+                                  _run_constants(policy, coeffs, visitors=False),
+                                  coeffs, prev_cum))
 
 
 def step_environment(env_index: float, exp_env: float, exog: ExogenousSeries,
@@ -561,7 +597,8 @@ def step_environment(env_index: float, exp_env: float, exog: ExogenousSeries,
     most when the index is low.
     """
     return _environment(env_index, exp_env, float(exog.G_retreat[t]),
-                        float(exog.CO2_emission[t]), policy, coeffs)[0]
+                        float(exog.CO2_emission[t]),
+                        _run_constants(policy, coeffs, visitors=False), coeffs)[0]
 
 
 def step_social(satisfaction: float, env_next: float, v_next: float,
@@ -611,9 +648,11 @@ def simulate(policy: PolicyVector, exog: ExogenousSeries,
         raise ValueError("tax_rate, carbon_fee and P_visitor_base must be >= 0")
     init.validate()
     if len(exog) > 1:
-        # the visitor stage's coefficient checks, once: they hold for every year
+        # the visitor stage's coefficient checks and the run's constant
+        # terms, once: they hold for every year
         _check_glacier(coeffs.G_retreat_baseline, coeffs.kappa)
         _check_price(coeffs.k1)
+        run = _run_constants(policy, coeffs)
     g_retreat, v_base, r_gov, exp_gov, co2, pop, unemp = (
         getattr(exog, name).tolist() for name in _DRIVERS)
     traj = Trajectory(years=list(exog.years), states=[init])
@@ -622,14 +661,14 @@ def simulate(policy: PolicyVector, exog: ExogenousSeries,
     for t in range(len(exog) - 1):
         visitors, f_pr, f_gla, f_att = _visitors(
             state.env_index, state.satisfaction, g_retreat[t + 1], v_base[t + 1],
-            v_base_bonus, capacity, policy, coeffs)
+            v_base_bonus, capacity, run, coeffs)
         r_tourism, r_gov_total, exp_env, exp_gov_total, r_net, r_net_cum = _finance(
-            visitors, r_gov[t], exp_gov[t], policy, coeffs, state.net_revenue_cum)
+            visitors, r_gov[t], exp_gov[t], run, coeffs, state.net_revenue_cum)
         if allocation is not None:
             # a plain run adds nothing, not even 0.0, so a -0.0 budget stays -0.0
             exp_env = exp_env + extra_env
         env_next, exp_glacier, exp_waste = _environment(
-            state.env_index, exp_env, g_retreat[t], co2[t], policy, coeffs)
+            state.env_index, exp_env, g_retreat[t], co2[t], run, coeffs)
         _check_population(pop[t], t)
         sat_next = _social(state.satisfaction, env_next, visitors, exp_glacier,
                            exp_waste, pop[t], unemp[t], coeffs)
@@ -717,12 +756,13 @@ def simulate_batch(policy: PolicyVector, exog: ExogenousSeries,
         env, sat, cum = init.env_index, init.satisfaction, init.net_revenue_cum
         # overflow to inf and inf - inf = NaN pass silently, as on floats
         with np.errstate(all="ignore"):
+            run = _run_constants(p, c) if len(exog) > 1 else None
             for t in range(len(exog) - 1):
                 visitors = _visitors(env, sat, g_retreat[t + 1], v_base[t + 1], 0.0,
-                                     p.capacity_limit, p, c)[0]
-                flows = _finance(visitors, r_gov[t], exp_gov[t], p, c, cum)
+                                     p.capacity_limit, run, c)[0]
+                flows = _finance(visitors, r_gov[t], exp_gov[t], run, c, cum)
                 env_next, exp_glacier, exp_waste = _environment(
-                    env, flows[2], g_retreat[t], co2[t], p, c)
+                    env, flows[2], g_retreat[t], co2[t], run, c)
                 sat = _social(sat, env_next, visitors, exp_glacier, exp_waste,
                               pop[t], unemp[t], c)
                 env, cum = env_next, flows[5]

@@ -76,6 +76,21 @@ class TestSimulateCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_string_dataset_is_config_error(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "simulate",
+                             {"simulate": {"dataset": 3}}, "dataset")
+
+    def test_dataset_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "binary.csv"
+        data.write_bytes(b"year,V_base\n2008,\x80\x81\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulate": {"dataset": str(data),
+                                                "preset": "juneau"}}))
+        assert main(["simulate", "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "UTF-8" in err
+
     def test_out_of_range_coefficient_is_config_error(self, tmp_path, capsys):
         _assert_config_error(tmp_path, capsys, "simulate",
                              {"simulate": {"coefficients": {"kappa": -1}}},
@@ -319,6 +334,22 @@ class TestScenarioCommand:
         assert main(["scenario", "--preset", "juneau", "--seed", "0",
                      "--config", str(cfg), "--out", str(tmp_path / "sc")]) == 2
 
+    def test_non_finite_result_is_numeric_failure_before_writing(self, tmp_path,
+                                                                  capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": {"policy": {"tax_rate": 1e308}}}))
+        out = tmp_path / "sc"
+        assert main(["scenario", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_scenario_key_is_config_error(self, tmp_path, capsys):
+        entry = {"name": "A", "theta_env": 1.0, "theta_infra": 0.0,
+                 "theta_community": 0.0, "theta_marketing": 0.0, "warp": 1}
+        _assert_config_error(tmp_path, capsys, "scenario",
+                             {"scenario": {"scenarios": [entry]}}, "scenarios[0].warp")
+
     def test_custom_scenarios(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": {"scenarios": [
@@ -354,10 +385,29 @@ class TestRedistributeCommand:
         assert len(rows) == 7 * 3
 
     @pytest.mark.parametrize("years", [[2024], [2024, 2026, 2028], "2024-2026",
-                                       [2024, "x"]])
+                                       [2024, "x"], [True, 3]])
     def test_bad_years_is_config_error(self, tmp_path, capsys, years):
         _assert_config_error(tmp_path, capsys, "redistribute",
                              {"redistribute": {"years": years}}, "years")
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"price": 3}, "schedule.Blue Lagoon.price"),
+        ({"price": ["x"]}, "schedule.Blue Lagoon.price"),
+        ({"co2": [1.0, float("nan")]}, "schedule.Blue Lagoon.co2"),
+        ({"warp": [1.0]}, "schedule.Blue Lagoon.warp"),
+        (3, "schedule.Blue Lagoon")])
+    def test_malformed_schedule_is_config_error(self, tmp_path, capsys, entry, key):
+        _assert_config_error(tmp_path, capsys, "redistribute",
+                             {"redistribute": {"schedule": {"Blue Lagoon": entry}}},
+                             key)
+
+    def test_short_schedule_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"redistribute": {"schedule": {"Blue Lagoon": {"price": [1.0]}}}}))
+        assert main(["redistribute", "--preset", "iceland", "--seed", "0",
+                     "--config", str(cfg), "--out", str(tmp_path / "f")]) == 3
+        assert "too short" in capsys.readouterr().err
 
     def test_unknown_island_param_is_config_error(self, tmp_path, capsys):
         _assert_config_error(tmp_path, capsys, "redistribute",
@@ -401,6 +451,32 @@ class TestSynthCommand:
 
 
 class TestConfigHandling:
+    def test_non_string_preset_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulate": {"preset": ["x"]}}))
+        assert main(["simulate", "--seed", "0", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "preset" in err
+
+    def test_non_object_column_map_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("year,V_base\n2008,1\n")
+        _assert_config_error(tmp_path, capsys, "simulate",
+                             {"simulate": {"dataset": str(data), "column_map": 3}},
+                             "column_map")
+
+    @pytest.mark.parametrize("defaults, key", [
+        (3, "column_defaults"),
+        ({"unemployment": "x"}, "column_defaults.unemployment")])
+    def test_malformed_column_defaults_is_config_error(self, tmp_path, capsys,
+                                                       defaults, key):
+        data = tmp_path / "d.csv"
+        data.write_text("year,V_base\n2008,1\n")
+        _assert_config_error(tmp_path, capsys, "simulate",
+                             {"simulate": {"dataset": str(data),
+                                           "column_defaults": defaults}}, key)
+
     def test_invalid_json_is_config_error(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")

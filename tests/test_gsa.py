@@ -8,6 +8,7 @@ import touropt as tp
 from touropt.errors import ConfigError, EvaluationError
 from touropt.gsa import (
     ParameterSpace,
+    _sobol_tables,
     analyze_model,
     full_space,
     morris_indices,
@@ -16,6 +17,7 @@ from touropt.gsa import (
     sobol_indices,
     uncertainty_space,
 )
+from touropt.sd_core import simulate_batch
 
 from helpers import sobol_bootstrap_loop
 
@@ -223,7 +225,81 @@ class TestSobolBootstrapReference:
             sobol_indices(design, design.matrix().sum(axis=1), n_boot=n_boot)
 
 
+def _spread_columns(design):
+    """Three outputs of the design, each spanning 1e-3 to 1e9."""
+    y = _spread_outputs(design)
+    u = design.space.to_unit(design.matrix())
+    e = np.sin(3.0 * u[:, 3]) + u[:, 4] * u[:, 7] + 0.1 * u[:, 11]
+    z = 10.0 ** (-3.0 + 12.0 * (e - e.min()) / (e.max() - e.min()))
+    return np.column_stack([y, 1e6 / y, z])
+
+
+class TestSobolTables:
+    """``_sobol_tables`` over m outputs against m per-output reference loops."""
+
+    @pytest.mark.parametrize("n", [2, 37, 512])
+    @pytest.mark.parametrize("n_boot", [1, 7, 200])
+    def test_bit_for_bit(self, n, n_boot):
+        design = saltelli_sample(_unit_space(12), n, seed=n)
+        Y = _spread_columns(design)
+        assert np.allclose(Y.min(axis=0), 1e-3) and np.allclose(Y.max(axis=0), 1e9)
+        tables = _sobol_tables(design, Y, n_boot, 0.95, n_boot)
+        assert len(tables) == 3
+        for j, res in enumerate(tables):
+            ref = sobol_bootstrap_loop(design, Y[:, j], n_boot=n_boot, seed=n_boot)
+            for got, want in zip((res.s1, res.st, res.s1_ci, res.st_ci), ref):
+                assert np.array_equal(_bits(got), _bits(want))
+            assert res.names == design.space.names and res.n == n
+
+    def test_zero_variance_resample_in_second_output(self):
+        # one non-constant row: about a third of the resamples miss it
+        design = saltelli_sample(_unit_space(3), 8, seed=9)
+        y = np.ones(8 * 8)
+        y[0] = 2.0
+        Y = np.column_stack([design.matrix().sum(axis=1), y, design.matrix()[:, 0]])
+        for ok in (0, 2):  # the other two outputs pass on their own
+            sobol_bootstrap_loop(design, Y[:, ok], n_boot=20, seed=9)
+        with pytest.raises(EvaluationError) as want:
+            sobol_bootstrap_loop(design, y, n_boot=20, seed=9)
+        with pytest.raises(EvaluationError) as got:
+            _sobol_tables(design, Y, 20, 0.95, 9)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("first_ok", [True, False])
+    def test_non_finite_after_failing_output_keeps_call_order(self, first_ok):
+        # separate per-output calls fail on the first output that fails
+        design = saltelli_sample(_unit_space(3), 8, seed=9)
+        y = np.ones(8 * 8)
+        y[0] = 2.0
+        first = design.matrix().sum(axis=1) if first_ok else y
+        bad = design.matrix().sum(axis=1)
+        bad[5] = np.inf
+        Y = np.column_stack([first, bad])
+        msg = "non-finite" if first_ok else "zero output variance"
+        with pytest.raises(EvaluationError, match=msg):
+            _sobol_tables(design, Y, 20, 0.95, 9)
+
+
 class TestAnalyzeModel:
+    def test_sobol_tables_equal_per_output_calls(self, juneau, juneau_exog,
+                                                 juneau_init):
+        space = full_space(juneau.bounds, juneau.coefficients)
+        args = (juneau_exog, juneau.coefficients, juneau.reference_policy, juneau_init)
+        report = analyze_model(space, *args, method="sobol", sobol_n=64,
+                               n_boot=30, seed=4)
+        design = saltelli_sample(space, 64, seed=4)
+        evals = simulate_batch(juneau.reference_policy, juneau_exog,
+                               juneau.coefficients, juneau_init,
+                               dict(zip(space.names, design.matrix().T)))
+        assert list(report.tables) == ["f1", "f2", "f3"]
+        for j, name in enumerate(("f1", "f2", "f3")):
+            want = sobol_indices(design, evals[:, j], n_boot=30, seed=4)
+            got = report.tables[name]
+            for a, b in ((got.s1, want.s1), (got.st, want.st),
+                         (got.s1_ci, want.s1_ci), (got.st_ci, want.st_ci)):
+                assert np.array_equal(_bits(a), _bits(b))
+            assert np.array_equal(_bits(report.matrix[:, j]), _bits(want.st))
+
     def test_matrix_shape_contract(self, juneau, juneau_exog, juneau_init):
         space = ParameterSpace.from_dict(
             {f: tuple(getattr(juneau.bounds, f))

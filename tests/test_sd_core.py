@@ -154,6 +154,16 @@ class TestStepFinance:
         with pytest.raises(ValueError):
             step_finance(-1.0, flat_exog(), 0, slack_policy(), neutral_coeffs(), 0.0)
 
+    def test_visitor_stage_inputs_not_read(self):
+        # only the visitor step divides by k1 and floors the vessel limit
+        exog, odd = flat_exog(), neutral_coeffs(k1=0.0)
+        policy = slack_policy(tax_rate=0.1, dev_incentive=0.5, glacier_ratio=0.3)
+        bad = replace(policy, ship_limit=math.nan)
+        assert (step_finance(1e6, exog, 0, bad, odd, 0.0)
+                == step_finance(1e6, exog, 0, policy, neutral_coeffs(), 0.0))
+        assert (step_environment(0.5, 1e8, exog, 0, bad, odd)
+                == step_environment(0.5, 1e8, exog, 0, policy, neutral_coeffs()))
+
 
 class TestStepEnvironment:
     def test_saturation_at_ceiling(self):
@@ -438,6 +448,37 @@ class TestSimulateBatch:
         args = (juneau.reference_policy, juneau_exog, juneau.coefficients, juneau_init)
         assert _same_bits(simulate_batch(*args, rows), _simulate_rows(*args, rows))
 
+    def test_run_constants_keep_special_policy_bits(self, juneau, juneau_exog,
+                                                    juneau_init):
+        # every combination of -0.0, NaN and +-inf in the levers whose terms
+        # are computed once per run: the vessel cap, the levy, the development
+        # push and grants, and the waste share
+        special = [-0.0, np.nan, np.inf, -np.inf]
+        levers = {"ship_limit": [-0.0, 0.0, 700.0, 799.9],
+                  "tax_rate": [-0.0, 0.0, np.nan, np.inf, 0.1],
+                  "dev_incentive": special + [0.5],
+                  "glacier_ratio": special + [0.3]}
+        grid = np.array(np.meshgrid(*levers.values(), indexing="ij")).reshape(4, -1)
+        rows = dict(zip(levers, grid))
+        args = (juneau.reference_policy, juneau_exog, juneau.coefficients, juneau_init)
+        got = simulate_batch(*args, rows)
+        assert len(got) == 500 and np.isnan(got).any() and np.isfinite(got).any()
+        assert _same_bits(got, _simulate_rows(*args, rows))
+
+    @pytest.mark.parametrize("field, bad", [("ship_limit", np.nan),
+                                            ("ship_limit", np.inf),
+                                            ("ship_limit", -np.inf),
+                                            ("tax_rate", -np.inf)])
+    def test_run_constants_raise_as_simulate(self, juneau, juneau_exog, juneau_init,
+                                             field, bad):
+        rows = {"ship_limit": np.full(3, 700.0), "tax_rate": np.full(3, 0.1),
+                "dev_incentive": np.array([-0.0, np.inf, np.nan])}
+        rows[field][1] = bad
+        args = (juneau.reference_policy, juneau_exog, juneau.coefficients, juneau_init)
+        want = _first_row_error(*args, rows)
+        assert want is not None
+        assert _outcome(lambda: simulate_batch(*args, rows)) == want
+
     @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
     def test_block_edges(self, juneau, juneau_exog, juneau_init, n):
         rng = np.random.default_rng(n)
@@ -455,6 +496,14 @@ class TestSimulateBatch:
         rows = {"p4": np.linspace(0.0, 0.5, 7)}
         args = (juneau.reference_policy, juneau_exog, juneau.coefficients, juneau_init)
         assert _same_bits(simulate_batch(*args, rows), _simulate_rows(*args, rows))
+
+    def test_zero_horizon_reads_no_run_constants(self):
+        # no transition: like simulate, the batch never floors the vessel limit
+        policy = replace(slack_policy(), ship_limit=math.nan)
+        exog, coeffs, init = flat_exog(n=1), neutral_coeffs(), mid_state()
+        rows = {"tax_rate": np.array([0.1, 0.2])}
+        assert _same_bits(simulate_batch(policy, exog, coeffs, init, rows),
+                          _simulate_rows(policy, exog, coeffs, init, rows))
 
     def test_empty_batch(self, juneau, juneau_exog, juneau_init):
         out = simulate_batch(juneau.reference_policy, juneau_exog,
