@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DataError, EvaluationError
 from .sd_core import (
+    COEFF_FIELDS,
     POLICY_FIELDS,
     ModelCoefficients,
     PolicyVector,
@@ -334,14 +335,25 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _resolve_space(cfg: dict, preset, policy) -> ParameterSpace:
+def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
+    """The sensitivity space.  Bounds given by name must lie in the model's
+    domain: a policy lever's are finite and >= 0, as ``policy`` values are,
+    and a coefficient's pass ``ModelCoefficients.validate`` at both ends."""
     choice = cfg.get("space", "full")
     if isinstance(choice, dict):
         bounds = {}
         for k, v in choice.items():
             if not (isinstance(v, list) and len(v) == 2):
                 raise ConfigError(f"space.{k} must be [low, high], not {v!r}")
-            bounds[k] = (_number(f"space.{k}", v[0]), _number(f"space.{k}", v[1]))
+            bounds[k] = tuple(_number(f"space.{k}", x, nonneg=k in POLICY_FIELDS)
+                              for x in v)
+            if k in COEFF_FIELDS:
+                for x in bounds[k]:
+                    try:
+                        replace(coeffs, **{k: x}).validate()
+                    except ValueError as e:  # its messages start with the field name
+                        raise ConfigError(f"space.{e}, not {x!r}")
+        # a name that is neither field is rejected by analyze_model before sampling
         return ParameterSpace.from_dict(bounds)
     if choice == "full":
         return full_space(preset.bounds, preset.coefficients)
@@ -360,7 +372,7 @@ def cmd_sensitivity(args) -> int:
     seed = _require_seed(cfg, "sensitivity")
     preset, exog, coeffs, init = _resolve_base(cfg)
     policy = _resolve_policy(cfg, preset)
-    space = _resolve_space(cfg, preset, policy)
+    space = _resolve_space(cfg, preset, coeffs, policy)
     report = analyze_model(
         space, exog, coeffs, policy, init, method=cfg.get("method", "morris"),
         output=cfg.get("output", "all"),

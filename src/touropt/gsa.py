@@ -16,9 +16,13 @@ Sampling is plain seeded pseudo-random (recorded in result metadata, no
 low-discrepancy sequence); accuracy targets are set accordingly.  Both
 analyses evaluate the model once per sample point and take the three
 objectives from that one run, never re-simulating per output.  The whole
-Saltelli matrix goes to ``sd_core.simulate_batch`` in one call and its
-three outputs to one bootstrap pass; Morris runs its points one by one
-through the closure of :func:`make_model`.
+design -- the Saltelli matrix, or every point of the r Morris
+trajectories -- goes to ``sd_core.simulate_batch`` in one call, and the
+first NaN sample in design order is named.  Sobol's three outputs go to
+one bootstrap pass.  A Morris trajectory's k+1 points are one mask over
+the ranks of its permutation, and its effects are grouped per parameter
+by a stable sort, so each parameter's effects keep their (trajectory,
+step) order and the bits of a step-by-step build.
 """
 
 from __future__ import annotations
@@ -132,7 +136,9 @@ def morris_sample(space: ParameterSpace, r: int, levels: int = 4,
 
     Returns an (r, k+1, k) array in bound space; consecutive points in a
     trajectory differ in exactly one parameter by +-Delta (unit space),
-    with Delta = levels / (2 * (levels - 1)).
+    with Delta = levels / (2 * (levels - 1)).  Each trajectory draws its
+    directions, cells and permutation in that order; point p has moved the
+    dimensions whose permutation rank is below p, each by one add.
     """
     space.validate()
     _check_morris(r, levels)
@@ -141,21 +147,18 @@ def morris_sample(space: ParameterSpace, r: int, levels: int = 4,
     step = 1.0 / (levels - 1.0)
     n_base = levels - int(round(delta / step))  # grid points leaving room for a step
     rng = np.random.default_rng(seed)
-    out = np.empty((r, k + 1, k))
+    points = np.arange(k + 1)[:, None]
+    unit = np.empty((r, k + 1, k))
     for t in range(r):
         direction = np.where(rng.random(k) < 0.5, 1.0, -1.0)
         cells = rng.integers(0, n_base, size=k).astype(float)
         base = cells * step
         # a negative step starts from the mirrored end of the grid
         base = np.where(direction < 0, 1.0 - base, base)
-        order = rng.permutation(k)
-        x = base.copy()
-        out[t, 0] = space.from_unit(x)
-        for s, dim in enumerate(order):
-            x = x.copy()
-            x[dim] += direction[dim] * delta
-            out[t, s + 1] = space.from_unit(x)
-    return out
+        rank = np.empty(k, dtype=int)
+        rank[rng.permutation(k)] = np.arange(k)  # the step that moves each dim
+        unit[t] = np.where(rank < points, base + direction * delta, base)
+    return space.from_unit(unit)
 
 
 def morris_indices(space: ParameterSpace, samples: np.ndarray,
@@ -164,27 +167,28 @@ def morris_indices(space: ParameterSpace, samples: np.ndarray,
 
     ``samples`` is the (r, k+1, k) array from :func:`morris_sample` and
     ``outputs`` the model value at each point, shape (r, k+1).  Effects
-    are finite differences in unit space, signed by the step direction.
+    are finite differences in unit space, signed by the step direction;
+    each step is charged to the parameter it moves most, and a step that
+    moves none raises, naming the first in (trajectory, step) order.
     """
     samples = np.asarray(samples, dtype=float)
     outputs = np.asarray(outputs, dtype=float)
     r, n_pts, k = samples.shape
     if outputs.shape != (r, n_pts):
         raise ConfigError(f"outputs shape {outputs.shape} != {(r, n_pts)}")
-    effects = [[] for _ in range(k)]
-    for t in range(r):
-        unit = space.to_unit(samples[t])
-        for s in range(n_pts - 1):
-            du = unit[s + 1] - unit[s]
-            dim = int(np.argmax(np.abs(du)))
-            step = du[dim]
-            if step == 0.0:
-                raise EvaluationError(f"trajectory {t} step {s} moved no parameter")
-            effects[dim].append((outputs[t, s + 1] - outputs[t, s]) / step)
+    du = np.diff(space.to_unit(samples), axis=1)  # (r, n_pts - 1, k)
+    dim = np.argmax(np.abs(du), axis=2)
+    step = np.take_along_axis(du, dim[..., None], axis=2)[..., 0]
+    if np.any(step == 0.0):
+        t, s = np.unravel_index(int(np.argmax(step == 0.0)), step.shape)
+        raise EvaluationError(f"trajectory {t} step {s} moved no parameter")
+    effects = ((outputs[:, 1:] - outputs[:, :-1]) / step).ravel()
+    # a stable sort keeps each parameter's effects in (t, s) order
+    effects = np.split(effects[np.argsort(dim.ravel(), kind="stable")],
+                       np.cumsum(np.bincount(dim.ravel(), minlength=k))[:-1])
     mu_star = np.empty(k)
     sigma = np.empty(k)
-    for i in range(k):
-        ee = np.asarray(effects[i])
+    for i, ee in enumerate(effects):
         if len(ee) == 0:
             raise EvaluationError(f"no elementary effects for {space.names[i]}")
         mu_star[i] = np.mean(np.abs(ee))
@@ -339,6 +343,26 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
                         0.5 * (hit[j] - lot[j]), n) for j in range(m)]
 
 
+def _check_parameters(space: ParameterSpace) -> None:
+    """Every space name must be a policy or coefficient field."""
+    unknown = [n for n in space.names if n not in POLICY_FIELDS and n not in COEFF_FIELDS]
+    if unknown:
+        raise ConfigError(f"unknown parameters {unknown}; not policy or coefficient fields")
+
+
+def _evaluate(space: ParameterSpace, points: np.ndarray, exog: ExogenousSeries,
+              coeffs: ModelCoefficients, policy: PolicyVector,
+              init: SimState) -> np.ndarray:
+    """The (N, 3) objectives of the (N, k) sample ``points`` in one
+    ``simulate_batch`` call, naming the first NaN sample in design order."""
+    evals = simulate_batch(policy, exog, coeffs, init, dict(zip(space.names, points.T)))
+    nan_rows = np.isnan(evals).any(axis=1)
+    if nan_rows.any():
+        row = points[int(np.argmax(nan_rows))]
+        raise EvaluationError(f"NaN objective at sample {dict(zip(space.names, row))}")
+    return evals
+
+
 def make_model(space: ParameterSpace, exog: ExogenousSeries,
                coeffs: ModelCoefficients, policy: PolicyVector,
                init: SimState):
@@ -346,16 +370,14 @@ def make_model(space: ParameterSpace, exog: ExogenousSeries,
 
     Space names must be :class:`PolicyVector` or :class:`ModelCoefficients`
     fields; each evaluation overrides those fields and runs one full
-    simulation.
+    scalar simulation.  :func:`analyze_model` does not use it: it runs a
+    whole design through ``simulate_batch``.
     """
+    _check_parameters(space)
     pol_idx = [(j, name) for j, name in enumerate(space.names)
                if name in POLICY_FIELDS]
     coef_idx = [(j, name) for j, name in enumerate(space.names)
-                if name in COEFF_FIELDS and name not in POLICY_FIELDS]
-    known = {name for _, name in pol_idx} | {name for _, name in coef_idx}
-    unknown = [n for n in space.names if n not in known]
-    if unknown:
-        raise ConfigError(f"unknown parameters {unknown}; not policy or coefficient fields")
+                if name in COEFF_FIELDS]
 
     def run(row: np.ndarray) -> tuple:
         p = replace(policy, **{name: float(row[j]) for j, name in pol_idx}) \
@@ -394,13 +416,13 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
                   n_boot: int = 200, seed: int = 0) -> AnalysisReport:
     """Sensitivity of the simulation objectives over a parameter space.
 
-    One simulation per sample point feeds all three outputs: Sobol runs
-    the whole design in one ``simulate_batch`` call and names the first
-    NaN sample in design order, Morris runs point by point.  ``output``
+    One simulation per sample point feeds all three outputs: the whole
+    design runs in one ``simulate_batch`` call, for Sobol and Morris alike,
+    and the first NaN sample in design order is named.  ``output``
     narrows which ranked tables are returned while the parameters-by-
     outputs matrix always covers f1..f3 (mu* for Morris, S_T for Sobol).
-    ``method``, ``output`` and the chosen method's sizes are checked
-    before any sampling or simulation, naming the argument.
+    ``method``, ``output``, the chosen method's sizes and the space's
+    parameter names are checked before any sampling or simulation.
     """
     if method not in ("morris", "sobol"):
         raise ConfigError(f"unknown method {method!r}; use 'morris' or 'sobol'")
@@ -411,27 +433,18 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     else:
         _check_sobol_n(sobol_n, "sobol_n")
         _check_n_boot(n_boot)
-    model = make_model(space, exog, coeffs, policy, init)
+    _check_parameters(space)
     wanted = OUTPUT_NAMES if output == "all" else (output,)
-    k = len(space)
     if method == "morris":
         samples = morris_sample(space, morris_r, morris_levels, seed)
-        evals = np.empty((morris_r, k + 1, 3))
-        for t in range(morris_r):
-            for s in range(k + 1):
-                evals[t, s] = model(samples[t, s])
+        evals = _evaluate(space, samples.reshape(-1, len(space)), exog, coeffs,
+                          policy, init).reshape(morris_r, len(space) + 1, 3)
         results = {name: morris_indices(space, samples, evals[:, :, j])
                    for j, name in enumerate(OUTPUT_NAMES)}
         matrix = np.column_stack([results[name].mu_star for name in OUTPUT_NAMES])
     else:
         design = saltelli_sample(space, sobol_n, seed)
-        points = design.matrix()
-        evals = simulate_batch(policy, exog, coeffs, init,
-                               dict(zip(space.names, points.T)))
-        nan_rows = np.isnan(evals).any(axis=1)
-        if nan_rows.any():
-            row = points[int(np.argmax(nan_rows))]
-            raise EvaluationError(f"NaN objective at sample {dict(zip(space.names, row))}")
+        evals = _evaluate(space, design.matrix(), exog, coeffs, policy, init)
         results = dict(zip(OUTPUT_NAMES,
                            _sobol_tables(design, evals, n_boot, 0.95, seed)))
         matrix = np.column_stack([results[name].st for name in OUTPUT_NAMES])

@@ -102,6 +102,12 @@ class PolicyVector:
     ship_limit      maximum vessel (or flight) slots per year
     carbon_fee      per-visitor emission fee, USD
     glacier_ratio   share of the environment budget devoted to glacier works
+
+    The library does not range-check the levers: ``PolicyVector(
+    capacity_limit=-5)`` is accepted, and ``simulate`` rejects only a
+    negative tax rate or carbon fee and a non-finite vessel limit.  The CLI
+    is the boundary that rejects any negative or non-finite lever, in
+    ``policy`` and in ``space`` bounds alike.
     """
 
     tax_rate: float = 0.0

@@ -1,10 +1,21 @@
 """Shared builders for unit and property tests."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
 from touropt import moea
 from touropt.errors import ConfigError, EvaluationError
-from touropt.sd_core import ExogenousSeries, ModelCoefficients, PolicyVector, SimState
+from touropt.sd_core import (
+    COEFF_FIELDS,
+    POLICY_FIELDS,
+    ExogenousSeries,
+    ModelCoefficients,
+    PolicyVector,
+    SimState,
+    simulate,
+)
 
 
 def flat_exog(n=5, start_year=2008, **overrides):
@@ -427,3 +438,74 @@ def generation_reference(pop, rng, lows, highs, config, pm) -> list:
             offspring.append(moea.polynomial_mutation(g, config.eta_m, pm,
                                                       lows, highs, rng))
     return offspring
+
+
+def morris_sample_loop(space, r, levels=4, seed=0):
+    """Reference Morris design: each trajectory built a step at a time."""
+    k = len(space)
+    delta = levels / (2.0 * (levels - 1.0))
+    step = 1.0 / (levels - 1.0)
+    n_base = levels - int(round(delta / step))
+    rng = np.random.default_rng(seed)
+    out = np.empty((r, k + 1, k))
+    for t in range(r):
+        direction = np.where(rng.random(k) < 0.5, 1.0, -1.0)
+        cells = rng.integers(0, n_base, size=k).astype(float)
+        base = cells * step
+        base = np.where(direction < 0, 1.0 - base, base)
+        order = rng.permutation(k)
+        x = base.copy()
+        out[t, 0] = space.from_unit(x)
+        for s, dim in enumerate(order):
+            x = x.copy()
+            x[dim] += direction[dim] * delta
+            out[t, s + 1] = space.from_unit(x)
+    return out
+
+
+def morris_indices_loop(space, samples, outputs):
+    """Reference elementary effects: one step at a time, collected per
+    parameter in (t, s) order.  Returns ``(mu_star, sigma)``."""
+    r, n_pts, k = samples.shape
+    effects = [[] for _ in range(k)]
+    for t in range(r):
+        unit = space.to_unit(samples[t])
+        for s in range(n_pts - 1):
+            du = unit[s + 1] - unit[s]
+            dim = int(np.argmax(np.abs(du)))
+            step = du[dim]
+            if step == 0.0:
+                raise EvaluationError(f"trajectory {t} step {s} moved no parameter")
+            effects[dim].append((outputs[t, s + 1] - outputs[t, s]) / step)
+    mu_star = np.empty(k)
+    sigma = np.empty(k)
+    for i in range(k):
+        ee = np.asarray(effects[i])
+        if len(ee) == 0:
+            raise EvaluationError(f"no elementary effects for {space.names[i]}")
+        mu_star[i] = np.mean(np.abs(ee))
+        sigma[i] = np.std(ee, ddof=1) if len(ee) > 1 else 0.0
+    return mu_star, sigma
+
+
+def morris_reference(space, exog, coeffs, policy, init, r, levels=4, seed=0):
+    """Reference Morris analysis: the per-step design, one scalar
+    ``simulate`` per point and the per-step effects.  Returns the samples,
+    the (r, k+1, 3) objectives and ``(mu_star, sigma)`` per output."""
+    samples = morris_sample_loop(space, r, levels, seed)
+    pol = [(j, n) for j, n in enumerate(space.names) if n in POLICY_FIELDS]
+    coef = [(j, n) for j, n in enumerate(space.names) if n in COEFF_FIELDS]
+    k = len(space)
+    evals = np.empty((r, k + 1, 3))
+    for t in range(r):
+        for s in range(k + 1):
+            row = samples[t, s]
+            p = replace(policy, **{n: float(row[j]) for j, n in pol}) if pol else policy
+            c = replace(coeffs, **{n: float(row[j]) for j, n in coef}) if coef else coeffs
+            _, objs = simulate(p, exog, c, init)
+            if any(math.isnan(v) for v in objs):
+                raise EvaluationError(
+                    f"NaN objective at sample {dict(zip(space.names, row))}")
+            evals[t, s] = objs
+    return samples, evals, [morris_indices_loop(space, samples, evals[:, :, j])
+                            for j in range(3)]

@@ -246,6 +246,54 @@ class TestSensitivityCommand:
                              {"sensitivity": {"space": {"tax_rate": bounds}}},
                              "space.tax_rate")
 
+    @pytest.mark.parametrize("method, name, bounds", [
+        ("morris", "tax_rate", [-1, 0.1]),
+        ("sobol", "capacity_limit", [-1e6, 1e6]),
+        ("morris", "carbon_fee", [0, 1e400]),
+        ("morris", "kappa", [-0.1, 0.3]),
+        ("sobol", "delta", [0.5, 1.5]),
+        ("morris", "k1", [0, 100]),
+    ])
+    def test_space_bound_outside_model_domain_is_config_error(
+            self, tmp_path, capsys, monkeypatch, method, name, bounds):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the space check")
+        monkeypatch.setattr("touropt.gsa.simulate_batch", no_simulation)
+        doc = {"sensitivity": {"method": method, "morris_r": 2, "sobol_n": 4,
+                               "bootstrap": 2, "space": {name: bounds}}}
+        _assert_config_error(tmp_path, capsys, "sensitivity", doc, f"space.{name}")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("method", ["morris", "sobol"])
+    def test_unknown_space_name_is_config_error(self, tmp_path, capsys, method):
+        # rejected before sampling, not by simulate_batch's ValueError (exit 4)
+        doc = {"sensitivity": {"method": method, "morris_r": 2, "sobol_n": 4,
+                               "bootstrap": 2,
+                               "space": {"tax_rate": [0, 0.1], "warp_field": [0, 1]}}}
+        _assert_config_error(tmp_path, capsys, "sensitivity", doc, "warp_field")
+        assert not (tmp_path / "x").exists()
+
+    def test_coefficient_space_may_be_negative_where_the_model_allows(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sensitivity": {
+            "morris_r": 2, "space": {"eps_price": [-2, -0.1], "tax_rate": [0, 0.2]}}}))
+        out = tmp_path / "s"
+        assert main(["sensitivity", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(_read_csv(out / "morris_f1.csv")[1]) == 2
+
+    def test_morris_nan_sample_is_numeric_failure_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sensitivity": {
+            "morris_r": 3, "space": {"tax_rate": [0, 1e308]}}}))
+        out = tmp_path / "s"
+        assert main(["sensitivity", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: NaN objective at sample {'tax_rate'")
+        assert "6.666666666666667e+307" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("morris_r", "x"), ("morris_levels", 4.5), ("sobol_n", "many"),
         ("bootstrap", None), ("sobol_n", 32.5)])

@@ -1,10 +1,12 @@
 """Golden artifact hashes: a change to any result byte fails here.
 
-The sha256s were recorded from small ``optimize`` runs (20 x 8) and small
-``sensitivity`` runs (Sobol at n = 64, Morris at r = 4); a change in the
-front, its order, the hypervolume log, an index table or the file format
-shows up as a hash mismatch.  Re-record them only for a declared
-behaviour change.
+The sha256s were recorded from small ``optimize`` runs (20 x 8), small
+``sensitivity`` runs (Sobol at n = 64, Morris at r = 4) and the
+``simulate``, ``scenario``, ``redistribute`` and ``synth`` commands at
+their defaults; a change in the front, its order, the hypervolume log, an
+index table, a trajectory, a scenario or flow series, a synthetic dataset
+or the file format shows up as a hash mismatch.  Re-record them only for
+a declared behaviour change.
 """
 
 import hashlib
@@ -101,6 +103,65 @@ def test_sensitivity_artifacts_pinned(tmp_path, preset, seed, method):
     assert main(["sensitivity", "--preset", preset, "--seed", str(seed),
                  "--config", str(cfg), "--out", str(out)]) == 0
     want = SENSITIVITY_GOLDEN[(preset, seed, method)]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in want}
+    assert got == want
+
+
+DESK_GOLDEN = {
+    ("simulate", "juneau", 1): {
+        "objectives.json":
+            "7301881f551fdc888f967eb4c34176457cf9fc89eb4c766fb1faa53b2dc70d6e",
+        "trajectory.csv":
+            "05eff8fadf289cd9f90946aa7c57d4f69237216792d42e4b2b71497f350c1f36",
+    },
+    ("simulate", "iceland", 2): {
+        "objectives.json":
+            "0f867fee694c91dec3044b49949fe55d93e79ff47d5c3b6124eaccd42258b80f",
+        "trajectory.csv":
+            "8d3e9e15f924e8938a1da59659c7ba31f642ec32387fa4c885e3d14a0903958e",
+    },
+    ("scenario", "juneau", 1): {
+        "scenario_summary.json":
+            "f2599650f1b007f4f5a5642317f4a2774a20b8acd02906ac9fc1f6508412a8df",
+        "scenario_timeseries.csv":
+            "ac4446cdc78ffb0c24bc793856b60c8bf10f82e1e6da16c9b36d640fee46e479",
+    },
+    ("scenario", "iceland", 2): {
+        "scenario_summary.json":
+            "ba062d55eb866045d873914100403b35529c90f0cd22e09d14c89afcf474ffc2",
+        "scenario_timeseries.csv":
+            "485a893bd870faf068849cb8d5814c8e3c5cbba4868878705f3b69388ac7f753",
+    },
+    ("redistribute", "juneau", 1): {
+        "flow_final.json":
+            "fccbff3bdb970f713b709a3a29b7f8749875a6ec1c842afa4b4bdbc5e1e49727",
+        "flow_sites.csv":
+            "6360975726f7a9dbc893eba292fb23a1de354345c468e7e699e2cb968fdd2187",
+    },
+    ("redistribute", "iceland", 2): {
+        "flow_final.json":
+            "63e347870a7d124eaae308256d07d4149e415eb83e120602f2c1f0c1cc2c30b1",
+        "flow_sites.csv":
+            "1e0e1eb436b2708ffbbcc0c22c90c0c3773f191d6a61fbe5c067a5afb452e7e6",
+    },
+    ("synth", "juneau", 1): {
+        "dataset.csv":
+            "753823a87a8c4765b5c262ace0a21ab876b4145d58a339c4308f0dfadb11f124",
+    },
+    ("synth", "iceland", 2): {
+        "dataset.csv":
+            "b1e1fa7f0c4ad5f9bf3a1ee2c979fb8d80473d4baeb288f0e225a740a7e2ee2b",
+    },
+}
+
+@pytest.mark.parametrize("command, preset, seed", sorted(DESK_GOLDEN))
+def test_desk_artifacts_pinned(tmp_path, command, preset, seed):
+    out = tmp_path / "o"
+    assert main([command, "--preset", preset, "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    want = DESK_GOLDEN[(command, preset, seed)]
+    assert sorted(p.name for p in out.iterdir()) == sorted(want)
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in want}
     assert got == want

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import touropt as tp
+from touropt import gsa
 from touropt.errors import ConfigError, EvaluationError
 from touropt.gsa import (
     ParameterSpace,
@@ -17,9 +18,14 @@ from touropt.gsa import (
     sobol_indices,
     uncertainty_space,
 )
-from touropt.sd_core import simulate_batch
+from touropt.sd_core import COEFF_FIELDS, POLICY_FIELDS, simulate_batch
 
-from helpers import sobol_bootstrap_loop
+from helpers import (
+    morris_indices_loop,
+    morris_reference,
+    morris_sample_loop,
+    sobol_bootstrap_loop,
+)
 
 
 def _unit_space(k):
@@ -104,6 +110,132 @@ class TestMorrisIndices:
         assert res.mu_star == pytest.approx([30.0])
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _morris_spaces(preset):
+    policy = {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS}
+    full = full_space(preset.bounds, preset.coefficients)
+    return {
+        "full": full,
+        "policy": ParameterSpace.from_dict(policy),
+        "one": ParameterSpace.from_dict({"capacity_limit": policy["capacity_limit"]}),
+        "coefficients": ParameterSpace.from_dict(
+            {n: (lo, hi) for n, lo, hi in zip(full.names, full.lows, full.highs)
+             if n in COEFF_FIELDS}),
+    }
+
+
+@pytest.fixture(scope="module", params=["juneau", "iceland"])
+def model(request):
+    preset = tp.get_preset(request.param)
+    exog = tp.synth_dataset(preset, seed=0)
+    return preset, exog, tp.initial_state(preset, exog, seed=0)
+
+
+class TestMorrisReference:
+    """The array-built design, batched evaluation and grouped effects
+    against the per-step, per-point loops they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("space_name", ["full", "policy", "one", "coefficients"])
+    @pytest.mark.parametrize("levels", [4, 6])
+    def test_analysis_bit_for_bit(self, model, space_name, levels):
+        preset, exog, init = model
+        space = _morris_spaces(preset)[space_name]
+        args = (exog, preset.coefficients, preset.reference_policy, init)
+        for r in (1, 2, 20):
+            for seed in (0, 5, 1234):
+                samples, evals, ref = morris_reference(space, *args, r, levels, seed)
+                got = morris_sample(space, r, levels, seed)
+                assert np.array_equal(_bits(got), _bits(samples))
+                report = analyze_model(space, *args, method="morris", morris_r=r,
+                                       morris_levels=levels, seed=seed)
+                for j, name in enumerate(("f1", "f2", "f3")):
+                    mu_star, sigma = ref[j]
+                    res = report.tables[name]
+                    assert np.array_equal(_bits(res.mu_star), _bits(mu_star))
+                    assert np.array_equal(_bits(res.sigma), _bits(sigma))
+                    assert np.array_equal(_bits(report.matrix[:, j]), _bits(mu_star))
+
+    def test_two_level_grid_bit_for_bit(self, monkeypatch):
+        # the CLI rejects levels < 4; the array construction still matches there
+        monkeypatch.setattr(gsa, "_check_morris", lambda r, levels: None)
+        space = ParameterSpace.from_dict({"a": (-3.0, 5.0), "b": (0.1, 0.2),
+                                          "c": (1e6, 4e6)})
+        for r, seed in ((1, 0), (2, 1), (20, 2)):
+            got = morris_sample(space, r, 2, seed)
+            assert np.array_equal(_bits(got), _bits(morris_sample_loop(space, r, 2, seed)))
+
+    def test_random_irregular_trajectories(self):
+        # steps that move one, several or no parameter, of any size and sign
+        rng = np.random.default_rng(17)
+        space = ParameterSpace.from_dict({"a": (-2.0, 3.0), "b": (0.0, 1e6),
+                                          "c": (5.0, 6.0), "d": (0.0, 1.0)})
+        for _ in range(200):
+            r, n_pts = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+            unit = np.empty((r, n_pts, 4))
+            unit[:, 0] = rng.random((r, 4))
+            for s in range(1, n_pts):
+                moved = rng.random((r, 4)) < rng.choice([0.0, 0.3, 1.0])
+                moved[np.arange(r), rng.integers(0, 4, size=r)] = rng.random(r) > 0.02
+                step = rng.choice([-0.5, 0.25, 0.5, 2.0 / 3.0], size=(r, 4))
+                unit[:, s] = unit[:, s - 1] + np.where(moved, step, 0.0)
+            samples = space.from_unit(unit)
+            outputs = 10.0 ** rng.uniform(-3.0, 9.0, size=(r, n_pts))
+            try:
+                want = morris_indices_loop(space, samples, outputs)
+            except EvaluationError as e:
+                with pytest.raises(EvaluationError) as got:
+                    morris_indices(space, samples, outputs)
+                assert str(got.value) == str(e)
+                continue
+            res = morris_indices(space, samples, outputs)
+            assert np.array_equal(_bits(res.mu_star), _bits(want[0]))
+            assert np.array_equal(_bits(res.sigma), _bits(want[1]))
+
+    @staticmethod
+    def _unit_walks(*moves):
+        """(r, len+1, 2) unit-space trajectories; each move is (dim, step)."""
+        out = np.zeros((len(moves), len(moves[0]) + 1, 2))
+        for t, walk in enumerate(moves):
+            for s, (dim, step) in enumerate(walk):
+                out[t, s + 1] = out[t, s]
+                out[t, s + 1, dim] += step
+        return out
+
+    def test_parameter_moved_twice(self):
+        space = ParameterSpace.from_dict({"a": (0.0, 10.0), "b": (-1.0, 1.0)})
+        samples = space.from_unit(self._unit_walks(
+            [(0, 0.5), (0, 0.25)], [(1, -0.5), (0, 2 / 3)], [(0, 1 / 3), (1, 0.5)]))
+        outputs = np.array([[1.0, 4.0, 2.5], [0.0, -3.0, 7.0], [2.0, 2.0, 9.5]])
+        mu_star, sigma = morris_indices_loop(space, samples, outputs)
+        res = morris_indices(space, samples, outputs)
+        assert np.array_equal(_bits(res.mu_star), _bits(mu_star))
+        assert np.array_equal(_bits(res.sigma), _bits(sigma))
+
+    def test_parameter_never_moved_same_error(self):
+        space = ParameterSpace.from_dict({"a": (0.0, 1.0), "b": (0.0, 1.0)})
+        samples = self._unit_walks([(0, 0.5), (0, 0.25)], [(0, 0.5), (0, -0.25)])
+        outputs = np.arange(6.0).reshape(2, 3)
+        with pytest.raises(EvaluationError) as want:
+            morris_indices_loop(space, samples, outputs)
+        with pytest.raises(EvaluationError) as got:
+            morris_indices(space, samples, outputs)
+        assert str(got.value) == str(want.value) == "no elementary effects for b"
+
+    def test_zero_step_same_error(self):
+        space = ParameterSpace.from_dict({"a": (0.0, 1.0), "b": (0.0, 1.0)})
+        samples = self._unit_walks([(0, 0.5), (1, 0.5), (0, 0.5)],
+                                   [(1, 0.5), (0, 0.0), (1, 0.0)])
+        outputs = np.arange(8.0).reshape(2, 4)
+        with pytest.raises(EvaluationError) as want:
+            morris_indices_loop(space, samples, outputs)
+        with pytest.raises(EvaluationError) as got:
+            morris_indices(space, samples, outputs)
+        assert str(got.value) == str(want.value) == "trajectory 1 step 1 moved no parameter"
+
+
 class TestSaltelli:
     def test_point_count(self):
         design = saltelli_sample(_unit_space(7), n=512, seed=0)
@@ -179,10 +311,6 @@ def _spread_outputs(design):
     u = design.space.to_unit(design.matrix())
     e = 0.5 * u[:, 0] + 0.3 * u[:, 1] * u[:, 2] + 0.2 * u[:, 5] ** 3
     return 10.0 ** (-3.0 + 12.0 * (e - e.min()) / (e.max() - e.min()))
-
-
-def _bits(a):
-    return np.asarray(a, dtype=float).view(np.int64)
 
 
 class TestSobolBootstrapReference:
@@ -347,11 +475,42 @@ class TestAnalyzeModel:
         first = points[nan_rows[0]]
         assert str(exc.value) == f"NaN objective at sample {dict(zip(space.names, first))}"
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_morris_names_first_nan_sample(self, juneau, juneau_exog, juneau_init, seed):
+        # a tax rate near 1e308 overflows revenue on some trajectory points
+        space = ParameterSpace.from_dict({"tax_rate": (0.0, 1e308)})
+        args = (space, juneau_exog, juneau.coefficients, juneau.reference_policy,
+                juneau_init)
+        with pytest.raises(EvaluationError) as want:
+            morris_reference(*args, 3, 4, seed)
+        with pytest.raises(EvaluationError) as got:
+            analyze_model(*args, method="morris", morris_r=3, seed=seed)
+        assert str(got.value) == str(want.value)
+        if seed == 0:
+            first = morris_sample(space, 3, 4, 0)[0, 0]
+            assert first[0] == 6.666666666666667e+307
+            assert str(got.value) == f"NaN objective at sample {dict(zip(space.names, first))}"
+
     def test_unknown_parameter_rejected(self, juneau, juneau_exog, juneau_init):
         space = ParameterSpace.from_dict({"warp_field": (0.0, 1.0)})
         with pytest.raises(ConfigError):
             analyze_model(space, juneau_exog, juneau.coefficients,
                           juneau.reference_policy, juneau_init)
+
+    @pytest.mark.parametrize("method", ["morris", "sobol"])
+    def test_unknown_parameter_checked_before_sampling(
+            self, juneau, juneau_exog, juneau_init, monkeypatch, method):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the parameter check")
+        monkeypatch.setattr(gsa, "morris_sample", no_sampling)
+        monkeypatch.setattr(gsa, "saltelli_sample", no_sampling)
+        space = ParameterSpace.from_dict({"tax_rate": (0.0, 0.3), "warp_field": (0.0, 1.0)})
+        with pytest.raises(ConfigError, match=r"unknown parameters \['warp_field'\]"):
+            analyze_model(space, juneau_exog, juneau.coefficients,
+                          juneau.reference_policy, juneau_init, method=method)
+        with pytest.raises(ConfigError, match=r"unknown parameters \['warp_field'\]"):
+            gsa.make_model(space, juneau_exog, juneau.coefficients,
+                           juneau.reference_policy, juneau_init)
 
     def test_unknown_method_rejected(self, juneau, juneau_exog, juneau_init):
         space = ParameterSpace.from_dict({"tax_rate": (0.0, 0.3)})
@@ -360,7 +519,7 @@ class TestAnalyzeModel:
                           juneau.reference_policy, juneau_init, method="sobolev")
 
     def test_method_checked_before_model(self, juneau, juneau_exog, juneau_init):
-        # an unknown parameter would fail in make_model; the method fails first
+        # an unknown parameter would fail the parameter check; the method fails first
         space = ParameterSpace.from_dict({"warp_field": (0.0, 1.0)})
         with pytest.raises(ConfigError, match="unknown method"):
             analyze_model(space, juneau_exog, juneau.coefficients,
