@@ -356,7 +356,7 @@ def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
         # a name that is neither field is rejected by analyze_model before sampling
         return ParameterSpace.from_dict(bounds)
     if choice == "full":
-        return full_space(preset.bounds, preset.coefficients)
+        return full_space(preset.bounds, coeffs)
     if choice == "policy":
         return ParameterSpace.from_dict(
             {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})

@@ -474,11 +474,30 @@ def uncertainty_space(policy: PolicyVector, bounds: PolicyBounds,
 def full_space(bounds: PolicyBounds, coeffs: ModelCoefficients) -> ParameterSpace:
     """Policy levers over their full bounds plus the main uncertain
     coefficients (elasticity, glacier sensitivity, spending effectiveness,
-    recovery rate) at +-50% of their calibrated values."""
+    recovery rate) at +-50% of their calibrated values.
+
+    A coefficient whose +-50% range is empty (a value of 0) or leaves the
+    model's domain at either end (``ModelCoefficients.validate``) is a
+    ``ConfigError`` naming ``coefficients.<name>``.
+    """
     spec = {name: tuple(getattr(bounds, name)) for name in POLICY_FIELDS}
     spec["eps_price"] = (-1.0, -0.1)
-    spec["kappa"] = (0.5 * coeffs.kappa, 1.5 * coeffs.kappa)
-    spec["alpha_g"] = (0.5 * coeffs.alpha_g, 1.5 * coeffs.alpha_g)
-    spec["alpha_w"] = (0.5 * coeffs.alpha_w, 1.5 * coeffs.alpha_w)
-    spec["delta"] = (0.5 * coeffs.delta, 1.5 * coeffs.delta)
+    swept = ("kappa", "alpha_g", "alpha_w", "delta")
+    for name in swept:
+        spec[name] = (0.5 * getattr(coeffs, name), 1.5 * getattr(coeffs, name))
+
+    def where(name):
+        lo, hi = spec[name]
+        return (f"coefficients.{name} = {getattr(coeffs, name)!r} gives the full "
+                f"space the range [{lo!r}, {hi!r}]")
+
+    for name in swept:
+        if not spec[name][0] < spec[name][1]:
+            raise ConfigError(f"{where(name)}, which is empty")
+    for end in (0, 1):  # all low ends at once, then all high ends
+        try:
+            replace(coeffs, **{name: spec[name][end] for name in swept}).validate()
+        except ValueError as e:  # its messages start with the field name
+            raise ConfigError(f"{where(str(e).split()[0])}, outside the model's "
+                              f"domain: {e}")
     return ParameterSpace.from_dict(spec)

@@ -8,11 +8,16 @@ hypervolume used both as a quality log and as the convergence signal
 
 All dominance logic is in maximization form; objectives are stored as
 returned by the problem, with no sign flips.  Every pairwise comparison
-goes through one numpy primitive, :func:`dominance_matrix`, which the
-sort (a front-by-front peel of the matrix), the all-time archive and the
-front verification share; :func:`dominates` is its NaN-checking scalar
-counterpart.  The problem is evaluated a generation at a time, (N, genes)
-genomes to (N, 3) objectives.
+goes through one numpy primitive, :func:`dominance_matrix`, which works
+in rank space: each objective is ranked over the rows compared, with one
+sort, and the dense integer ranks (int16 while they fit) are compared
+instead of the floats.  The sort (a front-by-front peel of the matrix)
+and the front verification call it; the all-time archive uses its two
+parts, the ranking and the "no worse everywhere" test, directly, so it
+ranks old and new rows once per insert.  :func:`dominates` is the
+NaN-checking scalar counterpart.  Crowding distances of a whole pool are
+computed in one pass over all its fronts.  The problem is evaluated a
+generation at a time, (N, genes) genomes to (N, 3) objectives.
 
 Inside :func:`evolve` the population lives in arrays: genomes (N, genes),
 objectives (N, 3), rank and crowding (N,).  A generation's variation
@@ -27,6 +32,7 @@ fixed order, and evaluation draws none.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -90,6 +96,14 @@ class EAConfig:
             raise ConfigError("generations must be >= 1")
         if self.hv_window < 1:
             raise ConfigError("hv_window must be >= 1")
+        ref = self.reference_point
+        if ref is not None:
+            try:
+                ok = len(ref) == 3 and all(math.isfinite(float(v)) for v in ref)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"reference_point must be three finite numbers, not {ref!r}")
 
 
 @dataclass
@@ -128,26 +142,75 @@ def dominates(a, b) -> bool:
     return better
 
 
+def _int_type(top: int):
+    """The narrowest of int16/int32/int64 that holds 0..``top``."""
+    for dtype in (np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _ranks(objs) -> np.ndarray:
+    """Dense per-objective ranks of the rows of an (n, m) array, as (m, n).
+
+    Equal values share a rank (-0.0 ties with 0.0), so comparing ranks
+    gives the comparisons of the values.  One sort per objective; int16
+    while n fits.  NaN values get ranks of their own above every number:
+    callers mask NaN rows themselves.
+    """
+    n = len(objs)
+    cols = np.ascontiguousarray(objs.T)
+    order = np.argsort(cols, axis=1)
+    ordered = np.take_along_axis(cols, order, axis=1)
+    steps = np.zeros(cols.shape, dtype=_int_type(n))
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:])
+    np.cumsum(steps, axis=1, out=steps)
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps, axis=1)
+    return ranks
+
+
+def _covers(ra, rb) -> np.ndarray:
+    """``C[i, j]``: column i of the (m, na) ranks ``ra`` is no worse than
+    column j of ``rb`` in every objective."""
+    if not len(ra):
+        return np.ones((ra.shape[1], rb.shape[1]), dtype=bool)
+    ge = ra[0][:, None] >= rb[0]
+    for m in range(1, len(ra)):
+        ge &= ra[m][:, None] >= rb[m]
+    return ge
+
+
 def dominance_matrix(a, b=None, *, weak: bool = False) -> np.ndarray:
     """Pairwise maximization dominance between the rows of ``a`` and ``b``.
 
     ``D[i, j]`` is True when row i of ``a`` dominates row j of ``b`` (no
     worse everywhere, better somewhere); ``b`` defaults to ``a``.  With
     ``weak`` it is True when row i is merely no worse everywhere, so equal
-    rows cover each other.  Built one objective column at a time, so memory
-    stays at len(a) x len(b) bools.  NaN compares false everywhere:
-    callers that may hold NaN check for it first.
+    rows cover each other.  The rows of both operands are ranked together
+    per objective (:func:`_ranks`) and the integer ranks compared one
+    objective at a time, so memory stays at len(a) x len(b) bools.  A row
+    holding NaN compares false everywhere, as NaN does: callers that may
+    hold NaN check for it first.
     """
     a = np.asarray(a, dtype=float)
-    b = a if b is None else np.asarray(b, dtype=float)
-    ge = np.ones((len(a), len(b)), dtype=bool)
-    gt = np.zeros_like(ge)
-    for m in range(a.shape[1]):
-        x, y = a[:, m, None], b[None, :, m]
-        ge &= x >= y
-        if not weak:
-            gt |= x > y
-    return ge if weak else ge & gt
+    square = b is None
+    b = a if square else np.asarray(b, dtype=float)
+    ranks = _ranks(a if square else np.concatenate([a, b]))
+    ra, rb = (ranks, ranks) if square else (ranks[:, :len(a)], ranks[:, len(a):])
+    ge = _covers(ra, rb)
+    nan_a = np.isnan(a).any(axis=1)
+    nan_b = nan_a if square else np.isnan(b).any(axis=1)
+    if nan_a.any() or nan_b.any():
+        ge[nan_a] = False
+        ge[:, nan_b] = False
+    if weak:
+        return ge
+    if square:
+        return ge & ~ge.T
+    # where row i is no worse everywhere, a larger rank sum is better somewhere
+    sums = ranks.sum(axis=0, dtype=_int_type(ranks.size))
+    return ge & (sums[:len(a), None] > sums[len(a):])
 
 
 def fast_nondominated_sort(objectives) -> list:
@@ -168,18 +231,50 @@ def fast_nondominated_sort(objectives) -> list:
         row = tuple(objs[int(np.argmax(nan_rows))].tolist())
         raise EvaluationError(f"NaN objective in population: {row}")
     dom = dominance_matrix(objs)
-    dom_count = dom.sum(axis=0)  # how many solutions dominate each
+    dom_count = np.add.reduce(dom, axis=0, dtype=_int_type(n))  # how many solutions dominate each
     front = np.flatnonzero(dom_count == 0)
     fronts = []
     while front.size:
         fronts.append(front.tolist())
         peeled = dom[front]
-        dom_count -= peeled.sum(axis=0)
-        nxt = np.flatnonzero((dom_count == 0) & peeled.any(axis=0))
+        hits = np.add.reduce(peeled, axis=0, dtype=dom_count.dtype)
+        dom_count -= hits
+        nxt = np.flatnonzero((dom_count == 0) & (hits > 0))
         # position of each newcomer's last dominator in the peeled front
         last = len(front) - 1 - np.argmax(peeled[::-1, nxt], axis=0)
         front = nxt[np.argsort(last, kind="stable")]
     return fronts
+
+
+def _crowding(objs, sizes) -> np.ndarray:
+    """Crowding distance of rows stored front after front.
+
+    ``objs`` holds the fronts' rows back to back, ``sizes`` their lengths;
+    each front is measured on its own.  Per objective one stable lexsort
+    orders the rows by front, then value, then position within the front
+    (ties keep the stored order), so each front's slice of the order is
+    the stable argsort of that front alone.
+    """
+    total = len(objs)
+    dist = np.zeros(total)
+    if not total:
+        return dist
+    sizes = np.asarray(sizes)
+    front_of = np.repeat(np.arange(len(sizes)), sizes)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    edge = np.zeros(total, dtype=bool)
+    edge[starts] = edge[ends - 1] = True
+    inner = np.flatnonzero(~edge)
+    for m in range(objs.shape[1]):
+        order = np.lexsort((objs[:, m], front_of))
+        col = objs[order, m]
+        dist[order[edge]] = np.inf
+        span = (col[ends - 1] - col[starts])[front_of[inner]]
+        live = span != 0.0  # a zero span adds nothing
+        k = inner[live]
+        dist[order[k]] += (col[k + 1] - col[k - 1]) / span[live]
+    return dist
 
 
 def crowding_distance(objectives) -> np.ndarray:
@@ -190,21 +285,7 @@ def crowding_distance(objectives) -> np.ndarray:
     objective contributes nothing.
     """
     objs = np.asarray(objectives, dtype=float)
-    n = len(objs)
-    dist = np.zeros(n)
-    if n <= 2:
-        dist[:] = np.inf
-        return dist
-    for m in range(objs.shape[1]):
-        order = np.argsort(objs[:, m], kind="stable")
-        lo, hi = objs[order[0], m], objs[order[-1], m]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        span = hi - lo
-        if span == 0.0:
-            continue
-        col = objs[order, m]
-        dist[order[1:-1]] += (col[2:] - col[:-2]) / span
-    return dist
+    return _crowding(objs, [len(objs)])
 
 
 def tournament_select(population, rng) -> Individual:
@@ -385,18 +466,19 @@ def _select(objs, n: int) -> tuple:
     fronts = fast_nondominated_sort(objs)
     rank = np.empty(len(objs), dtype=np.intp)
     crowd = np.empty(len(objs))
-    for r, front in enumerate(fronts):
-        rank[front] = r
-        crowd[front] = crowding_distance(objs[front])
-    keep = []
-    for front in fronts:
-        if len(keep) + len(front) > n:
-            f = np.array(front)
-            front = f[np.argsort(-crowd[f], kind="stable")][: n - len(keep)].tolist()
-        keep.extend(front)
-        if len(keep) == n:
-            break
-    return keep, rank, crowd
+    if not fronts:
+        return np.empty(0, dtype=np.intp), rank, crowd
+    sizes = [len(f) for f in fronts]
+    rows = np.concatenate(fronts)
+    rank[rows] = np.repeat(np.arange(len(fronts)), sizes)
+    crowd[rows] = _crowding(objs[rows], sizes)
+    ends = np.cumsum(sizes)
+    last = int(np.searchsorted(ends, min(n, len(objs))))  # the front that fills n
+    start = int(ends[last]) - sizes[last]
+    tail = np.array(fronts[last])
+    if ends[last] > n:
+        tail = tail[np.argsort(-crowd[tail], kind="stable")][: n - start]
+    return np.concatenate([rows[:start], tail]), rank, crowd
 
 
 def environmental_selection(pool, n: int) -> list:
@@ -412,44 +494,13 @@ def environmental_selection(pool, n: int) -> list:
     return [pool[i] for i in keep]
 
 
-def _staircase_insert(xs, ys, area, x, y, ref_x, ref_y) -> float:
-    """Insert an (x, y) point into a maximal staircase, returning new area.
-
-    The staircase is kept sorted by x ascending (y strictly descending);
-    ``area`` is the union area of the rectangles [ref, point].
-    """
-    i = bisect.bisect_left(xs, x)
-    if i < len(xs) and ys[i] >= y:
-        return area  # dominated in the plane: no new area
-    hi = i
-    if hi < len(xs) and xs[hi] == x:  # same x, strictly lower y: replaced
-        hi += 1
-    lo = i
-    while lo > 0 and ys[lo - 1] <= y:
-        lo -= 1
-    x_left = xs[lo - 1] if lo > 0 else ref_x
-    old = 0.0
-    xprev = x_left
-    for k in range(lo, hi):
-        old += (xs[k] - xprev) * (ys[k] - ref_y)
-        xprev = xs[k]
-    if hi < len(xs) and x > xprev:
-        old += (x - xprev) * (ys[hi] - ref_y)
-    area += (x - x_left) * (y - ref_y) - old
-    del xs[lo:hi]
-    del ys[lo:hi]
-    xs.insert(lo, x)
-    ys.insert(lo, y)
-    return area
-
-
 def hypervolume_3d(points, reference_point) -> float:
     """Exact dominated hypervolume of 3-D maximization points.
 
     Takes an (n, 3) array (or a sequence of triples).  Sweeps the third
     objective from high to low while maintaining the union area of the
-    first two as a staircase.  Every point must dominate the reference
-    point.
+    first two as a staircase: lists ``xs``/``ys`` sorted by x ascending,
+    y strictly descending.  Every point must dominate the reference point.
     """
     ref = tuple(float(v) for v in reference_point)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -462,6 +513,8 @@ def hypervolume_3d(points, reference_point) -> float:
         p = tuple(pts[int(np.argmax(below))].tolist())
         raise ValueError(f"front point {p} does not dominate reference {ref}")
     pts = pts[np.argsort(-pts[:, 2], kind="stable")].tolist()
+    ref_x, ref_y, ref_z = ref
+    bisect_left = bisect.bisect_left
     xs, ys = [], []
     area = 0.0
     volume = 0.0
@@ -470,8 +523,26 @@ def hypervolume_3d(points, reference_point) -> float:
         if z < prev_z:
             volume += area * (prev_z - z)
             prev_z = z
-        area = _staircase_insert(xs, ys, area, x, y, ref[0], ref[1])
-    volume += area * (prev_z - ref[2])
+        # xs[lo:hi] are the steps (x, y) covers; they give way to it
+        hi = lo = bisect_left(xs, x)
+        if hi < len(xs):
+            if ys[hi] >= y:
+                continue  # dominated in the plane: no new area
+            if xs[hi] == x:
+                hi += 1
+        while lo and ys[lo - 1] <= y:
+            lo -= 1
+        xprev = x_left = xs[lo - 1] if lo else ref_x
+        old = 0.0  # the staircase's area over [x_left, x]
+        for k in range(lo, hi):
+            old += (xs[k] - xprev) * (ys[k] - ref_y)
+            xprev = xs[k]
+        if hi < len(xs) and x > xprev:
+            old += (x - xprev) * (ys[hi] - ref_y)
+        area += (x - x_left) * (y - ref_y) - old
+        xs[lo:hi] = [x]
+        ys[lo:hi] = [y]
+    volume += area * (prev_z - ref_z)
     return volume
 
 
@@ -489,19 +560,29 @@ class _Archive:
         at least as good everywhere; each entrant then evicts every member,
         and every earlier entrant, that it is at least as good as.
         Survivors keep their order: old members first, then entrants.
+
+        Old members dominate none of each other, so that comes to: a
+        candidate stays unless another candidate dominates it, an earlier
+        one equals it or an old member covers it; an old member stays
+        unless a staying candidate covers it.  Old and new rows are ranked
+        once, and each test compares only the rows still in question.
         """
         if not cands:
             return
         new = np.array([c.objectives for c in cands], dtype=float)
         old = self._objs
-        among = dominance_matrix(new, weak=True)
-        covered = (dominance_matrix(old, new, weak=True).any(axis=0)
-                   | np.triu(among, 1).any(axis=0))
-        entered = np.flatnonzero(~covered)
-        keep_old = ~dominance_matrix(new[entered], old, weak=True).any(axis=0)
-        keep_new = entered[~np.tril(among[np.ix_(entered, entered)], -1).any(axis=0)]
-        self.members = ([m for m, k in zip(self.members, keep_old) if k]
-                        + [cands[i] for i in keep_new])
+        ranks = _ranks(np.concatenate([old, new]))
+        ro, rn = ranks[:, :len(old)], ranks[:, len(old):]
+        among = _covers(rn, rn)
+        # a row's first equal row is itself unless it has an earlier twin
+        twin = (among & among.T).argmax(axis=0) < np.arange(len(new))
+        keep_new = np.flatnonzero(~((among & ~among.T).any(axis=0) | twin))
+        # "no old member is at least as good", as negated ranks: the long
+        # old axis stays innermost, which numpy broadcasts several times faster
+        keep_new = keep_new[~_covers(-rn[:, keep_new], -ro).any(axis=1)]
+        keep_old = ~_covers(rn[:, keep_new], ro).any(axis=0)
+        self.members = (list(itertools.compress(self.members, keep_old.tolist()))
+                        + [cands[i] for i in keep_new.tolist()])
         self._objs = np.vstack([old[keep_old], new[keep_new]])
 
 

@@ -1,5 +1,6 @@
 """Shared builders for unit and property tests."""
 
+import bisect
 import math
 from dataclasses import replace
 
@@ -200,6 +201,28 @@ def pairwise_nondominated_sort(objectives):
     return fronts
 
 
+def dominance_matrix_loop(a, b=None, *, weak: bool = False) -> np.ndarray:
+    """Reference: pairwise maximization dominance compared on the floats.
+
+    ``D[i, j]`` is True when row i of ``a`` dominates row j of ``b`` (no
+    worse everywhere, better somewhere); ``b`` defaults to ``a``.  With
+    ``weak`` it is True when row i is merely no worse everywhere, so equal
+    rows cover each other.  Built one objective column at a time, so memory
+    stays at len(a) x len(b) bools.  NaN compares false everywhere:
+    callers that may hold NaN check for it first.
+    """
+    a = np.asarray(a, dtype=float)
+    b = a if b is None else np.asarray(b, dtype=float)
+    ge = np.ones((len(a), len(b)), dtype=bool)
+    gt = np.zeros_like(ge)
+    for m in range(a.shape[1]):
+        x, y = a[:, m, None], b[None, :, m]
+        ge &= x >= y
+        if not weak:
+            gt |= x > y
+    return ge if weak else ge & gt
+
+
 def crowding_loop(objectives):
     """Reference: crowding distance with the per-member inner loop."""
     objs = np.asarray(objectives, dtype=float)
@@ -331,6 +354,37 @@ def environmental_selection_reference(pool, n: int) -> list:
     return survivors
 
 
+def _staircase_insert(xs, ys, area, x, y, ref_x, ref_y) -> float:
+    """Insert an (x, y) point into a maximal staircase, returning new area.
+
+    The staircase is kept sorted by x ascending (y strictly descending);
+    ``area`` is the union area of the rectangles [ref, point].
+    """
+    i = bisect.bisect_left(xs, x)
+    if i < len(xs) and ys[i] >= y:
+        return area  # dominated in the plane: no new area
+    hi = i
+    if hi < len(xs) and xs[hi] == x:  # same x, strictly lower y: replaced
+        hi += 1
+    lo = i
+    while lo > 0 and ys[lo - 1] <= y:
+        lo -= 1
+    x_left = xs[lo - 1] if lo > 0 else ref_x
+    old = 0.0
+    xprev = x_left
+    for k in range(lo, hi):
+        old += (xs[k] - xprev) * (ys[k] - ref_y)
+        xprev = xs[k]
+    if hi < len(xs) and x > xprev:
+        old += (x - xprev) * (ys[hi] - ref_y)
+    area += (x - x_left) * (y - ref_y) - old
+    del xs[lo:hi]
+    del ys[lo:hi]
+    xs.insert(lo, x)
+    ys.insert(lo, y)
+    return area
+
+
 def hypervolume_reference(points, reference_point) -> float:
     """Reference: the sweep with a per-point ``dominates`` check and a
     Python sort."""
@@ -350,7 +404,7 @@ def hypervolume_reference(points, reference_point) -> float:
         if p[2] < prev_z:
             volume += area * (prev_z - p[2])
             prev_z = p[2]
-        area = moea._staircase_insert(xs, ys, area, p[0], p[1], ref[0], ref[1])
+        area = _staircase_insert(xs, ys, area, p[0], p[1], ref[0], ref[1])
     volume += area * (prev_z - ref[2])
     return volume
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from touropt.cli import main
+from touropt.gsa import full_space
 
 from helpers import brute_force_fronts
 
@@ -271,6 +272,34 @@ class TestSensitivityCommand:
                                "bootstrap": 2,
                                "space": {"tax_rate": [0, 0.1], "warp_field": [0, 1]}}}
         _assert_config_error(tmp_path, capsys, "sensitivity", doc, "warp_field")
+        assert not (tmp_path / "x").exists()
+
+    def test_full_space_sweeps_the_configured_coefficients(self, tmp_path, monkeypatch):
+        spaces = []
+
+        def recording(bounds, coeffs):
+            spaces.append(full_space(bounds, coeffs))
+            return spaces[-1]
+
+        monkeypatch.setattr("touropt.cli.full_space", recording)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sensitivity": {
+            "morris_r": 2, "coefficients": {"delta": 0.09}}}))
+        assert main(["sensitivity", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        (space,) = spaces
+        i = space.names.index("delta")
+        assert (space.lows[i], space.highs[i]) == (0.5 * 0.09, 1.5 * 0.09)
+
+    @pytest.mark.parametrize("name, value", [("kappa", 0), ("alpha_g", 0.0),
+                                             ("delta", 0), ("delta", 0.9)])
+    def test_full_space_coefficient_range_is_checked(self, tmp_path, capsys,
+                                                     monkeypatch, name, value):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the space check")
+        monkeypatch.setattr("touropt.gsa.simulate_batch", no_simulation)
+        doc = {"sensitivity": {"morris_r": 2, "coefficients": {name: value}}}
+        _assert_config_error(tmp_path, capsys, "sensitivity", doc, f"coefficients.{name}")
         assert not (tmp_path / "x").exists()
 
     def test_coefficient_space_may_be_negative_where_the_model_allows(self, tmp_path):

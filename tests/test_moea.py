@@ -29,6 +29,7 @@ from helpers import (
     archive_one_at_a_time,
     brute_force_fronts,
     crowding_loop,
+    dominance_matrix_loop,
     environmental_selection_reference,
     evolve_reference,
     generation_reference,
@@ -100,6 +101,81 @@ class TestDominanceMatrix:
     def test_empty_side(self):
         assert dominance_matrix(np.empty((0, 3)), [(1.0, 2.0, 3.0)]).shape == (0, 1)
         assert dominance_matrix([(1.0, 2.0, 3.0)], np.empty((0, 3))).shape == (1, 0)
+
+
+def _assert_matches_loop(a, b=None):
+    """Weak and strict ``dominance_matrix`` equal the float column loop."""
+    for weak in (False, True):
+        got = dominance_matrix(a, b, weak=weak)
+        want = dominance_matrix_loop(a, b, weak=weak)
+        assert got.dtype == bool and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+class TestRankKernel:
+    """The rank-space ``dominance_matrix`` against the float column loop."""
+
+    def test_tie_heavy_grids(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            levels = int(rng.integers(1, 5))
+            a = np.array(_grid(rng, int(rng.integers(1, 40)), levels))
+            b = np.array(_grid(rng, int(rng.integers(1, 40)), levels))
+            _assert_matches_loop(a)
+            _assert_matches_loop(a, b)
+
+    def test_signed_zeros_and_infinities(self):
+        rng = np.random.default_rng(31)
+        values = np.array([-0.0, 0.0, np.inf, -np.inf, 1.0, -1.0])
+        for _ in range(200):
+            a = rng.choice(values, (int(rng.integers(1, 30)), 3))
+            b = rng.choice(values, (int(rng.integers(1, 30)), 3))
+            _assert_matches_loop(a)
+            _assert_matches_loop(a, b)
+            _assert_matches_loop(b, a)
+
+    def test_nan_rows_in_either_operand(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            a = np.array(_grid(rng, int(rng.integers(1, 30))))
+            b = np.array(_grid(rng, int(rng.integers(1, 30))))
+            for x in (a, b):
+                hit = rng.random(x.shape) < 0.1
+                x[hit] = np.nan
+            _assert_matches_loop(a)
+            _assert_matches_loop(a, b)
+            nan_a, nan_b = np.isnan(a).any(axis=1), np.isnan(b).any(axis=1)
+            w = dominance_matrix(a, b, weak=True)
+            assert not w[nan_a].any() and not w[:, nan_b].any()
+
+    def test_empty_operands(self):
+        full = np.array([(1.0, 2.0, 3.0), (0.0, 2.0, 3.0)])
+        empty = np.empty((0, 3))
+        _assert_matches_loop(empty)
+        for a, b in [(empty, full), (full, empty), (empty, empty)]:
+            _assert_matches_loop(a, b)
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_two_and_five_objectives(self, m):
+        rng = np.random.default_rng(33 + m)
+        for trial in range(100):
+            shape = (int(rng.integers(1, 40)), m)
+            if trial % 2:
+                a, b = rng.integers(0, 3, shape) * 1.0, rng.integers(0, 3, shape) * 1.0
+            else:
+                a, b = rng.normal(size=shape), rng.normal(size=shape)
+            _assert_matches_loop(a)
+            _assert_matches_loop(a, b)
+
+    def test_wide_ranks(self):
+        # 33,000 + 7 distinct values per objective overflow int16 ranks
+        rng = np.random.default_rng(35)
+        a = rng.normal(size=(33_000, 2))
+        b = np.concatenate([rng.normal(size=(5, 2)), a[[7, 32_999]]])
+        assert moea._ranks(np.concatenate([a, b])).dtype == np.int32
+        assert moea._ranks(a[:1000]).dtype == np.int16
+        _assert_matches_loop(a, b)
+        _assert_matches_loop(b, a)
 
 
 class TestSorting:
@@ -175,6 +251,29 @@ class TestCrowding:
             assert np.array_equal(crowding_distance(objs), crowding_loop(objs))
 
 
+class TestOnePassCrowding:
+    def test_matches_loop_front_by_front(self):
+        rng = np.random.default_rng(36)
+        seen = set()
+        for trial in range(300):
+            n = int(rng.integers(1, 60))
+            if trial % 3:
+                objs = np.array(_grid(rng, n, levels=int(rng.integers(1, 5))))
+            else:
+                objs = rng.normal(0.0, 1e6, (n, 3))
+            if trial % 5 == 0:  # clones of existing rows
+                objs = objs[rng.integers(0, n, n + 5)]
+            _, rank, crowd = moea._select(objs, int(rng.integers(1, len(objs) + 1)))
+            for r, front in enumerate(fast_nondominated_sort(objs)):
+                assert (rank[front] == r).all()
+                want = crowding_loop(objs[front])
+                assert crowd[front].tobytes() == want.tobytes()
+                seen.add(min(len(front), 3))
+                if len(front) > 2 and (np.ptp(objs[front], axis=0) == 0.0).any():
+                    seen.add("zero span")
+        assert seen == {1, 2, 3, "zero span"}
+
+
 class TestArchive:
     def test_batched_insert_matches_one_at_a_time(self):
         rng = np.random.default_rng(14)
@@ -192,6 +291,32 @@ class TestArchive:
                 assert np.array_equal(archive._objs.reshape(-1, 3),
                                       np.array([m.objectives for m in members],
                                                dtype=float).reshape(-1, 3))
+
+    def test_large_archive_matches_one_at_a_time(self):
+        # distinct integer points with one coordinate sum dominate none of
+        # each other: an archive of 1,891 members to insert batches into
+        rng = np.random.default_rng(37)
+        grid = [(float(x), float(y), float(60 - x - y))
+                for x in range(61) for y in range(61 - x)]
+        first = [Individual(np.zeros(1), grid[i]) for i in rng.permutation(len(grid))]
+        archive = _Archive()
+        archive.add(first)
+        assert archive.members == first
+        members = first
+        for _ in range(4):
+            xy = rng.integers(0, 62, (120, 2))
+            total = 60 + rng.integers(-1, 2, 120)
+            batch = [Individual(np.zeros(1), (float(x), float(y), float(t - x - y)))
+                     for (x, y), t in zip(xy, total)]
+            batch += [Individual(np.zeros(1), members[i].objectives)  # clones
+                      for i in rng.integers(0, len(members), 10)]
+            batch += batch[:5]
+            archive.add(batch)
+            members = archive_one_at_a_time(members, batch)
+            assert len(members) > 1_000
+            assert [id(m) for m in archive.members] == [id(m) for m in members]
+            assert np.array_equal(archive._objs,
+                                  np.array([m.objectives for m in members]))
 
     def test_equal_objectives_keep_the_first(self):
         first = Individual(np.zeros(1), (1.0, 1.0, 1.0))
@@ -519,6 +644,16 @@ class TestEvolve:
             EAConfig(eta_c=0.0).validate()
         with pytest.raises(ConfigError):
             EAConfig(mutation_prob=1.5).validate()
+
+    @pytest.mark.parametrize("ref", [(0.0, 0.0), (float("nan"), 0.0, 0.0),
+                                     (0.0, float("inf"), 0.0), (1.0, 2.0, 3.0, 4.0),
+                                     5.0, "abc", (None, 0.0, 0.0)])
+    def test_reference_point_must_be_three_finite_numbers(self, ref):
+        with pytest.raises(ConfigError, match="reference_point"):
+            EAConfig(reference_point=ref).validate()
+        with pytest.raises(ConfigError, match="reference_point"):
+            evolve(_toy, [-2.0], [2.0],
+                   EAConfig(population_size=8, generations=2, reference_point=ref))
 
 
 class TestReferencePoint:
