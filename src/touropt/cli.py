@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -347,6 +348,8 @@ def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
                 raise ConfigError(f"space.{k} must be [low, high], not {v!r}")
             bounds[k] = tuple(_number(f"space.{k}", x, nonneg=k in POLICY_FIELDS)
                               for x in v)
+            if not bounds[k][0] < bounds[k][1]:
+                raise ConfigError(f"space.{k} must have low < high, not {v!r}")
             if k in COEFF_FIELDS:
                 for x in bounds[k]:
                     try:
@@ -361,9 +364,11 @@ def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
         return ParameterSpace.from_dict(
             {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
     if choice == "policy_uncertainty":
-        return uncertainty_space(policy, preset.bounds,
-                                 rel=_number("uncertainty_rel",
-                                             cfg.get("uncertainty_rel", 0.2)))
+        value = cfg.get("uncertainty_rel", 0.2)
+        rel = _number("uncertainty_rel", value)
+        if rel <= 0:
+            raise ConfigError(f"uncertainty_rel must be > 0, not {value!r}")
+        return uncertainty_space(policy, preset.bounds, rel=rel)
     raise ConfigError(f"unknown space {choice!r}")
 
 
@@ -603,8 +608,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args keeps no state between
+    calls, and building it costs more than a short command's parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except ConfigError as e:

@@ -7,10 +7,11 @@ first/total indices use the classic two-matrix sampling design with the
 symmetrized direct estimator for S_i, Jansen's estimator for S_Ti, and
 bootstrap percentile intervals.  Both estimators are means of per-row
 terms, so the bootstrap is per-row terms resampled by gather: the term
-blocks of every output are computed once and stacked, and each resample
-draws its rows once and takes a row mean of the gathered columns, for all
-outputs together (:func:`_sobol_tables`; ``sobol_indices`` is its
-one-output case, with the same bits).
+blocks of every output are computed once and stacked with one design row
+per memory row, and each resample draws its rows once, gathers those whole
+rows and sums them in numpy's pairwise order, for all outputs together
+(:func:`_sobol_tables`; ``sobol_indices`` is its one-output case, with the
+same bits).
 
 Sampling is plain seeded pseudo-random (recorded in result metadata, no
 low-discrepancy sequence); accuracy targets are set accordingly.  Both
@@ -27,6 +28,7 @@ step) order and the bits of a step-by-step build.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -288,19 +290,101 @@ def sobol_indices(design: SaltelliDesign, outputs: np.ndarray,
                          n_boot, ci_level, seed)[0]
 
 
+# numpy sums a contiguous span of at most this many values with eight
+# interleaved accumulators and splits a longer one in two (PW_BLOCKSIZE)
+_PAIRWISE_LEAF = 128
+# bytes of term rows one bootstrap chunk gathers: two resamples of 590 KB
+# at n=512 with 12 parameters and 3 outputs, so a chunk stays in a 2 MiB
+# L2 and a run's peak memory stays that of one column gather per resample
+_GATHER_BYTES = 1_200_000
+
+
+@functools.cache
+def _sum_plan(n: int) -> tuple:
+    """The order in which numpy's ``add.reduce`` sums n contiguous values.
+
+    A span longer than ``_PAIRWISE_LEAF`` is split at ``n//2 - (n//2) % 8``
+    and its halves summed recursively; a shorter one is a leaf.  Returns
+    ``(tree, runs)``: ``tree`` nests the leaf numbers as the recursion
+    pairs them, and ``runs`` lists the leaves, in order, as (count, start,
+    length) runs of consecutive leaves of one length.
+    """
+    leaves = []
+
+    def split(start, length):
+        if length > _PAIRWISE_LEAF:
+            half = length // 2 - (length // 2) % 8
+            return split(start, half), split(start + half, length - half)
+        leaves.append((start, length))
+        return len(leaves) - 1
+
+    tree = split(0, n)
+    runs = []
+    for start, length in leaves:
+        if runs and runs[-1][2] == length:
+            count, lo, _ = runs[-1]
+            runs[-1] = (count + 1, lo, length)
+        else:
+            runs.append((1, start, length))
+    return tree, tuple(runs)
+
+
+def _pairwise_mean(G: np.ndarray) -> np.ndarray:
+    """Means over axis 1 of the C-ordered (B, n, C) block ``G``, each with
+    the bits of ``mean`` over the same n values in one contiguous row.
+
+    numpy's contiguous reduce adds the pairwise sum of :func:`_sum_plan`
+    to +0.0.  A leaf of fewer than 8 values is summed in order; a longer
+    one runs 8 interleaved accumulators over its multiple-of-8 part, here
+    one in-order reduce over the leading axis of a (length // 8, 8, C)
+    view, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and
+    adds the tail in order.  Every leaf of a run is summed at once.
+    Leaves here start from +0.0 where numpy's accumulators start from
+    their first values; that changes only the sign of a zero sum, which
+    numpy's +0.0 start clears, so a span of -0.0s sums to +0.0 on both.
+    """
+    B, n, C = G.shape
+    tree, runs = _sum_plan(n)
+    parts = []
+    for count, start, length in runs:
+        x = G[:, start:start + count * length].reshape(B, count, length, C)
+        whole = length - length % 8
+        if whole:
+            r = np.add.reduce(x[:, :, :whole].reshape(B, count, whole // 8, 8, C), axis=2)
+            r = r[:, :, 0::2] + r[:, :, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+            r = r[:, :, 0::2] + r[:, :, 1::2]
+            s = r[:, :, 0] + r[:, :, 1]
+        else:
+            s = np.zeros((B, count, C))
+        for t in range(whole, length):
+            s += x[:, :, t]
+        parts.append(s)
+    sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return _tree_sum(tree, sums) / n
+
+
+def _tree_sum(node, sums: np.ndarray) -> np.ndarray:
+    """The leaf sums ``sums[:, i]`` added as the nested pairs ``node`` say."""
+    if isinstance(node, int):
+        return sums[:, node]
+    return _tree_sum(node[0], sums) + _tree_sum(node[1], sums)
+
+
 def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
                   ci_level: float, seed: int) -> list:
     """One :class:`SobolResult` per column of the (N, m) outputs ``Y``.
 
     Both estimators are means of per-row terms, so the four (k, n) term
-    blocks of every output are computed once, stacked C-ordered as one
-    (4*m*k, n) block, and the bootstrap is per-row terms resampled by
-    gather: each resample draws n design rows (jointly across all matrices
-    and outputs), takes those columns of the block and averages along the
-    rows.  take() keeps the gathered block C-ordered, so each row mean is
-    the same pairwise sum as the mean of a 1-D resampled row, and every
-    column gets the bits of its own ``sobol_indices`` call: the resamples
-    are those of ``default_rng(seed)`` whatever m is.
+    blocks of every output are computed once and stacked as one C-ordered
+    (n, 4*m*k) block, one design row per memory row.  The bootstrap is
+    per-row terms resampled by gather: each resample draws n design rows
+    (jointly across all matrices and outputs) and gathers those whole rows;
+    chunks of resamples, at most ``_GATHER_BYTES`` of rows each, are
+    averaged by :func:`_pairwise_mean` in numpy's summation order, and
+    their variances come from ``np.var`` along contiguous rows.  So every
+    column gets the bits of its own ``sobol_indices`` call, and of the
+    per-resample ``take(idx, axis=1).mean(axis=1)`` of the transposed
+    block: the resamples are those of ``default_rng(seed)`` whatever m is.
     """
     _check_n_boot(n_boot)
     Y = design._checked(Y)
@@ -316,26 +400,30 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
     yA, yB = Yt[:, None, :n], Yt[:, None, n:2 * n]
     yAB = Yt[:, 2 * n:(2 + k) * n].reshape(m, k, n)
     yBA = Yt[:, (2 + k) * n:].reshape(m, k, n)
-    terms = np.stack([yB * (yAB - yA), yA * (yBA - yB),
-                      (yA - yAB) ** 2, (yB - yBA) ** 2]).reshape(4 * m * k, n)
+    terms = np.ascontiguousarray(
+        np.stack([yB * (yAB - yA), yA * (yBA - yB),
+                  (yA - yAB) ** 2, (yB - yBA) ** 2]).reshape(4 * m * k, n).T)
     yAyB = Yt[:, :2 * n]
 
-    def indices(var, means):
-        m1, m2, m3, m4 = means.reshape(4, m, k)
-        var = var[:, None]
+    def indices(var, means):  # (B, m) variances, (B, 4*m*k) term means
+        m1, m2, m3, m4 = means.reshape(-1, 4, m, k).transpose(1, 0, 2, 3)
+        var = var[:, :, None]
         return 0.5 * (m1 + m2) / var, 0.5 * (m3 + m4) / 2.0 / var
 
     var = np.var(yAyB, axis=1)
     _check_variance(var)
-    s1, st = indices(var, terms.mean(axis=1))
+    (s1,), (st,) = indices(var[None], _pairwise_mean(terms[None]))
     rng = np.random.default_rng(seed)
+    chunk = max(1, _GATHER_BYTES // terms.nbytes)
     boots1 = np.empty((n_boot, m, k))
     bootst = np.empty((n_boot, m, k))
-    for b in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        var = np.var(yAyB.take(np.concatenate([idx, idx + n]), axis=1), axis=1)
+    for lo in range(0, n_boot, chunk):
+        hi = min(lo + chunk, n_boot)
+        idx = np.stack([rng.integers(0, n, size=n) for _ in range(lo, hi)])
+        # (m, B, 2n), C-ordered: each variance reduces one contiguous row
+        var = np.var(yAyB.take(np.concatenate([idx, idx + n], axis=1), axis=1), axis=2).T
         _check_variance(var)
-        boots1[b], bootst[b] = indices(var, terms.take(idx, axis=1).mean(axis=1))
+        boots1[lo:hi], bootst[lo:hi] = indices(var, _pairwise_mean(terms.take(idx, axis=0)))
     alpha = 0.5 * (1.0 - ci_level)
     lo1, hi1 = np.quantile(boots1, [alpha, 1.0 - alpha], axis=0)
     lot, hit = np.quantile(bootst, [alpha, 1.0 - alpha], axis=0)

@@ -299,6 +299,20 @@ def sobol_bootstrap_loop(design, outputs, n_boot=200, ci_level=0.95, seed=0):
     return s1, st, 0.5 * (hi1 - lo1), 0.5 * (hit - lot)
 
 
+def bootstrap_means_loop(terms, n_boot, seed):
+    """Reference bootstrap term means: per resample, the column gather and
+    row mean that ``gsa._sobol_tables`` ran on its (C, n) term block.
+    Returns the (n_boot, C) means; ``gsa._pairwise_mean`` of the gathered
+    rows of ``terms.T`` must match it bit for bit."""
+    n = terms.shape[1]
+    rng = np.random.default_rng(seed)
+    means = np.empty((n_boot, terms.shape[0]))
+    for b in range(n_boot):
+        idx = rng.integers(0, n, size=n)
+        means[b] = terms.take(idx, axis=1).mean(axis=1)
+    return means
+
+
 def _peel_nondominated_sort(objectives) -> list:
     """Reference: Deb's sort over ``dominance_matrix`` with the Python peel."""
     objs = np.asarray(objectives, dtype=float)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from touropt import cli
 from touropt.cli import main
 from touropt.gsa import full_space
 
@@ -246,6 +247,19 @@ class TestSensitivityCommand:
         _assert_config_error(tmp_path, capsys, "sensitivity",
                              {"sensitivity": {"space": {"tax_rate": bounds}}},
                              "space.tax_rate")
+
+    @pytest.mark.parametrize("name, bounds", [("kappa", [0.1, 0.1]),
+                                              ("kappa", [0.3, 0.1]),
+                                              ("tax_rate", [0.2, 0.2])])
+    def test_empty_space_range_names_key(self, tmp_path, capsys, name, bounds):
+        space = {"tax_rate": [0, 0.2], "kappa": [0.1, 0.3], name: bounds}
+        _assert_config_error(tmp_path, capsys, "sensitivity",
+                             {"sensitivity": {"space": space}}, f"space.{name}")
+
+    @pytest.mark.parametrize("rel", [-1, 0, 0.0])
+    def test_non_positive_uncertainty_rel_names_key(self, tmp_path, capsys, rel):
+        doc = {"sensitivity": {"space": "policy_uncertainty", "uncertainty_rel": rel}}
+        _assert_config_error(tmp_path, capsys, "sensitivity", doc, "uncertainty_rel")
 
     @pytest.mark.parametrize("method, name, bounds", [
         ("morris", "tax_rate", [-1, 0.1]),
@@ -525,6 +539,29 @@ class TestSynthCommand:
             assert main(["synth", "--preset", "juneau", "--seed", "8",
                          "--out", str(out)]) == 0
         assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_main_runs_after_usage_error_and_version(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "--seed", "x"])
+        assert e.value.code == 2
+        assert main(["synth", "--preset", "juneau", "--seed", "0",
+                     "--out", str(tmp_path / "synth")]) == 0
+        with pytest.raises(SystemExit) as e:
+            main(["--version"])
+        assert e.value.code == 0
+        with pytest.raises(SystemExit) as e:
+            main(["warp"])
+        assert e.value.code == 2
+        assert main(["simulate", "--preset", "iceland", "--seed", "1",
+                     "--out", str(tmp_path / "sim")]) == 0
+        # no flag of an earlier call carries over: this one has no preset
+        assert main(["simulate", "--seed", "0", "--out", str(tmp_path / "x")]) == 2
+        assert "preset" in capsys.readouterr().err
 
 
 class TestConfigHandling:

@@ -21,6 +21,7 @@ from touropt.gsa import (
 from touropt.sd_core import COEFF_FIELDS, POLICY_FIELDS, simulate_batch
 
 from helpers import (
+    bootstrap_means_loop,
     morris_indices_loop,
     morris_reference,
     morris_sample_loop,
@@ -362,10 +363,39 @@ def _spread_columns(design):
     return np.column_stack([y, 1e6 / y, z])
 
 
+def _awkward_terms(n, rng):
+    """A (12, n) term block: random signs at magnitudes 1e-3 to 1e9, a row
+    of all -0.0, a row of mixed signed zeros and rows holding +-inf."""
+    terms = rng.choice([-1.0, 1.0], (12, n)) * 10.0 ** rng.uniform(-3.0, 9.0, (12, n))
+    terms[1] = -0.0
+    terms[2] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    terms[3, rng.integers(0, n)] = np.inf
+    terms[4, rng.integers(0, n)] = -np.inf
+    terms[5, rng.integers(0, n, 2)] = (np.inf, -np.inf)
+    return terms
+
+
+class TestPairwiseMean:
+    """``gsa._pairwise_mean`` of gathered rows against the column gather
+    and row mean it replaced."""
+
+    @pytest.mark.parametrize("n", list(range(2, 301))
+                             + [511, 512, 513, 1000, 1023, 1024, 1025, 2048])
+    def test_bit_for_bit(self, n):
+        terms = _awkward_terms(n, np.random.default_rng(n))
+        with np.errstate(invalid="ignore"):  # inf - inf in a resample is NaN
+            want = bootstrap_means_loop(terms, 3, seed=n)
+            rng = np.random.default_rng(n)
+            idx = np.stack([rng.integers(0, n, size=n) for _ in range(3)])
+            got = gsa._pairwise_mean(np.ascontiguousarray(terms.T).take(idx, axis=0))
+        assert np.array_equal(_bits(got), _bits(want))
+        assert _bits(got[:, 1]).tolist() == [0] * 3  # +0.0, as numpy sums -0.0s
+
+
 class TestSobolTables:
     """``_sobol_tables`` over m outputs against m per-output reference loops."""
 
-    @pytest.mark.parametrize("n", [2, 37, 512])
+    @pytest.mark.parametrize("n", [2, 8, 37, 129, 257, 512])
     @pytest.mark.parametrize("n_boot", [1, 7, 200])
     def test_bit_for_bit(self, n, n_boot):
         design = saltelli_sample(_unit_space(12), n, seed=n)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import touropt as tp
+from touropt import sd_core
 from touropt.errors import DataError
 from touropt.sd_core import (
     _BLOCK,
@@ -479,7 +480,9 @@ class TestSimulateBatch:
         assert want is not None
         assert _outcome(lambda: simulate_batch(*args, rows)) == want
 
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    # 1023..1025 sit inside one block and straddle the earlier 1024-row size
+    @pytest.mark.parametrize("n", sorted({1, 1023, 1024, 1025,
+                                          _BLOCK - 1, _BLOCK, _BLOCK + 1}))
     def test_block_edges(self, juneau, juneau_exog, juneau_init, n):
         rng = np.random.default_rng(n)
         rows = {"tax_rate": rng.uniform(0.0, 0.3, n),
@@ -488,6 +491,20 @@ class TestSimulateBatch:
         args = (juneau.reference_policy, juneau_exog, juneau.coefficients, juneau_init)
         got = simulate_batch(*args, rows)
         assert _same_bits(got, _simulate_rows(*args, rows))
+
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    def test_block_size_changes_no_bits(self, juneau, juneau_init, monkeypatch, block):
+        # three years keep the 12,293 one-row blocks quick
+        rng = np.random.default_rng(block)
+        exog = random_exog(rng, n=3)
+        n = 3 * 4096 + 5
+        lo, hi = juneau.bounds.lows(), juneau.bounds.highs()
+        rows = {f: rng.uniform(lo[i], hi[i], n) for i, f in enumerate(POLICY_FIELDS)}
+        rows["eps_price"] = rng.uniform(-1.0, -0.1, n)
+        args = (juneau.reference_policy, exog, juneau.coefficients, juneau_init)
+        want = simulate_batch(*args, rows)
+        monkeypatch.setattr(sd_core, "_BLOCK", block)
+        assert _same_bits(simulate_batch(*args, rows), want)
 
     def test_late_override_mixes_shared_and_row_values(self, juneau, juneau_exog,
                                                        juneau_init):
