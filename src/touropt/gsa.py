@@ -6,12 +6,12 @@ sigma (spread of the effects, an interaction/nonlinearity signal).  Sobol
 first/total indices use the classic two-matrix sampling design with the
 symmetrized direct estimator for S_i, Jansen's estimator for S_Ti, and
 bootstrap percentile intervals.  Both estimators are means of per-row
-terms, so the bootstrap is per-row terms resampled by gather: the term
-blocks of every output are computed once and stacked with one design row
-per memory row, and each resample draws its rows once, gathers those whole
-rows and sums them in numpy's pairwise order, for all outputs together
-(:func:`_sobol_tables`; ``sobol_indices`` is its one-output case, with the
-same bits).
+terms, so the bootstrap resamples per-row terms: the term blocks of every
+output are computed once and stacked with one design row per memory row,
+and each resample draws its rows once and adds those whole rows straight
+into the lane accumulators of numpy's pairwise sum, for all outputs
+together (:func:`_sobol_tables`; ``sobol_indices`` is its one-output case,
+with the same bits).
 
 Sampling is plain seeded pseudo-random (recorded in result metadata, no
 low-discrepancy sequence); accuracy targets are set accordingly.  Both
@@ -293,10 +293,14 @@ def sobol_indices(design: SaltelliDesign, outputs: np.ndarray,
 # numpy sums a contiguous span of at most this many values with eight
 # interleaved accumulators and splits a longer one in two (PW_BLOCKSIZE)
 _PAIRWISE_LEAF = 128
-# bytes of term rows one bootstrap chunk gathers: two resamples of 590 KB
-# at n=512 with 12 parameters and 3 outputs, so a chunk stays in a 2 MiB
-# L2 and a run's peak memory stays that of one column gather per resample
-_GATHER_BYTES = 1_200_000
+# bytes of lane accumulators one bootstrap chunk adds its resampled rows
+# into: ten resamples of 37 KB at n=512 with 12 parameters and 3 outputs
+# (four leaves of eight lanes of 144 terms), so the accumulators and the
+# rows each step gathers into them stay in a 2 MiB L2 together.  On the
+# n=512 screen design, 8 to 14 resamples a chunk ran fastest; 2 and 20
+# took about 1.5 times as long, the first from per-call overhead, the
+# second from spilling L2.
+_LANE_BYTES = 400_000
 
 
 @functools.cache
@@ -329,35 +333,40 @@ def _sum_plan(n: int) -> tuple:
     return tree, tuple(runs)
 
 
-def _pairwise_mean(G: np.ndarray) -> np.ndarray:
-    """Means over axis 1 of the C-ordered (B, n, C) block ``G``, each with
-    the bits of ``mean`` over the same n values in one contiguous row.
+def _gather_means(terms: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (B, C) means of the rows ``terms[idx[b]]`` of the C-ordered
+    (n, C) ``terms``, for each of the B rows of ``idx``, each with the bits
+    of ``mean`` over the same n values in one contiguous row.
 
     numpy's contiguous reduce adds the pairwise sum of :func:`_sum_plan`
     to +0.0.  A leaf of fewer than 8 values is summed in order; a longer
-    one runs 8 interleaved accumulators over its multiple-of-8 part, here
-    one in-order reduce over the leading axis of a (length // 8, 8, C)
-    view, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and
-    adds the tail in order.  Every leaf of a run is summed at once.
-    Leaves here start from +0.0 where numpy's accumulators start from
-    their first values; that changes only the sign of a zero sum, which
-    numpy's +0.0 start clears, so a span of -0.0s sums to +0.0 on both.
+    one runs 8 interleaved accumulators over its multiple-of-8 part,
+    combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the
+    tail in order.  Here every leaf of a run is summed at once, and the
+    rows are added straight into the lane accumulators, one gathered step
+    of 8 rows per leaf at a time, so no (B, n, C) block is built.  The
+    lanes start from +0.0, as numpy's do: without it a column of -0.0s
+    would sum to -0.0.
     """
-    B, n, C = G.shape
+    B, n = idx.shape
     tree, runs = _sum_plan(n)
     parts = []
     for count, start, length in runs:
-        x = G[:, start:start + count * length].reshape(B, count, length, C)
+        ix = idx[:, start:start + count * length].reshape(B, count, length)
         whole = length - length % 8
         if whole:
-            r = np.add.reduce(x[:, :, :whole].reshape(B, count, whole // 8, 8, C), axis=2)
-            r = r[:, :, 0::2] + r[:, :, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+            steps = ix[:, :, :whole].reshape(B, count, whole // 8, 8)
+            lanes = terms.take(steps[:, :, 0], axis=0)  # (B, count, 8, C)
+            lanes += 0.0  # the rows at step 0 added to +0.0
+            for j in range(1, whole // 8):
+                lanes += terms.take(steps[:, :, j], axis=0)
+            r = lanes[:, :, 0::2] + lanes[:, :, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
             r = r[:, :, 0::2] + r[:, :, 1::2]
             s = r[:, :, 0] + r[:, :, 1]
         else:
-            s = np.zeros((B, count, C))
+            s = np.zeros((B, count, terms.shape[1]))
         for t in range(whole, length):
-            s += x[:, :, t]
+            s += terms.take(ix[:, :, t], axis=0)
         parts.append(s)
     sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return _tree_sum(tree, sums) / n
@@ -378,13 +387,17 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
     blocks of every output are computed once and stacked as one C-ordered
     (n, 4*m*k) block, one design row per memory row.  The bootstrap is
     per-row terms resampled by gather: each resample draws n design rows
-    (jointly across all matrices and outputs) and gathers those whole rows;
-    chunks of resamples, at most ``_GATHER_BYTES`` of rows each, are
-    averaged by :func:`_pairwise_mean` in numpy's summation order, and
-    their variances come from ``np.var`` along contiguous rows.  So every
-    column gets the bits of its own ``sobol_indices`` call, and of the
-    per-resample ``take(idx, axis=1).mean(axis=1)`` of the transposed
-    block: the resamples are those of ``default_rng(seed)`` whatever m is.
+    (jointly across all matrices and outputs), and :func:`_gather_means`
+    adds those whole rows straight into numpy's eight lane accumulators,
+    in numpy's summation order, without building the resampled block.
+    Resamples go in chunks whose accumulators take at most
+    ``_LANE_BYTES``, and a chunk's variances come from one ``np.var``
+    along contiguous rows.  The point estimate is the same sum over the
+    rows in order.  So every column gets the bits of its own
+    ``sobol_indices`` call, and of the per-resample
+    ``take(idx, axis=1).mean(axis=1)`` of the transposed block: the
+    resamples are those of ``default_rng(seed)`` whatever m or the chunk
+    size is.
     """
     _check_n_boot(n_boot)
     Y = design._checked(Y)
@@ -412,9 +425,10 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
 
     var = np.var(yAyB, axis=1)
     _check_variance(var)
-    (s1,), (st,) = indices(var[None], _pairwise_mean(terms[None]))
+    (s1,), (st,) = indices(var[None], _gather_means(terms, np.arange(n)[None]))
     rng = np.random.default_rng(seed)
-    chunk = max(1, _GATHER_BYTES // terms.nbytes)
+    leaves = sum(count for count, _, _ in _sum_plan(n)[1])
+    chunk = max(1, _LANE_BYTES // (8 * leaves * terms[0].nbytes))
     boots1 = np.empty((n_boot, m, k))
     bootst = np.empty((n_boot, m, k))
     for lo in range(0, n_boot, chunk):
@@ -423,7 +437,7 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
         # (m, B, 2n), C-ordered: each variance reduces one contiguous row
         var = np.var(yAyB.take(np.concatenate([idx, idx + n], axis=1), axis=1), axis=2).T
         _check_variance(var)
-        boots1[lo:hi], bootst[lo:hi] = indices(var, _pairwise_mean(terms.take(idx, axis=0)))
+        boots1[lo:hi], bootst[lo:hi] = indices(var, _gather_means(terms, idx))
     alpha = 0.5 * (1.0 - ci_level)
     lo1, hi1 = np.quantile(boots1, [alpha, 1.0 - alpha], axis=0)
     lot, hit = np.quantile(bootst, [alpha, 1.0 - alpha], axis=0)
@@ -546,6 +560,9 @@ def uncertainty_space(policy: PolicyVector, bounds: PolicyBounds,
 
     This is the default space for policy-lever sensitivity runs: every
     lever varies by the same relative amount around the working policy.
+    An empty range is a ``ConfigError`` naming ``uncertainty_rel`` when
+    ``rel`` is too small to widen a nonzero value, and ``policy.<name>``
+    otherwise: a value of 0, or one whose box lies outside the bounds.
     """
     spec = {}
     for name in params:
@@ -554,7 +571,12 @@ def uncertainty_space(policy: PolicyVector, bounds: PolicyBounds,
         a = max(lo, v * (1.0 - rel))
         b = min(hi, v * (1.0 + rel))
         if a >= b:
-            raise ConfigError(f"degenerate uncertainty range for {name}")
+            if v != 0.0 and not v * (1.0 - rel) < v * (1.0 + rel):
+                raise ConfigError(f"uncertainty_rel = {rel!r} is too small to widen "
+                                  f"{name} = {v!r}: its range [{a!r}, {b!r}] is empty")
+            raise ConfigError(f"policy.{name} = {v!r} gives the policy_uncertainty "
+                              f"space the range [{a!r}, {b!r}] within the bounds "
+                              f"[{lo!r}, {hi!r}], which is empty")
         spec[name] = (a, b)
     return ParameterSpace.from_dict(spec)
 

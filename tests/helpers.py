@@ -302,7 +302,7 @@ def sobol_bootstrap_loop(design, outputs, n_boot=200, ci_level=0.95, seed=0):
 def bootstrap_means_loop(terms, n_boot, seed):
     """Reference bootstrap term means: per resample, the column gather and
     row mean that ``gsa._sobol_tables`` ran on its (C, n) term block.
-    Returns the (n_boot, C) means; ``gsa._pairwise_mean`` of the gathered
+    Returns the (n_boot, C) means; ``gsa._gather_means`` of the resampled
     rows of ``terms.T`` must match it bit for bit."""
     n = terms.shape[1]
     rng = np.random.default_rng(seed)

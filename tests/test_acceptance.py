@@ -21,7 +21,8 @@ from touropt.gsa import (
     sobol_indices,
     uncertainty_space,
 )
-from touropt.moea import EAConfig, dominates, evolve, fast_nondominated_sort
+from touropt.errors import EvaluationError
+from touropt.moea import EAConfig, evolve, fast_nondominated_sort
 from touropt.scenario import DEFAULT_SCENARIOS, AllocationPolicy, run_scenario
 from touropt.flow import (
     IslandParams,
@@ -129,10 +130,13 @@ def test_criterion_03_sorting_oracle(toy_run, juneau_optimize):
             mismatches += 1
 
     def has_dominated_pair(front):
-        objs = [ind.objectives for ind in front.individuals]
-        return any(dominates(a, b)
-                   for i, a in enumerate(objs)
-                   for j, b in enumerate(objs) if i != j)
+        # every ordered pair at once: a dominates b when a >= b everywhere
+        # and a > b somewhere, so no member dominates itself
+        objs = np.array([ind.objectives for ind in front.individuals], dtype=float)
+        if np.isnan(objs).any():
+            raise EvaluationError("NaN objective in dominance check")
+        a, b = objs[:, None, :], objs[None, :, :]
+        return bool(((a >= b).all(axis=2) & (a > b).any(axis=2)).any())
 
     dominated = (has_dominated_pair(toy_run[0].front)
                  or has_dominated_pair(juneau_optimize[0].front))

@@ -261,6 +261,17 @@ class TestSensitivityCommand:
         doc = {"sensitivity": {"space": "policy_uncertainty", "uncertainty_rel": rel}}
         _assert_config_error(tmp_path, capsys, "sensitivity", doc, "uncertainty_rel")
 
+    @pytest.mark.parametrize("value", [0, 50])  # a zero box, a box above the bounds
+    def test_empty_uncertainty_range_names_policy_key(self, tmp_path, capsys, value):
+        doc = {"sensitivity": {"space": "policy_uncertainty",
+                               "policy": {"tax_rate": value}}}
+        _assert_config_error(tmp_path, capsys, "sensitivity", doc, "policy.tax_rate")
+
+    def test_tiny_uncertainty_rel_names_key(self, tmp_path, capsys):
+        # 0.12 * (1 -+ 1e-300) rounds to 0.12 at both ends
+        doc = {"sensitivity": {"space": "policy_uncertainty", "uncertainty_rel": 1e-300}}
+        _assert_config_error(tmp_path, capsys, "sensitivity", doc, "uncertainty_rel = 1e-300")
+
     @pytest.mark.parametrize("method, name, bounds", [
         ("morris", "tax_rate", [-1, 0.1]),
         ("sobol", "capacity_limit", [-1e6, 1e6]),

@@ -1,7 +1,8 @@
 """Golden artifact hashes: a change to any result byte fails here.
 
 The sha256s were recorded from small ``optimize`` runs (20 x 8), small
-``sensitivity`` runs (Sobol at n = 64, Morris at r = 4) and the
+``sensitivity`` runs (Sobol at n = 64, Morris at r = 4), the screen
+workload's Sobol run over the full space at n = 512, and the
 ``simulate``, ``scenario``, ``redistribute`` and ``synth`` commands at
 their defaults; a change in the front, its order, the hypervolume log, an
 index table, a trajectory, a scenario or flow series, a synthetic dataset
@@ -103,6 +104,46 @@ def test_sensitivity_artifacts_pinned(tmp_path, preset, seed, method):
     assert main(["sensitivity", "--preset", preset, "--seed", str(seed),
                  "--config", str(cfg), "--out", str(out)]) == 0
     want = SENSITIVITY_GOLDEN[(preset, seed, method)]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in want}
+    assert got == want
+
+
+# the screen workload's configuration: four 128-value leaves per sum, so
+# the bootstrap's means go through the multi-leaf summation tree
+SCREEN_CONFIG = {"method": "sobol", "space": "full", "sobol_n": 512}
+SCREEN_GOLDEN = {
+    ("juneau", 5): {
+        "sobol_f1.csv":
+            "8ea37ad0c388d87cdae41b78b21edd478053447a746fd769a4612009990d5414",
+        "sobol_f2.csv":
+            "a5b09e7a4480c6aefa8d842214a718a559645e5a2ceb2aa6d47cb9a0bc22ab65",
+        "sobol_f3.csv":
+            "cd917d413775878ac760a7ea5cb9110379fea7987b1eb478fa5c1584d38dfbb9",
+        "sensitivity_matrix.json":
+            "b41dc239077d90b47da4b2b38a8fa1fbf71370cff5a925b5d84b246a04700c13",
+    },
+    ("iceland", 5): {
+        "sobol_f1.csv":
+            "8670f587dd2db2cb65a7a308391bb0dcf55f3bfafbb8aee1c142b2c3afe068e3",
+        "sobol_f2.csv":
+            "8917734e677e57a06e43a5609ba8286e75ce4c9c5d58885652d2b74d1cef605d",
+        "sobol_f3.csv":
+            "e58c49a03c60399d1d8343adbfb5588e415c4e3c9bbd916ec79723ed7f1e4af9",
+        "sensitivity_matrix.json":
+            "262095115ea7e1b98fae476e9c06ff7e059892692c086d780a88198393fd6895",
+    },
+}
+
+
+@pytest.mark.parametrize("preset, seed", sorted(SCREEN_GOLDEN))
+def test_screen_artifacts_pinned(tmp_path, preset, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sensitivity": SCREEN_CONFIG}))
+    out = tmp_path / "o"
+    assert main(["sensitivity", "--preset", preset, "--seed", str(seed),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    want = SCREEN_GOLDEN[(preset, seed)]
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in want}
     assert got == want

@@ -376,8 +376,8 @@ def _awkward_terms(n, rng):
 
 
 class TestPairwiseMean:
-    """``gsa._pairwise_mean`` of gathered rows against the column gather
-    and row mean it replaced."""
+    """``gsa._gather_means``, numpy's pairwise-order mean of resampled rows,
+    against the column gather and row mean it replaced."""
 
     @pytest.mark.parametrize("n", list(range(2, 301))
                              + [511, 512, 513, 1000, 1023, 1024, 1025, 2048])
@@ -387,9 +387,18 @@ class TestPairwiseMean:
             want = bootstrap_means_loop(terms, 3, seed=n)
             rng = np.random.default_rng(n)
             idx = np.stack([rng.integers(0, n, size=n) for _ in range(3)])
-            got = gsa._pairwise_mean(np.ascontiguousarray(terms.T).take(idx, axis=0))
+            got = gsa._gather_means(np.ascontiguousarray(terms.T), idx)
         assert np.array_equal(_bits(got), _bits(want))
         assert _bits(got[:, 1]).tolist() == [0] * 3  # +0.0, as numpy sums -0.0s
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 129, 512, 1025])
+    def test_rows_in_order_are_the_mean(self, n):
+        # the point estimate: every row once, in order
+        terms = _awkward_terms(n, np.random.default_rng(n))
+        with np.errstate(invalid="ignore"):
+            want = terms.mean(axis=1)
+            got = gsa._gather_means(np.ascontiguousarray(terms.T), np.arange(n)[None])
+        assert np.array_equal(_bits(got[0]), _bits(want))
 
 
 class TestSobolTables:
@@ -408,6 +417,19 @@ class TestSobolTables:
             for got, want in zip((res.s1, res.st, res.s1_ci, res.st_ci), ref):
                 assert np.array_equal(_bits(got), _bits(want))
             assert res.names == design.space.names and res.n == n
+
+    @pytest.mark.parametrize("n", [37, 512])
+    def test_chunk_size_changes_no_bits(self, monkeypatch, n):
+        design = saltelli_sample(_unit_space(12), n, seed=n)
+        Y = _spread_columns(design)
+        want = _sobol_tables(design, Y, 23, 0.95, 5)
+        for budget in (1, 10 ** 12):  # one resample per chunk, all in one
+            monkeypatch.setattr(gsa, "_LANE_BYTES", budget)
+            got = _sobol_tables(design, Y, 23, 0.95, 5)
+            for a, b in zip(got, want):
+                for field in ("s1", "st", "s1_ci", "st_ci"):
+                    assert np.array_equal(_bits(getattr(a, field)),
+                                          _bits(getattr(b, field)))
 
     def test_zero_variance_resample_in_second_output(self):
         # one non-constant row: about a third of the resamples miss it
