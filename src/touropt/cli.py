@@ -191,9 +191,10 @@ def _resolve_base(cfg: dict):
 
 
 def _number(key: str, value, nonneg: bool = False) -> float:
-    """``value`` as a finite float (>= 0 if ``nonneg``), else a ConfigError."""
+    """``value`` as a finite float (>= 0 if ``nonneg``), else a ConfigError.
+    Booleans are refused: ``float(True)`` would read JSON ``true`` as 1."""
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x) or (nonneg and x < 0):
@@ -332,7 +333,8 @@ def cmd_optimize(args) -> int:
         "color_label": "f3",
     })
     print(f"optimize: {len(rows)} front members, "
-          f"{result.generations_run} generations, wrote 3 files to {out}")
+          f"{result.generations_run} generations, stopped by {result.stop_reason}, "
+          f"wrote 3 files to {out}")
     return EXIT_OK
 
 

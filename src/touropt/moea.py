@@ -27,13 +27,23 @@ them what the per-call operators (:func:`tournament_select`,
 runs are byte-identical to a loop over those operators.  Runs are
 reproducible: a single seeded generator drives every random draw in a
 fixed order, and evaluation draws none.
+
+The all-time archive and its hypervolume are read only by the plateau
+stop, so :func:`evolve` runs them in a worker process forked after the
+initial evaluation, one generation behind the main loop: it sends
+generation t to the worker, makes generation t+1, and only then takes
+the hypervolume of t.  When that stops the run at t, generation t+1 is
+discarded and the generator put back where it was.  Where the platform
+cannot fork, the same stage runs in-process in the same order.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +106,9 @@ class EAConfig:
             raise ConfigError("generations must be >= 1")
         if self.hv_window < 1:
             raise ConfigError("hv_window must be >= 1")
+        if not 0.0 <= self.hv_rel_tol < math.inf:
+            raise ConfigError(f"hv_rel_tol must be a finite number >= 0, "
+                              f"not {self.hv_rel_tol!r}")
         ref = self.reference_point
         if ref is not None:
             try:
@@ -586,12 +599,156 @@ class _Archive:
         self._objs = np.vstack([old[keep_old], new[keep_new]])
 
 
+def _individuals(genomes, objs) -> list:
+    # each member owns its row, so the archive keeps no generation's array alive
+    return [Individual(g.copy(), tuple(o)) for g, o in zip(genomes, objs.tolist())]
+
+
+def _archive_stage(genomes, objs, ref):
+    """The all-time archive and its hypervolume, as a generator.
+
+    It adds the initial population and yields the archive hypervolume;
+    then, for each ``(kids, kid_objs)`` sent to it, it adds the kids and
+    yields the new hypervolume.  Sent None, it yields the archive as a
+    genome array and an objective array.
+    """
+    archive = _Archive()
+    batch = (genomes, objs)
+    while batch is not None:
+        archive.add(_individuals(*batch))
+        pts = archive._objs[(archive._objs > ref).all(axis=1)]
+        batch = yield hypervolume_3d(pts, ref) if len(pts) else 0.0
+    yield np.array([m.genome for m in archive.members]), archive._objs
+
+
+def _serve(conn, stage, main_end, main_cpu) -> None:
+    """Body of the forked worker: answer each message on ``conn`` with
+    ``stage``'s next value, starting with its first, until it has sent
+    the front or the main process closes ``main_end``, the other end of
+    the pipe (the worker closes its own copy first, or it would never see
+    the end).  An exception of the stage is sent back for the main
+    process to raise.  ``os._exit`` ends the worker, so it runs none of
+    the main process's exit handlers and flushes none of its buffers.
+
+    The worker keeps off ``main_cpu``, the CPU the main process ran on
+    at the fork: a forked process starts on its parent's CPU, and a woken
+    one tends to stay where it last ran, so the two could share one CPU
+    for the whole run while another idles.
+    """
+    try:
+        main_end.close()
+        if main_cpu is not None:
+            others = os.sched_getaffinity(0) - {main_cpu}
+            if others:
+                os.sched_setaffinity(0, others)
+        msg = None  # a fresh generator takes None as its first send
+        for step in itertools.count():
+            try:
+                out = stage.send(msg)
+            except Exception as exc:
+                conn.send(exc)
+                return
+            conn.send(out)
+            if step and msg is None:
+                return  # that was the front: exit while the main process builds its result
+            msg = conn.recv()
+    except (EOFError, OSError):
+        pass  # the main process is done with the worker
+    finally:
+        os._exit(0)
+
+
+def _current_cpu():
+    """The CPU this process runs on, where Linux tells it, else None."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Forked:
+    """The main process's end of the worker."""
+
+    def __init__(self, conn):
+        self.send = conn.send
+        self._conn = conn
+
+    def recv(self):
+        try:
+            out = self._conn.recv()
+        except EOFError:
+            raise RuntimeError("the archive worker exited unexpectedly") from None
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+
+class _InProcess:
+    """The stage run in this process, behind the worker's send/recv."""
+
+    def __init__(self, stage):
+        self._stage = stage
+        self.send(None)
+
+    def send(self, msg) -> None:
+        self._out = self._stage.send(msg)
+
+    def recv(self):
+        return self._out
+
+
+@contextlib.contextmanager
+def _archive_worker(stage):
+    """``stage`` behind ``send``/``recv``: in one forked worker process
+    where that is safe and can help, else in this process.  The worker
+    is joined on every exit."""
+    import multiprocessing  # here, not at import: it costs about 10 ms
+    import threading
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon  # daemons cannot fork
+            # the fork copies this thread alone: a lock another thread
+            # holds would stay held in the worker
+            or threading.active_count() > 1
+            or _usable_cpus() < 2):  # one CPU would run the two in turn
+        yield _InProcess(stage)
+        return
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    worker = ctx.Process(target=_serve, args=(theirs, stage, ours, _current_cpu()),
+                         daemon=True)
+    try:
+        worker.start()
+    except OSError:  # no process to spare: run the stage here
+        ours.close()
+        theirs.close()
+        yield _InProcess(stage)
+        return
+    theirs.close()
+    try:
+        yield _Forked(ours)
+    finally:
+        ours.close()
+        worker.join()
+
+
 @dataclass
 class EvolveResult:
     front: ParetoFront
     hypervolume_log: list
     generations_run: int
     population: list = field(default_factory=list)
+    stop_reason: str = "generation_cap"  # or "hv_plateau"
 
 
 def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
@@ -602,9 +759,19 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     It is called once for the initial population and once per generation,
     after all of that generation's offspring are drawn; evaluation draws
     no random numbers, so the seeded stream does not depend on it.  Stops
-    at the generation limit, or earlier once the archive hypervolume
-    improves by less than ``hv_rel_tol`` (relatively) over ``hv_window``
-    generations.
+    at the generation limit (``stop_reason`` "generation_cap"), or earlier
+    once the archive hypervolume improves by less than ``hv_rel_tol``
+    (relatively) over ``hv_window`` generations ("hv_plateau").
+
+    The archive and its hypervolume run in one worker process, forked
+    after the initial evaluation, while the main loop makes the next
+    generation.  A plateau stop at generation t is known only after
+    generation t+1 has been made; that generation is discarded, and the
+    population and the generator are put back as they were after t, so
+    the result is the same as a sequential loop's.  ``problem`` is then
+    called once more than ``1 + generations_run`` times.  An exception
+    raised while making generation t+1 propagates only if the run does
+    not stop at t.
     """
     config.validate()
     lows = np.asarray(lows, dtype=float)
@@ -627,16 +794,9 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
                                   f"for genome {genomes[i]}")
         return objs
 
-    def individuals(genomes, objs) -> list:
-        # each member owns its row, so the archive keeps no generation's array alive
-        return [Individual(g.copy(), tuple(o)) for g, o in zip(genomes, objs.tolist())]
-
     genomes = lows + (highs - lows) * rng.random((config.population_size, n_genes))
     objs = evaluate(genomes)
     _, rank, crowd = _select(objs, len(objs))
-
-    archive = _Archive()
-    archive.add(individuals(genomes, objs))
 
     if config.reference_point is not None:
         ref = tuple(float(v) for v in config.reference_point)
@@ -645,30 +805,43 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
         span = objs.max(axis=0) - lo
         ref = tuple(lo - 0.01 * span - 1e-9 * (1.0 + np.abs(lo)))
 
-    def archive_hv() -> float:
-        pts = archive._objs[(archive._objs > ref).all(axis=1)]
-        return hypervolume_3d(pts, ref) if len(pts) else 0.0
-
-    hv_log = [archive_hv()]
+    hv_log = []
     gens = 0
-    for _ in range(config.generations):
-        kids = _offspring(rng, genomes, rank, crowd, lows, highs, config, pm)
-        kid_objs = evaluate(kids)
-        pool, pool_objs = np.vstack([genomes, kids]), np.vstack([objs, kid_objs])
-        keep, rank, crowd = _select(pool_objs, config.population_size)
-        genomes, objs, rank, crowd = pool[keep], pool_objs[keep], rank[keep], crowd[keep]
-        archive.add(individuals(kids, kid_objs))
-        gens += 1
-        hv_log.append(archive_hv())
-        if gens > config.hv_window:
-            base = hv_log[-1 - config.hv_window]
-            gain = hv_log[-1] - base
-            if gain < config.hv_rel_tol * max(abs(base), 1e-30):
+    stop_reason = "generation_cap"
+    with _archive_worker(_archive_stage(genomes, objs, ref)) as archive:
+        while True:
+            # archive holds generation ``gens``; make the next one meanwhile
+            state, kept = rng.bit_generator.state, (genomes, objs, rank, crowd)
+            failure = None
+            if gens < config.generations:
+                try:
+                    kids = _offspring(rng, genomes, rank, crowd, lows, highs, config, pm)
+                    kid_objs = evaluate(kids)
+                    pool, pool_objs = np.vstack([genomes, kids]), np.vstack([objs, kid_objs])
+                    keep, rank, crowd = _select(pool_objs, config.population_size)
+                    genomes, objs, rank, crowd = (pool[keep], pool_objs[keep],
+                                                  rank[keep], crowd[keep])
+                except Exception as exc:
+                    failure = exc
+            hv_log.append(archive.recv())
+            if gens > config.hv_window:
+                base = hv_log[-1 - config.hv_window]
+                gain = hv_log[-1] - base
+                if gain < config.hv_rel_tol * max(abs(base), 1e-30):
+                    rng.bit_generator.state = state
+                    genomes, objs, rank, crowd = kept
+                    stop_reason = "hv_plateau"
+                    break
+            if failure is not None:
+                raise failure
+            if gens == config.generations:
                 break
-
-    population = individuals(genomes, objs)
-    for ind, r, c in zip(population, rank.tolist(), crowd.tolist()):
-        ind.rank, ind.crowding = r, c
-    front = ParetoFront(individuals=list(archive.members), reference_point=ref)
-    return EvolveResult(front=front, hypervolume_log=hv_log,
-                        generations_run=gens, population=population)
+            archive.send((kids, kid_objs))
+            gens += 1
+        archive.send(None)
+        front = ParetoFront(individuals=_individuals(*archive.recv()), reference_point=ref)
+        population = _individuals(genomes, objs)
+        for ind, r, c in zip(population, rank.tolist(), crowd.tolist()):
+            ind.rank, ind.crowding = r, c
+    return EvolveResult(front=front, hypervolume_log=hv_log, generations_run=gens,
+                        population=population, stop_reason=stop_reason)

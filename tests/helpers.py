@@ -472,6 +472,7 @@ def evolve_reference(problem, lows, highs, config):
 
     hv_log = [archive_hv()]
     gens = 0
+    stop_reason = "generation_cap"
     for _ in range(config.generations):
         offspring = generation_reference(pop, rng, lows, highs, config, pm)
         offspring = evaluate(offspring)
@@ -483,11 +484,12 @@ def evolve_reference(problem, lows, highs, config):
             base = hv_log[-1 - config.hv_window]
             gain = hv_log[-1] - base
             if gain < config.hv_rel_tol * max(abs(base), 1e-30):
+                stop_reason = "hv_plateau"
                 break
 
     front = moea.ParetoFront(individuals=list(archive.members), reference_point=ref)
-    return moea.EvolveResult(front=front, hypervolume_log=hv_log,
-                             generations_run=gens, population=pop), rng
+    return moea.EvolveResult(front=front, hypervolume_log=hv_log, generations_run=gens,
+                             population=pop, stop_reason=stop_reason), rng
 
 
 def generation_reference(pop, rng, lows, highs, config, pm) -> list:

@@ -98,6 +98,17 @@ class TestSimulateCommand:
                              {"simulate": {"coefficients": {"kappa": -1}}},
                              "coefficients.kappa")
 
+    @pytest.mark.parametrize("gens, window, reason", [
+        (3, 10, "generation_cap"), (60, 1, "hv_plateau")])
+    def test_stdout_names_stop_reason(self, tmp_path, capsys, gens, window, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimize": {"ea": {
+            "population_size": 8, "generations": gens, "hv_window": window,
+            "hv_rel_tol": 0.5}}}))
+        assert main(["optimize", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert f"generations, stopped by {reason}," in capsys.readouterr().out
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -172,6 +183,7 @@ class TestOptimizeCommand:
         ({"population_size": "many"}, "ea.population_size"),
         ({"hv_window": 2.5}, "ea.hv_window"),
         ({"eta_c": float("inf")}, "ea.eta_c"),
+        ({"hv_rel_tol": -1}, "hv_rel_tol"),
         (5, "ea")])
     def test_bad_ea_entry_is_config_error(self, tmp_path, capsys, ea, key):
         _assert_config_error(tmp_path, capsys, "optimize",
@@ -183,6 +195,17 @@ class TestOptimizeCommand:
             "population_size": 8.0, "generations": 1, "mutation_prob": None}}}))
         assert main(["optimize", "--preset", "juneau", "--seed", "0",
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("gens, window, reason", [
+        (3, 10, "generation_cap"), (60, 1, "hv_plateau")])
+    def test_stdout_names_stop_reason(self, tmp_path, capsys, gens, window, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimize": {"ea": {
+            "population_size": 8, "generations": gens, "hv_window": window,
+            "hv_rel_tol": 0.5}}}))
+        assert main(["optimize", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert f"generations, stopped by {reason}," in capsys.readouterr().out
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -544,6 +567,17 @@ class TestSynthCommand:
     def test_requires_preset(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("gens, window, reason", [
+        (3, 10, "generation_cap"), (60, 1, "hv_plateau")])
+    def test_stdout_names_stop_reason(self, tmp_path, capsys, gens, window, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimize": {"ea": {
+            "population_size": 8, "generations": gens, "hv_window": window,
+            "hv_rel_tol": 0.5}}}))
+        assert main(["optimize", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert f"generations, stopped by {reason}," in capsys.readouterr().out
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -654,6 +688,23 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "seed" in err
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("simulate", {"simulate": {"seed": True}}, "seed"),
+        ("optimize", {"optimize": {"seed": 0, "ea": {"generations": True}}},
+         "ea.generations"),
+        ("optimize", {"optimize": {"seed": 0, "ea": {"mutation_prob": False}}},
+         "ea.mutation_prob"),
+        ("simulate", {"simulate": {"policy": {"tax_rate": False}}}, "policy.tax_rate"),
+        ("simulate", {"simulate": {"coefficients": {"alpha": True}}}, "coefficients.alpha"),
+        ("sensitivity", {"sensitivity": {"seed": 0, "morris_r": True}}, "morris_r")])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, command, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--preset", "juneau", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
     def test_integral_float_seed_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,8 @@
 import itertools
 import math
+import multiprocessing
+import multiprocessing.context
+import threading
 
 import numpy as np
 import pytest
@@ -597,6 +600,7 @@ class TestEvolve:
                        hv_window=5, hv_rel_tol=0.5)
         res = evolve(_toy, [-2.0], [2.0], cfg)
         assert res.generations_run < 200
+        assert res.stop_reason == "hv_plateau"
 
     def test_genomes_respect_bounds(self):
         cfg = EAConfig(population_size=20, generations=10, seed=6)
@@ -645,6 +649,11 @@ class TestEvolve:
         with pytest.raises(ConfigError):
             EAConfig(mutation_prob=1.5).validate()
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_hv_rel_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ConfigError, match="hv_rel_tol"):
+            EAConfig(hv_rel_tol=tol).validate()
+
     @pytest.mark.parametrize("ref", [(0.0, 0.0), (float("nan"), 0.0, 0.0),
                                      (0.0, float("inf"), 0.0), (1.0, 2.0, 3.0, 4.0),
                                      5.0, "abc", (None, 0.0, 0.0)])
@@ -688,12 +697,15 @@ def _fingerprint(result):
             np.array([m.objectives for m in front]).tobytes(),
             np.array([m.genome for m in pop]).tobytes(),
             np.array([m.objectives for m in pop]).tobytes(),
-            [m.rank for m in pop], np.array([m.crowding for m in pop]).tobytes())
+            [m.rank for m in pop], np.array([m.crowding for m in pop]).tobytes(),
+            result.stop_reason)
 
 
-def _run_both(monkeypatch, problem, lows, highs, cfg, make_rng=np.random.default_rng):
-    """Run ``evolve`` and the per-call reference on generators from
-    ``make_rng``; require the same result bits and final generator state."""
+def _run_both(monkeypatch, problem, lows, highs, cfg, make_rng=np.random.default_rng,
+              reference_problem=None):
+    """Run ``evolve`` and the per-call reference (on ``reference_problem``
+    if given) on generators from ``make_rng``; require the same result
+    bits and final generator state."""
     made = []
 
     def factory(seed):
@@ -702,7 +714,8 @@ def _run_both(monkeypatch, problem, lows, highs, cfg, make_rng=np.random.default
 
     monkeypatch.setattr(np.random, "default_rng", factory)
     result = evolve(problem, lows, highs, cfg)
-    reference, reference_rng = evolve_reference(problem, lows, highs, cfg)
+    reference, reference_rng = evolve_reference(reference_problem or problem,
+                                                 lows, highs, cfg)
     assert _fingerprint(result) == _fingerprint(reference)
     assert made[0].bit_generator.state == reference_rng.bit_generator.state
     return result
@@ -804,3 +817,116 @@ class TestArrayGeneration:
             monkeypatch.setattr(moea, name, forbidden)
         cfg = EAConfig(population_size=10, generations=3, seed=1)
         assert evolve(_tie_toy, [-2.0] * 2, [2.0] * 2, cfg).generations_run == 3
+
+
+def _failing_at(n: int):
+    """``_tie_toy`` that raises on its ``n``-th call, and its call log."""
+    calls = []
+
+    def problem(genomes):
+        calls.append(len(genomes))
+        if len(calls) == n:
+            raise EvaluationError(f"call {n}")
+        return _tie_toy(genomes)
+
+    return problem, calls
+
+
+_forks = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or moea._usable_cpus() < 2,
+    reason="the archive stage runs in-process here")
+
+
+class TestArchiveWorker:
+    """The archive stage runs in a forked worker, one generation behind."""
+
+    box = ([-2.0] * 2, [2.0] * 2)
+    # stops on the plateau at generation 10 of 60
+    plateau = EAConfig(population_size=8, generations=60, seed=4, hv_window=3,
+                       hv_rel_tol=0.01)
+
+    def test_early_plateau_stop_matches_reference(self, monkeypatch):
+        res = _run_both(monkeypatch, _tie_toy, *self.box, self.plateau)
+        assert res.stop_reason == "hv_plateau"
+        assert res.generations_run == 10
+
+    def test_failure_in_discarded_generation_returns_reference(self, monkeypatch):
+        # 1 initial call and 10 generations; call 12 makes the discarded one
+        problem, calls = _failing_at(12)
+        res = _run_both(monkeypatch, problem, *self.box, self.plateau,
+                        reference_problem=_tie_toy)
+        assert len(calls) == 1 + res.generations_run + 1
+
+    def test_failure_in_a_run_generation_raises(self):
+        for run in (evolve, evolve_reference):
+            problem, calls = _failing_at(4)
+            with pytest.raises(EvaluationError, match="^call 4$"):
+                run(problem, *self.box, self.plateau)
+            assert len(calls) == 4
+
+    def test_stage_exception_raised_in_main_process(self, monkeypatch):
+        hv = moea.hypervolume_3d
+        calls = []
+
+        def fails_at_generation_2(points, ref):
+            calls.append(len(points))
+            if len(calls) == 3:
+                raise ValueError("hypervolume 2")
+            return hv(points, ref)
+
+        monkeypatch.setattr(moea, "hypervolume_3d", fails_at_generation_2)
+        with pytest.raises(ValueError, match="hypervolume 2"):
+            evolve(_tie_toy, *self.box, self.plateau)
+
+    def test_worker_always_joined(self):
+        evolve(_tie_toy, *self.box, self.plateau)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(EvaluationError, match="call 4"):
+            evolve(_failing_at(4)[0], *self.box, self.plateau)
+        assert multiprocessing.active_children() == []
+
+    @_forks
+    def test_archive_runs_outside_the_main_process(self, monkeypatch):
+        added = []
+        add = _Archive.add
+        monkeypatch.setattr(_Archive, "add",
+                            lambda self, cands: (added.append(len(cands)), add(self, cands)))
+        res = evolve(_tie_toy, *self.box, self.plateau)
+        assert added == [] and res.front.individuals
+
+    @pytest.mark.parametrize("why", ["no fork", "one CPU", "fork fails", "threads"])
+    def test_in_process_path_gives_the_same_result(self, monkeypatch, why):
+        runs = [(self.plateau, self.box),
+                (EAConfig(population_size=12, generations=6, seed=3, hv_rel_tol=0.0),
+                 ([0.0, 0.5, -1.0], [1.0, 0.5, 3.0]))]
+        default = [_fingerprint(evolve(_tie_toy, *box, cfg)) for cfg, box in runs]
+        if why == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        elif why == "one CPU":
+            monkeypatch.setattr(moea, "_usable_cpus", lambda: 1)
+        elif why == "fork fails":
+            def no_process(self):
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", no_process)
+        added = []
+        add = _Archive.add
+        monkeypatch.setattr(_Archive, "add",
+                            lambda self, cands: (added.append(len(cands)), add(self, cands)))
+        done = threading.Event()
+        other = threading.Thread(target=done.wait, args=(60,))
+        if why == "threads":
+            other.start()
+        try:
+            assert [_fingerprint(evolve(_tie_toy, *box, cfg)) for cfg, box in runs] == default
+        finally:
+            done.set()
+            if other.ident is not None:
+                other.join(timeout=60)
+        assert added  # the stage did run in this process
+        assert multiprocessing.active_children() == []
+
+    @_forks
+    def test_runs_inside_a_daemonic_worker(self):
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            res = pool.apply(evolve, (_tie_toy, *self.box, self.plateau))
+        assert _fingerprint(res) == _fingerprint(evolve(_tie_toy, *self.box, self.plateau))
