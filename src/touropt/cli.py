@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import ConfigError, DataError, EvaluationError
 from .sd_core import (
     COEFF_FIELDS,
     POLICY_FIELDS,
+    SERIES_FIELDS,
     ModelCoefficients,
     PolicyVector,
     simulate,
@@ -108,8 +109,8 @@ def _effective_config(args, command: str) -> dict:
         cfg["out"] = args.out
     cfg.setdefault("out", "out")
     for key in ("preset", "dataset"):
-        if not isinstance(cfg.get(key), (str, type(None))):
-            raise ConfigError(f"{key} must be a string, not {cfg[key]!r}")
+        if cfg.get(key) is not None:
+            _string(key, cfg[key])
     if cfg.get("seed") is not None and _integer("seed", cfg["seed"]) < 0:
         raise ConfigError("seed must be a non-negative integer")
     return cfg
@@ -165,41 +166,38 @@ def _resolve_base(cfg: dict):
         raise ConfigError("config needs a 'preset' or a 'dataset' path")
     preset = get_preset(preset_name) if preset_name else get_preset("juneau")
     seed = _integer("seed", cfg.get("seed", 0))
+    column_map, defaults = cfg.get("column_map", {}), cfg.get("column_defaults", {})
+    for key, values in (("column_map", column_map), ("column_defaults", defaults)):
+        if not isinstance(values, dict):
+            raise ConfigError(f"{key} must be an object, not {values!r}")
+    for header, name in column_map.items():
+        if name != "year" and name not in SERIES_FIELDS:
+            raise ConfigError(f"column_map.{header} must be 'year' or a series name "
+                              f"{list(SERIES_FIELDS)}, not {name!r}")
+    unknown = sorted(f"column_defaults.{k}" for k in set(defaults) - set(SERIES_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
+    defaults = {k: _number(f"column_defaults.{k}", v) for k, v in defaults.items()}
     if dataset is not None:
-        for key in ("column_map", "column_defaults"):
-            if not isinstance(cfg.get(key), (dict, type(None))):
-                raise ConfigError(f"{key} must be an object, not {cfg[key]!r}")
-        defaults = {k: _number(f"column_defaults.{k}", v)
-                    for k, v in (cfg.get("column_defaults") or {}).items()}
-        table = load_table(dataset, cfg.get("column_map"))
-        exog = interpolate_missing(table, defaults)
+        exog = interpolate_missing(load_table(dataset, column_map), defaults)
     else:
         exog = synth_dataset(preset, seed)
     coeffs = preset.coefficients
-    if cfg.get("coefficients"):
-        unknown = set(cfg["coefficients"]) - set(ModelCoefficients.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown coefficients {sorted(unknown)}")
-        coeffs = replace(coeffs, **{k: _number(f"coefficients.{k}", v)
-                                     for k, v in cfg["coefficients"].items()})
-        try:
-            coeffs.validate()  # its messages start with the field name
-        except ValueError as e:
-            raise ConfigError(f"coefficients.{e}")
+    if "coefficients" in cfg:
+        coeffs = _decode("coefficients", ModelCoefficients, cfg["coefficients"], coeffs)
     init = initial_state(preset, exog, seed)
     return preset, exog, coeffs, init
 
 
-def _number(key: str, value, nonneg: bool = False) -> float:
-    """``value`` as a finite float (>= 0 if ``nonneg``), else a ConfigError.
+def _number(key: str, value) -> float:
+    """``value`` as a finite float, else a ConfigError naming ``key``.
     Booleans are refused: ``float(True)`` would read JSON ``true`` as 1."""
     try:
         x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
-    if not math.isfinite(x) or (nonneg and x < 0):
-        need = "a finite number >= 0" if nonneg else "a finite number"
-        raise ConfigError(f"{key} must be {need}, not {value!r}")
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be a finite number, not {value!r}")
     return x
 
 
@@ -215,47 +213,66 @@ def _optional_number(key: str, value):
     return None if value is None else _number(key, value)
 
 
-# parser of each optimize ``ea`` key; absent keys take EAConfig's defaults
-# (population size and generations come from the preset)
-_EA_KEYS = {
-    "population_size": _integer,
-    "generations": _integer,
-    "eta_c": _number,
-    "eta_m": _number,
-    "mutation_prob": _optional_number,
-    "crossover_prob": _number,
-    "hv_window": _integer,
-    "hv_rel_tol": _number,
-}
+def _string(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, not {value!r}")
+    return value
+
+
+# the parser of each declared field type a config object may set; a field
+# of any other type (EAConfig.reference_point) is not a config key
+_PARSERS = {"int": _integer, "float": _number, "float | None": _optional_number,
+            "str": _string}
+
+
+def _decode(key: str, cls, values, base=None, fixed=()):
+    """The dataclass ``cls`` object that config object ``values`` describes,
+    else a ConfigError naming ``<key>.<field>``.
+
+    ``values`` overrides fields of ``base``; with no ``base`` it must hold
+    every field that has no default.  Fields in ``fixed`` are the caller's,
+    not config keys.  The field types are read as the strings postponed
+    annotations leave, so no type hint is evaluated.  The ranges are the
+    object's own ``validate`` or ``__post_init__`` checks, whose messages
+    start with the field name."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{key} must be an object, not {values!r}")
+    decoded = [f for f in fields(cls) if f.type in _PARSERS and f.name not in fixed]
+    unknown = sorted(f"{key}.{k}" for k in set(values) - {f.name for f in decoded})
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
+    missing = [f"{key}.{f.name}" for f in decoded if base is None
+               and f.name not in values and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"missing config keys {missing}")
+    parsed = {f.name: _PARSERS[f.type](f"{key}.{f.name}", values[f.name])
+              for f in decoded if f.name in values}
+    try:
+        obj = cls(**parsed) if base is None else replace(base, **parsed)
+        if hasattr(obj, "validate"):
+            obj.validate()
+    except (ValueError, ConfigError) as e:
+        raise ConfigError(f"{key}.{e}") from None
+    return obj
 
 
 def _resolve_ea(cfg: dict, preset, seed: int) -> EAConfig:
-    ea_cfg = cfg.get("ea", {})
-    if not isinstance(ea_cfg, dict):
-        raise ConfigError("ea must be an object")
-    unknown = sorted(f"ea.{k}" for k in set(ea_cfg) - set(_EA_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown ea keys {unknown}")
-    values = {"population_size": preset.ea_population,
-              "generations": preset.ea_generations}
-    values.update({k: _EA_KEYS[k](f"ea.{k}", v) for k, v in ea_cfg.items()})
-    return EAConfig(seed=seed, **values)
+    """The ``ea`` settings over the preset's population size and generations."""
+    base = EAConfig(population_size=preset.ea_population,
+                    generations=preset.ea_generations, seed=seed)
+    return _decode("ea", EAConfig, cfg.get("ea", {}), base, fixed=("seed",))
 
 
 def _resolve_policy(cfg: dict, preset) -> PolicyVector:
     choice = cfg.get("policy")
     if choice is None:
         return preset.reference_policy
-    if isinstance(choice, dict):
-        unknown = set(choice) - set(POLICY_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown policy fields {sorted(unknown)}")
-        return replace(preset.reference_policy, **{
-            k: _number(f"policy.{k}", v, nonneg=True) for k, v in choice.items()})
-    if isinstance(choice, (list, tuple)) and len(choice) == len(POLICY_FIELDS):
-        return PolicyVector.from_array([_number(f"policy.{f}", v, nonneg=True)
-                                        for f, v in zip(POLICY_FIELDS, choice)])
-    raise ConfigError("policy must be a field map or a 7-element list")
+    if isinstance(choice, list):
+        if len(choice) != len(POLICY_FIELDS):
+            raise ConfigError(f"policy must be a field map or a {len(POLICY_FIELDS)}"
+                              f"-element list, not {choice!r}")
+        choice = dict(zip(POLICY_FIELDS, choice))
+    return _decode("policy", PolicyVector, choice, preset.reference_policy)
 
 
 def _require_seed(cfg: dict, command: str) -> int:
@@ -340,24 +357,21 @@ def cmd_optimize(args) -> int:
 
 def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
     """The sensitivity space.  Bounds given by name must lie in the model's
-    domain: a policy lever's are finite and >= 0, as ``policy`` values are,
-    and a coefficient's pass ``ModelCoefficients.validate`` at both ends."""
+    domain: each end of a policy lever's or a coefficient's range is checked
+    as a ``policy`` or ``coefficients`` value is."""
     choice = cfg.get("space", "full")
     if isinstance(choice, dict):
         bounds = {}
         for k, v in choice.items():
             if not (isinstance(v, list) and len(v) == 2):
                 raise ConfigError(f"space.{k} must be [low, high], not {v!r}")
-            bounds[k] = tuple(_number(f"space.{k}", x, nonneg=k in POLICY_FIELDS)
-                              for x in v)
+            bounds[k] = tuple(_number(f"space.{k}", x) for x in v)
             if not bounds[k][0] < bounds[k][1]:
                 raise ConfigError(f"space.{k} must have low < high, not {v!r}")
-            if k in COEFF_FIELDS:
+            if k in COEFF_FIELDS or k in POLICY_FIELDS:  # each end must decode
+                model = coeffs if k in COEFF_FIELDS else policy
                 for x in bounds[k]:
-                    try:
-                        replace(coeffs, **{k: x}).validate()
-                    except ValueError as e:  # its messages start with the field name
-                        raise ConfigError(f"space.{e}, not {x!r}")
+                    _decode("space", type(model), {k: x}, model)
         # a name that is neither field is rejected by analyze_model before sampling
         return ParameterSpace.from_dict(bounds)
     if choice == "full":
@@ -422,19 +436,8 @@ def cmd_scenario(args) -> int:
     if choice == "default":
         allocs = list(DEFAULT_SCENARIOS)
     elif isinstance(choice, list) and choice:
-        for i, s in enumerate(choice):
-            if not isinstance(s, dict):
-                raise ConfigError(f"scenarios[{i}] must be an object, not {s!r}")
-            unknown = sorted(f"scenarios[{i}].{k}" for k in set(s) - _SCENARIO_KEYS)
-            if unknown:
-                raise ConfigError(f"unknown scenario keys {unknown}")
-        try:
-            allocs = [AllocationPolicy(s["name"], float(s["theta_env"]),
-                                       float(s["theta_infra"]),
-                                       float(s["theta_community"]),
-                                       float(s["theta_marketing"])) for s in choice]
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad scenario entry: {e}")
+        allocs = [_decode(f"scenarios[{i}]", AllocationPolicy, s)
+                  for i, s in enumerate(choice)]
     else:
         raise ConfigError("scenarios must be 'default' or a non-empty list")
     comparison = compare_scenarios(allocs, policy, exog, coeffs, init,
@@ -466,16 +469,15 @@ def _resolve_sites(cfg: dict):
     choice = cfg.get("sites", "iceland7")
     if choice == "iceland7":
         return iceland_sites()
-    if isinstance(choice, list) and choice:
-        for i, s in enumerate(choice):
-            if not isinstance(s, dict):
-                raise ConfigError(f"sites[{i}] must be an object, not {s!r}")
-        try:
-            return [SiteState(**{k: (v if k == "name" else _number(f"sites.{k}", v))
-                                 for k, v in s.items()}) for s in choice]
-        except TypeError as e:
-            raise ConfigError(f"bad site entry: {e}")
-    raise ConfigError("sites must be 'iceland7' or a non-empty list")
+    if not (isinstance(choice, list) and choice):
+        raise ConfigError("sites must be 'iceland7' or a non-empty list")
+    sites = [_decode(f"sites[{i}]", SiteState, s) for i, s in enumerate(choice)]
+    names = [s.name for s in sites]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # flow results are keyed by site name
+            raise ConfigError(f"sites[{i}].name {name!r} repeats "
+                              f"sites[{names.index(name)}].name")
+    return sites
 
 
 def _resolve_schedule(cfg: dict, sites, years) -> dict:
@@ -508,25 +510,19 @@ def cmd_redistribute(args) -> int:
     sites = _resolve_sites(cfg)
     span = cfg.get("years", [2024, 2033])
     if not (isinstance(span, list) and len(span) == 2
-            and all(isinstance(y, int) and not isinstance(y, bool) for y in span)):
-        raise ConfigError(f"years must be [first, last] integers, not {span!r}")
+            and all(isinstance(y, int) and not isinstance(y, bool) for y in span)
+            and span[0] <= span[1]):
+        raise ConfigError(f"years must be [first, last] integers with first <= last, "
+                          f"not {span!r}")
     years = list(range(span[0], span[1] + 1))
-    if not years:
-        raise ConfigError("empty year range")
-    island = cfg.get("island_params", {})
-    if not isinstance(island, dict):
-        raise ConfigError("island_params must be an object")
-    unknown = set(island) - set(IslandParams.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown island_params {sorted(unknown)}")
-    params = IslandParams(**{k: _number(f"island_params.{k}", v)
-                             for k, v in island.items()})
+    params = _decode("island_params", IslandParams, cfg.get("island_params", {}))
     result = redistribute(sites, params, _resolve_schedule(cfg, sites, years), years)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, "redistribute")
     rows = []
     share_total = result.visitors.sum(axis=0)
+    share_total[share_total == 0] = math.inf  # no visitors that year: every share is 0
     for i, name in enumerate(result.site_names):
         for t, year in enumerate(result.years):
             rows.append([name, year, repr(float(result.visitors[i, t])),
@@ -581,7 +577,6 @@ _COMMAND_KEYS = {
     "synth": _FLAG_KEYS,
 }
 _ALL_KEYS = frozenset().union(*_COMMAND_KEYS.values())
-_SCENARIO_KEYS = frozenset(AllocationPolicy.__dataclass_fields__)
 
 COMMANDS = {
     "simulate": cmd_simulate,

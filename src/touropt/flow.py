@@ -58,18 +58,20 @@ class SiteState:
     co2: float = 0.0         # tons/year
 
     def validate(self) -> None:
+        """Raise ValueError for the first out-of-range field; the message
+        starts with the field's name."""
         if not 0.0 <= self.env_index <= 1.0:
-            raise ValueError(f"{self.name}: env_index outside [0, 1]")
+            raise ValueError("env_index outside [0, 1]")
         if not 0.0 <= self.satisfaction <= 1.0:
-            raise ValueError(f"{self.name}: satisfaction outside [0, 1]")
+            raise ValueError("satisfaction outside [0, 1]")
         if self.capacity <= 0:
-            raise ValueError(f"{self.name}: capacity must be > 0")
+            raise ValueError("capacity must be > 0")
         if self.population <= 0:
-            raise ValueError(f"{self.name}: population must be > 0")
+            raise ValueError("population must be > 0")
         if not 0.0 <= self.visitors <= self.capacity:
-            raise ValueError(f"{self.name}: visitors outside [0, capacity]")
+            raise ValueError("visitors outside [0, capacity]")
         if self.marketing < 0:
-            raise ValueError(f"{self.name}: marketing must be >= 0")
+            raise ValueError("marketing must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -174,8 +176,10 @@ class FlowResult:
     totals: np.ndarray     # island-wide potential per year
 
     def final_shares(self) -> dict:
+        """Each site's share of the last year's visitors; all 0 if there
+        were none."""
         v = self.visitors[:, -1]
-        total = v.sum()
+        total = v.sum() or math.inf
         return {name: float(v[i] / total) for i, name in enumerate(self.site_names)}
 
 
@@ -203,7 +207,10 @@ def redistribute(sites, params: IslandParams, schedule: dict, years) -> FlowResu
         raise DataError("need at least one year")
     params.validate()
     for s in sites:
-        s.validate()
+        try:
+            s.validate()
+        except ValueError as e:
+            raise ValueError(f"{s.name}: {e}") from None
     if schedule:
         for name in schedule:
             if name not in {s.name for s in sites}:

@@ -96,8 +96,9 @@ class EAConfig:
     def validate(self) -> None:
         if self.population_size < 4 or self.population_size % 2:
             raise ConfigError("population_size must be even and >= 4")
-        if self.eta_c <= 0 or self.eta_m <= 0:
-            raise ConfigError("distribution indices must be > 0")
+        for name in ("eta_c", "eta_m"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
         if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
             raise ConfigError("mutation_prob must be in [0, 1]")
         if not 0.0 <= self.crossover_prob <= 1.0:

@@ -107,7 +107,8 @@ class PolicyVector:
     capacity_limit=-5)`` is accepted, and ``simulate`` rejects only a
     negative tax rate or carbon fee and a non-finite vessel limit.  The CLI
     is the boundary that rejects any negative or non-finite lever, in
-    ``policy`` and in ``space`` bounds alike.
+    ``policy`` and in ``space`` bounds alike; ``validate`` holds its
+    range, and nothing in the library calls it.
     """
 
     tax_rate: float = 0.0
@@ -117,6 +118,13 @@ class PolicyVector:
     ship_limit: float = 800.0
     carbon_fee: float = 0.0
     glacier_ratio: float = 0.5
+
+    def validate(self) -> None:
+        """Raise ValueError for the first negative lever; the message starts
+        with the field's name."""
+        for name in POLICY_FIELDS:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, f) for f in POLICY_FIELDS], dtype=float)

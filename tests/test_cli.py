@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -184,7 +185,12 @@ class TestOptimizeCommand:
         ({"hv_window": 2.5}, "ea.hv_window"),
         ({"eta_c": float("inf")}, "ea.eta_c"),
         ({"hv_rel_tol": -1}, "hv_rel_tol"),
-        (5, "ea")])
+        (5, "ea"),
+        ({"eta_c": 0}, "ea.eta_c must be > 0"),
+        ({"eta_m": -1.0}, "ea.eta_m must be > 0"),
+        ({"population_size": 6.0, "generations": 0}, "ea.generations"),
+        ({"seed": 1}, "ea.seed"),  # the seed is --seed or the section's seed
+        ({"reference_point": [1, 2, 3]}, "ea.reference_point")])
     def test_bad_ea_entry_is_config_error(self, tmp_path, capsys, ea, key):
         _assert_config_error(tmp_path, capsys, "optimize",
                              {"optimize": {"ea": ea}}, key)
@@ -442,6 +448,131 @@ class TestSensitivityCommand:
                        ("morris_r", "morris_levels", "sobol_n", "bootstrap"))
 
 
+def _sections(broken: bool) -> dict:
+    """Per command, the keys every fuzzed document holds (so each run stays
+    tiny) and the keys it may hold.  The values are numbers and names of the
+    right kind, some out of range; when ``broken`` they also take values of
+    the wrong kind (booleans are not numbers, names are strings), objects
+    take unknown keys, and sections take the wrong shape."""
+    def pick(good, bad):
+        return st.sampled_from(good + bad if broken else good)
+
+    num = st.one_of(st.floats(0.0, 1.0), pick([0, 1, 2.0], [-1, "x", None, True, [], {}]))
+    name = pick(["A", "B", "A"], [3, True])
+
+    def obj(fields, required=()):
+        required = {k: fields[k] for k in required}
+        optional = {k: v for k, v in fields.items() if k not in required}
+        if broken:
+            optional["warp"] = num
+        entry = st.fixed_dictionaries(required, optional=optional)
+        return st.one_of(entry, st.sampled_from([5, "x", [1]])) if broken else entry
+
+    # a broken entry may lack its last field, which has no default
+    site_fields = ("name", "env_index", "satisfaction", "visitors", "capacity",
+                   "population", "price", "marketing")
+    site = obj(dict.fromkeys(site_fields + ("co2",), num) | {"name": name},
+               required=site_fields[:-1] if broken else site_fields)
+    scenario_fields = ("name", "theta_env", "theta_infra", "theta_community",
+                       "theta_marketing")
+    scenario = obj(dict.fromkeys(scenario_fields, num) | {"name": name},
+                   required=scenario_fields[:-1] if broken else scenario_fields)
+    policy = obj(dict.fromkeys(("tax_rate", "capacity_limit", "carbon_fee",
+                                "glacier_ratio"), num))
+    if broken:
+        policy = st.one_of(policy, st.lists(num, min_size=6, max_size=8))
+    base = {"coefficients": obj(dict.fromkeys(("alpha", "delta", "k1"), num)),
+            "column_map": obj({"yr": pick(["year", "V_base"], ["bar", 3])}),
+            "column_defaults": obj({"population": num}
+                                   | ({"nosuch": num} if broken else {}))}
+    ea = obj({"population_size": pick([4, 4.0], [3, 6, "4", True]),
+              "generations": pick([1, 1.0], [0, 1.5, "1", None]),
+              "eta_c": num, "eta_m": num, "mutation_prob": num,
+              "crossover_prob": num, "hv_window": pick([1, 2], [0, 1.5]),
+              "hv_rel_tol": num}, required=("population_size", "generations"))
+    return {
+        "simulate": ({}, base | {"policy": policy}),
+        "optimize": ({"ea": ea}, base),
+        "sensitivity": (
+            {"morris_r": pick([1, 2, 3], [0, "x", 2.5]),
+             "sobol_n": pick([2, 4, 8], [1, None]),
+             "bootstrap": pick([1, 5], [0, True])},
+            base | {"policy": policy,
+                    "method": pick(["morris", "sobol"], ["laplace", 1]),
+                    "morris_levels": pick([4, 6], [3, 4.5]),
+                    "output": pick(["all", "f2"], ["f4", ["f1"]]),
+                    "uncertainty_rel": num,
+                    "space": st.one_of(
+                        pick(["full", "policy", "policy_uncertainty"], ["x", 3]),
+                        st.dictionaries(pick(["tax_rate", "kappa"], ["warp"]),
+                                        st.lists(num, min_size=2, max_size=2),
+                                        max_size=2))}),
+        "scenario": ({}, base | {"policy": policy, "scenarios": st.one_of(
+            pick(["default"], ["x", 4, []]),
+            st.lists(scenario, min_size=1, max_size=2))}),
+        "redistribute": (
+            {"years": pick([[2024, 2025], [2024, 2026]],
+                           [[2025, 2024], [2024], [True, 3], "2024"])},
+            {"sites": st.one_of(pick(["iceland7"], ["x", []]),
+                                st.lists(site, min_size=1, max_size=2)),
+             "island_params": obj(dict.fromkeys(("phi", "a4", "delta"), num)),
+             "schedule": pick(["constant", "redistribution"],
+                              [3, {"Blue Lagoon": {"price": [1.0]}}])}),
+        "synth": ({}, {}),
+    }
+
+
+_SECTIONS = {broken: _sections(broken) for broken in (False, True)}
+
+
+def _key_paths(value, prefix=""):
+    """Every key path in a config value: ``a``, ``a.b``, ``a[0]``, ..."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            path = f"{prefix}.{k}" if prefix else k
+            yield path
+            yield from _key_paths(v, path)
+    elif isinstance(value, list) and prefix:
+        for i, v in enumerate(value):
+            yield f"{prefix}[{i}]"
+            yield from _key_paths(v, f"{prefix}[{i}]")
+
+
+@st.composite
+def _documents(draw):
+    broken = draw(st.booleans())
+    command = draw(st.sampled_from(sorted(_SECTIONS[broken])))
+    always, maybe = _SECTIONS[broken][command]
+    section = draw(st.fixed_dictionaries(always, optional=maybe))
+    seed = draw(st.sampled_from([0, 1, 2.0] + ([-1, "x", None] if broken else [])))
+    return command, {"common": {"seed": seed}, command: section}
+
+
+class TestConfigDocumentFuzz:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_documents())
+    def test_fuzz_config_documents(self, case):
+        command, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--preset", "juneau", "--config", str(cfg),
+                             "--out", str(out)])
+            written = [p.read_text() for p in out.glob("*")] if out.exists() else []
+        message = err.getvalue()
+        assert code in (0, 2, 3, 4), message
+        assert "Traceback" not in message
+        if code == 2:  # the message names a key path of the document
+            paths = set(_key_paths(doc[command])) | set(_key_paths(doc["common"]))
+            assert any(p in message for p in paths), message
+        for text in written:
+            assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), text
+
+
 class TestScenarioCommand:
     def test_default_four_scenarios(self, tmp_path):
         out = tmp_path / "sc"
@@ -474,6 +605,25 @@ class TestScenarioCommand:
                  "theta_community": 0.0, "theta_marketing": 0.0, "warp": 1}
         _assert_config_error(tmp_path, capsys, "scenario",
                              {"scenario": {"scenarios": [entry]}}, "scenarios[0].warp")
+
+    _SCENARIO = {"name": "A", "theta_env": 0.5, "theta_infra": 0.2,
+                 "theta_community": 0.2, "theta_marketing": 0.1}
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"theta_env": True}, "scenarios[0].theta_env"),
+        ({"theta_env": 1.5}, "scenarios[0].theta_env"),
+        ({"theta_infra": "x"}, "scenarios[0].theta_infra"),
+        ({"name": 3}, "scenarios[0].name"),
+        ({"theta_marketing": None}, "scenarios[0].theta_marketing")])
+    def test_bad_scenario_entry_names_key(self, tmp_path, capsys, entry, key):
+        scenario = {k: v for k, v in {**self._SCENARIO, **entry}.items() if v is not None}
+        _assert_config_error(tmp_path, capsys, "scenario",
+                             {"scenario": {"scenarios": [scenario]}}, key)
+
+    def test_non_object_scenario_is_config_error(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "scenario",
+                             {"scenario": {"scenarios": [self._SCENARIO, 3]}},
+                             "scenarios[1] must be an object")
 
     def test_custom_scenarios(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -510,7 +660,7 @@ class TestRedistributeCommand:
         assert len(rows) == 7 * 3
 
     @pytest.mark.parametrize("years", [[2024], [2024, 2026, 2028], "2024-2026",
-                                       [2024, "x"], [True, 3]])
+                                       [2024, "x"], [True, 3], [2025, 2024]])
     def test_bad_years_is_config_error(self, tmp_path, capsys, years):
         _assert_config_error(tmp_path, capsys, "redistribute",
                              {"redistribute": {"years": years}}, "years")
@@ -548,7 +698,59 @@ class TestRedistributeCommand:
         site = dict(name="A", env_index=0.8, satisfaction=0.7, visitors="x",
                     capacity=1e5, population=1e4, price=1.0, marketing=1.0)
         _assert_config_error(tmp_path, capsys, "redistribute",
-                             {"redistribute": {"sites": [site]}}, "sites.visitors")
+                             {"redistribute": {"sites": [site]}}, "sites[0].visitors")
+
+    _SITE = dict(name="A", env_index=0.8, satisfaction=0.7, visitors=5e4,
+                 capacity=1e5, population=1e4, price=1.0, marketing=1.0)
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"capacity": -5}, "sites[0].capacity must be > 0"),
+        ({"name": 5}, "sites[0].name must be a string"),
+        ({"marketing": None}, "sites[0].marketing"),
+        ({"visitors": 2e5}, "sites[0].visitors outside [0, capacity]"),
+        ({"env_index": True}, "sites[0].env_index"),
+        ({"warp": 1}, "sites[0].warp")])
+    def test_bad_site_entry_names_key(self, tmp_path, capsys, entry, key):
+        site = {k: v for k, v in {**self._SITE, **entry}.items() if v is not None}
+        _assert_config_error(tmp_path, capsys, "redistribute",
+                             {"redistribute": {"sites": [site]}}, key)
+
+    def test_duplicate_site_name_is_config_error(self, tmp_path, capsys):
+        sites = [self._SITE, {**self._SITE, "name": "B"}, self._SITE]
+        _assert_config_error(tmp_path, capsys, "redistribute",
+                             {"redistribute": {"sites": sites}}, "sites[2].name")
+
+    def test_custom_sites_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"redistribute": {"years": [2024, 2025], "sites": [
+            self._SITE, {**self._SITE, "name": "B", "co2": 10}]}}))
+        out = tmp_path / "f"
+        assert main(["redistribute", "--preset", "iceland", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "flow_final.json").read_text())
+        assert sorted(doc["shares"]) == ["A", "B"]
+        assert sum(doc["shares"].values()) == pytest.approx(1.0)
+
+    def test_year_without_visitors_has_zero_shares(self, tmp_path):
+        # no visitors at the start, and none arrive without a campaign boost
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"redistribute": {
+            "years": [2024, 2025], "island_params": {"dev_boost": 0},
+            "sites": [{**self._SITE, "visitors": 0}]}}))
+        out = tmp_path / "f"
+        assert main(["redistribute", "--preset", "iceland", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = _read_csv(out / "flow_sites.csv")
+        assert [r[5] for r in rows] == ["0.0", "0.0"]
+        assert json.loads((out / "flow_final.json").read_text())["shares"] == {"A": 0.0}
+
+    @pytest.mark.parametrize("params, key", [
+        ({"a4": -1}, "island_params.a4 must be >= 0"),
+        ({"delta": True}, "island_params.delta"),
+        ([1], "island_params must be an object")])
+    def test_bad_island_param_names_key(self, tmp_path, capsys, params, key):
+        _assert_config_error(tmp_path, capsys, "redistribute",
+                             {"redistribute": {"island_params": params}}, key)
 
     @pytest.mark.parametrize("entry", [1, "A", None, [1, 2]])
     def test_non_object_site_is_config_error(self, tmp_path, capsys, entry):
@@ -627,7 +829,9 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("defaults, key", [
         (3, "column_defaults"),
-        ({"unemployment": "x"}, "column_defaults.unemployment")])
+        ({"unemployment": "x"}, "column_defaults.unemployment"),
+        ({"nosuch": 1}, "column_defaults.nosuch"),
+        ({"year": 2008}, "column_defaults.year")])
     def test_malformed_column_defaults_is_config_error(self, tmp_path, capsys,
                                                        defaults, key):
         data = tmp_path / "d.csv"
@@ -635,6 +839,35 @@ class TestConfigHandling:
         _assert_config_error(tmp_path, capsys, "simulate",
                              {"simulate": {"dataset": str(data),
                                            "column_defaults": defaults}}, key)
+
+    @pytest.mark.parametrize("column_map, key", [
+        ({"foo": "bar"}, "column_map.foo"), ({"year": 3}, "column_map.year")])
+    def test_unknown_column_map_target_is_config_error(self, tmp_path, capsys,
+                                                       column_map, key):
+        data = tmp_path / "d.csv"
+        data.write_text("year,V_base\n2008,1\n")
+        _assert_config_error(tmp_path, capsys, "simulate",
+                             {"simulate": {"dataset": str(data), "column_map": column_map}},
+                             key)
+
+    def test_column_map_renames_year_and_series(self, tmp_path):
+        synth = tmp_path / "s"
+        assert main(["synth", "--preset", "juneau", "--seed", "1",
+                     "--out", str(synth)]) == 0
+        text = (synth / "dataset.csv").read_text()
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(text.replace("year,V_base,", "Yr,Visits,", 1))
+        assert "Yr,Visits," in renamed.read_text()
+        bodies = []
+        for data, extra in ((synth / "dataset.csv", {}),
+                            (renamed, {"column_map": {"Yr": "year", "Visits": "V_base"}})):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"simulate": {"dataset": str(data), **extra}}))
+            out = tmp_path / data.stem
+            assert main(["simulate", "--preset", "juneau", "--seed", "0",
+                         "--config", str(cfg), "--out", str(out)]) == 0
+            bodies.append(_read_csv(out / "trajectory.csv"))
+        assert bodies[0] == bodies[1]
 
     def test_invalid_json_is_config_error(self, tmp_path):
         cfg = tmp_path / "broken.json"

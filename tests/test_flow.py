@@ -216,6 +216,13 @@ class TestRedistribute:
             redistribute(sites, IslandParams(),
                          {"a": {"marketing": [1.0]}}, years)
 
+    def test_site_validation_names_field_and_redistribute_adds_site(self):
+        with pytest.raises(ValueError, match="^capacity must be > 0$"):
+            _site(name="a", capacity=-5.0).validate()
+        with pytest.raises(ValueError, match="^a: capacity must be > 0$"):
+            redistribute([_site(name="a", capacity=-5.0)], IslandParams(), {},
+                         [2024, 2025])
+
     def test_unknown_site_in_schedule_rejected(self):
         with pytest.raises(DataError):
             redistribute([_site(name="a")], IslandParams(),

@@ -644,8 +644,10 @@ class TestEvolve:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             EAConfig(population_size=5).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^eta_c must be > 0$"):
             EAConfig(eta_c=0.0).validate()
+        with pytest.raises(ConfigError, match="^eta_m must be > 0$"):
+            EAConfig(eta_m=-1.0).validate()
         with pytest.raises(ConfigError):
             EAConfig(mutation_prob=1.5).validate()
 

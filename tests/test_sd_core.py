@@ -324,6 +324,12 @@ class TestValidation:
             tp.ModelCoefficients(delta=1.5).validate()
         tp.ModelCoefficients(eps_price=-2.0).validate()  # negative allowed here
 
+    @pytest.mark.parametrize("name", sd_core.POLICY_FIELDS)
+    def test_negative_lever_named_by_policy_validate(self, name):
+        tp.PolicyVector(**{name: 0.0}).validate()
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            tp.PolicyVector(**{name: -1e-9}).validate()
+
     def test_series_validation(self):
         good = flat_exog()
         good.validate()
