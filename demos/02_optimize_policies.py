@@ -26,16 +26,16 @@ def problem(genomes):
 config = tp.EAConfig(population_size=100, generations=40, seed=7)
 result = tp.evolve(problem, preset.bounds.lows(), preset.bounds.highs(), config)
 
-objs = result.front.objective_array()
+genomes, objs = result.front.genomes, result.front.objectives
 print(f"front size {len(objs)} after {result.generations_run} generations")
 hv = result.hypervolume_log
 print(f"hypervolume grew {hv[0]:.3e} -> {hv[-1]:.3e}\n")
 
 labels = ["max revenue", "max environment", "max satisfaction"]
 for k, label in enumerate(labels):
-    ind = result.front.individuals[int(np.argmax(objs[:, k]))]
-    p = tp.PolicyVector.from_array(ind.genome)
-    f1, f2, f3 = ind.objectives
+    best = int(np.argmax(objs[:, k]))
+    p = tp.PolicyVector.from_array(genomes[best])
+    f1, f2, f3 = objs[best]
     print(f"--- {label}: f1=${f1:.3e}, E_T={f2:.3f}, S_T={f3:.3f}")
     print(f"    tax={p.tax_rate:.2f}  fee=${p.carbon_fee:.0f}  "
           f"env_share={p.env_ratio:.2f}  glacier_share={p.glacier_ratio:.2f}")

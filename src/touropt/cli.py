@@ -330,21 +330,16 @@ def cmd_optimize(args) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, "optimize")
-    order = np.argsort([-ind.objectives[0] for ind in front.individuals], kind="stable")
-    rows = []
-    for i in order:
-        ind = front.individuals[int(i)]
-        rows.append([repr(float(g)) for g in ind.genome]
-                    + [repr(float(v)) for v in ind.objectives])
+    order = np.argsort(-front.objectives[:, 0], kind="stable")
+    rows = [[repr(v) for v in row]
+            for row in np.hstack([front.genomes, front.objectives])[order].tolist()]
     _write_csv(out / "pareto_front.csv", meta,
                list(POLICY_FIELDS) + list(OUTPUT_NAMES), rows)
     _write_csv(out / "hypervolume.csv", meta, ["generation", "hypervolume"],
                [[g, repr(float(hv))] for g, hv in enumerate(result.hypervolume_log)])
-    objs = front.objective_array()[order]
+    x, y, color = front.objectives[order].T.tolist()
     _write_json(out / "pareto_bubble.json", meta, {
-        "x": [float(v) for v in objs[:, 0]],
-        "y": [float(v) for v in objs[:, 1]],
-        "color": [float(v) for v in objs[:, 2]],
+        "x": x, "y": y, "color": color,
         "x_label": "f1",
         "y_label": "f2",
         "color_label": "f3",
@@ -438,6 +433,7 @@ def cmd_scenario(args) -> int:
     elif isinstance(choice, list) and choice:
         allocs = [_decode(f"scenarios[{i}]", AllocationPolicy, s)
                   for i, s in enumerate(choice)]
+        _refuse_repeated_names("scenarios", allocs)
     else:
         raise ConfigError("scenarios must be 'default' or a non-empty list")
     comparison = compare_scenarios(allocs, policy, exog, coeffs, init,
@@ -465,6 +461,14 @@ def cmd_scenario(args) -> int:
     return EXIT_OK
 
 
+def _refuse_repeated_names(key: str, entries) -> None:
+    """Results are keyed by name: no two ``<key>[i]`` entries may share one."""
+    names = [e.name for e in entries]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{key}[{i}].name {name!r} repeats {key}[{names.index(name)}].name")
+
+
 def _resolve_sites(cfg: dict):
     choice = cfg.get("sites", "iceland7")
     if choice == "iceland7":
@@ -472,11 +476,7 @@ def _resolve_sites(cfg: dict):
     if not (isinstance(choice, list) and choice):
         raise ConfigError("sites must be 'iceland7' or a non-empty list")
     sites = [_decode(f"sites[{i}]", SiteState, s) for i, s in enumerate(choice)]
-    names = [s.name for s in sites]
-    for i, name in enumerate(names):
-        if name in names[:i]:  # flow results are keyed by site name
-            raise ConfigError(f"sites[{i}].name {name!r} repeats "
-                              f"sites[{names.index(name)}].name")
+    _refuse_repeated_names("sites", sites)
     return sites
 
 
@@ -490,6 +490,8 @@ def _resolve_schedule(cfg: dict, sites, years) -> dict:
         raise ConfigError("schedule must be 'redistribution', 'constant', or a map")
     schedule = {}
     for site, entry in choice.items():
+        if site not in {s.name for s in sites}:
+            raise ConfigError(f"schedule.{site} names no site in sites")
         if not isinstance(entry, dict):
             raise ConfigError(f"schedule.{site} must be an object of per-year "
                               f"lists, not {entry!r}")
@@ -499,8 +501,9 @@ def _resolve_schedule(cfg: dict, sites, years) -> dict:
         schedule[site] = {}
         for fld, seq in entry.items():
             key = f"schedule.{site}.{fld}"
-            if not isinstance(seq, list):
-                raise ConfigError(f"{key} must be a list of finite numbers, not {seq!r}")
+            if not isinstance(seq, list) or len(seq) < len(years) - 1:  # one per year step
+                raise ConfigError(f"{key} must be a list of {len(years) - 1} or more "
+                                  f"finite numbers, not {seq!r}")
             schedule[site][fld] = [_number(key, v) for v in seq]
     return schedule
 

@@ -301,14 +301,12 @@ def iceland_redistribution_schedule(sites, years) -> dict:
     ramp = np.linspace(0.0, 1.0, max(n, 2))[:n]
     out = {}
     for s in sites:
-        hot = s.name in HOTSPOTS
-        if hot:
-            marketing = s.marketing + (2.0 - s.marketing) * ramp  # fade toward 2.0
+        marketing = s.marketing + (2.0 - s.marketing) * ramp  # toward 2.0 at every site
+        if s.name in HOTSPOTS:
             price = s.price + 0.2 * ramp
             env_fund = np.full(n, 5e5)
             community_fund = np.full(n, 2e5)
         else:
-            marketing = s.marketing + (2.0 - s.marketing) * ramp  # build toward 2.0
             price = np.full(n, s.price)
             env_fund = 4e5 * ramp
             community_fund = 4e5 * ramp

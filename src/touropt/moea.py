@@ -19,8 +19,10 @@ NaN-checking scalar counterpart.  Crowding distances of a whole pool are
 computed in one pass over all its fronts.  The problem is evaluated a
 generation at a time, (N, genes) genomes to (N, 3) objectives.
 
-Inside :func:`evolve` the population lives in arrays: genomes (N, genes),
-objectives (N, 3), rank and crowding (N,).  A generation's variation
+The population lives in arrays, genomes (N, genes), objectives (N, 3),
+rank and crowding (N,), and so do the results: ``result.population`` is
+that tuple for the final generation, and ``result.front.genomes`` and
+``result.front.objectives`` hold the archive.  A generation's variation
 draws its uint64s from the seeded generator in one block and replays over
 them what the per-call operators (:func:`tournament_select`,
 :func:`sbx_crossover`, :func:`polynomial_mutation`) would consume, so
@@ -44,7 +46,7 @@ import contextlib
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,11 +124,15 @@ class EAConfig:
 
 @dataclass
 class ParetoFront:
-    individuals: list
+    genomes: np.ndarray     # (n, genes)
+    objectives: np.ndarray  # (n, 3)
     reference_point: tuple
 
-    def objective_array(self) -> np.ndarray:
-        return np.array([ind.objectives for ind in self.individuals], dtype=float)
+    @property
+    def individuals(self) -> list:
+        """The members as ``Individual`` rows, built anew on each access."""
+        return [Individual(g, tuple(o))
+                for g, o in zip(self.genomes.copy(), self.objectives.tolist())]
 
     def check_nondominated(self) -> bool:
         """True when no member dominates another; NaN raises.
@@ -134,7 +140,7 @@ class ParetoFront:
         Compares blocks of rows against the whole front, so memory stays
         at ``_VERIFY_BLOCK`` x len(front) bools.
         """
-        objs = self.objective_array()
+        objs = self.objectives
         if np.isnan(objs).any():
             raise EvaluationError("NaN objective in front verification")
         for start in range(0, len(objs), _VERIFY_BLOCK):
@@ -563,12 +569,12 @@ def hypervolume_3d(points, reference_point) -> float:
 class _Archive:
     """All-time non-dominated set, updated a generation at a time."""
 
-    def __init__(self):
-        self.members: list = []
-        self._objs = np.empty((0, 3))
+    def __init__(self, n_genes: int):
+        self.genomes = np.empty((0, n_genes))
+        self.objs = np.empty((0, 3))
 
-    def add(self, cands) -> None:
-        """Insert ``cands`` with the result of inserting them one by one.
+    def add(self, genomes, objs) -> None:
+        """Insert rows of ``genomes`` and ``objs`` with the result of inserting them one by one.
 
         Candidate j enters unless an old member or an earlier candidate is
         at least as good everywhere; each entrant then evicts every member,
@@ -581,10 +587,10 @@ class _Archive:
         unless a staying candidate covers it.  Old and new rows are ranked
         once, and each test compares only the rows still in question.
         """
-        if not cands:
+        if not len(objs):
             return
-        new = np.array([c.objectives for c in cands], dtype=float)
-        old = self._objs
+        new = np.asarray(objs, dtype=float)
+        old = self.objs
         ranks = _ranks(np.concatenate([old, new]))
         ro, rn = ranks[:, :len(old)], ranks[:, len(old):]
         among = _covers(rn, rn)
@@ -595,14 +601,9 @@ class _Archive:
         # old axis stays innermost, which numpy broadcasts several times faster
         keep_new = keep_new[~_covers(-rn[:, keep_new], -ro).any(axis=1)]
         keep_old = ~_covers(rn[:, keep_new], ro).any(axis=0)
-        self.members = (list(itertools.compress(self.members, keep_old.tolist()))
-                        + [cands[i] for i in keep_new.tolist()])
-        self._objs = np.vstack([old[keep_old], new[keep_new]])
-
-
-def _individuals(genomes, objs) -> list:
-    # each member owns its row, so the archive keeps no generation's array alive
-    return [Individual(g.copy(), tuple(o)) for g, o in zip(genomes, objs.tolist())]
+        # copies: the archive keeps no generation's array alive
+        self.genomes = np.vstack([self.genomes[keep_old], genomes[keep_new]])
+        self.objs = np.vstack([old[keep_old], new[keep_new]])
 
 
 def _archive_stage(genomes, objs, ref):
@@ -613,13 +614,13 @@ def _archive_stage(genomes, objs, ref):
     yields the new hypervolume.  Sent None, it yields the archive as a
     genome array and an objective array.
     """
-    archive = _Archive()
+    archive = _Archive(genomes.shape[1])
     batch = (genomes, objs)
     while batch is not None:
-        archive.add(_individuals(*batch))
-        pts = archive._objs[(archive._objs > ref).all(axis=1)]
+        archive.add(*batch)
+        pts = archive.objs[(archive.objs > ref).all(axis=1)]
         batch = yield hypervolume_3d(pts, ref) if len(pts) else 0.0
-    yield np.array([m.genome for m in archive.members]), archive._objs
+    yield archive.genomes, archive.objs
 
 
 def _serve(conn, stage, main_end, main_cpu) -> None:
@@ -748,7 +749,7 @@ class EvolveResult:
     front: ParetoFront
     hypervolume_log: list
     generations_run: int
-    population: list = field(default_factory=list)
+    population: tuple = ()  # the final generation's genomes, objectives, rank, crowding
     stop_reason: str = "generation_cap"  # or "hv_plateau"
 
 
@@ -840,9 +841,6 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
             archive.send((kids, kid_objs))
             gens += 1
         archive.send(None)
-        front = ParetoFront(individuals=_individuals(*archive.recv()), reference_point=ref)
-        population = _individuals(genomes, objs)
-        for ind, r, c in zip(population, rank.tolist(), crowd.tolist()):
-            ind.rank, ind.crowding = r, c
+        front = ParetoFront(*archive.recv(), reference_point=ref)
     return EvolveResult(front=front, hypervolume_log=hv_log, generations_run=gens,
-                        population=population, stop_reason=stop_reason)
+                        population=(genomes, objs, rank, crowd), stop_reason=stop_reason)

@@ -244,21 +244,24 @@ def crowding_loop(objectives):
     return dist
 
 
-def archive_one_at_a_time(members, candidates):
-    """Reference: insert ``candidates`` into an archive one by one.
+def archive_one_at_a_time(genomes, objs, new_genomes, new_objs):
+    """Reference: insert candidate rows into an archive one by one.
 
-    A candidate enters unless a member is at least as good everywhere, and
-    then evicts every member it is at least as good as.
+    The archive is the rows of ``genomes`` and ``objs``, the candidates
+    those of ``new_genomes`` and ``new_objs``.  A candidate enters unless a
+    member is at least as good everywhere, and then evicts every member it
+    is at least as good as.  Returns the new archive's two arrays, members
+    in the order they entered.
     """
-    members = list(members)
-    for cand in candidates:
-        if any(all(x >= y for x, y in zip(m.objectives, cand.objectives))
-               for m in members):
+    genomes, objs = np.asarray(genomes, dtype=float), np.asarray(objs, dtype=float)
+    for genome, obj in zip(np.asarray(new_genomes, dtype=float),
+                           np.asarray(new_objs, dtype=float)):
+        if (objs >= obj).all(axis=1).any():
             continue
-        members = [m for m in members
-                   if not all(x <= y for x, y in zip(m.objectives, cand.objectives))]
-        members.append(cand)
-    return members
+        stay = ~(objs <= obj).all(axis=1)
+        genomes = np.vstack([genomes[stay], genome])
+        objs = np.vstack([objs[stay], obj])
+    return genomes, objs
 
 
 def _sobol_point_estimates(yA, yB, yAB, yBA) -> tuple:
@@ -426,9 +429,9 @@ def hypervolume_reference(points, reference_point) -> float:
 def evolve_reference(problem, lows, highs, config):
     """Reference NSGA-II loop: one ``Individual`` per genome, the per-call
     ``tournament_select``/``sbx_crossover``/``polynomial_mutation``, the
-    Python peel and the per-point hypervolume filter.  ``moea.evolve`` must
-    match it bit for bit, generator state included; returns the
-    ``EvolveResult`` and the generator."""
+    Python peel, the one-at-a-time archive and the per-point hypervolume
+    filter.  ``moea.evolve`` must match it bit for bit, generator state
+    included; returns the ``EvolveResult`` and the generator."""
     config.validate()
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
@@ -454,8 +457,11 @@ def evolve_reference(problem, lows, highs, config):
                     for _ in range(config.population_size)])
     _assign_ranks_and_crowding(pop)
 
-    archive = moea._Archive()
-    archive.add(pop)
+    def rows(individuals) -> tuple:
+        return (np.array([ind.genome for ind in individuals]),
+                np.array([ind.objectives for ind in individuals], dtype=float))
+
+    archive = archive_one_at_a_time(np.empty((0, n_genes)), np.empty((0, 3)), *rows(pop))
 
     if config.reference_point is not None:
         ref = tuple(float(v) for v in config.reference_point)
@@ -466,8 +472,7 @@ def evolve_reference(problem, lows, highs, config):
         ref = tuple(lo - 0.01 * span - 1e-9 * (1.0 + np.abs(lo)))
 
     def archive_hv() -> float:
-        pts = [ind.objectives for ind in archive.members
-               if all(v > r for v, r in zip(ind.objectives, ref))]
+        pts = [o for o in archive[1].tolist() if all(v > r for v, r in zip(o, ref))]
         return hypervolume_reference(pts, ref) if pts else 0.0
 
     hv_log = [archive_hv()]
@@ -477,7 +482,7 @@ def evolve_reference(problem, lows, highs, config):
         offspring = generation_reference(pop, rng, lows, highs, config, pm)
         offspring = evaluate(offspring)
         pop = environmental_selection_reference(pop + offspring, config.population_size)
-        archive.add(offspring)
+        archive = archive_one_at_a_time(*archive, *rows(offspring))
         gens += 1
         hv_log.append(archive_hv())
         if gens > config.hv_window:
@@ -487,9 +492,11 @@ def evolve_reference(problem, lows, highs, config):
                 stop_reason = "hv_plateau"
                 break
 
-    front = moea.ParetoFront(individuals=list(archive.members), reference_point=ref)
-    return moea.EvolveResult(front=front, hypervolume_log=hv_log, generations_run=gens,
-                             population=pop, stop_reason=stop_reason), rng
+    population = (*rows(pop), np.array([ind.rank for ind in pop]),
+                  np.array([ind.crowding for ind in pop]))
+    return moea.EvolveResult(front=moea.ParetoFront(*archive, reference_point=ref),
+                             hypervolume_log=hv_log, generations_run=gens,
+                             population=population, stop_reason=stop_reason), rng
 
 
 def generation_reference(pop, rng, lows, highs, config, pm) -> list:

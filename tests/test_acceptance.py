@@ -258,7 +258,7 @@ def test_criterion_09_flow_conservation():
 
 def test_criterion_10_magnitude_anchor(juneau_optimize):
     result, elapsed = juneau_optimize
-    objs = result.front.objective_array()
+    objs = result.front.objectives
     best_f1 = float(objs[:, 0].max())
     best_e = float(objs[:, 1].max())
     ok = 1e8 <= best_f1 <= 1e10 and best_e >= 0.8 and elapsed < 300.0

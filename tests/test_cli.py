@@ -620,6 +620,12 @@ class TestScenarioCommand:
         _assert_config_error(tmp_path, capsys, "scenario",
                              {"scenario": {"scenarios": [scenario]}}, key)
 
+    def test_duplicate_scenario_name_is_config_error(self, tmp_path, capsys):
+        twin = {**self._SCENARIO, "theta_env": 0.4, "theta_infra": 0.3}
+        _assert_config_error(tmp_path, capsys, "scenario",
+                             {"scenario": {"scenarios": [self._SCENARIO, twin]}},
+                             "scenarios[1].name")
+
     def test_non_object_scenario_is_config_error(self, tmp_path, capsys):
         _assert_config_error(tmp_path, capsys, "scenario",
                              {"scenario": {"scenarios": [self._SCENARIO, 3]}},
@@ -670,19 +676,24 @@ class TestRedistributeCommand:
         ({"price": ["x"]}, "schedule.Blue Lagoon.price"),
         ({"co2": [1.0, float("nan")]}, "schedule.Blue Lagoon.co2"),
         ({"warp": [1.0]}, "schedule.Blue Lagoon.warp"),
+        ({"price": [1.0] * 8}, "schedule.Blue Lagoon.price"),  # 10 years need 9
         (3, "schedule.Blue Lagoon")])
     def test_malformed_schedule_is_config_error(self, tmp_path, capsys, entry, key):
         _assert_config_error(tmp_path, capsys, "redistribute",
                              {"redistribute": {"schedule": {"Blue Lagoon": entry}}},
                              key)
 
-    def test_short_schedule_is_data_error(self, tmp_path, capsys):
+    def test_schedule_for_unknown_site_is_config_error(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "redistribute",
+                             {"redistribute": {"schedule": {"Nowhere": {"price": [1.0] * 9}}}},
+                             "schedule.Nowhere")
+
+    def test_full_length_schedule_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"redistribute": {"schedule": {"Blue Lagoon": {"price": [1.0]}}}}))
+        cfg.write_text(json.dumps({"redistribute": {"years": [2024, 2026], "schedule": {
+            "Myvatn": {"price": [1.5, 1.6]}}}}))
         assert main(["redistribute", "--preset", "iceland", "--seed", "0",
-                     "--config", str(cfg), "--out", str(tmp_path / "f")]) == 3
-        assert "too short" in capsys.readouterr().err
+                     "--config", str(cfg), "--out", str(tmp_path / "f")]) == 0
 
     def test_unknown_island_param_is_config_error(self, tmp_path, capsys):
         _assert_config_error(tmp_path, capsys, "redistribute",

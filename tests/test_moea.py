@@ -278,61 +278,79 @@ class TestOnePassCrowding:
 
 
 class TestArchive:
+    """Each candidate's one gene is a serial of its own, so comparing the
+    archive's genes in order checks which candidates it kept, and in what
+    order."""
+
+    @staticmethod
+    def _same(archive, reference):
+        genomes, objs = reference
+        assert archive.genomes[:, 0].tolist() == genomes[:, 0].tolist()
+        assert archive.objs.shape == objs.shape
+        assert archive.objs.tobytes() == objs.tobytes()
+
     def test_batched_insert_matches_one_at_a_time(self):
         rng = np.random.default_rng(14)
+        serial = 0
         for _ in range(300):
             levels = int(rng.integers(2, 6))
-            archive, members = _Archive(), []
+            archive, reference = _Archive(1), (np.empty((0, 1)), np.empty((0, 3)))
             for _ in range(int(rng.integers(1, 5))):  # successive generations
-                batch = [Individual(np.zeros(1), o)
-                         for o in _grid(rng, int(rng.integers(0, 25)), levels)]
-                if batch and rng.random() < 0.5:  # exact clones inside a batch
-                    batch.append(batch[int(rng.integers(len(batch)))])
-                archive.add(batch)
-                members = archive_one_at_a_time(members, batch)
-                assert [id(m) for m in archive.members] == [id(m) for m in members]
-                assert np.array_equal(archive._objs.reshape(-1, 3),
-                                      np.array([m.objectives for m in members],
-                                               dtype=float).reshape(-1, 3))
+                objs = np.array(_grid(rng, int(rng.integers(0, 25)), levels)).reshape(-1, 3)
+                genomes = serial + np.arange(len(objs), dtype=float)[:, None]
+                serial += len(objs)
+                if len(objs) and rng.random() < 0.5:  # exact clones inside a batch
+                    k = int(rng.integers(len(objs)))
+                    genomes, objs = np.vstack([genomes, genomes[k]]), np.vstack([objs, objs[k]])
+                archive.add(genomes, objs)
+                reference = archive_one_at_a_time(*reference, genomes, objs)
+                self._same(archive, reference)
 
     def test_large_archive_matches_one_at_a_time(self):
         # distinct integer points with one coordinate sum dominate none of
         # each other: an archive of 1,891 members to insert batches into
         rng = np.random.default_rng(37)
-        grid = [(float(x), float(y), float(60 - x - y))
-                for x in range(61) for y in range(61 - x)]
-        first = [Individual(np.zeros(1), grid[i]) for i in rng.permutation(len(grid))]
-        archive = _Archive()
-        archive.add(first)
-        assert archive.members == first
-        members = first
+        grid = np.array([(x, y, 60 - x - y) for x in range(61) for y in range(61 - x)],
+                        dtype=float)
+        reference = (np.arange(len(grid), dtype=float)[:, None], grid[rng.permutation(len(grid))])
+        archive = _Archive(1)
+        archive.add(*reference)
+        self._same(archive, reference)
+        serial = len(grid)
         for _ in range(4):
             xy = rng.integers(0, 62, (120, 2))
             total = 60 + rng.integers(-1, 2, 120)
-            batch = [Individual(np.zeros(1), (float(x), float(y), float(t - x - y)))
-                     for (x, y), t in zip(xy, total)]
-            batch += [Individual(np.zeros(1), members[i].objectives)  # clones
-                      for i in rng.integers(0, len(members), 10)]
-            batch += batch[:5]
-            archive.add(batch)
-            members = archive_one_at_a_time(members, batch)
-            assert len(members) > 1_000
-            assert [id(m) for m in archive.members] == [id(m) for m in members]
-            assert np.array_equal(archive._objs,
-                                  np.array([m.objectives for m in members]))
+            objs = np.column_stack([xy, total - xy.sum(axis=1)]).astype(float)
+            clones = reference[1][rng.integers(0, len(reference[1]), 10)]
+            objs = np.vstack([objs, clones])
+            genomes = serial + np.arange(len(objs), dtype=float)[:, None]
+            serial += len(objs)
+            # the first five candidates once more
+            genomes, objs = np.vstack([genomes, genomes[:5]]), np.vstack([objs, objs[:5]])
+            archive.add(genomes, objs)
+            reference = archive_one_at_a_time(*reference, genomes, objs)
+            assert len(reference[1]) > 1_000
+            self._same(archive, reference)
 
     def test_equal_objectives_keep_the_first(self):
-        first = Individual(np.zeros(1), (1.0, 1.0, 1.0))
-        twin = Individual(np.ones(1), (1.0, 1.0, 1.0))
-        archive = _Archive()
-        archive.add([first, twin])
-        archive.add([Individual(np.ones(1), (1.0, 1.0, 1.0))])
-        assert len(archive.members) == 1 and archive.members[0] is first
+        archive = _Archive(1)
+        archive.add(np.array([[0.0], [1.0]]), np.ones((2, 3)))
+        archive.add(np.array([[2.0]]), np.ones((1, 3)))
+        assert archive.genomes.tolist() == [[0.0]]
+        assert archive.objs.tolist() == [[1.0, 1.0, 1.0]]
+
+    def test_kept_rows_are_copies(self):
+        genomes, objs = np.zeros((2, 1)), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        archive = _Archive(1)
+        archive.add(genomes, objs)
+        assert not np.shares_memory(archive.genomes, genomes)
+        assert not np.shares_memory(archive.objs, objs)
 
 
 class TestFrontVerification:
     def _front(self, objs):
-        return ParetoFront([Individual(np.zeros(1), o) for o in objs], (0.0, 0.0, 0.0))
+        objs = np.array(objs, dtype=float).reshape(-1, 3)
+        return ParetoFront(np.zeros((len(objs), 1)), objs, (0.0, 0.0, 0.0))
 
     def test_dominated_pair_in_different_row_blocks(self, monkeypatch):
         # 600 points on a line are mutually non-dominated; (590, 9.5, 1) is
@@ -570,7 +588,7 @@ class TestEvolve:
     def test_toy_front_in_analytic_interval(self):
         cfg = EAConfig(population_size=40, generations=20, seed=1, hv_rel_tol=0.0)
         res = evolve(_toy, [-2.0], [2.0], cfg)
-        xs = np.array([ind.genome[0] for ind in res.front.individuals])
+        xs = res.front.genomes[:, 0]
         assert np.mean((xs >= -1.05) & (xs <= 1.05)) >= 0.95
         assert res.front.check_nondominated()
 
@@ -605,8 +623,8 @@ class TestEvolve:
     def test_genomes_respect_bounds(self):
         cfg = EAConfig(population_size=20, generations=10, seed=6)
         res = evolve(_toy, [-2.0], [2.0], cfg)
-        for ind in res.front.individuals + res.population:
-            assert -2.0 <= ind.genome[0] <= 2.0
+        for genomes in (res.front.genomes, res.population[0]):
+            assert ((genomes >= -2.0) & (genomes <= 2.0)).all()
 
     def test_nan_objective_rejected(self):
         def bad(genomes):
@@ -692,15 +710,13 @@ def _tie_toy(genomes):
 
 def _fingerprint(result):
     """Every result bit: hypervolume log, front and final population in order."""
-    front, pop = result.front.individuals, result.population
+    front = result.front
+    genomes, objs, rank, crowd = result.population
     return (np.array(result.hypervolume_log).tobytes(), result.generations_run,
-            np.array(result.front.reference_point).tobytes(),
-            np.array([m.genome for m in front]).tobytes(),
-            np.array([m.objectives for m in front]).tobytes(),
-            np.array([m.genome for m in pop]).tobytes(),
-            np.array([m.objectives for m in pop]).tobytes(),
-            [m.rank for m in pop], np.array([m.crowding for m in pop]).tobytes(),
-            result.stop_reason)
+            np.array(front.reference_point).tobytes(),
+            front.genomes.shape, front.genomes.tobytes(), front.objectives.tobytes(),
+            genomes.shape, genomes.tobytes(), objs.tobytes(), rank.tolist(),
+            crowd.tobytes(), result.stop_reason)
 
 
 def _run_both(monkeypatch, problem, lows, highs, cfg, make_rng=np.random.default_rng,
@@ -813,9 +829,10 @@ class TestArrayGeneration:
 
     def test_no_per_call_operators_in_evolve(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("per-call operator used")
+            raise AssertionError("per-call operator or its row type used")
 
-        for name in ("tournament_select", "sbx_crossover", "polynomial_mutation"):
+        for name in ("tournament_select", "sbx_crossover", "polynomial_mutation",
+                     "Individual"):
             monkeypatch.setattr(moea, name, forbidden)
         cfg = EAConfig(population_size=10, generations=3, seed=1)
         assert evolve(_tie_toy, [-2.0] * 2, [2.0] * 2, cfg).generations_run == 3
@@ -892,9 +909,9 @@ class TestArchiveWorker:
         added = []
         add = _Archive.add
         monkeypatch.setattr(_Archive, "add",
-                            lambda self, cands: (added.append(len(cands)), add(self, cands)))
+                            lambda self, *a: (added.append(len(a[1])), add(self, *a)))
         res = evolve(_tie_toy, *self.box, self.plateau)
-        assert added == [] and res.front.individuals
+        assert added == [] and len(res.front.objectives)
 
     @pytest.mark.parametrize("why", ["no fork", "one CPU", "fork fails", "threads"])
     def test_in_process_path_gives_the_same_result(self, monkeypatch, why):
@@ -913,7 +930,7 @@ class TestArchiveWorker:
         added = []
         add = _Archive.add
         monkeypatch.setattr(_Archive, "add",
-                            lambda self, cands: (added.append(len(cands)), add(self, cands)))
+                            lambda self, *a: (added.append(len(a[1])), add(self, *a)))
         done = threading.Event()
         other = threading.Thread(target=done.wait, args=(60,))
         if why == "threads":
