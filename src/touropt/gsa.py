@@ -433,7 +433,7 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
     bootst = np.empty((n_boot, m, k))
     for lo in range(0, n_boot, chunk):
         hi = min(lo + chunk, n_boot)
-        idx = np.stack([rng.integers(0, n, size=n) for _ in range(lo, hi)])
+        idx = rng.integers(0, n, size=(hi - lo, n))  # the draws of hi - lo size-n calls
         # (m, B, 2n), C-ordered: each variance reduces one contiguous row
         var = np.var(yAyB.take(np.concatenate([idx, idx + n], axis=1), axis=1), axis=2).T
         _check_variance(var)

@@ -137,14 +137,18 @@ class ParetoFront:
     def check_nondominated(self) -> bool:
         """True when no member dominates another; NaN raises.
 
-        Compares blocks of rows against the whole front, so memory stays
-        at ``_VERIFY_BLOCK`` x len(front) bools.
+        Ranks the front once, then compares blocks of rows against the
+        whole front as :func:`dominance_matrix` does, so memory stays at
+        ``_VERIFY_BLOCK`` x len(front) bools.
         """
         objs = self.objectives
         if np.isnan(objs).any():
             raise EvaluationError("NaN objective in front verification")
-        for start in range(0, len(objs), _VERIFY_BLOCK):
-            if dominance_matrix(objs[start:start + _VERIFY_BLOCK], objs).any():
+        ranks = _ranks(objs)
+        sums = ranks.sum(axis=0, dtype=_int_type(ranks.size))
+        for lo in range(0, len(objs), _VERIFY_BLOCK):
+            hi = lo + _VERIFY_BLOCK
+            if (_covers(ranks[:, lo:hi], ranks) & (sums[lo:hi, None] > sums)).any():
                 return False
         return True
 

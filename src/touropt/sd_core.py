@@ -386,18 +386,19 @@ class Trajectory:
 
 
 # The year equations below are written once, as private stage helpers that
-# run on Python floats or, row by row, on numpy arrays.  Their only
-# branches are _where, _max, _min, _clamp01 and _floor, whose array forms
-# give the bits of the float forms: Python's max(a, b) keeps ``a`` unless
-# ``b > a``, so NaN, -0.0 and ties resolve the same way on both.
+# run on Python floats or, row by row, on numpy arrays.  On arrays a stage
+# makes one fresh temporary and goes on in place, with augmented operations;
+# its branches are masked writes into it under strict comparisons (_put,
+# _pos, _clip01), and the pure _where, _max, _min and _clamp01 serve values
+# a caller does not own.  Python's max(a, b) keeps ``a`` unless ``b > a``,
+# so NaN, -0.0 and ties resolve the same way on floats and arrays.
 
 # Rows per simulate_batch block.  The rows are independent, so the block
-# size changes no bits, only speed: a year step makes about 60 ufunc calls
-# per block, so small blocks are bound by call overhead, while one block
-# of the whole 13,312-row Sobol design is slower again because its 106 KB
-# temporaries spill a 2 MiB L2.  At 4096 rows about 15 live 32 KB
-# temporaries fit in L2; the Iceland Sobol design (n=512) ran in 13.0 ms
-# against 19.4 ms at 1024 rows (medians of 9, 2 vCPU).
+# size changes no bits, only speed: a year step makes about 60 numpy calls
+# per block, so small blocks are bound by call overhead and large ones
+# spill their temporaries out of L2.  Both presets' Sobol designs (n=512)
+# ran at 4096 rows as fast as at 5000, 6656 or 8192, and 1.4x faster than
+# at 2048 (interleaved medians of 25, 2 vCPU, 4 MiB L2 per core).
 _BLOCK = 4096
 _DRIVERS = ("G_retreat", "V_base", "R_gov_base", "EXP_gov_base",
             "CO2_emission", "population", "unemployment")
@@ -434,12 +435,42 @@ def _floor(x):
     return float(math.floor(x))
 
 
+def _put(x, value, cond):
+    """``_where(cond, value, x)``, into ``x`` when it is an owned array."""
+    if not isinstance(x, np.ndarray):
+        return _where(cond, value, x)
+    np.copyto(x, value, where=cond)
+    return x
+
+
+def _pos(x):
+    """``_max(0.0, x)``, into ``x`` when it is an owned array."""
+    if not isinstance(x, np.ndarray):
+        return x if x > 0.0 else 0.0
+    x[~(x > 0.0)] = 0.0
+    return x
+
+
+def _clip01(x):
+    """``_clamp01(x)``, into ``x`` when it is an owned array."""
+    if not isinstance(x, np.ndarray):
+        return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+    x[x < 0.0] = 0.0
+    x[x > 1.0] = 1.0
+    return x
+
+
 def _glacier(g_retreat, g_baseline, kappa):
-    return _max(0.0, 1.0 - kappa * (g_retreat / g_baseline - 1.0))
+    return _pos(1.0 - kappa * (g_retreat / g_baseline - 1.0))
 
 
 def _attraction(env_index, satisfaction, f_glacier, alpha):
-    return (1.0 + alpha * (env_index + satisfaction - 1.0)) * f_glacier
+    a = env_index + satisfaction
+    a -= 1.0
+    a *= alpha
+    a += 1.0
+    a *= f_glacier
+    return a
 
 
 def _price(eps_price, tax_rate, carbon_fee, k1):
@@ -488,7 +519,7 @@ def _run_constants(p, c, visitors: bool = True) -> _Run:
     """
     f_price = ship_cap = dev_visitors = None
     if visitors:
-        f_price = _max(0.0, _price(c.eps_price, p.tax_rate, p.carbon_fee, c.k1))
+        f_price = _pos(_price(c.eps_price, p.tax_rate, p.carbon_fee, c.k1))
         # whole vessels only: floor keeps arrivals within ship_limit * capacity
         ship_cap = _floor(p.ship_limit) * c.P_ship_capacity
         dev_visitors = p.dev_incentive * c.K_dev
@@ -503,10 +534,13 @@ def _visitors(env, sat, g_retreat, v_base, v_base_bonus, cap, run, c) -> tuple:
     f_gla = _glacier(g_retreat, c.G_retreat_baseline, c.kappa)
     f_att = _attraction(env, sat, f_gla, c.alpha)
     # the bonus is added even when it is 0.0: that turns a -0.0 demand into 0.0
-    v_unconstrained = (v_base + v_base_bonus) * run.f_price * f_att + run.dev_visitors
-    visitors = _min(_min(v_unconstrained, cap), run.ship_cap)
-    visitors = _where(sat < c.S_threshold, visitors * c.R_social, visitors)
-    return _max(0.0, visitors), run.f_price, f_gla, f_att
+    v = (v_base + v_base_bonus) * run.f_price
+    v *= f_att
+    v += run.dev_visitors
+    v = _put(v, cap, cap < v)
+    v = _put(v, run.ship_cap, run.ship_cap < v)
+    v = _put(v, v * c.R_social, sat < c.S_threshold)
+    return _pos(v), run.f_price, f_gla, f_att
 
 
 def _finance(v, r_gov_base, exp_gov_base, run, c, prev_cum) -> tuple:
@@ -524,20 +558,24 @@ def _environment(env, exp_env, g_retreat, co2, run, c) -> tuple:
     exp_glacier = run.glacier_ratio * exp_env
     exp_waste = run.waste_ratio * exp_env
     headroom = 1.0 - env
-    gain = (c.alpha_g * exp_glacier + c.alpha_w * exp_waste) * headroom
-    loss = c.beta1 * g_retreat + c.beta2 * co2
-    recover = c.delta * headroom
-    return _clamp01(env + gain - loss + recover), exp_glacier, exp_waste
+    e = c.alpha_g * exp_glacier + c.alpha_w * exp_waste
+    e *= headroom
+    e += env
+    e -= c.beta1 * g_retreat + c.beta2 * co2
+    headroom *= c.delta
+    e += headroom
+    return _clip01(e), exp_glacier, exp_waste
 
 
 def _social(sat, env_next, v, exp_glacier, exp_waste, pop, unemployment, c):
     """Stage 4: next S."""
-    headroom = 1.0 - sat
-    gain = (c.p_glacier * exp_glacier + c.p_waste * exp_waste) * headroom
-    crowd = c.p2 * v / (pop + c.eps_crowd)
-    unemp = c.p4 * unemployment
-    env_pull = c.p3 * (env_next - sat)
-    return _clamp01(sat + gain - crowd - unemp + env_pull)
+    s = c.p_glacier * exp_glacier + c.p_waste * exp_waste
+    s *= 1.0 - sat
+    s += sat
+    s -= c.p2 * v / (pop + c.eps_crowd)
+    s -= c.p4 * unemployment
+    s += c.p3 * (env_next - sat)
+    return _clip01(s)
 
 
 def _feedback(r_net, sat, capacity, allocation, feedback) -> tuple:

@@ -431,6 +431,16 @@ class TestSobolTables:
                     assert np.array_equal(_bits(getattr(a, field)),
                                           _bits(getattr(b, field)))
 
+    @pytest.mark.parametrize("n", [2, 3, 37, 511, 512, 1000, 1023, 4097])
+    def test_chunk_draw_is_per_resample_draws(self, n):
+        # a chunk's resamples come from one (B, n) call: numpy must give the
+        # draws of B size-n calls and leave the generator where they leave it
+        chunked, each = np.random.default_rng(n), np.random.default_rng(n)
+        for rows in (13, 1, 6):
+            want = np.stack([each.integers(0, n, size=n) for _ in range(rows)])
+            assert np.array_equal(chunked.integers(0, n, size=(rows, n)), want)
+        assert chunked.bit_generator.state == each.bit_generator.state
+
     def test_zero_variance_resample_in_second_output(self):
         # one non-constant row: about a third of the resamples miss it
         design = saltelli_sample(_unit_space(3), 8, seed=9)

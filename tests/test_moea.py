@@ -359,16 +359,29 @@ class TestFrontVerification:
         assert self._front(objs).check_nondominated()
         objs[10] = (590.0, 9.5, 1.0)
         shapes = []
+        covers = moea._covers
 
-        def recording(a, b=None, **kw):
-            shapes.append((len(a), len(b)))
-            return dominance_matrix(a, b, **kw)
+        def recording(ra, rb):  # one call per row block, (block rows, front rows)
+            shapes.append((ra.shape[1], rb.shape[1]))
+            return covers(ra, rb)
 
-        monkeypatch.setattr(moea, "dominance_matrix", recording)
+        monkeypatch.setattr(moea, "_covers", recording)
         assert not self._front(objs).check_nondominated()
         assert shapes == [(256, 600), (256, 600), (88, 600)]
         objs[10], objs[590] = objs[590], objs[10]
         assert not self._front(objs).check_nondominated()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verdict_of_dominance_matrix(self, seed, monkeypatch):
+        # tie-heavy fronts, some non-dominated and some not, across blocks
+        monkeypatch.setattr(moea, "_VERIFY_BLOCK", 16)
+        rng = np.random.default_rng(seed)
+        for n in (1, 15, 16, 17, 60):
+            objs = rng.integers(0, 4, (n, 3)).astype(float)
+            want = not dominance_matrix(objs).any()
+            assert self._front(objs).check_nondominated() == want
+            front = objs[~dominance_matrix(objs).any(axis=0)]
+            assert self._front(front).check_nondominated()
 
     def test_duplicates_do_not_dominate(self):
         assert self._front([(1.0, 2.0, 3.0)] * 300).check_nondominated()

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,16 @@ from touropt.sd_core import (
     _BLOCK,
     COEFF_FIELDS,
     _clamp01,
+    _clip01,
+    _environment,
     _floor,
     _max,
     _min,
+    _pos,
+    _put,
+    _run_constants,
+    _social,
+    _visitors,
     POLICY_FIELDS,
     attraction_factor,
     glacier_factor,
@@ -409,6 +417,9 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+SPECIAL = [np.nan, -np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 1.5, np.inf]
+
+
 class TestSimulateBatch:
     def test_matches_simulate_bit_for_bit(self, juneau):
         """10,000 rows over 100 random (exog, coeffs, init) sets."""
@@ -445,6 +456,73 @@ class TestSimulateBatch:
         finite = np.array([-1.5, -0.5, -0.0, 0.0, 0.5, 799.9, 1e300])
         assert _same_bits(_floor(finite) * 5000.0,
                           np.array([math.floor(v) * 5000.0 for v in finite.tolist()]))
+
+    def test_in_place_branches_match_python_bits(self):
+        # each form writes into, and returns, the array it is given
+        x, y = (np.array(v) for v in zip(*[(a, b) for a in SPECIAL for b in SPECIAL]))
+        for fn, ref in ((_pos, lambda v: max(0.0, v)),
+                        (_clip01, lambda v: 0.0 if v < 0.0 else (1.0 if v > 1.0 else v))):
+            own = x.copy()
+            assert fn(own) is own
+            assert _same_bits(own, np.array([ref(v) for v in x.tolist()]))
+            assert fn(0.5) == ref(0.5) and isinstance(fn(-0.0), float)
+        # the visitor caps, ties and signed zeros included: min(v, cap)
+        own = x.copy()
+        assert _put(own, y, y < own) is own
+        assert _same_bits(own, np.array([min(a, b) for a, b in zip(x.tolist(), y.tolist())]))
+        assert _same_bits(_put(1.0, y, y < 1.0), np.array([min(1.0, b) for b in y.tolist()]))
+
+    def test_in_place_stages_match_python_bits(self, juneau):
+        """The array stages, on their own temporaries, against one float run
+        per row: NaN, +-inf and +-0.0 states and budgets, S exactly at the
+        resistance threshold, capacities tied with a zero demand, and a zero
+        vessel cap from ship_limit < 1."""
+        c, policy = juneau.coefficients, juneau.reference_policy
+        states = SPECIAL + [c.S_threshold]
+        env, sat, cap, ship = np.array(np.meshgrid(
+            states, states, [-0.0, 0.0, 4e5, np.inf, np.nan], [0.5, 700.0],
+            indexing="ij")).reshape(4, -1)
+        budget = np.resize(np.array(SPECIAL) * 1e7, len(env))
+        p = SimpleNamespace(**{f: getattr(policy, f) for f in POLICY_FIELDS})
+        p.ship_limit, p.glacier_ratio = ship, np.resize([0.0, 0.3, 1.0], len(env))
+        inputs = (env, sat, cap, budget, ship, p.glacier_ratio)
+        before = [a.copy() for a in inputs]
+        with np.errstate(all="ignore"):
+            run = _run_constants(p, c)
+            got = (_visitors(env, sat, 300.0, 1e6, 0.0, cap, run, c)[0],
+                   *_environment(env, budget, 300.0, 1e5, run, c),
+                   _social(sat, env, budget, budget, budget, 3e4, 0.05, c))
+        want = []
+        for e, s, k, b, sh, g in zip(*(a.tolist() for a in inputs)):
+            r = _run_constants(replace(policy, ship_limit=sh, glacier_ratio=g), c)
+            want.append((_visitors(e, s, 300.0, 1e6, 0.0, k, r, c)[0],
+                         *_environment(e, b, 300.0, 1e5, r, c),
+                         _social(s, e, b, b, b, 3e4, 0.05, c)))
+        assert (run.ship_cap == 0.0).any() and (sat == c.S_threshold).any()
+        for j, col in enumerate(zip(*want)):
+            assert _same_bits(got[j], np.array(col)), f"output {j}"
+        for a, b in zip(inputs, before):
+            assert _same_bits(a, b)
+
+    def test_inputs_left_unchanged(self, juneau, juneau_exog, juneau_init):
+        # rows as column views of one genome matrix, as optimize and the
+        # Sobol design pass them, plus coefficient rows
+        rng = np.random.default_rng(3)
+        lo, hi = juneau.bounds.lows(), juneau.bounds.highs()
+        genomes = lo + (hi - lo) * rng.random((300, len(lo)))
+        genomes[::7, 0] = -0.0
+        genomes[::11, 3] = 0.0  # a zero capacity binds every year
+        rows = dict(zip(POLICY_FIELDS, genomes.T))
+        rows.update(kappa=rng.uniform(0.1, 0.3, 300), delta=rng.uniform(0.0, 0.3, 300))
+        arrays = [genomes, *rows.values()] + [getattr(juneau_exog, f) for f in
+                                               ("years",) + sd_core.SERIES_FIELDS]
+        before = [a.copy() for a in arrays]
+        init = replace(juneau_init)
+        args = (juneau.reference_policy, juneau_exog, juneau.coefficients, juneau_init)
+        assert _same_bits(simulate_batch(*args, rows), _simulate_rows(*args, rows))
+        for a, b in zip(arrays, before):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert juneau_init == init
 
     def test_nan_and_signed_zero_inputs(self, juneau, juneau_exog, juneau_init):
         rows = {"eps_price": [np.nan, -0.0, 0.0, -0.5],
