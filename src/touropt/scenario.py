@@ -7,9 +7,10 @@ permanently raises effective capacity, community programs lift
 satisfaction immediately, and marketing adds to next year's baseline
 demand.  Negative-surplus years allocate nothing.
 
-The feedback is step 5 of ``sd_core.simulate``, the one year loop, so a
-zero allocation equals the plain run by construction.  This module holds
-the allocation and feedback parameters and lines scenario runs up.
+The feedback is step 5 of the one year loop that ``sd_core.simulate``
+runs, so a zero allocation equals the plain run by construction.  This
+module holds the allocation and feedback parameters and lines scenario
+runs up.
 
 Allocation vectors whose shares sum above 1 are scaled down to sum 1
 before a run (a surplus cannot be over-spent); the scaling is recorded on

@@ -32,14 +32,14 @@ ends each year with:
                   money add to next year's protection budget and demand.
 
 Each stage is written once, as a private helper that runs on Python
-floats or on numpy arrays of runs.  ``simulate`` runs the stages on
-floats and keeps the full :class:`Trajectory`; ``simulate_batch`` runs
-them on arrays, vectorised over runs that override any policy or
-coefficient field row by row, looping over years, and returns only the
-objectives, bit for bit those of ``simulate``.  Terms fixed by the policy
-and the coefficients are computed once per run (``simulate``) or per block
-of rows (``simulate_batch``) by one helper that both share.  The
-``step_*`` functions are one-year calls of the same stages.
+floats or on numpy arrays of runs, and one private year loop runs them in
+order.  ``simulate`` runs the loop on floats and records the full
+:class:`Trajectory` year by year; ``simulate_batch`` runs it on arrays,
+vectorised over runs that override any policy or coefficient field row by
+row, and returns only the objectives, bit for bit those of ``simulate``.
+Terms fixed by the policy and the coefficients are computed once per run
+(``simulate``) or per block of rows (``simulate_batch``) by one helper that
+both share.
 
 Everything here is a pure function of its inputs: identical inputs give
 bit-identical outputs.
@@ -66,15 +66,7 @@ __all__ = [
     "SimState",
     "Trajectory",
     "ObjectiveTriple",
-    "FinanceFlows",
     "ChannelAmounts",
-    "glacier_factor",
-    "attraction_factor",
-    "price_factor",
-    "step_visitors",
-    "step_finance",
-    "step_environment",
-    "step_social",
     "allocate_surplus",
     "simulate",
     "simulate_batch",
@@ -158,9 +150,6 @@ class PolicyBounds:
     def contains(self, policy: PolicyVector, tol: float = 0.0) -> bool:
         x = policy.to_array()
         return bool(np.all(x >= self.lows() - tol) and np.all(x <= self.highs() + tol))
-
-    def clip(self, genome) -> np.ndarray:
-        return np.clip(np.asarray(genome, dtype=float), self.lows(), self.highs())
 
     def validate(self) -> None:
         lo, hi = self.lows(), self.highs()
@@ -334,17 +323,6 @@ class ObjectiveTriple(NamedTuple):
     satisfaction: float
 
 
-class FinanceFlows(NamedTuple):
-    """One year of government account flows, USD."""
-
-    r_tourism: float
-    r_gov_total: float
-    exp_env: float
-    exp_gov_total: float
-    r_net: float
-    r_net_cum: float
-
-
 class ChannelAmounts(NamedTuple):
     """One year's surplus spending per feedback channel, USD."""
 
@@ -389,8 +367,8 @@ class Trajectory:
 # run on Python floats or, row by row, on numpy arrays.  On arrays a stage
 # makes one fresh temporary and goes on in place, with augmented operations;
 # its branches are masked writes into it under strict comparisons (_put,
-# _pos, _clip01), and the pure _where, _max, _min and _clamp01 serve values
-# a caller does not own.  Python's max(a, b) keeps ``a`` unless ``b > a``,
+# _pos, _clip01), and the pure _where, _max and _min serve values a caller
+# does not own.  Python's max(a, b) keeps ``a`` unless ``b > a``,
 # so NaN, -0.0 and ties resolve the same way on floats and arrays.
 
 # Rows per simulate_batch block.  The rows are independent, so the block
@@ -421,10 +399,6 @@ def _min(a, b):
     return _where(b < a, b, a)
 
 
-def _clamp01(x):
-    return _where(x < 0.0, 0.0, _where(x > 1.0, 1.0, x))
-
-
 def _floor(x):
     """Whole units as a float; -0.0 becomes 0.0, as through ``math.floor``.
 
@@ -452,7 +426,7 @@ def _pos(x):
 
 
 def _clip01(x):
-    """``_clamp01(x)``, into ``x`` when it is an owned array."""
+    """``x`` clamped to [0, 1], into ``x`` when it is an owned array."""
     if not isinstance(x, np.ndarray):
         return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
     x[x < 0.0] = 0.0
@@ -477,23 +451,6 @@ def _price(eps_price, tax_rate, carbon_fee, k1):
     return 1.0 + eps_price * (tax_rate + carbon_fee / k1)
 
 
-def _check_glacier(g_baseline, kappa) -> None:
-    if g_baseline <= 0:
-        raise ValueError("g_baseline must be > 0")
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-
-
-def _check_price(k1) -> None:
-    if k1 <= 0:
-        raise ValueError("k1 must be > 0")
-
-
-def _check_population(pop, t: int) -> None:
-    if pop <= 0:
-        raise DataError(f"population must be > 0 at year index {t}")
-
-
 class _Run(NamedTuple):
     """Terms of the year equations fixed by the policy and the coefficients."""
 
@@ -507,23 +464,17 @@ class _Run(NamedTuple):
     waste_ratio: float    # 1 - glacier_ratio
 
 
-def _run_constants(p, c, visitors: bool = True) -> _Run:
+def _run_constants(p, c) -> _Run:
     """The :class:`_Run` terms of policy ``p`` under coefficients ``c``.
 
     Computed once per run on floats and once per block on arrays, with the
     operations and operands the year equations used, so the bits are those
-    of the per-year terms.  ``visitors=False`` leaves the visitor-stage
-    terms as None: their price factor divides by k1 and their vessel floor
-    raises on a non-finite ship_limit, which the one-year finance and
-    environment steps never looked at.
+    of the per-year terms.
     """
-    f_price = ship_cap = dev_visitors = None
-    if visitors:
-        f_price = _pos(_price(c.eps_price, p.tax_rate, p.carbon_fee, c.k1))
-        # whole vessels only: floor keeps arrivals within ship_limit * capacity
-        ship_cap = _floor(p.ship_limit) * c.P_ship_capacity
-        dev_visitors = p.dev_incentive * c.K_dev
-    return _Run(f_price, ship_cap, dev_visitors,
+    return _Run(_pos(_price(c.eps_price, p.tax_rate, p.carbon_fee, c.k1)),
+                # whole vessels only: floor keeps arrivals within ship_limit * capacity
+                _floor(p.ship_limit) * c.P_ship_capacity,
+                p.dev_incentive * c.K_dev,
                 c.P_visitor_base * p.tax_rate + p.carbon_fee,
                 p.dev_incentive * c.K_gov_dev, p.env_ratio, p.glacier_ratio,
                 1.0 - p.glacier_ratio)
@@ -544,7 +495,8 @@ def _visitors(env, sat, g_retreat, v_base, v_base_bonus, cap, run, c) -> tuple:
 
 
 def _finance(v, r_gov_base, exp_gov_base, run, c, prev_cum) -> tuple:
-    """Stage 2: the fields of :class:`FinanceFlows`, in order."""
+    """Stage 2: (r_tourism, r_gov_total, exp_env, exp_gov_total, r_net,
+    cumulative r_net), USD."""
     r_tourism = v * run.levy
     r_gov_total = r_gov_base + r_tourism + run.dev_grants
     exp_env = run.env_ratio * r_gov_total
@@ -587,94 +539,6 @@ def _feedback(r_net, sat, capacity, allocation, feedback) -> tuple:
     return amounts, sat, capacity, feedback.marketing_efficiency * amounts.marketing
 
 
-def glacier_factor(g_retreat: float, g_baseline: float, kappa: float) -> float:
-    """Scenic-appeal multiplier, 1 at baseline retreat, floored at 0."""
-    _check_glacier(g_baseline, kappa)
-    return _glacier(g_retreat, g_baseline, kappa)
-
-
-def attraction_factor(env_index: float, satisfaction: float,
-                      f_glacier: float, alpha: float) -> float:
-    """Composite appeal: (1 + alpha*(E + S - 1)) scaled by glacier appeal."""
-    return _attraction(env_index, satisfaction, f_glacier, alpha)
-
-
-def price_factor(eps_price: float, tax_rate: float, carbon_fee: float,
-                 k1: float) -> float:
-    """Demand response to levies: 1 + eps * (tax + fee/k1).
-
-    May go negative for strong elasticities; the visitor step clamps it
-    at 0 before use.
-    """
-    _check_price(k1)
-    return _price(eps_price, tax_rate, carbon_fee, k1)
-
-
-def step_visitors(prev: SimState, exog: ExogenousSeries, t_next: int,
-                  policy: PolicyVector, coeffs: ModelCoefficients,
-                  v_base_bonus: float = 0.0,
-                  capacity_limit: float | None = None) -> tuple:
-    """Arrivals for the year being entered (index ``t_next`` of ``exog``).
-
-    Demand = baseline forecast (plus any marketing bonus) scaled by the
-    price and attractiveness factors, plus the development push; arrivals
-    are then capped by capacity and by whole vessel slots, and cut by the
-    social-resistance multiplier when the previous year's satisfaction sat
-    below threshold.
-
-    Returns (visitors, f_price, f_glacier, f_attraction).
-    """
-    if t_next >= len(exog) or t_next < 0:
-        raise DataError(f"exogenous data missing for year index {t_next}")
-    _check_glacier(coeffs.G_retreat_baseline, coeffs.kappa)
-    _check_price(coeffs.k1)
-    cap = policy.capacity_limit if capacity_limit is None else capacity_limit
-    return _visitors(prev.env_index, prev.satisfaction,
-                     float(exog.G_retreat[t_next]), float(exog.V_base[t_next]),
-                     v_base_bonus, cap, _run_constants(policy, coeffs), coeffs)
-
-
-def step_finance(v_next: float, exog: ExogenousSeries, t: int,
-                 policy: PolicyVector, coeffs: ModelCoefficients,
-                 prev_cum: float) -> FinanceFlows:
-    """Government accounts for the transition year (exogenous index ``t``)."""
-    if v_next < 0:
-        raise ValueError("visitor count must be >= 0")
-    return FinanceFlows(*_finance(v_next, float(exog.R_gov_base[t]),
-                                  float(exog.EXP_gov_base[t]),
-                                  _run_constants(policy, coeffs, visitors=False),
-                                  coeffs, prev_cum))
-
-
-def step_environment(env_index: float, exp_env: float, exog: ExogenousSeries,
-                     t: int, policy: PolicyVector,
-                     coeffs: ModelCoefficients) -> float:
-    """Next year's environment index, clamped to [0, 1].
-
-    The environment budget splits by glacier_ratio into glacier works and
-    waste treatment; both act with a (1 - E) saturation, so money matters
-    most when the index is low.
-    """
-    return _environment(env_index, exp_env, float(exog.G_retreat[t]),
-                        float(exog.CO2_emission[t]),
-                        _run_constants(policy, coeffs, visitors=False), coeffs)[0]
-
-
-def step_social(satisfaction: float, env_next: float, v_next: float,
-                exp_glacier: float, exp_waste: float, exog: ExogenousSeries,
-                t: int, coeffs: ModelCoefficients) -> float:
-    """Next year's satisfaction index, clamped to [0, 1].
-
-    Spending on visible protection lifts morale (saturating via 1 - S);
-    crowding (visitors per resident) and unemployment depress it; the
-    index is also pulled toward the new environment index.
-    """
-    pop = float(exog.population[t])
-    _check_population(pop, t)
-    return _social(satisfaction, env_next, v_next, exp_glacier, exp_waste, pop,
-                   float(exog.unemployment[t]), coeffs)
-
-
 def allocate_surplus(r_net: float, allocation) -> ChannelAmounts:
     """Channel dollars for one year: max(0, surplus) times each share.
 
@@ -688,6 +552,46 @@ def allocate_surplus(r_net: float, allocation) -> ChannelAmounts:
         community=surplus * allocation.theta_community,
         marketing=surplus * allocation.theta_marketing,
     )
+
+
+def _years(exog, run, c, env, sat, cum, capacity, allocation=None,
+           feedback=None, record=None) -> tuple:
+    """The year loop: stages 1-5 over the horizon of ``exog``.
+
+    Runs on Python floats or on arrays of rows alike, from the initial E,
+    S, cumulative revenue and capacity, and returns the final (E, S,
+    cumulative revenue).  Stage 5 runs only with an ``allocation``.  After
+    each year ``record(stage1, flows, exp_env, env, sat, amounts,
+    capacity)`` gets the tuples of :func:`_visitors` and :func:`_finance`,
+    the environment budget spent, the new E and S, the ChannelAmounts (None
+    without an allocation) and the capacity for the next year.
+    """
+    g_retreat, v_base, r_gov, exp_gov, co2, pop, unemp = (
+        getattr(exog, name).tolist() for name in _DRIVERS)
+    v_base_bonus = extra_env = 0.0
+    amounts = None
+    for t in range(len(pop) - 1):
+        stage1 = _visitors(env, sat, g_retreat[t + 1], v_base[t + 1], v_base_bonus,
+                           capacity, run, c)
+        flows = _finance(stage1[0], r_gov[t], exp_gov[t], run, c, cum)
+        exp_env = flows[2]
+        if allocation is not None:
+            # a plain run adds nothing, not even 0.0, so a -0.0 budget stays -0.0
+            exp_env = exp_env + extra_env
+        env_next, exp_glacier, exp_waste = _environment(
+            env, exp_env, g_retreat[t], co2[t], run, c)
+        if pop[t] <= 0:
+            raise DataError(f"population must be > 0 at year index {t}")
+        sat = _social(sat, env_next, stage1[0], exp_glacier, exp_waste, pop[t],
+                      unemp[t], c)
+        if allocation is not None:
+            amounts, sat, capacity, v_base_bonus = _feedback(
+                flows[4], sat, capacity, allocation, feedback)
+            extra_env = amounts.env
+        env, cum = env_next, flows[5]
+        if record is not None:
+            record(stage1, flows, exp_env, env, sat, amounts, capacity)
+    return env, sat, cum
 
 
 def simulate(policy: PolicyVector, exog: ExogenousSeries,
@@ -706,39 +610,26 @@ def simulate(policy: PolicyVector, exog: ExogenousSeries,
     if policy.tax_rate < 0 or policy.carbon_fee < 0 or coeffs.P_visitor_base < 0:
         raise ValueError("tax_rate, carbon_fee and P_visitor_base must be >= 0")
     init.validate()
+    run = None
     if len(exog) > 1:
         # the visitor stage's coefficient checks and the run's constant
         # terms, once: they hold for every year
-        _check_glacier(coeffs.G_retreat_baseline, coeffs.kappa)
-        _check_price(coeffs.k1)
+        if coeffs.G_retreat_baseline <= 0:
+            raise ValueError("g_baseline must be > 0")
+        if coeffs.kappa < 0:
+            raise ValueError("kappa must be >= 0")
+        if coeffs.k1 <= 0:
+            raise ValueError("k1 must be > 0")
         run = _run_constants(policy, coeffs)
-    g_retreat, v_base, r_gov, exp_gov, co2, pop, unemp = (
-        getattr(exog, name).tolist() for name in _DRIVERS)
     traj = Trajectory(years=list(exog.years), states=[init])
-    state = init
-    capacity, v_base_bonus, extra_env = policy.capacity_limit, 0.0, 0.0
-    for t in range(len(exog) - 1):
-        visitors, f_pr, f_gla, f_att = _visitors(
-            state.env_index, state.satisfaction, g_retreat[t + 1], v_base[t + 1],
-            v_base_bonus, capacity, run, coeffs)
-        r_tourism, r_gov_total, exp_env, exp_gov_total, r_net, r_net_cum = _finance(
-            visitors, r_gov[t], exp_gov[t], run, coeffs, state.net_revenue_cum)
-        if allocation is not None:
-            # a plain run adds nothing, not even 0.0, so a -0.0 budget stays -0.0
-            exp_env = exp_env + extra_env
-        env_next, exp_glacier, exp_waste = _environment(
-            state.env_index, exp_env, g_retreat[t], co2[t], run, coeffs)
-        _check_population(pop[t], t)
-        sat_next = _social(state.satisfaction, env_next, visitors, exp_glacier,
-                           exp_waste, pop[t], unemp[t], coeffs)
-        if allocation is not None:
-            amounts, sat_next, capacity, v_base_bonus = _feedback(
-                r_net, sat_next, capacity, allocation, feedback)
-            extra_env = amounts.env
+
+    def record(stage1, flows, exp_env, env, sat, amounts, capacity):
+        visitors, f_pr, f_gla, f_att = stage1
+        r_tourism, r_gov_total, _, exp_gov_total, r_net, cum = flows
+        if amounts is not None:
             traj.channel_spend.append(amounts)
             traj.effective_capacity.append(capacity)
-        state = SimState(visitors, env_next, sat_next, r_net_cum)
-        traj.states.append(state)
+        traj.states.append(SimState(visitors, env, sat, cum))
         traj.f_glacier.append(f_gla)
         traj.f_attraction.append(f_att)
         traj.f_price.append(f_pr)
@@ -747,6 +638,9 @@ def simulate(policy: PolicyVector, exog: ExogenousSeries,
         traj.exp_env.append(exp_env)
         traj.exp_gov_total.append(exp_gov_total)
         traj.r_net.append(r_net)
+
+    _years(exog, run, coeffs, init.env_index, init.satisfaction,
+           init.net_revenue_cum, policy.capacity_limit, allocation, feedback, record)
     return traj, traj.objectives()
 
 
@@ -790,9 +684,9 @@ def simulate_batch(policy: PolicyVector, exog: ExogenousSeries,
 
     ``rows`` maps :class:`PolicyVector` or :class:`ModelCoefficients`
     field names to (N,) arrays; row i overrides those fields of ``policy``
-    and ``coeffs``.  The stage helpers of ``simulate`` run on arrays of
-    ``_BLOCK`` rows, looping over years, so row i holds the bits of
-    ``simulate``'s ObjectiveTriple for the same inputs.  Errors are those
+    and ``coeffs``.  The year loop of ``simulate`` runs on arrays of
+    ``_BLOCK`` rows, so row i holds the bits of ``simulate``'s
+    ObjectiveTriple for the same inputs.  Errors are those
     ``simulate`` raises on the first row that fails.  No allocation
     feedback and no trajectory: use ``simulate`` for those.
     """
@@ -805,26 +699,16 @@ def simulate_batch(policy: PolicyVector, exog: ExogenousSeries,
         raise ValueError(f"rows must be 1-D arrays of one length, got shapes {sorted(shapes)}")
     n = shapes.pop()[0]
     _raise_first_failure(policy, coeffs, exog, init, rows, n)
-    g_retreat, v_base, r_gov, exp_gov, co2, pop, unemp = (
-        getattr(exog, name).tolist() for name in _DRIVERS)
     out = np.empty((n, 3))
     for lo in range(0, n, _BLOCK):
         block = {name: col[lo:lo + _BLOCK] for name, col in rows.items()}
         p = SimpleNamespace(**{f: block.get(f, getattr(policy, f)) for f in POLICY_FIELDS})
         c = SimpleNamespace(**{f: block.get(f, getattr(coeffs, f)) for f in COEFF_FIELDS})
-        env, sat, cum = init.env_index, init.satisfaction, init.net_revenue_cum
         # overflow to inf and inf - inf = NaN pass silently, as on floats
         with np.errstate(all="ignore"):
             run = _run_constants(p, c) if len(exog) > 1 else None
-            for t in range(len(exog) - 1):
-                visitors = _visitors(env, sat, g_retreat[t + 1], v_base[t + 1], 0.0,
-                                     p.capacity_limit, run, c)[0]
-                flows = _finance(visitors, r_gov[t], exp_gov[t], run, c, cum)
-                env_next, exp_glacier, exp_waste = _environment(
-                    env, flows[2], g_retreat[t], co2[t], run, c)
-                sat = _social(sat, env_next, visitors, exp_glacier, exp_waste,
-                              pop[t], unemp[t], c)
-                env, cum = env_next, flows[5]
+            env, sat, cum = _years(exog, run, c, init.env_index, init.satisfaction,
+                                   init.net_revenue_cum, p.capacity_limit)
         chunk = out[lo:lo + _BLOCK]
         chunk[:, 0], chunk[:, 1], chunk[:, 2] = cum, env, sat
     return out

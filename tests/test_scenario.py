@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import touropt as tp
+from touropt.sd_core import POLICY_FIELDS, _run_constants, _years
 from touropt.scenario import (
     DEFAULT_SCENARIOS,
     AllocationPolicy,
@@ -230,3 +233,55 @@ class TestCompareScenarios:
         with pytest.raises(ValueError):
             compare_scenarios([], juneau.reference_policy, juneau_exog,
                               juneau.coefficients, juneau_init, juneau.feedback)
+
+
+class TestYearLoopOnArrays:
+    """The feedback stage of the shared year loop, run on arrays of policy
+    rows, against one ``run_scenario`` per row."""
+
+    @pytest.mark.parametrize("preset_name", ["juneau", "iceland"])
+    def test_feedback_rows_match_run_scenario(self, preset_name):
+        preset = tp.get_preset(preset_name)
+        coeffs, fb = preset.coefficients, preset.feedback
+        plain = tp.synth_dataset(preset, seed=0)
+        init = tp.initial_state(preset, plain, seed=0)
+        rng = np.random.default_rng(17)
+        lo, hi = preset.bounds.lows(), preset.bounds.highs()
+        genomes = lo + (hi - lo) * rng.random((120, len(lo)))
+        p = SimpleNamespace(**dict(zip(POLICY_FIELDS, genomes.T)))
+        over = AllocationPolicy("Over-committed", 0.9, 0.8, 0.7, 0.6)
+        surplus_signs = set()
+        # tenfold baseline expenditure puts negative-surplus years in the runs
+        for exog in (plain, plain.with_scaled("EXP_gov_base", 10.0)):
+            for alloc in DEFAULT_SCENARIOS + (over,):
+                used, _ = alloc.normalized()
+                years = []
+
+                def record(stage1, flows, exp_env, env, sat, amounts, capacity):
+                    years.append((stage1[0], env, sat, flows[5], capacity))
+
+                with np.errstate(all="ignore"):
+                    env, sat, cum = _years(exog, _run_constants(p, coeffs), coeffs,
+                                           init.env_index, init.satisfaction,
+                                           init.net_revenue_cum, p.capacity_limit,
+                                           used, fb, record)
+                want_years, want_final = [], []
+                for genome in genomes:
+                    res = run_scenario(alloc, tp.PolicyVector.from_array(genome),
+                                       exog, coeffs, init, fb)
+                    tr = res.trajectory
+                    want_years.append([(s.visitors, s.env_index, s.satisfaction,
+                                        s.net_revenue_cum, k)
+                                       for s, k in zip(tr.states[1:],
+                                                       res.effective_capacity)])
+                    want_final.append(res.objectives())
+                    surplus_signs.update(r < 0 for r in tr.r_net)
+                got_years = np.array(years)
+                want_years = np.array(want_years).transpose(1, 2, 0)
+                assert got_years.shape == want_years.shape == (16, 5, 120)
+                assert np.array_equal(got_years.view(np.int64),
+                                      want_years.view(np.int64)), alloc.name
+                got_final = np.column_stack([cum, env, sat])
+                assert np.array_equal(got_final.view(np.int64),
+                                      np.array(want_final).view(np.int64)), alloc.name
+        assert surplus_signs == {True, False}

@@ -11,27 +11,23 @@ from touropt.errors import DataError
 from touropt.sd_core import (
     _BLOCK,
     COEFF_FIELDS,
-    _clamp01,
+    _attraction,
     _clip01,
     _environment,
+    _finance,
     _floor,
+    _glacier,
     _max,
     _min,
     _pos,
+    _price,
     _put,
     _run_constants,
     _social,
     _visitors,
     POLICY_FIELDS,
-    attraction_factor,
-    glacier_factor,
-    price_factor,
     simulate,
     simulate_batch,
-    step_environment,
-    step_finance,
-    step_social,
-    step_visitors,
 )
 
 from helpers import (
@@ -46,49 +42,76 @@ from helpers import (
 )
 
 
+def _visitors_at(state, exog, t, policy, coeffs):
+    """Stage 1 for the year entered at index ``t`` of ``exog``."""
+    return _visitors(state.env_index, state.satisfaction, float(exog.G_retreat[t]),
+                     float(exog.V_base[t]), 0.0, policy.capacity_limit,
+                     _run_constants(policy, coeffs), coeffs)
+
+
+def _finance_at(v, exog, t, policy, coeffs, prev_cum):
+    """Stage 2 for the transition year ``t``: (r_tourism, ..., r_net, r_net_cum)."""
+    return _finance(v, float(exog.R_gov_base[t]), float(exog.EXP_gov_base[t]),
+                    _run_constants(policy, coeffs), coeffs, prev_cum)
+
+
+def _environment_at(env, exp_env, exog, t, policy, coeffs):
+    """Stage 3 for the transition year ``t``: next E."""
+    return _environment(env, exp_env, float(exog.G_retreat[t]),
+                        float(exog.CO2_emission[t]), _run_constants(policy, coeffs),
+                        coeffs)[0]
+
+
+def _social_at(sat, env_next, v, exog, t, coeffs):
+    """Stage 4 for the transition year ``t`` with no protection spend: next S."""
+    return _social(sat, env_next, v, 0.0, 0.0, float(exog.population[t]),
+                   float(exog.unemployment[t]), coeffs)
+
+
 class TestGlacierFactor:
     def test_baseline_retreat_is_neutral(self):
-        assert glacier_factor(250.0, 250.0, 0.2) == 1.0
+        assert _glacier(250.0, 250.0, 0.2) == 1.0
 
     def test_double_retreat(self):
-        assert glacier_factor(500.0, 250.0, 0.2) == pytest.approx(0.8)
+        assert _glacier(500.0, 250.0, 0.2) == pytest.approx(0.8)
 
     def test_floor_at_zero(self):
-        assert glacier_factor(250.0 * 100, 250.0, 0.2) == 0.0
+        assert _glacier(250.0 * 100, 250.0, 0.2) == 0.0
 
     def test_bad_baseline(self):
-        with pytest.raises(ValueError):
-            glacier_factor(250.0, 0.0, 0.2)
+        with pytest.raises(ValueError, match="g_baseline must be > 0"):
+            simulate(slack_policy(), flat_exog(),
+                     neutral_coeffs(G_retreat_baseline=0.0), mid_state())
 
 
 class TestAttractionFactor:
     def test_neutral_midpoint(self):
-        assert attraction_factor(0.5, 0.5, 1.0, 0.5) == pytest.approx(1.0)
+        assert _attraction(0.5, 0.5, 1.0, 0.5) == pytest.approx(1.0)
 
     def test_full_indices(self):
-        assert attraction_factor(1.0, 1.0, 1.0, 0.5) == pytest.approx(1.5)
+        assert _attraction(1.0, 1.0, 1.0, 0.5) == pytest.approx(1.5)
 
     def test_zero_glacier_annihilates(self):
-        assert attraction_factor(0.9, 0.9, 0.0, 0.7) == 0.0
+        assert _attraction(0.9, 0.9, 0.0, 0.7) == 0.0
 
 
 class TestPriceFactor:
     def test_zero_elasticity(self):
-        assert price_factor(0.0, 0.3, 100.0, 100.0) == 1.0
+        assert _price(0.0, 0.3, 100.0, 100.0) == 1.0
 
     def test_hand_value(self):
-        assert price_factor(-0.5, 0.1, 10.0, 100.0) == pytest.approx(0.9)
+        assert _price(-0.5, 0.1, 10.0, 100.0) == pytest.approx(0.9)
 
     def test_bad_normalizer(self):
-        with pytest.raises(ValueError):
-            price_factor(-0.5, 0.1, 10.0, 0.0)
+        with pytest.raises(ValueError, match="k1 must be > 0"):
+            simulate(slack_policy(), flat_exog(), neutral_coeffs(k1=0.0), mid_state())
 
     def test_negative_factor_clamped_in_step(self):
         # raw factor 1 - 2*(0.3 + 1) < 0; the visitor step floors it
         exog = flat_exog()
         coeffs = neutral_coeffs(eps_price=-2.0, K_dev=5e4)
         policy = slack_policy(tax_rate=0.3, carbon_fee=100.0, dev_incentive=1.0)
-        v, f_pr, _, _ = step_visitors(mid_state(), exog, 1, policy, coeffs)
+        v, f_pr, _, _ = _visitors_at(mid_state(), exog, 1, policy, coeffs)
         assert f_pr == 0.0
         assert v == pytest.approx(5e4)  # only the development push remains
 
@@ -97,33 +120,28 @@ class TestStepVisitors:
     def test_capacity_is_min(self):
         exog = flat_exog(V_base=10e6)
         policy = slack_policy(capacity_limit=1e6)
-        v, *_ = step_visitors(mid_state(satisfaction=0.5), exog, 1,
-                              policy, neutral_coeffs())
+        v, *_ = _visitors_at(mid_state(satisfaction=0.5), exog, 1,
+                             policy, neutral_coeffs())
         assert v == 1e6
 
     def test_ship_limit_caps(self):
         exog = flat_exog(V_base=10e6)
         policy = slack_policy(ship_limit=100.0)  # 100 * 5000 = 5e5
-        v, *_ = step_visitors(mid_state(), exog, 1, policy, neutral_coeffs())
+        v, *_ = _visitors_at(mid_state(), exog, 1, policy, neutral_coeffs())
         assert v == 5e5
 
     def test_social_resistance(self):
         exog = flat_exog(V_base=10e6)
         policy = slack_policy(capacity_limit=1e6)
-        v, *_ = step_visitors(mid_state(satisfaction=0.2), exog, 1,
-                              policy, neutral_coeffs())
+        v, *_ = _visitors_at(mid_state(satisfaction=0.2), exog, 1,
+                             policy, neutral_coeffs())
         assert v == pytest.approx(8e5)
 
     def test_identity_passthrough(self):
         exog = flat_exog(V_base=1e6)
-        v, *_ = step_visitors(mid_state(), exog, 1, slack_policy(),
-                              neutral_coeffs())
+        v, *_ = _visitors_at(mid_state(), exog, 1, slack_policy(),
+                             neutral_coeffs())
         assert v == 1e6
-
-    def test_missing_year_is_data_error(self):
-        exog = flat_exog(n=3)
-        with pytest.raises(DataError):
-            step_visitors(mid_state(), exog, 3, slack_policy(), neutral_coeffs())
 
     def test_fee_never_raises_unconstrained_demand(self):
         # monotonicity under negative elasticity, capacity slack
@@ -135,8 +153,8 @@ class TestStepVisitors:
             state = mid_state(env_index=float(rng.uniform(0, 1)),
                               satisfaction=float(rng.uniform(0.3, 1)))
             fees = np.sort(rng.uniform(0.0, 100.0, 2))
-            vs = [step_visitors(state, exog, 1,
-                                slack_policy(carbon_fee=float(f)), coeffs)[0]
+            vs = [_visitors_at(state, exog, 1,
+                               slack_policy(carbon_fee=float(f)), coeffs)[0]
                   for f in fees]
             assert vs[1] <= vs[0] + 1e-9
 
@@ -145,77 +163,62 @@ class TestStepFinance:
     def test_tourism_revenue(self):
         exog = flat_exog()
         policy = slack_policy(tax_rate=0.1, carbon_fee=10.0)
-        flows = step_finance(1e6, exog, 0, policy, neutral_coeffs(), 0.0)
-        assert flows.r_tourism == pytest.approx(2e7)
+        r_tourism = _finance_at(1e6, exog, 0, policy, neutral_coeffs(), 0.0)[0]
+        assert r_tourism == pytest.approx(2e7)
 
     def test_zero_policy_net(self):
         exog = flat_exog(R_gov_base=1e7, EXP_gov_base=1e7)
-        flows = step_finance(1e6, exog, 0, slack_policy(), neutral_coeffs(), 0.0)
-        assert flows.r_net == pytest.approx(1e7 - 0.3 * 1e7)
+        r_net = _finance_at(1e6, exog, 0, slack_policy(), neutral_coeffs(), 0.0)[4]
+        assert r_net == pytest.approx(1e7 - 0.3 * 1e7)
 
     def test_cumulative_sum(self):
         exog = flat_exog(R_gov_base=1.3e8, EXP_gov_base=1e8)
-        flows = step_finance(0.0, exog, 0, slack_policy(), neutral_coeffs(), 5e8)
-        assert flows.r_net == pytest.approx(1e8)
-        assert flows.r_net_cum == pytest.approx(6e8)
-
-    def test_negative_visitors_rejected(self):
-        with pytest.raises(ValueError):
-            step_finance(-1.0, flat_exog(), 0, slack_policy(), neutral_coeffs(), 0.0)
-
-    def test_visitor_stage_inputs_not_read(self):
-        # only the visitor step divides by k1 and floors the vessel limit
-        exog, odd = flat_exog(), neutral_coeffs(k1=0.0)
-        policy = slack_policy(tax_rate=0.1, dev_incentive=0.5, glacier_ratio=0.3)
-        bad = replace(policy, ship_limit=math.nan)
-        assert (step_finance(1e6, exog, 0, bad, odd, 0.0)
-                == step_finance(1e6, exog, 0, policy, neutral_coeffs(), 0.0))
-        assert (step_environment(0.5, 1e8, exog, 0, bad, odd)
-                == step_environment(0.5, 1e8, exog, 0, policy, neutral_coeffs()))
+        *_, r_net, r_net_cum = _finance_at(0.0, exog, 0, slack_policy(),
+                                           neutral_coeffs(), 5e8)
+        assert r_net == pytest.approx(1e8)
+        assert r_net_cum == pytest.approx(6e8)
 
 
 class TestStepEnvironment:
     def test_saturation_at_ceiling(self):
         exog = flat_exog(G_retreat=0.0, CO2_emission=0.0)
         coeffs = neutral_coeffs(alpha_g=1e-6, alpha_w=1e-6, delta=0.5)
-        e = step_environment(1.0, 1e9, exog, 0, slack_policy(), coeffs)
+        e = _environment_at(1.0, 1e9, exog, 0, slack_policy(), coeffs)
         assert e == 1.0
 
     def test_recovery_only(self):
         exog = flat_exog(G_retreat=0.0, CO2_emission=0.0)
-        e = step_environment(0.5, 0.0, exog, 0, slack_policy(),
-                             neutral_coeffs(delta=0.1))
+        e = _environment_at(0.5, 0.0, exog, 0, slack_policy(),
+                            neutral_coeffs(delta=0.1))
         assert e == pytest.approx(0.55)
 
     def test_lower_clamp(self):
         exog = flat_exog(CO2_emission=1e6)
-        e = step_environment(0.01, 0.0, exog, 0, slack_policy(),
-                             neutral_coeffs(beta2=1.0))
+        e = _environment_at(0.01, 0.0, exog, 0, slack_policy(),
+                            neutral_coeffs(beta2=1.0))
         assert e == 0.0
 
 
 class TestStepSocial:
     def test_identity_with_zero_coefficients(self):
         exog = flat_exog()
-        s = step_social(0.5, 0.9, 1e6, 0.0, 0.0, exog, 0, neutral_coeffs())
+        s = _social_at(0.5, 0.9, 1e6, exog, 0, neutral_coeffs())
         assert s == 0.5
 
     def test_environment_pull(self):
         exog = flat_exog()
-        s = step_social(0.5, 0.7, 0.0, 0.0, 0.0, exog, 0,
-                        neutral_coeffs(p3=0.5))
+        s = _social_at(0.5, 0.7, 0.0, exog, 0, neutral_coeffs(p3=0.5))
         assert s == pytest.approx(0.6)
 
     def test_crowding_clamp(self):
         exog = flat_exog(population=1e6)
-        s = step_social(0.5, 0.5, 1e6, 0.0, 0.0, exog, 0,
-                        neutral_coeffs(p2=10.0))
+        s = _social_at(0.5, 0.5, 1e6, exog, 0, neutral_coeffs(p2=10.0))
         assert s == 0.0
 
     def test_zero_population_is_data_error(self):
-        exog = flat_exog(population=0.0)
-        with pytest.raises(DataError):
-            step_social(0.5, 0.5, 1e6, 0.0, 0.0, exog, 0, neutral_coeffs())
+        with pytest.raises(DataError, match="population must be > 0 at year index 0"):
+            simulate(slack_policy(), flat_exog(population=0.0), neutral_coeffs(),
+                     mid_state())
 
 
 class TestSimulate:
@@ -450,9 +453,6 @@ class TestSimulateBatch:
             want = np.array([ref(x, y) for x, y in zip(a.tolist(), b.tolist())])
             assert _same_bits(fn(a, b), want)
             assert _same_bits(fn(0.0, b), np.array([ref(0.0, y) for y in b.tolist()]))
-        x = np.array(special)
-        assert _same_bits(_clamp01(x), np.array(
-            [0.0 if v < 0.0 else (1.0 if v > 1.0 else v) for v in special]))
         finite = np.array([-1.5, -0.5, -0.0, 0.0, 0.5, 799.9, 1e300])
         assert _same_bits(_floor(finite) * 5000.0,
                           np.array([math.floor(v) * 5000.0 for v in finite.tolist()]))
