@@ -5,7 +5,9 @@ environmental conditions, is split across attractions in proportion to an
 exponential attractiveness score (environment, satisfaction, marketing,
 price), and is clamped per site by capacity -- overflow is dropped, not
 reassigned.  Each site then updates its own environment and satisfaction
-indices under the assigned load.
+indices under the assigned load.  ``redistribute`` is that year loop, on
+Python floats per site; it resolves and checks the whole schedule before
+the first year step.
 
 Ships with a seven-site Iceland preset (three crowded hotspots, four
 underutilized sites) and a marketing-shift schedule that moves promotion
@@ -25,12 +27,6 @@ __all__ = [
     "SiteState",
     "IslandParams",
     "FlowResult",
-    "total_potential",
-    "attractiveness",
-    "allocation_weights",
-    "assign_visitors",
-    "site_environment_update",
-    "site_social_update",
     "redistribute",
     "iceland_sites",
     "constant_schedule",
@@ -104,67 +100,6 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def total_potential(total: float, price_avg: float, env_avg: float,
-                    p: IslandParams) -> float:
-    """Next year's island-wide potential, floored at zero."""
-    if total < 0:
-        raise ValueError("total potential must be >= 0")
-    nxt = total * (1.0 + p.phi * (price_avg + env_avg - 1.5)) + p.dev_boost
-    return max(0.0, nxt)
-
-
-def attractiveness(site: SiteState, p: IslandParams) -> float:
-    """Exponential appeal score; strictly positive."""
-    if site.marketing < 0:
-        raise ValueError("marketing must be >= 0")
-    exponent = (p.a0 + p.a1 * site.env_index + p.a2 * site.satisfaction
-                + p.a3 * math.log1p(site.marketing) - p.a4 * site.price)
-    if abs(exponent) > 500.0:  # exp would overflow/underflow
-        raise ValueError(f"attractiveness exponent {exponent:.1f} out of range")
-    return math.exp(exponent)
-
-
-def allocation_weights(scores) -> np.ndarray:
-    """Proportional shares of the scores; they sum to exactly 1."""
-    a = np.asarray(list(scores), dtype=float)
-    if a.size == 0:
-        raise ValueError("no sites to allocate over")
-    if np.any(a <= 0):
-        raise ValueError("attractiveness scores must be > 0")
-    return a / a.sum()
-
-
-def assign_visitors(total_next: float, weights, capacities) -> np.ndarray:
-    """Split the potential by weight and clamp per site; overflow is lost."""
-    w = np.asarray(weights, dtype=float)
-    c = np.asarray(capacities, dtype=float)
-    raw = w * total_next
-    return np.minimum(raw, c)
-
-
-def site_environment_update(site: SiteState, p: IslandParams) -> float:
-    """Next-year site environment index, clamped to [0, 1]."""
-    if site.capacity <= 0:
-        raise ValueError(f"{site.name}: capacity must be > 0")
-    e = (site.env_index
-         + p.alpha_g * site.env_fund
-         - p.beta_crowd * site.visitors / site.capacity
-         - p.beta_co2 * site.co2
-         + p.delta * (1.0 - site.env_index))
-    return _clamp01(e)
-
-
-def site_social_update(site: SiteState, env_next: float, p: IslandParams) -> float:
-    """Next-year site satisfaction, clamped to [0, 1]."""
-    if site.population <= 0:
-        raise ValueError(f"{site.name}: population must be > 0")
-    s = (site.satisfaction
-         + p.rho_comm * site.community_fund
-         - p.rho_over * site.visitors / site.population
-         + p.rho_e * (env_next - site.satisfaction))
-    return _clamp01(s)
-
-
 @dataclass
 class FlowResult:
     years: list
@@ -183,73 +118,88 @@ class FlowResult:
         return {name: float(v[i] / total) for i, name in enumerate(self.site_names)}
 
 
-def _schedule_value(schedule: dict, site: str, fld: str, idx: int, fallback: float) -> float:
-    entry = schedule.get(site) if schedule else None
-    if not entry or fld not in entry:
-        return fallback
-    seq = entry[fld]
-    if idx >= len(seq):
-        raise DataError(f"schedule for {site}.{fld} too short (need index {idx})")
-    return float(seq[idx])
+def _controls(sites, schedule: dict, steps: int) -> list:
+    """Per year step, one tuple of site values per ``SCHEDULE_FIELDS``
+    field: the schedule's entry at that step, else the site's own value."""
+    schedule = schedule or {}
+    names = [s.name for s in sites]
+    for name, entry in schedule.items():
+        if name not in names:
+            raise DataError(f"schedule references unknown site {name!r}")
+        for fld in entry or ():
+            if fld not in SCHEDULE_FIELDS:
+                raise DataError(f"schedule field {name}.{fld} is not one of {SCHEDULE_FIELDS}")
+    columns = []
+    for fld in SCHEDULE_FIELDS:
+        per_site = []
+        for s in sites:
+            entry = schedule.get(s.name) or {}
+            if fld not in entry:
+                per_site.append([getattr(s, fld)] * steps)
+                continue
+            seq = entry[fld]
+            if len(seq) < steps:
+                raise DataError(f"schedule for {s.name}.{fld} too short (need index {len(seq)})")
+            per_site.append([float(v) for v in seq[:steps]])
+        columns.append(list(zip(*per_site)))
+    if any(m < 0 for step in columns[0] for m in step):
+        raise ValueError("marketing must be >= 0")
+    return list(zip(*columns))
 
 
 def redistribute(sites, params: IslandParams, schedule: dict, years) -> FlowResult:
     """Run the yearly redistribution loop over the given calendar years.
 
     ``schedule`` maps site name -> {field -> per-year sequence} for any of
-    marketing, price, env_fund, community_fund, co2; a missing field keeps
-    the site's initial value.  The transition into year t+1 uses the
-    schedule entry at the index of year t.
+    ``SCHEDULE_FIELDS``; a missing field keeps the site's initial value.
+    The transition into year t+1 uses the schedule entry at the index of
+    year t.  Every input check runs before the first year step: a site or
+    field the schedule names that does not exist, a list shorter than the
+    year steps and a negative scheduled marketing effort are refused.
     """
-    sites = [SiteState(**s.__dict__) for s in sites]  # work on copies
+    sites = list(sites)
     years = [int(y) for y in years]
     if len(years) < 1:
         raise DataError("need at least one year")
+    if not sites:
+        raise DataError("need at least one site")
     params.validate()
     for s in sites:
         try:
             s.validate()
         except ValueError as e:
             raise ValueError(f"{s.name}: {e}") from None
-    if schedule:
-        for name in schedule:
-            if name not in {s.name for s in sites}:
-                raise DataError(f"schedule references unknown site {name!r}")
-    n_sites, n_years = len(sites), len(years)
-    visitors = np.zeros((n_sites, n_years))
-    env = np.zeros((n_sites, n_years))
-    sat = np.zeros((n_sites, n_years))
-    weights = np.zeros((n_sites, max(0, n_years - 1)))
-    totals = np.zeros(n_years)
-    for i, s in enumerate(sites):
-        visitors[i, 0], env[i, 0], sat[i, 0] = s.visitors, s.env_index, s.satisfaction
-    total = float(sum(s.visitors for s in sites))
-    totals[0] = total
-    for t in range(n_years - 1):
-        for i, s in enumerate(sites):
-            s.marketing = _schedule_value(schedule, s.name, "marketing", t, s.marketing)
-            s.price = _schedule_value(schedule, s.name, "price", t, s.price)
-            s.env_fund = _schedule_value(schedule, s.name, "env_fund", t, s.env_fund)
-            s.community_fund = _schedule_value(schedule, s.name, "community_fund",
-                                               t, s.community_fund)
-            s.co2 = _schedule_value(schedule, s.name, "co2", t, s.co2)
-        price_avg = sum(s.price for s in sites) / n_sites
-        env_avg = sum(s.env_index for s in sites) / n_sites
-        total = total_potential(total, price_avg, env_avg, params)
-        w = allocation_weights([attractiveness(s, params) for s in sites])
-        assigned = assign_visitors(total, w, [s.capacity for s in sites])
-        for i, s in enumerate(sites):
-            s.visitors = float(assigned[i])
-            e_next = site_environment_update(s, params)
-            s_next = site_social_update(s, e_next, params)
-            s.env_index, s.satisfaction = e_next, s_next
-            visitors[i, t + 1] = s.visitors
-            env[i, t + 1] = e_next
-            sat[i, t + 1] = s_next
-            weights[i, t] = w[i]
-        totals[t + 1] = total
+    p, n, steps = params, len(sites), len(years) - 1
+    capacity, population = [s.capacity for s in sites], [s.population for s in sites]
+    cap = np.asarray(capacity, dtype=float)
+    env, sat = [s.env_index for s in sites], [s.satisfaction for s in sites]
+    visitors, env_out, sat_out = (np.zeros((n, steps + 1)) for _ in range(3))
+    weights, totals = np.zeros((n, steps)), np.zeros(steps + 1)
+    visitors[:, 0], env_out[:, 0], sat_out[:, 0] = [s.visitors for s in sites], env, sat
+    total = totals[0] = float(sum(s.visitors for s in sites))
+    for t, (mk, pr, fe, fc, c2) in enumerate(_controls(sites, schedule, steps)):
+        total = max(0.0, total * (1.0 + p.phi * (sum(pr) / n + sum(env) / n - 1.5))
+                    + p.dev_boost)
+        scores = []
+        for i in range(n):
+            x = (p.a0 + p.a1 * env[i] + p.a2 * sat[i] + p.a3 * math.log1p(mk[i])
+                 - p.a4 * pr[i])
+            if abs(x) > 500.0:  # exp would overflow/underflow
+                raise ValueError(f"attractiveness exponent {x:.1f} out of range")
+            scores.append(math.exp(x))
+        a = np.asarray(scores, dtype=float)
+        w = a / a.sum()
+        v = np.minimum(w * total, cap)  # overflow above capacity is lost
+        for i, vi in enumerate(v.tolist()):
+            e = _clamp01(env[i] + p.alpha_g * fe[i] - p.beta_crowd * vi / capacity[i]
+                         - p.beta_co2 * c2[i] + p.delta * (1.0 - env[i]))
+            sat[i] = _clamp01(sat[i] + p.rho_comm * fc[i] - p.rho_over * vi / population[i]
+                              + p.rho_e * (e - sat[i]))
+            env[i] = e
+        visitors[:, t + 1], env_out[:, t + 1], sat_out[:, t + 1] = v, env, sat
+        weights[:, t], totals[t + 1] = w, total
     return FlowResult(years=years, site_names=[s.name for s in sites],
-                      visitors=visitors, env=env, sat=sat,
+                      visitors=visitors, env=env_out, sat=sat_out,
                       weights=weights, totals=totals)
 
 

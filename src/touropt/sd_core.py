@@ -615,7 +615,7 @@ def simulate(policy: PolicyVector, exog: ExogenousSeries,
         # the visitor stage's coefficient checks and the run's constant
         # terms, once: they hold for every year
         if coeffs.G_retreat_baseline <= 0:
-            raise ValueError("g_baseline must be > 0")
+            raise ValueError("G_retreat_baseline must be > 0")
         if coeffs.kappa < 0:
             raise ValueError("kappa must be >= 0")
         if coeffs.k1 <= 0:

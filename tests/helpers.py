@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 
 from touropt import moea
-from touropt.errors import ConfigError, EvaluationError
+from touropt.errors import ConfigError, DataError, EvaluationError
+from touropt.flow import SCHEDULE_FIELDS, FlowResult, SiteState
 from touropt.sd_core import (
     COEFF_FIELDS,
     POLICY_FIELDS,
@@ -586,3 +587,112 @@ def morris_reference(space, exog, coeffs, policy, init, r, levels=4, seed=0):
             evals[t, s] = objs
     return samples, evals, [morris_indices_loop(space, samples, evals[:, :, j])
                             for j in range(3)]
+
+
+def _flow_potential(total, price_avg, env_avg, p):
+    if total < 0:
+        raise ValueError("total potential must be >= 0")
+    nxt = total * (1.0 + p.phi * (price_avg + env_avg - 1.5)) + p.dev_boost
+    return max(0.0, nxt)
+
+
+def _flow_attractiveness(site, p):
+    if site.marketing < 0:
+        raise ValueError("marketing must be >= 0")
+    exponent = (p.a0 + p.a1 * site.env_index + p.a2 * site.satisfaction
+                + p.a3 * math.log1p(site.marketing) - p.a4 * site.price)
+    if abs(exponent) > 500.0:
+        raise ValueError(f"attractiveness exponent {exponent:.1f} out of range")
+    return math.exp(exponent)
+
+
+def _flow_weights(scores):
+    a = np.asarray(list(scores), dtype=float)
+    if a.size == 0:
+        raise ValueError("no sites to allocate over")
+    if np.any(a <= 0):
+        raise ValueError("attractiveness scores must be > 0")
+    return a / a.sum()
+
+
+def _flow_clamp01(x):
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+
+
+def _flow_environment(site, p):
+    if site.capacity <= 0:
+        raise ValueError(f"{site.name}: capacity must be > 0")
+    return _flow_clamp01(site.env_index + p.alpha_g * site.env_fund
+                         - p.beta_crowd * site.visitors / site.capacity
+                         - p.beta_co2 * site.co2 + p.delta * (1.0 - site.env_index))
+
+
+def _flow_social(site, env_next, p):
+    if site.population <= 0:
+        raise ValueError(f"{site.name}: population must be > 0")
+    return _flow_clamp01(site.satisfaction + p.rho_comm * site.community_fund
+                         - p.rho_over * site.visitors / site.population
+                         + p.rho_e * (env_next - site.satisfaction))
+
+
+def _flow_schedule_value(schedule, site, fld, idx, fallback):
+    entry = schedule.get(site) if schedule else None
+    if not entry or fld not in entry:
+        return fallback
+    seq = entry[fld]
+    if idx >= len(seq):
+        raise DataError(f"schedule for {site}.{fld} too short (need index {idx})")
+    return float(seq[idx])
+
+
+def redistribute_reference(sites, params, schedule, years):
+    """Reference ``flow.redistribute``: one-site helpers called per site and
+    per year on mutated ``SiteState`` copies, each schedule value looked up
+    at its year step."""
+    sites = [SiteState(**s.__dict__) for s in sites]
+    years = [int(y) for y in years]
+    if len(years) < 1:
+        raise DataError("need at least one year")
+    params.validate()
+    for s in sites:
+        try:
+            s.validate()
+        except ValueError as e:
+            raise ValueError(f"{s.name}: {e}") from None
+    if schedule:
+        for name in schedule:
+            if name not in {s.name for s in sites}:
+                raise DataError(f"schedule references unknown site {name!r}")
+    n_sites, n_years = len(sites), len(years)
+    visitors = np.zeros((n_sites, n_years))
+    env = np.zeros((n_sites, n_years))
+    sat = np.zeros((n_sites, n_years))
+    weights = np.zeros((n_sites, max(0, n_years - 1)))
+    totals = np.zeros(n_years)
+    for i, s in enumerate(sites):
+        visitors[i, 0], env[i, 0], sat[i, 0] = s.visitors, s.env_index, s.satisfaction
+    total = float(sum(s.visitors for s in sites))
+    totals[0] = total
+    for t in range(n_years - 1):
+        for s in sites:
+            for fld in SCHEDULE_FIELDS:
+                setattr(s, fld, _flow_schedule_value(schedule, s.name, fld, t,
+                                                     getattr(s, fld)))
+        price_avg = sum(s.price for s in sites) / n_sites
+        env_avg = sum(s.env_index for s in sites) / n_sites
+        total = _flow_potential(total, price_avg, env_avg, params)
+        w = _flow_weights([_flow_attractiveness(s, params) for s in sites])
+        assigned = np.minimum(w * total, np.asarray([s.capacity for s in sites], dtype=float))
+        for i, s in enumerate(sites):
+            s.visitors = float(assigned[i])
+            e_next = _flow_environment(s, params)
+            s_next = _flow_social(s, e_next, params)
+            s.env_index, s.satisfaction = e_next, s_next
+            visitors[i, t + 1] = s.visitors
+            env[i, t + 1] = e_next
+            sat[i, t + 1] = s_next
+            weights[i, t] = w[i]
+        totals[t + 1] = total
+    return FlowResult(years=years, site_names=[s.name for s in sites],
+                      visitors=visitors, env=env, sat=sat,
+                      weights=weights, totals=totals)

@@ -2,22 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from helpers import redistribute_reference
 
 from touropt.errors import DataError
 from touropt.flow import (
+    SCHEDULE_FIELDS,
     IslandParams,
     SiteState,
-    allocation_weights,
-    assign_visitors,
-    attractiveness,
     constant_schedule,
     iceland_redistribution_schedule,
     iceland_sites,
     redistribute,
-    site_environment_update,
-    site_social_update,
-    total_potential,
 )
+
+# every attractiveness coefficient zero but the marketing one: a site's
+# score is exp(ln(1 + marketing)) = 1 + marketing
+MARKETING_ONLY = dict(a0=0.0, a1=0.0, a2=0.0, a3=1.0, a4=0.0)
 
 
 def _site(**overrides):
@@ -28,119 +28,195 @@ def _site(**overrides):
     return SiteState(**base)
 
 
+def _run(sites, schedule=None, n_years=2, **params):
+    """``redistribute`` over ``n_years`` years from 2024."""
+    return redistribute(sites, IslandParams(**params), schedule or {},
+                        list(range(2024, 2024 + n_years)))
+
+
 class TestTotalPotential:
+    """The island-wide potential steps as
+    max(0, total * (1 + phi * (price_avg + env_avg - 1.5)) + dev_boost)."""
+
     def test_neutral_bracket(self):
-        p = IslandParams(phi=0.2, dev_boost=0.0)
-        assert total_potential(1e6, 0.9, 0.6, p) == pytest.approx(1e6)
+        # prices average 0.9 and environment indices 0.6
+        sites = [_site(name="a", visitors=5e5, capacity=2e6, price=0.8, env_index=0.5),
+                 _site(name="b", visitors=5e5, capacity=2e6, price=1.0, env_index=0.7)]
+        res = _run(sites, phi=0.2, dev_boost=0.0)
+        assert res.totals[1] == pytest.approx(1e6)
 
     def test_hand_value(self):
-        p = IslandParams(phi=0.2, dev_boost=0.0)
-        assert total_potential(1e6, 1.0, 1.0, p) == pytest.approx(1.1e6)
+        site = _site(visitors=1e6, capacity=2e6, price=1.0, env_index=1.0)
+        assert _run([site], phi=0.2, dev_boost=0.0).totals[1] == pytest.approx(1.1e6)
 
     def test_zero_sensitivity(self):
-        p = IslandParams(phi=0.0, dev_boost=2e4)
-        assert total_potential(1e6, 5.0, 5.0, p) == pytest.approx(1.02e6)
+        site = _site(visitors=1e6, capacity=2e6, price=5.0, env_index=1.0)
+        assert _run([site], phi=0.0, dev_boost=2e4).totals[1] == pytest.approx(1.02e6)
 
     def test_floor_at_zero(self):
-        p = IslandParams(phi=10.0, dev_boost=0.0)
-        assert total_potential(1e6, 0.0, 0.0, p) == 0.0
+        site = _site(visitors=1e6, capacity=2e6, price=0.0, env_index=0.0)
+        res = _run([site], phi=10.0, dev_boost=0.0)
+        assert res.totals[1] == 0.0 and res.visitors[0, 1] == 0.0
 
 
 class TestAttractiveness:
+    """Shares follow exp(a0 + a1 E + a2 S + a3 ln(1 + marketing) - a4 price)."""
+
     def test_all_zero_coefficients(self):
-        p = IslandParams(a0=0, a1=0, a2=0, a3=0, a4=0)
-        assert attractiveness(_site(), p) == 1.0
+        sites = [_site(name="a", env_index=0.1, marketing=4.0, price=3.0),
+                 _site(name="b", env_index=0.9, marketing=0.0, price=0.5)]
+        res = _run(sites, a0=0, a1=0, a2=0, a3=0, a4=0)
+        assert list(res.weights[:, 0]) == [0.5, 0.5]
 
     def test_marketing_ratio(self):
-        p = IslandParams(a0=0, a1=0, a2=0, a3=1.0, a4=0)
-        a_hi = attractiveness(_site(marketing=math.e - 1.0), p)
-        a_lo = attractiveness(_site(marketing=0.0), p)
-        assert a_hi / a_lo == pytest.approx(math.e)
+        sites = [_site(name="a", marketing=math.e - 1.0), _site(name="b", marketing=0.0)]
+        w = _run(sites, **MARKETING_ONLY).weights[:, 0]
+        assert w[0] / w[1] == pytest.approx(math.e)
 
     def test_price_strictly_lowers(self):
-        p = IslandParams()
-        assert attractiveness(_site(price=2.0), p) < attractiveness(_site(price=1.0), p)
+        w = _run([_site(name="a", price=2.0), _site(name="b", price=1.0)]).weights[:, 0]
+        assert w[0] < w[1]
 
     def test_overflow_guard(self):
-        p = IslandParams(a3=300.0)
-        with pytest.raises(ValueError):
-            attractiveness(_site(marketing=1e6), p)
+        with pytest.raises(ValueError, match=r"^attractiveness exponent \S+ out of range$"):
+            _run([_site(marketing=1e6)], a3=300.0)
 
 
 class TestAllocationWeights:
     def test_uniform(self):
-        w = allocation_weights([2.0, 2.0, 2.0, 2.0])
-        assert np.allclose(w, 0.25)
+        res = _run([_site(name=f"s{i}") for i in range(4)], n_years=4)
+        assert np.allclose(res.weights, 0.25)
 
     def test_proportional(self):
-        assert np.allclose(allocation_weights([3.0, 1.0]), [0.75, 0.25])
+        sites = [_site(name="a", marketing=2.0), _site(name="b", marketing=0.0)]
+        assert np.allclose(_run(sites, **MARKETING_ONLY).weights[:, 0], [0.75, 0.25])
 
     def test_single_site(self):
-        assert np.allclose(allocation_weights([7.3]), [1.0])
+        assert np.allclose(_run([_site()], n_years=4).weights, 1.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            allocation_weights([])
+        for n_years in (1, 2, 5):
+            with pytest.raises(DataError, match="^need at least one site$"):
+                _run([], n_years=n_years)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            w = allocation_weights(rng.uniform(0.01, 10.0, rng.integers(1, 12)))
-            assert abs(w.sum() - 1.0) <= 1e-12
+            sites = [_site(name=f"s{i}", marketing=float(rng.uniform(0.0, 10.0)),
+                           price=float(rng.uniform(0.5, 2.0)))
+                     for i in range(int(rng.integers(1, 12)))]
+            res = _run(sites, n_years=3)
+            assert np.max(np.abs(res.weights.sum(axis=0) - 1.0)) <= 1e-12
 
 
 class TestAssignVisitors:
+    """The potential splits by weight and is clamped per site; what a
+    clamped site cannot take is lost, not reassigned."""
+
     def test_slack_capacity(self):
-        v = assign_visitors(1e6, [0.6, 0.4], [1e9, 1e9])
-        assert np.allclose(v, [6e5, 4e5])
+        sites = [_site(name="a", marketing=0.5, visitors=5e5, capacity=1e9),
+                 _site(name="b", marketing=0.0, visitors=5e5, capacity=1e9)]
+        res = _run(sites, phi=0.0, dev_boost=0.0, **MARKETING_ONLY)
+        assert np.allclose(res.visitors[:, 1], [6e5, 4e5])
 
     def test_one_site_bound(self):
-        v = assign_visitors(1e6, [0.6, 0.4], [1e5, 1e9])
-        assert np.allclose(v, [1e5, 4e5])
+        sites = [_site(name="a", marketing=0.5, visitors=1e5, capacity=1e5),
+                 _site(name="b", marketing=0.0, visitors=9e5, capacity=1e9)]
+        res = _run(sites, phi=0.0, dev_boost=0.0, **MARKETING_ONLY)
+        assert np.allclose(res.visitors[:, 1], [1e5, 4e5])
 
     def test_never_exceeds_total(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            n = int(rng.integers(1, 9))
-            w = allocation_weights(rng.uniform(0.1, 5.0, n))
-            caps = rng.uniform(1e4, 1e6, n)
-            total = float(rng.uniform(0, 5e6))
-            assert assign_visitors(total, w, caps).sum() <= total + 1e-9
+            caps = rng.uniform(1e4, 1e6, int(rng.integers(1, 9)))
+            sites = [_site(name=f"s{i}", capacity=float(c), visitors=float(rng.uniform(0, c)),
+                           marketing=float(rng.uniform(0.1, 5.0)))
+                     for i, c in enumerate(caps)]
+            res = _run(sites, phi=0.0, dev_boost=float(rng.uniform(0, 1e6)))
+            assert res.visitors[:, 1].sum() <= res.totals[1] + 1e-9
 
 
 class TestSiteUpdates:
+    """Each site's E and S step under the load it was assigned that year."""
+
     def test_recovery_only(self):
-        p = IslandParams(alpha_g=0, beta_crowd=0, beta_co2=0, delta=0.1)
-        e = site_environment_update(_site(env_index=0.5, visitors=0, co2=0), p)
-        assert e == pytest.approx(0.55)
+        res = _run([_site(env_index=0.5, visitors=0, co2=0)],
+                   alpha_g=0, beta_crowd=0, beta_co2=0, delta=0.1)
+        assert res.env[0, 1] == pytest.approx(0.55)
 
     def test_pristine_site_stays_at_ceiling(self):
-        p = IslandParams(beta_crowd=0, beta_co2=0, delta=0.0, alpha_g=1e-6)
-        e = site_environment_update(
-            _site(env_index=1.0, visitors=0, co2=0, env_fund=1e6), p)
-        assert e == 1.0
+        res = _run([_site(env_index=1.0, visitors=0, co2=0, env_fund=1e6)],
+                   beta_crowd=0, beta_co2=0, delta=0.0, alpha_g=1e-6)
+        assert res.env[0, 1] == 1.0
 
     def test_crowding_clamps_to_zero(self):
-        p = IslandParams(beta_crowd=50.0)
-        e = site_environment_update(_site(visitors=8e5, capacity=8e5), p)
-        assert e == 0.0
+        res = _run([_site(visitors=8e5, capacity=8e5)], beta_crowd=50.0)
+        assert res.visitors[0, 1] == 8e5 and res.env[0, 1] == 0.0
 
     def test_social_identity(self):
-        p = IslandParams(rho_comm=0, rho_over=0, rho_e=0)
-        assert site_social_update(_site(satisfaction=0.5), 0.9, p) == 0.5
+        res = _run([_site(satisfaction=0.5)], rho_comm=0, rho_over=0, rho_e=0)
+        assert res.env[0, 1] != res.env[0, 0] and res.sat[0, 1] == 0.5
 
     def test_social_env_pull(self):
-        p = IslandParams(rho_comm=0, rho_over=0, rho_e=0.5)
-        s = site_social_update(_site(satisfaction=0.5, visitors=0), 0.9, p)
-        assert s == pytest.approx(0.7)
+        res = _run([_site(satisfaction=0.5, env_index=0.9, visitors=0)],
+                   rho_comm=0, rho_over=0, rho_e=0.5,
+                   alpha_g=0, beta_crowd=0, beta_co2=0, delta=0.0)
+        assert res.env[0, 1] == 0.9 and res.sat[0, 1] == pytest.approx(0.7)
 
     def test_overtourism_clamps_to_zero(self):
-        p = IslandParams(rho_over=10.0, rho_comm=0, rho_e=0)
-        s = site_social_update(_site(visitors=8e5, population=100.0), 0.5, p)
-        assert s == 0.0
+        res = _run([_site(visitors=8e5, population=100.0)], rho_over=10.0, rho_comm=0, rho_e=0)
+        assert res.visitors[0, 1] > 0.0 and res.sat[0, 1] == 0.0
+
+
+def _random_case(rng):
+    """Sites, ``IslandParams``, a partial schedule and years: 1-11
+    sites, 1-14 years, and in a fifth of the cases coefficients that may
+    push an attractiveness exponent past 500."""
+    n, n_years = int(rng.integers(1, 12)), int(rng.integers(1, 15))
+    sites = []
+    for i in range(n):
+        cap = float(rng.uniform(1e4, 2e6))
+        sites.append(SiteState(
+            f"s{i}", float(rng.uniform(0, 1)), float(rng.uniform(0, 1)),
+            float(rng.uniform(0, cap)), cap, float(rng.uniform(100, 5e4)),
+            float(rng.uniform(0.3, 3)), float(rng.uniform(0, 5)),
+            float(rng.uniform(0, 1e6)), float(rng.uniform(0, 1e6)), float(rng.uniform(0, 3e4))))
+    default = IslandParams()
+    params = {name: float(getattr(default, name) * rng.uniform(0, 4) or rng.uniform(0, 1))
+              for name in default.__dataclass_fields__ if rng.random() < 0.5}
+    if rng.random() < 0.2:
+        params.update(a0=float(rng.uniform(-300, 0)), a3=float(rng.uniform(100, 400)))
+    schedule = {s.name: {fld: list(rng.uniform(0, 4, n_years - 1 + int(rng.integers(0, 3))))
+                         for fld in SCHEDULE_FIELDS if rng.random() < 0.5}
+                for s in sites if rng.random() < 0.6}
+    return sites, IslandParams(**params), schedule, list(range(2024, 2024 + n_years))
+
+
+def _outcome(fn, case):
+    try:
+        res = fn(*case)
+    except (ValueError, DataError) as e:
+        return type(e), str(e)
+    return (res.years, res.site_names,
+            *[(a.shape, a.tobytes()) for a in (res.visitors, res.env, res.sat,
+                                              res.weights, res.totals)])
 
 
 class TestRedistribute:
+    def test_matches_reference_bytes(self):
+        rng = np.random.default_rng(18)
+        cases = [_random_case(rng) for _ in range(400)]
+        years = list(range(2024, 2034))
+        for schedule in (constant_schedule, iceland_redistribution_schedule):
+            cases.append((iceland_sites(), IslandParams(),
+                          schedule(iceland_sites(), years), years))
+        raised = 0
+        for case in cases:
+            expected = _outcome(redistribute_reference, case)
+            assert _outcome(redistribute, case) == expected
+            raised += len(expected) == 2
+        assert 0 < raised < len(cases) // 10
+
     def test_uniform_sites_stay_symmetric(self):
         years = list(range(2024, 2034))
         twins = [_site(name=f"s{i}") for i in range(5)]
@@ -163,12 +239,9 @@ class TestRedistribute:
         assert res.visitors[1, -1] > res.visitors[0, -1]
 
     def test_same_year_weight_monotone_in_marketing(self):
-        p = IslandParams()
-        base = [_site(name="a", marketing=1.0), _site(name="b", marketing=1.0)]
-        w0 = allocation_weights([attractiveness(s, p) for s in base])
-        bumped = [_site(name="a", marketing=2.0), _site(name="b", marketing=1.0)]
-        w1 = allocation_weights([attractiveness(s, p) for s in bumped])
-        assert w1[0] >= w0[0]
+        w0 = _run([_site(name="a", marketing=1.0), _site(name="b", marketing=1.0)]).weights
+        w1 = _run([_site(name="a", marketing=2.0), _site(name="b", marketing=1.0)]).weights
+        assert w1[0, 0] >= w0[0, 0]
 
     def test_weights_sum_to_one_and_indices_clamped(self):
         years = list(range(2024, 2034))
@@ -212,7 +285,8 @@ class TestRedistribute:
     def test_short_schedule_rejected(self):
         years = list(range(2024, 2030))
         sites = [_site(name="a")]
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^schedule for a\.marketing too short "
+                                            r"\(need index 1\)$"):
             redistribute(sites, IslandParams(),
                          {"a": {"marketing": [1.0]}}, years)
 
@@ -224,9 +298,33 @@ class TestRedistribute:
                          [2024, 2025])
 
     def test_unknown_site_in_schedule_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^schedule references unknown site 'ghost'$"):
             redistribute([_site(name="a")], IslandParams(),
                          {"ghost": {"marketing": [1.0] * 3}}, [2024, 2025, 2026])
+
+    @pytest.mark.parametrize("schedule", [
+        {"a": {"co2": [0.0] * 2}},
+        {"ghost": {"marketing": [1.0] * 5}},
+        {"b": {"marketing": [1.0, 2.0, -0.5, 1.0, 1.0]}},
+    ], ids=["short", "unknown_site", "negative_marketing"])
+    def test_errors_keep_type_and_message(self, schedule):
+        case = ([_site(name="a"), _site(name="b")], IslandParams(), schedule,
+                list(range(2024, 2030)))
+        outcome = _outcome(redistribute, case)
+        assert len(outcome) == 2 and outcome == _outcome(redistribute_reference, case)
+
+    def test_negative_scheduled_marketing_rejected(self):
+        with pytest.raises(ValueError, match="^marketing must be >= 0$"):
+            _run([_site(name="a")], {"a": {"marketing": [-1.0]}})
+        # an entry past the last year step is never used
+        _run([_site(name="a")], {"a": {"marketing": [1.0, -1.0]}})
+
+    def test_unknown_schedule_field_rejected(self):
+        years = list(range(2024, 2034))
+        sites = iceland_sites()
+        with pytest.raises(DataError, match=r"^schedule field Blue Lagoon\.marketting "):
+            redistribute(sites, IslandParams(),
+                         constant_schedule(sites, years, marketting=0.0), years)
 
     def test_hotspot_share_declines_under_redistribution(self):
         years = list(range(2024, 2034))

@@ -79,9 +79,12 @@ class TestGlacierFactor:
         assert _glacier(250.0 * 100, 250.0, 0.2) == 0.0
 
     def test_bad_baseline(self):
-        with pytest.raises(ValueError, match="g_baseline must be > 0"):
+        with pytest.raises(ValueError, match="^G_retreat_baseline must be > 0$"):
             simulate(slack_policy(), flat_exog(),
                      neutral_coeffs(G_retreat_baseline=0.0), mid_state())
+        with pytest.raises(ValueError, match="^G_retreat_baseline must be > 0$"):
+            simulate_batch(slack_policy(), flat_exog(), neutral_coeffs(), mid_state(),
+                           {"G_retreat_baseline": [250.0, 0.0]})
 
 
 class TestAttractionFactor:
