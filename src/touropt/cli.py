@@ -3,11 +3,14 @@
 Subcommands: simulate, optimize, sensitivity, scenario, redistribute,
 synth.  Runs are config-file first (a JSON file with per-command
 sections); the common flags --preset/--seed/--out override config keys.
-Every output file carries a metadata header with the artifact version,
-seed, preset, and a hash of the effective configuration, and a re-run
-with the same config and seed is byte-identical.
+Each ``cmd_*`` computes its artifacts and ``_write`` writes them all:
+every file carries a metadata header with the artifact version, seed,
+preset, and a hash of the effective configuration, and a re-run with the
+same config and seed is byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error (an unusable ``out`` included),
+3 data error, 4 numeric failure (a non-finite number in any artifact
+included).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -76,10 +80,8 @@ def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    except (OSError, ValueError, RecursionError) as e:  # ValueError: not UTF-8 or not JSON
+        raise ConfigError(f"config file {path} is not readable JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object of sections")
     return doc
@@ -107,50 +109,87 @@ def _effective_config(args, command: str) -> dict:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out"] = args.out
-    cfg.setdefault("out", "out")
+    _string("out", cfg.setdefault("out", "out"))
     for key in ("preset", "dataset"):
         if cfg.get(key) is not None:
             _string(key, cfg[key])
     if cfg.get("seed") is not None and _integer("seed", cfg["seed"]) < 0:
         raise ConfigError("seed must be a non-negative integer")
+    if cfg.get("seed") is None and command in ("optimize", "sensitivity"):
+        raise ConfigError(f"{command} requires a seed (--seed or config)")
     return cfg
 
 
-def _config_hash(cfg: dict) -> str:
+def _non_finite_path(value, path=""):
+    """The key path of the first non-finite number in a JSON value, else ''."""
+    if isinstance(value, (dict, list)):
+        for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+            if found := _non_finite_path(v, f"{path}.{k}" if isinstance(k, str) else f"{path}[{k}]"):
+                return found
+        return ""
+    return path if isinstance(value, float) and not math.isfinite(value) else ""
+
+
+def _render(name: str, meta: dict, head: str, payload) -> str:
+    """The text of file ``name``: a JSON payload under ``meta``, or a CSV
+    ``(header, rows)`` under the ``head`` lines, whose Python floats ``csv``
+    writes as ``repr``.  A non-finite number is an EvaluationError naming
+    the file and where in it: the key path, or the column and the row's
+    key cells."""
+    if isinstance(payload, dict):
+        try:
+            return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
+        except ValueError:
+            where = _non_finite_path(payload)[1:]
+            raise EvaluationError(f"non-finite value in {name} at {where}") from None
+    header, rows = payload
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    body = buf.getvalue()
+    if "inf" in body or "nan" in body:  # or in a name: check the cells
+        for i, row in enumerate(rows):
+            bad = [h for h, x in zip(header, row) if isinstance(x, float) and not math.isfinite(x)]
+            if bad:
+                keys = ", ".join(f"{h}={c}" for h, c in zip(header, row)
+                                 if not isinstance(c, float) and c != "")
+                raise EvaluationError(f"non-finite {bad[0]} in {name} at "
+                                      f"{keys or f'row {i + 1}'}")
+    return head + body
+
+
+def _write(cfg: dict, command: str, files: dict) -> Path:
+    """Write ``files`` into the ``out`` directory, which it returns.
+
+    A file is a CSV ``(header, rows)``, a JSON payload or an
+    ``ExogenousSeries`` for ``write_series``, each under one metadata
+    header.  The CSV and JSON texts are all rendered before the directory
+    is made; a directory or file that cannot be written is a ConfigError
+    naming ``out``."""
     hashed = {k: v for k, v in cfg.items() if k != "out"}  # path never affects results
     blob = json.dumps(hashed, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _meta(cfg: dict, command: str) -> dict:
-    return {
+    meta = {
         "artifact": f"touropt {__version__}",
         "command": command,
         "preset": cfg.get("preset", ""),
         "seed": cfg.get("seed", ""),
-        "config_hash": _config_hash(cfg),
+        "config_hash": hashlib.sha256(blob).hexdigest()[:16],
     }
-
-
-def _meta_lines(meta: dict) -> list:
-    return [f"{k}: {v}" for k, v in meta.items()]
-
-
-def _write_csv(path: Path, meta: dict, header, rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        for line in _meta_lines(meta):
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_json(path: Path, meta: dict, payload: dict) -> None:
-    doc = {"meta": meta}
-    doc.update(payload)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    lines = [f"{k}: {v}" for k, v in meta.items()]
+    head = "".join(f"# {line}\n" for line in lines)
+    texts = {name: _render(name, meta, head, payload) for name, payload in files.items()
+             if isinstance(payload, (tuple, dict))}
+    out = Path(cfg["out"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in files.items():
+            if name in texts:
+                (out / name).write_text(texts[name], encoding="utf-8", newline="")
+            else:
+                write_series(payload, out / name, header_lines=lines)
+    except OSError as e:
+        raise ConfigError(f"out {str(out)!r} cannot be written: {e}") from None
+    return out
 
 
 def _resolve_base(cfg: dict):
@@ -275,47 +314,26 @@ def _resolve_policy(cfg: dict, preset) -> PolicyVector:
     return _decode("policy", PolicyVector, choice, preset.reference_policy)
 
 
-def _require_seed(cfg: dict, command: str) -> int:
-    if cfg.get("seed") is None:
-        raise ConfigError(f"{command} requires a seed (--seed or config)")
-    return _integer("seed", cfg["seed"])
-
-
-def cmd_simulate(args) -> int:
-    cfg = _effective_config(args, "simulate")
+def cmd_simulate(cfg: dict):
     preset, exog, coeffs, init = _resolve_base(cfg)
     policy = _resolve_policy(cfg, preset)
     traj, objs = simulate(policy, exog, coeffs, init)
-    rows = []
-    for i, year in enumerate(traj.years):
-        st = traj.states[i]
-        trans = i - 1  # diagnostics belong to the transition into this year
-        diag = [traj.r_tourism[trans], traj.r_gov_total[trans],
-                traj.exp_env[trans], traj.exp_gov_total[trans],
-                traj.r_net[trans], traj.f_price[trans], traj.f_glacier[trans],
-                traj.f_attraction[trans]] if i > 0 else []
-        values = [st.visitors, st.env_index, st.satisfaction, st.net_revenue_cum] + diag
-        if not all(math.isfinite(v) for v in values):
-            raise EvaluationError(f"non-finite simulation result in year {int(year)}")
-        rows.append([int(year)] + [repr(v) for v in values] + [""] * (8 - len(diag)))
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg, "simulate")
-    _write_csv(out / "trajectory.csv", meta,
-               ["year", "visitors", "env_index", "satisfaction",
-                "net_revenue_cum", "r_tourism", "r_gov_total", "exp_env",
-                "exp_gov_total", "r_net", "f_price", "f_glacier",
-                "f_attraction"], rows)
-    _write_json(out / "objectives.json", meta,
-                {"f1": objs.revenue, "f2": objs.environment,
-                 "f3": objs.satisfaction})
-    print(f"simulate: wrote {out / 'trajectory.csv'} and {out / 'objectives.json'}")
-    return EXIT_OK
+    diag = ("r_tourism", "r_gov_total", "exp_env", "exp_gov_total", "r_net", "f_price",
+            "f_glacier", "f_attraction")
+    flows = [getattr(traj, d) for d in diag]  # the transition into each year after the first
+    rows = [[int(year), st.visitors, st.env_index, st.satisfaction, st.net_revenue_cum]
+            + ([f[i - 1] for f in flows] if i else [""] * len(diag))
+            for i, (year, st) in enumerate(zip(traj.years, traj.states))]
+    return {
+        "trajectory.csv": (["year", "visitors", "env_index", "satisfaction",
+                            "net_revenue_cum", *diag], rows),
+        "objectives.json": {"f1": objs.revenue, "f2": objs.environment,
+                            "f3": objs.satisfaction},
+    }, f"{len(rows)} years"
 
 
-def cmd_optimize(args) -> int:
-    cfg = _effective_config(args, "optimize")
-    seed = _require_seed(cfg, "optimize")
+def cmd_optimize(cfg: dict):
+    seed = _integer("seed", cfg["seed"])
     preset, exog, coeffs, init = _resolve_base(cfg)
     config = _resolve_ea(cfg, preset, seed)
 
@@ -327,27 +345,17 @@ def cmd_optimize(args) -> int:
     front = result.front
     if not front.check_nondominated():
         raise EvaluationError("front verification failed: dominated pair present")
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg, "optimize")
     order = np.argsort(-front.objectives[:, 0], kind="stable")
-    rows = [[repr(v) for v in row]
-            for row in np.hstack([front.genomes, front.objectives])[order].tolist()]
-    _write_csv(out / "pareto_front.csv", meta,
-               list(POLICY_FIELDS) + list(OUTPUT_NAMES), rows)
-    _write_csv(out / "hypervolume.csv", meta, ["generation", "hypervolume"],
-               [[g, repr(float(hv))] for g, hv in enumerate(result.hypervolume_log)])
+    rows = np.hstack([front.genomes, front.objectives])[order].tolist()
     x, y, color = front.objectives[order].T.tolist()
-    _write_json(out / "pareto_bubble.json", meta, {
-        "x": x, "y": y, "color": color,
-        "x_label": "f1",
-        "y_label": "f2",
-        "color_label": "f3",
-    })
-    print(f"optimize: {len(rows)} front members, "
-          f"{result.generations_run} generations, stopped by {result.stop_reason}, "
-          f"wrote 3 files to {out}")
-    return EXIT_OK
+    return {
+        "pareto_front.csv": (list(POLICY_FIELDS) + list(OUTPUT_NAMES), rows),
+        "hypervolume.csv": (["generation", "hypervolume"],
+                            [[g, float(hv)] for g, hv in enumerate(result.hypervolume_log)]),
+        "pareto_bubble.json": {"x": x, "y": y, "color": color, "x_label": "f1",
+                               "y_label": "f2", "color_label": "f3"},
+    }, (f"{len(rows)} front members, {result.generations_run} generations, "
+        f"stopped by {result.stop_reason}")
 
 
 def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
@@ -383,9 +391,8 @@ def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
     raise ConfigError(f"unknown space {choice!r}")
 
 
-def cmd_sensitivity(args) -> int:
-    cfg = _effective_config(args, "sensitivity")
-    seed = _require_seed(cfg, "sensitivity")
+def cmd_sensitivity(cfg: dict):
+    seed = _integer("seed", cfg["seed"])
     preset, exog, coeffs, init = _resolve_base(cfg)
     policy = _resolve_policy(cfg, preset)
     space = _resolve_space(cfg, preset, coeffs, policy)
@@ -398,33 +405,26 @@ def cmd_sensitivity(args) -> int:
         n_boot=_integer("bootstrap", cfg.get("bootstrap", 200)),
         seed=seed,
     )
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg, "sensitivity")
+    files = {}
     for name, table in sorted(report.tables.items()):
         if isinstance(table, MorrisResult):
-            _write_csv(out / f"morris_{name}.csv", meta,
-                       ["parameter", "mu_star", "sigma"],
-                       [[p, repr(m), repr(s)] for p, m, s in table.ranked()])
+            files[f"morris_{name}.csv"] = (["parameter", "mu_star", "sigma"],
+                                           table.ranked())
         else:
             # ci_low/ci_high bracket the total-effect index used for ranking
-            _write_csv(out / f"sobol_{name}.csv", meta,
-                       ["parameter", "s1", "st", "ci_low", "ci_high"],
-                       [[p, repr(s1), repr(st), repr(st - ct), repr(st + ct)]
-                        for p, s1, st, _, ct in table.ranked()])
-    _write_json(out / "sensitivity_matrix.json", meta, {
+            files[f"sobol_{name}.csv"] = (
+                ["parameter", "s1", "st", "ci_low", "ci_high"],
+                [[p, s1, st, st - ct, st + ct] for p, s1, st, _, ct in table.ranked()])
+    files["sensitivity_matrix.json"] = {
         "method": report.method,
         "sampler": "pseudorandom",
         "outputs": list(report.outputs),
         "rows": report.matrix_records(),
-    })
-    print(f"sensitivity: {report.method} over {len(space)} parameters, wrote "
-          f"{len(report.tables)} table(s) and the matrix to {out}")
-    return EXIT_OK
+    }
+    return files, f"{report.method} over {len(space)} parameters"
 
 
-def cmd_scenario(args) -> int:
-    cfg = _effective_config(args, "scenario")
+def cmd_scenario(cfg: dict):
     preset, exog, coeffs, init = _resolve_base(cfg)
     policy = _resolve_policy(cfg, preset)
     choice = cfg.get("scenarios", "default")
@@ -438,27 +438,12 @@ def cmd_scenario(args) -> int:
         raise ConfigError("scenarios must be 'default' or a non-empty list")
     comparison = compare_scenarios(allocs, policy, exog, coeffs, init,
                                    preset.feedback)
-    rows, summary = comparison["rows"], comparison["summary"]
-    values = np.array([row[3] for row in rows]
-                      + [s[f] for s in summary for f in OUTPUT_NAMES])
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = int(bad[0])
-        where = (f"{rows[i][2]} of scenario {rows[i][0]!r} in year {rows[i][1]}"
-                 if i < len(rows) else
-                 f"objectives of scenario {summary[(i - len(rows)) // 3]['scenario']!r}")
-        raise EvaluationError(f"non-finite {where}")
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg, "scenario")
-    _write_csv(out / "scenario_timeseries.csv", meta,
-               ["scenario", "year", "variable", "value"],
-               [[name, year, var, repr(float(val))]
-                for name, year, var, val in comparison["rows"]])
-    _write_json(out / "scenario_summary.json", meta,
-                {"scenarios": comparison["summary"]})
-    print(f"scenario: compared {len(allocs)} scenarios, wrote 2 files to {out}")
-    return EXIT_OK
+    return {
+        "scenario_timeseries.csv": (
+            ["scenario", "year", "variable", "value"],
+            [[name, year, var, float(val)] for name, year, var, val in comparison["rows"]]),
+        "scenario_summary.json": {"scenarios": comparison["summary"]},
+    }, f"compared {len(allocs)} scenarios"
 
 
 def _refuse_repeated_names(key: str, entries) -> None:
@@ -504,12 +489,13 @@ def _resolve_schedule(cfg: dict, sites, years) -> dict:
             if not isinstance(seq, list) or len(seq) < len(years) - 1:  # one per year step
                 raise ConfigError(f"{key} must be a list of {len(years) - 1} or more "
                                   f"finite numbers, not {seq!r}")
-            schedule[site][fld] = [_number(key, v) for v in seq]
+            values = schedule[site][fld] = [_number(key, v) for v in seq]
+            if fld == "marketing" and any(v < 0 for v in values):
+                raise ConfigError(f"{key} must hold numbers >= 0, not {seq!r}")
     return schedule
 
 
-def cmd_redistribute(args) -> int:
-    cfg = _effective_config(args, "redistribute")
+def cmd_redistribute(cfg: dict):
     sites = _resolve_sites(cfg)
     span = cfg.get("years", [2024, 2033])
     if not (isinstance(span, list) and len(span) == 2
@@ -520,49 +506,35 @@ def cmd_redistribute(args) -> int:
     years = list(range(span[0], span[1] + 1))
     params = _decode("island_params", IslandParams, cfg.get("island_params", {}))
     result = redistribute(sites, params, _resolve_schedule(cfg, sites, years), years)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg, "redistribute")
-    rows = []
     share_total = result.visitors.sum(axis=0)
     share_total[share_total == 0] = math.inf  # no visitors that year: every share is 0
-    for i, name in enumerate(result.site_names):
-        for t, year in enumerate(result.years):
-            rows.append([name, year, repr(float(result.visitors[i, t])),
-                         repr(float(result.env[i, t])),
-                         repr(float(result.sat[i, t])),
-                         repr(float(result.visitors[i, t] / share_total[t]))])
-    _write_csv(out / "flow_sites.csv", meta,
-               ["site", "year", "visitors", "env_index", "satisfaction", "share"],
-               rows)
-    _write_json(out / "flow_final.json", meta, {
-        "final_year": result.years[-1],
-        "shares": result.final_shares(),
-        "visitors": {name: float(result.visitors[i, -1])
-                     for i, name in enumerate(result.site_names)},
-    })
-    print(f"redistribute: {len(sites)} sites over {len(years)} years, "
-          f"wrote 2 files to {out}")
-    return EXIT_OK
+    columns = [a.tolist() for a in (result.visitors, result.env, result.sat,
+                                    result.visitors / share_total)]
+    rows = [[name, year] + [c[i][t] for c in columns]
+            for i, name in enumerate(result.site_names)
+            for t, year in enumerate(result.years)]
+    return {
+        "flow_sites.csv": (["site", "year", "visitors", "env_index", "satisfaction",
+                            "share"], rows),
+        "flow_final.json": {
+            "final_year": result.years[-1],
+            "shares": result.final_shares(),
+            "visitors": {name: v[-1] for name, v in zip(result.site_names, columns[0])},
+        },
+    }, f"{len(sites)} sites over {len(years)} years"
 
 
-def cmd_synth(args) -> int:
-    cfg = _effective_config(args, "synth")
+def cmd_synth(cfg: dict):
     if cfg.get("preset") is None:
         raise ConfigError("synth requires a preset")
     preset = get_preset(cfg["preset"])
     seed = _integer("seed", cfg.get("seed", 0))
     series = synth_dataset(preset, seed)
     warnings = validate_ranges(series, preset.envelope)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg, "synth")
-    write_series(series, out / "dataset.csv", header_lines=_meta_lines(meta))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    print(f"synth: wrote {out / 'dataset.csv'} ({len(series)} years, "
-          f"{len(warnings)} warnings)")
-    return EXIT_OK
+    return ({"dataset.csv": series},
+            f"{len(series)} years, {len(warnings)} warnings")
 
 
 # the keys each command's config section may hold: the flags' keys, the
@@ -618,7 +590,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        cfg = _effective_config(args, args.command)
+        files, summary = COMMANDS[args.command](cfg)
+        out = _write(cfg, args.command, files)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -628,6 +602,9 @@ def main(argv=None) -> int:
     except (EvaluationError, ValueError, ArithmeticError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    n = len(files)
+    print(f"{args.command}: {summary}, wrote {n} file{'s' * (n > 1)} to {out}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

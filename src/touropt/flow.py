@@ -37,6 +37,16 @@ __all__ = [
 SCHEDULE_FIELDS = ("marketing", "price", "env_fund", "community_fund", "co2")
 
 
+def _refuse_non_finite(obj, first=0) -> None:
+    """Raise ValueError naming the first non-finite field of ``obj`` from
+    field ``first`` on.  One sum screens them all; only a sum that is not
+    finite (it may have overflowed) is looked into field by field."""
+    if not math.isfinite(sum(list(vars(obj).values())[first:])):
+        for name, value in list(vars(obj).items())[first:]:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
+
+
 @dataclass
 class SiteState:
     """Per-attraction state for one year."""
@@ -54,8 +64,9 @@ class SiteState:
     co2: float = 0.0         # tons/year
 
     def validate(self) -> None:
-        """Raise ValueError for the first out-of-range field; the message
-        starts with the field's name."""
+        """Raise ValueError for the first non-finite or out-of-range field;
+        the message starts with the field's name."""
+        _refuse_non_finite(self, first=1)  # every field after the name
         if not 0.0 <= self.env_index <= 1.0:
             raise ValueError("env_index outside [0, 1]")
         if not 0.0 <= self.satisfaction <= 1.0:
@@ -90,6 +101,7 @@ class IslandParams:
     alpha_g: float = 1e-8       # env gain per USD of environment funding
 
     def validate(self) -> None:
+        _refuse_non_finite(self)
         for name in ("a4", "beta_crowd", "beta_co2", "rho_comm", "rho_over",
                      "rho_e", "delta", "alpha_g"):
             if getattr(self, name) < 0:
@@ -140,7 +152,11 @@ def _controls(sites, schedule: dict, steps: int) -> list:
             seq = entry[fld]
             if len(seq) < steps:
                 raise DataError(f"schedule for {s.name}.{fld} too short (need index {len(seq)})")
-            per_site.append([float(v) for v in seq[:steps]])
+            values = [float(v) for v in seq[:steps]]
+            # the sum screens them; it may also overflow, so check each on a hit
+            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+                raise ValueError(f"schedule for {s.name}.{fld} must hold finite numbers")
+            per_site.append(values)
         columns.append(list(zip(*per_site)))
     if any(m < 0 for step in columns[0] for m in step):
         raise ValueError("marketing must be >= 0")
@@ -155,7 +171,8 @@ def redistribute(sites, params: IslandParams, schedule: dict, years) -> FlowResu
     The transition into year t+1 uses the schedule entry at the index of
     year t.  Every input check runs before the first year step: a site or
     field the schedule names that does not exist, a list shorter than the
-    year steps and a negative scheduled marketing effort are refused.
+    year steps, a non-finite scheduled value and a negative scheduled
+    marketing effort are refused.
     """
     sites = list(sites)
     years = [int(y) for y in years]

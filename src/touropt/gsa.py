@@ -184,17 +184,20 @@ def morris_indices(space: ParameterSpace, samples: np.ndarray,
     if np.any(step == 0.0):
         t, s = np.unravel_index(int(np.argmax(step == 0.0)), step.shape)
         raise EvaluationError(f"trajectory {t} step {s} moved no parameter")
-    effects = ((outputs[:, 1:] - outputs[:, :-1]) / step).ravel()
-    # a stable sort keeps each parameter's effects in (t, s) order
-    effects = np.split(effects[np.argsort(dim.ravel(), kind="stable")],
-                       np.cumsum(np.bincount(dim.ravel(), minlength=k))[:-1])
-    mu_star = np.empty(k)
-    sigma = np.empty(k)
-    for i, ee in enumerate(effects):
-        if len(ee) == 0:
-            raise EvaluationError(f"no elementary effects for {space.names[i]}")
-        mu_star[i] = np.mean(np.abs(ee))
-        sigma[i] = np.std(ee, ddof=1) if len(ee) > 1 else 0.0
+    # finite outputs far apart may give infinite effects and statistics; the
+    # caller refuses them (the CLI when it writes them)
+    with np.errstate(over="ignore", invalid="ignore"):
+        effects = ((outputs[:, 1:] - outputs[:, :-1]) / step).ravel()
+        # a stable sort keeps each parameter's effects in (t, s) order
+        effects = np.split(effects[np.argsort(dim.ravel(), kind="stable")],
+                           np.cumsum(np.bincount(dim.ravel(), minlength=k))[:-1])
+        mu_star = np.empty(k)
+        sigma = np.empty(k)
+        for i, ee in enumerate(effects):
+            if len(ee) == 0:
+                raise EvaluationError(f"no elementary effects for {space.names[i]}")
+            mu_star[i] = np.mean(np.abs(ee))
+            sigma[i] = np.std(ee, ddof=1) if len(ee) > 1 else 0.0
     return MorrisResult(space.names, mu_star, sigma, r)
 
 

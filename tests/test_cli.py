@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from touropt import cli
 from touropt.cli import main
+from touropt.errors import EvaluationError
 from touropt.gsa import full_space
 
 from helpers import brute_force_fronts
@@ -677,6 +679,7 @@ class TestRedistributeCommand:
         ({"co2": [1.0, float("nan")]}, "schedule.Blue Lagoon.co2"),
         ({"warp": [1.0]}, "schedule.Blue Lagoon.warp"),
         ({"price": [1.0] * 8}, "schedule.Blue Lagoon.price"),  # 10 years need 9
+        ({"marketing": [1.0, -1.0] + [1.0] * 7}, "schedule.Blue Lagoon.marketing"),
         (3, "schedule.Blue Lagoon")])
     def test_malformed_schedule_is_config_error(self, tmp_path, capsys, entry, key):
         _assert_config_error(tmp_path, capsys, "redistribute",
@@ -797,6 +800,83 @@ class TestSynthCommand:
             assert main(["synth", "--preset", "juneau", "--seed", "8",
                          "--out", str(out)]) == 0
         assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
+
+
+class TestArtifactWriter:
+    @pytest.mark.parametrize("command, doc, code, named", [
+        ("simulate", {"common": {"out": 5}}, 2, "out must be a string"),
+        ("simulate", {"common": {"out": None}}, 2, "out must be a string"),
+        ("simulate", "out is a file", 2, "out "),
+        ("sensitivity", {"sensitivity": {"space": {"tax_rate": [0, 1e300]}}}, 4,
+         "in morris_f1.csv at parameter=tax_rate"),
+        ("simulate", "config is a directory", 2, "cfg.json"),
+        ("simulate", b'{"simulate": "\x80"}', 2, "cfg.json"),
+        ("simulate", "[" * 100_000 + "]" * 100_000, 2, "cfg.json"),
+    ], ids=["out_number", "out_null", "out_is_a_file", "morris_overflow",
+            "config_is_a_directory", "config_not_utf8", "config_too_deep"])
+    def test_refusal_names_its_cause_and_writes_nothing(self, tmp_path, capsys,
+                                                        monkeypatch, command, doc,
+                                                        code, named):
+        monkeypatch.chdir(tmp_path)  # the default out would land here
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        argv = [command, "--preset", "juneau", "--seed", "0", "--config", str(cfg)]
+        if doc == "config is a directory":
+            cfg.mkdir()
+        elif isinstance(doc, bytes):
+            cfg.write_bytes(doc)
+        else:
+            cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if doc == "out is a file":
+            cfg.write_text("{}")
+            out.write_text("kept")
+        if "out" not in (doc.get("common", {}) if isinstance(doc, dict) else {}):
+            argv += ["--out", str(out)]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error:" if code == 2 else "numeric failure:"), err
+        assert named in err and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert not out.is_dir()
+
+    def test_unwritable_file_is_config_error_naming_out(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "objectives.json").mkdir(parents=True)
+        assert main(["simulate", "--preset", "juneau", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out {str(out)!r} cannot be written:")
+
+    def test_json_non_finite_is_named_by_key_path(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(EvaluationError,
+                           match=r"^non-finite value in b\.json at rows\[1\]\.f1$"):
+            cli._write({"out": str(out)}, "simulate", {
+                "a.csv": (["k", "x"], [["infra", 1.0]]),
+                "b.json": {"n": 3, "rows": [{"f1": 1.0}, {"f1": math.nan}]}})
+        assert not out.exists()
+
+    def test_csv_non_finite_without_key_cells_is_named_by_row(self, tmp_path):
+        with pytest.raises(EvaluationError, match=r"^non-finite y in a\.csv at row 2$"):
+            cli._write({"out": str(tmp_path / "out")}, "simulate",
+                       {"a.csv": (["x", "y"], [[1.0, 2.0], [3.0, -math.inf]])})
+
+    def test_names_holding_inf_or_nan_are_written(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli._write({"out": str(out), "seed": 0}, "simulate", {
+            "a.csv": (["name", "x"], [["infra", 0.1], ["banana", 1e300]])}) == out
+        assert (out / "a.csv").read_bytes().split(b"\n", 5)[-1] == (
+            b"name,x\r\ninfra,0.1\r\nbanana,1e+300\r\n")
+
+    @pytest.mark.parametrize("command, line", [
+        ("simulate", "simulate: 17 years, wrote 2 files to"),
+        ("scenario", "scenario: compared 4 scenarios, wrote 2 files to"),
+        ("redistribute", "redistribute: 7 sites over 10 years, wrote 2 files to"),
+        ("synth", "synth: 17 years, 0 warnings, wrote 1 file to")])
+    def test_stdout_is_one_line(self, tmp_path, capsys, command, line):
+        out = tmp_path / "out"
+        assert main([command, "--preset", "juneau", "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{line} {out}\n"
 
 
 class TestParser:

@@ -319,6 +319,32 @@ class TestRedistribute:
         # an entry past the last year step is never used
         _run([_site(name="a")], {"a": {"marketing": [1.0, -1.0]}})
 
+    @pytest.mark.parametrize("field", ["phi", "dev_boost", "a3", "delta"])
+    def test_non_finite_island_param_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, not nan$"):
+            IslandParams(**{field: math.nan}).validate()
+        with pytest.raises(ValueError, match=f"^{field} must be finite, not inf$"):
+            _run(iceland_sites(), n_years=3, **{field: math.inf})
+
+    @pytest.mark.parametrize("field", ["capacity", "population", "price", "marketing",
+                                       "env_fund", "community_fund", "co2"])
+    def test_non_finite_site_field_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, not nan$"):
+            _site(**{field: math.nan}).validate()
+        with pytest.raises(ValueError, match=f"^a: {field} must be finite, not -inf$"):
+            _run([_site(name="a", **{field: -math.inf})])
+
+    @pytest.mark.parametrize("field", SCHEDULE_FIELDS)
+    def test_non_finite_scheduled_value_rejected(self, field):
+        with pytest.raises(ValueError, match=rf"^schedule for b\.{field} must hold "
+                                             r"finite numbers$"):
+            _run([_site(name="a"), _site(name="b")],
+                 {"b": {field: [1.0, math.nan, 1.0]}}, n_years=4)
+
+    def test_scheduled_values_whose_sum_overflows_run(self):
+        res = _run([_site(name="a")], {"a": {"env_fund": [1e308, 1e308]}}, n_years=3)
+        assert res.env[0, -1] == 1.0
+
     def test_unknown_schedule_field_rejected(self):
         years = list(range(2024, 2034))
         sites = iceland_sites()
