@@ -50,13 +50,13 @@ from .gsa import (
 )
 from .scenario import DEFAULT_SCENARIOS, AllocationPolicy, compare_scenarios
 from .flow import (
-    SCHEDULE_FIELDS,
     IslandParams,
     SiteState,
     constant_schedule,
     iceland_redistribution_schedule,
     iceland_sites,
     redistribute,
+    schedule_steps,
 )
 from .dataio import (
     get_preset,
@@ -466,6 +466,7 @@ def _resolve_sites(cfg: dict):
 
 
 def _resolve_schedule(cfg: dict, sites, years) -> dict:
+    """A preset schedule, or a map whose rules flow.schedule_steps checks."""
     choice = cfg.get("schedule", "redistribution")
     if choice == "redistribution":
         return iceland_redistribution_schedule(sites, years)
@@ -475,35 +476,30 @@ def _resolve_schedule(cfg: dict, sites, years) -> dict:
         raise ConfigError("schedule must be 'redistribution', 'constant', or a map")
     schedule = {}
     for site, entry in choice.items():
-        if site not in {s.name for s in sites}:
-            raise ConfigError(f"schedule.{site} names no site in sites")
         if not isinstance(entry, dict):
             raise ConfigError(f"schedule.{site} must be an object of per-year "
                               f"lists, not {entry!r}")
-        unknown = sorted(f"schedule.{site}.{k}" for k in set(entry) - set(SCHEDULE_FIELDS))
-        if unknown:
-            raise ConfigError(f"unknown schedule fields {unknown}")
         schedule[site] = {}
         for fld, seq in entry.items():
             key = f"schedule.{site}.{fld}"
-            if not isinstance(seq, list) or len(seq) < len(years) - 1:  # one per year step
-                raise ConfigError(f"{key} must be a list of {len(years) - 1} or more "
-                                  f"finite numbers, not {seq!r}")
-            values = schedule[site][fld] = [_number(key, v) for v in seq]
-            if fld == "marketing" and any(v < 0 for v in values):
-                raise ConfigError(f"{key} must hold numbers >= 0, not {seq!r}")
+            if not isinstance(seq, list):
+                raise ConfigError(f"{key} must be a list of numbers, not {seq!r}")
+            schedule[site][fld] = [_number(key, v) for v in seq]
+    try:
+        schedule_steps(sites, schedule, len(years) - 1)
+    except (DataError, ValueError) as e:
+        raise ConfigError(f"schedule.{e}") from None
     return schedule
 
 
 def cmd_redistribute(cfg: dict):
     sites = _resolve_sites(cfg)
     span = cfg.get("years", [2024, 2033])
-    if not (isinstance(span, list) and len(span) == 2
-            and all(isinstance(y, int) and not isinstance(y, bool) for y in span)
-            and span[0] <= span[1]):
-        raise ConfigError(f"years must be [first, last] integers with first <= last, "
-                          f"not {span!r}")
-    years = list(range(span[0], span[1] + 1))
+    if not (isinstance(span, list) and len(span) == 2):
+        raise ConfigError(f"years must be [first, last], not {span!r}")
+    years = list(range(_integer("years", span[0]), _integer("years", span[1]) + 1))
+    if not years:
+        raise ConfigError(f"years must have first <= last, not {span!r}")
     params = _decode("island_params", IslandParams, cfg.get("island_params", {}))
     result = redistribute(sites, params, _resolve_schedule(cfg, sites, years), years)
     share_total = result.visitors.sum(axis=0)

@@ -6,8 +6,8 @@ exponential attractiveness score (environment, satisfaction, marketing,
 price), and is clamped per site by capacity -- overflow is dropped, not
 reassigned.  Each site then updates its own environment and satisfaction
 indices under the assigned load.  ``redistribute`` is that year loop, on
-Python floats per site; it resolves and checks the whole schedule before
-the first year step.
+Python floats per site; it resolves and checks the whole schedule, with
+``schedule_steps``, before the first year step.
 
 Ships with a seven-site Iceland preset (three crowded hotspots, four
 underutilized sites) and a marketing-shift schedule that moves promotion
@@ -28,6 +28,7 @@ __all__ = [
     "IslandParams",
     "FlowResult",
     "redistribute",
+    "schedule_steps",
     "iceland_sites",
     "constant_schedule",
     "iceland_redistribution_schedule",
@@ -130,36 +131,32 @@ class FlowResult:
         return {name: float(v[i] / total) for i, name in enumerate(self.site_names)}
 
 
-def _controls(sites, schedule: dict, steps: int) -> list:
+def schedule_steps(sites, schedule: dict, steps: int) -> list:
     """Per year step, one tuple of site values per ``SCHEDULE_FIELDS``
-    field: the schedule's entry at that step, else the site's own value."""
-    schedule = schedule or {}
+    field: the schedule's entry at that step, else the site's own value.
+    It holds the schedule's rules (listed under ``redistribute``); each
+    message starts with the ``<site>.<field>`` it names."""
     names = [s.name for s in sites]
-    for name, entry in schedule.items():
+    scheduled = {}  # (site, field) -> the values of the year steps
+    for name, entry in (schedule or {}).items():
         if name not in names:
-            raise DataError(f"schedule references unknown site {name!r}")
-        for fld in entry or ():
+            raise DataError(f"{name} names no site")
+        for fld, seq in (entry or {}).items():
             if fld not in SCHEDULE_FIELDS:
-                raise DataError(f"schedule field {name}.{fld} is not one of {SCHEDULE_FIELDS}")
-    columns = []
-    for fld in SCHEDULE_FIELDS:
-        per_site = []
-        for s in sites:
-            entry = schedule.get(s.name) or {}
-            if fld not in entry:
-                per_site.append([getattr(s, fld)] * steps)
-                continue
-            seq = entry[fld]
+                raise DataError(f"{name}.{fld} is not one of {SCHEDULE_FIELDS}")
             if len(seq) < steps:
-                raise DataError(f"schedule for {s.name}.{fld} too short (need index {len(seq)})")
-            values = [float(v) for v in seq[:steps]]
+                raise DataError(f"{name}.{fld} too short (need index {len(seq)})")
+            try:
+                values = scheduled[name, fld] = [float(v) for v in seq[:steps]]
+            except ValueError:  # a string that reads as no number
+                values = [math.nan]
             # the sum screens them; it may also overflow, so check each on a hit
             if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-                raise ValueError(f"schedule for {s.name}.{fld} must hold finite numbers")
-            per_site.append(values)
-        columns.append(list(zip(*per_site)))
-    if any(m < 0 for step in columns[0] for m in step):
-        raise ValueError("marketing must be >= 0")
+                raise ValueError(f"{name}.{fld} must hold finite numbers")
+            if fld == "marketing" and any(v < 0 for v in values):
+                raise ValueError(f"{name}.{fld} must be >= 0")
+    columns = [list(zip(*[scheduled.get((s.name, fld)) or [getattr(s, fld)] * steps
+                          for s in sites])) for fld in SCHEDULE_FIELDS]
     return list(zip(*columns))
 
 
@@ -169,10 +166,11 @@ def redistribute(sites, params: IslandParams, schedule: dict, years) -> FlowResu
     ``schedule`` maps site name -> {field -> per-year sequence} for any of
     ``SCHEDULE_FIELDS``; a missing field keeps the site's initial value.
     The transition into year t+1 uses the schedule entry at the index of
-    year t.  Every input check runs before the first year step: a site or
-    field the schedule names that does not exist, a list shorter than the
-    year steps, a non-finite scheduled value and a negative scheduled
-    marketing effort are refused.
+    year t.  Every input check runs before the first year step.  The
+    schedule's rules (:func:`schedule_steps`) raise "schedule for " and
+    "<site> names no site", "<site>.<field> is not one of ..." or "... too
+    short (need index i)" (DataError), "<site>.<field> must hold finite
+    numbers" or "<site>.marketing must be >= 0" (ValueError).
     """
     sites = list(sites)
     years = [int(y) for y in years]
@@ -194,7 +192,11 @@ def redistribute(sites, params: IslandParams, schedule: dict, years) -> FlowResu
     weights, totals = np.zeros((n, steps)), np.zeros(steps + 1)
     visitors[:, 0], env_out[:, 0], sat_out[:, 0] = [s.visitors for s in sites], env, sat
     total = totals[0] = float(sum(s.visitors for s in sites))
-    for t, (mk, pr, fe, fc, c2) in enumerate(_controls(sites, schedule, steps)):
+    try:
+        controls = schedule_steps(sites, schedule, steps)
+    except (DataError, ValueError) as e:
+        raise type(e)(f"schedule for {e}") from None
+    for t, (mk, pr, fe, fc, c2) in enumerate(controls):
         total = max(0.0, total * (1.0 + p.phi * (sum(pr) / n + sum(env) / n - 1.5))
                     + p.dev_boost)
         scores = []
@@ -242,19 +244,8 @@ def iceland_sites() -> list:
 def constant_schedule(sites, years, **overrides) -> dict:
     """Hold every site's controls at their current values (or overrides)."""
     n = len(list(years))
-    out = {}
-    for s in sites:
-        entry = {
-            "marketing": [s.marketing] * n,
-            "price": [s.price] * n,
-            "env_fund": [s.env_fund] * n,
-            "community_fund": [s.community_fund] * n,
-            "co2": [s.co2] * n,
-        }
-        for key, val in overrides.items():
-            entry[key] = [val] * n
-        out[s.name] = entry
-    return out
+    return {s.name: {fld: [getattr(s, fld)] * n for fld in SCHEDULE_FIELDS}
+            | {key: [val] * n for key, val in overrides.items()} for s in sites}
 
 
 HOTSPOTS = ("Blue Lagoon", "Vatnajokull", "Golden Circle")

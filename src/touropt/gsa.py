@@ -413,39 +413,41 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
         if first:  # outputs before the first bad one fail first, as in separate calls
             _sobol_tables(design, Y[:, :first], n_boot, ci_level, seed)
         raise EvaluationError("non-finite model output in Sobol design")
-    yA, yB = Yt[:, None, :n], Yt[:, None, n:2 * n]
-    yAB = Yt[:, 2 * n:(2 + k) * n].reshape(m, k, n)
-    yBA = Yt[:, (2 + k) * n:].reshape(m, k, n)
-    terms = np.ascontiguousarray(
-        np.stack([yB * (yAB - yA), yA * (yBA - yB),
-                  (yA - yAB) ** 2, (yB - yBA) ** 2]).reshape(4 * m * k, n).T)
-    yAyB = Yt[:, :2 * n]
+    # far-apart finite outputs may give NaN indices, which the caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        yA, yB = Yt[:, None, :n], Yt[:, None, n:2 * n]
+        yAB = Yt[:, 2 * n:(2 + k) * n].reshape(m, k, n)
+        yBA = Yt[:, (2 + k) * n:].reshape(m, k, n)
+        terms = np.ascontiguousarray(
+            np.stack([yB * (yAB - yA), yA * (yBA - yB),
+                      (yA - yAB) ** 2, (yB - yBA) ** 2]).reshape(4 * m * k, n).T)
+        yAyB = Yt[:, :2 * n]
 
-    def indices(var, means):  # (B, m) variances, (B, 4*m*k) term means
-        m1, m2, m3, m4 = means.reshape(-1, 4, m, k).transpose(1, 0, 2, 3)
-        var = var[:, :, None]
-        return 0.5 * (m1 + m2) / var, 0.5 * (m3 + m4) / 2.0 / var
+        def indices(var, means):  # (B, m) variances, (B, 4*m*k) term means
+            m1, m2, m3, m4 = means.reshape(-1, 4, m, k).transpose(1, 0, 2, 3)
+            var = var[:, :, None]
+            return 0.5 * (m1 + m2) / var, 0.5 * (m3 + m4) / 2.0 / var
 
-    var = np.var(yAyB, axis=1)
-    _check_variance(var)
-    (s1,), (st,) = indices(var[None], _gather_means(terms, np.arange(n)[None]))
-    rng = np.random.default_rng(seed)
-    leaves = sum(count for count, _, _ in _sum_plan(n)[1])
-    chunk = max(1, _LANE_BYTES // (8 * leaves * terms[0].nbytes))
-    boots1 = np.empty((n_boot, m, k))
-    bootst = np.empty((n_boot, m, k))
-    for lo in range(0, n_boot, chunk):
-        hi = min(lo + chunk, n_boot)
-        idx = rng.integers(0, n, size=(hi - lo, n))  # the draws of hi - lo size-n calls
-        # (m, B, 2n), C-ordered: each variance reduces one contiguous row
-        var = np.var(yAyB.take(np.concatenate([idx, idx + n], axis=1), axis=1), axis=2).T
+        var = np.var(yAyB, axis=1)
         _check_variance(var)
-        boots1[lo:hi], bootst[lo:hi] = indices(var, _gather_means(terms, idx))
-    alpha = 0.5 * (1.0 - ci_level)
-    lo1, hi1 = np.quantile(boots1, [alpha, 1.0 - alpha], axis=0)
-    lot, hit = np.quantile(bootst, [alpha, 1.0 - alpha], axis=0)
-    return [SobolResult(design.space.names, s1[j], st[j], 0.5 * (hi1[j] - lo1[j]),
-                        0.5 * (hit[j] - lot[j]), n) for j in range(m)]
+        (s1,), (st,) = indices(var[None], _gather_means(terms, np.arange(n)[None]))
+        rng = np.random.default_rng(seed)
+        leaves = sum(count for count, _, _ in _sum_plan(n)[1])
+        chunk = max(1, _LANE_BYTES // (8 * leaves * terms[0].nbytes))
+        boots1 = np.empty((n_boot, m, k))
+        bootst = np.empty((n_boot, m, k))
+        for lo in range(0, n_boot, chunk):
+            hi = min(lo + chunk, n_boot)
+            idx = rng.integers(0, n, size=(hi - lo, n))  # the draws of hi - lo size-n calls
+            # (m, B, 2n), C-ordered: each variance reduces one contiguous row
+            var = np.var(yAyB.take(np.concatenate([idx, idx + n], axis=1), axis=1), axis=2).T
+            _check_variance(var)
+            boots1[lo:hi], bootst[lo:hi] = indices(var, _gather_means(terms, idx))
+        alpha = 0.5 * (1.0 - ci_level)
+        lo1, hi1 = np.quantile(boots1, [alpha, 1.0 - alpha], axis=0)
+        lot, hit = np.quantile(bootst, [alpha, 1.0 - alpha], axis=0)
+        return [SobolResult(design.space.names, s1[j], st[j], 0.5 * (hi1[j] - lo1[j]),
+                            0.5 * (hit[j] - lot[j]), n) for j in range(m)]
 
 
 def _check_parameters(space: ParameterSpace) -> None:

@@ -99,8 +99,8 @@ class PolicyVector:
     capacity_limit=-5)`` is accepted, and ``simulate`` rejects only a
     negative tax rate or carbon fee and a non-finite vessel limit.  The CLI
     is the boundary that rejects any negative or non-finite lever, in
-    ``policy`` and in ``space`` bounds alike; ``validate`` holds its
-    range, and nothing in the library calls it.
+    ``policy`` and in ``space`` bounds alike; ``validate`` walks the levers'
+    rules in the table ``_RULES``, and nothing in the library calls it.
     """
 
     tax_rate: float = 0.0
@@ -114,9 +114,7 @@ class PolicyVector:
     def validate(self) -> None:
         """Raise ValueError for the first negative lever; the message starts
         with the field's name."""
-        for name in POLICY_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _refuse(self, POLICY_FIELDS)
 
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, f) for f in POLICY_FIELDS], dtype=float)
@@ -179,7 +177,8 @@ class ModelCoefficients:
     Units: alpha_g/alpha_w and p_glacier/p_waste are index gain per USD;
     beta1 is index loss per foot of retreat; beta2 per ton of CO2;
     p2 multiplies visitors-per-resident; eps_crowd is a small population
-    guard in persons.
+    guard in persons.  ``validate`` walks their rules in the table
+    ``_RULES``, which also says which of them ``simulate`` checks.
     """
 
     alpha: float = 0.5                  # weight of (E + S - 1) in attractiveness
@@ -209,26 +208,40 @@ class ModelCoefficients:
     def validate(self) -> None:
         """Raise ValueError for the first out-of-range field; the message
         starts with the field's name."""
-        nonneg = (
-            "alpha", "kappa", "P_visitor_base", "P_ship_capacity", "K_dev",
-            "K_gov_dev", "alpha_gov_base", "S_threshold", "R_social",
-            "alpha_g", "alpha_w", "beta1", "beta2", "p_glacier", "p_waste",
-            "p2", "p3", "p4",
-        )
-        for name in nonneg:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.k1 <= 0:
-            raise ValueError("k1 must be > 0")
-        if self.G_retreat_baseline <= 0:
-            raise ValueError("G_retreat_baseline must be > 0")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must be in [0, 1]")
-        if self.eps_crowd <= 0:
-            raise ValueError("eps_crowd must be > 0")
+        _refuse(self, _COEFF_RULES)
 
 
 COEFF_FIELDS = tuple(ModelCoefficients.__dataclass_fields__)
+
+
+# The model's input rules, each written once as field: (failing test,
+# message).  A test holds on a float or, row by row, on an array, and NaN
+# fails none; a message starts with the field's name (gsa.full_space reads
+# it).  Each ``validate`` walks its fields' rules in table order; ``simulate``
+# checks the levy's (policy, then coefficient fields) and, with a year
+# stepped, the glacier factor's and k1's, which ``simulate_batch`` ORs.
+_NEGATIVE, _NOT_POSITIVE = (lambda x: x < 0), (lambda x: x <= 0)
+_RULES = {
+    **{name: (_NEGATIVE, f"{name} must be >= 0") for name in (*POLICY_FIELDS, *(
+        f for f in COEFF_FIELDS if f not in (  # eps_price may be negative
+            "k1", "eps_price", "G_retreat_baseline", "delta", "eps_crowd")))},
+    "k1": (_NOT_POSITIVE, "k1 must be > 0"),
+    "G_retreat_baseline": (_NOT_POSITIVE, "G_retreat_baseline must be > 0"),
+    "delta": (lambda x: (x < 0) | (x > 1), "delta must be in [0, 1]"),
+    "eps_crowd": (_NOT_POSITIVE, "eps_crowd must be > 0"),
+}
+_COEFF_RULES = tuple(name for name in _RULES if name in COEFF_FIELDS)
+_LEVY_RULES = (("tax_rate", "carbon_fee"), ("P_visitor_base",))
+_STEP_RULES = ("G_retreat_baseline", "kappa", "k1")
+
+
+def _refuse(obj, names) -> None:
+    """Raise ValueError for the first rule on ``names`` that ``obj`` breaks."""
+    for name in names:
+        fails, message = _RULES[name]
+        if fails(getattr(obj, name)):
+            raise ValueError(message)
+
 
 SERIES_FIELDS = (
     "V_base",
@@ -607,19 +620,14 @@ def simulate(policy: PolicyVector, exog: ExogenousSeries,
     """
     if (allocation is None) != (feedback is None):
         raise ValueError("allocation and feedback must be given together")
-    if policy.tax_rate < 0 or policy.carbon_fee < 0 or coeffs.P_visitor_base < 0:
-        raise ValueError("tax_rate, carbon_fee and P_visitor_base must be >= 0")
+    _refuse(policy, _LEVY_RULES[0])
+    _refuse(coeffs, _LEVY_RULES[1])
     init.validate()
     run = None
     if len(exog) > 1:
         # the visitor stage's coefficient checks and the run's constant
         # terms, once: they hold for every year
-        if coeffs.G_retreat_baseline <= 0:
-            raise ValueError("G_retreat_baseline must be > 0")
-        if coeffs.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        if coeffs.k1 <= 0:
-            raise ValueError("k1 must be > 0")
+        _refuse(coeffs, _STEP_RULES)
         run = _run_constants(policy, coeffs)
     traj = Trajectory(years=list(exog.years), states=[init])
 
@@ -655,13 +663,14 @@ def _raise_first_failure(policy, coeffs, exog, init, rows: dict, n: int) -> None
     def value(name, owner):
         return rows.get(name, getattr(owner, name))
 
-    maybe = ((value("tax_rate", policy) < 0) | (value("carbon_fee", policy) < 0)
-             | (value("P_visitor_base", coeffs) < 0))
+    checks = [(policy, _LEVY_RULES[0]), (coeffs, _LEVY_RULES[1])]
+    maybe = False
     if len(exog) > 1:
-        maybe = (maybe | (value("G_retreat_baseline", coeffs) <= 0)
-                 | (value("kappa", coeffs) < 0) | (value("k1", coeffs) <= 0)
-                 | ~np.isfinite(value("ship_limit", policy))
-                 | (value("eps_crowd", coeffs) < 0))
+        checks.append((coeffs, _STEP_RULES))
+        maybe = ~np.isfinite(value("ship_limit", policy)) | (value("eps_crowd", coeffs) < 0)
+    for owner, names in checks:
+        for name in names:
+            maybe = maybe | _RULES[name][0](value(name, owner))
     try:
         init.validate()
         shared = len(exog) > 1 and bool(np.any(exog.population[:-1] <= 0))

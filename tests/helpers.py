@@ -598,7 +598,7 @@ def _flow_potential(total, price_avg, env_avg, p):
 
 def _flow_attractiveness(site, p):
     if site.marketing < 0:
-        raise ValueError("marketing must be >= 0")
+        raise ValueError(f"schedule for {site.name}.marketing must be >= 0")
     exponent = (p.a0 + p.a1 * site.env_index + p.a2 * site.satisfaction
                 + p.a3 * math.log1p(site.marketing) - p.a4 * site.price)
     if abs(exponent) > 500.0:
@@ -662,7 +662,7 @@ def redistribute_reference(sites, params, schedule, years):
     if schedule:
         for name in schedule:
             if name not in {s.name for s in sites}:
-                raise DataError(f"schedule references unknown site {name!r}")
+                raise DataError(f"schedule for {name} names no site")
     n_sites, n_years = len(sites), len(years)
     visitors = np.zeros((n_sites, n_years))
     env = np.zeros((n_sites, n_years))

@@ -691,6 +691,26 @@ class TestRedistributeCommand:
                              {"redistribute": {"schedule": {"Nowhere": {"price": [1.0] * 9}}}},
                              "schedule.Nowhere")
 
+    def test_whole_float_years_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"redistribute": {"years": [2024.0, 2026]}}))
+        out = tmp_path / "f"
+        assert main(["redistribute", "--preset", "iceland", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "flow_final.json").read_text())["final_year"] == 2026
+
+    def test_flow_overflow_in_the_year_loop_is_numeric_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"redistribute": {
+            "years": [2024, 2025], "island_params": {"a3": 400.0},
+            "schedule": {"Myvatn": {"marketing": [1e300]}}}}))
+        out = tmp_path / "f"
+        assert main(["redistribute", "--preset", "iceland", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: attractiveness exponent")
+        assert not out.exists()
+
     def test_full_length_schedule_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"redistribute": {"years": [2024, 2026], "schedule": {
@@ -809,10 +829,13 @@ class TestArtifactWriter:
         ("simulate", "out is a file", 2, "out "),
         ("sensitivity", {"sensitivity": {"space": {"tax_rate": [0, 1e300]}}}, 4,
          "in morris_f1.csv at parameter=tax_rate"),
+        ("sensitivity", {"sensitivity": {"method": "sobol", "sobol_n": 64, "bootstrap": 10,
+                                         "space": {"tax_rate": [0, 1e300]}}}, 4,
+         "non-finite s1 in sobol_f1.csv at parameter=tax_rate"),
         ("simulate", "config is a directory", 2, "cfg.json"),
         ("simulate", b'{"simulate": "\x80"}', 2, "cfg.json"),
         ("simulate", "[" * 100_000 + "]" * 100_000, 2, "cfg.json"),
-    ], ids=["out_number", "out_null", "out_is_a_file", "morris_overflow",
+    ], ids=["out_number", "out_null", "out_is_a_file", "morris_overflow", "sobol_overflow",
             "config_is_a_directory", "config_not_utf8", "config_too_deep"])
     def test_refusal_names_its_cause_and_writes_nothing(self, tmp_path, capsys,
                                                         monkeypatch, command, doc,

@@ -344,6 +344,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
             tp.PolicyVector(**{name: -1e-9}).validate()
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("tax_rate", -0.1, "tax_rate must be >= 0"),
+        ("carbon_fee", -1.0, "carbon_fee must be >= 0"),
+        ("P_visitor_base", -1.0, "P_visitor_base must be >= 0"),
+        ("G_retreat_baseline", 0.0, "G_retreat_baseline must be > 0"),
+        ("kappa", -0.1, "kappa must be >= 0"),
+        ("k1", 0.0, "k1 must be > 0")])
+    def test_simulate_and_validate_name_the_same_field(self, name, value, message):
+        policy, coeffs = slack_policy(), neutral_coeffs()
+        if name in POLICY_FIELDS:
+            policy = bad = replace(policy, **{name: value})
+        else:
+            coeffs = bad = replace(coeffs, **{name: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate(policy, flat_exog(), coeffs, mid_state())
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bad.validate()
+
     def test_series_validation(self):
         good = flat_exog()
         good.validate()
@@ -626,15 +644,18 @@ class TestSimulateBatch:
                            mid_state(), rows)
 
     @pytest.mark.parametrize("case", [
-        "tax_rate", "kappa", "k1", "population", "zero_horizon", "first_row_wins",
-        "ship_nan", "ship_inf", "crowd_denominator", "bad_init"])
+        "tax_rate", "carbon_fee", "P_visitor_base", "G_retreat_baseline", "kappa", "k1",
+        "population", "zero_horizon", "first_row_wins", "ship_nan", "ship_inf",
+        "crowd_denominator", "bad_init"])
     def test_errors_match_simulate(self, case):
         policy, coeffs, init = slack_policy(), neutral_coeffs(p2=1e-3), mid_state()
         exog = flat_exog(n=5)
         ok = [0.1, 0.1, 0.1, 0.1, 0.1]
         rows = {"tax_rate": ok}
-        if case == "tax_rate":
-            rows = {"tax_rate": [0.1, 0.1, 0.1, -0.1, 0.2]}
+        if case in ("tax_rate", "carbon_fee", "P_visitor_base"):
+            rows = {case: [0.1, 0.1, 0.1, -0.1, 0.2]}
+        elif case == "G_retreat_baseline":
+            rows = {case: [250.0, 0.0, 250.0]}
         elif case in ("kappa", "k1"):
             rows = {case: [0.1, 0.1, -0.1 if case == "kappa" else 0.0, 0.1, 0.1]}
         elif case == "population":
