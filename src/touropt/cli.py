@@ -9,8 +9,8 @@ preset, and a hash of the effective configuration, and a re-run with the
 same config and seed is byte-identical.
 
 Exit codes: 0 success, 2 config error (an unusable ``out`` included),
-3 data error, 4 numeric failure (a non-finite number in any artifact
-included).
+3 data error, 4 numeric failure (a non-finite number in any artifact and
+a failed allocation included).
 """
 
 from __future__ import annotations
@@ -241,11 +241,19 @@ def _number(key: str, value) -> float:
 
 
 def _integer(key: str, value) -> int:
-    """``value`` as an integer, else a ConfigError naming ``key``."""
-    x = _number(key, value)
-    if not x.is_integer():
-        raise ConfigError(f"{key} must be an integer, not {value!r}")
-    return int(x)
+    """``value`` as an integer of magnitude at most ``sys.maxsize``, else a
+    ConfigError naming ``key``.  A non-bool int is kept exact, not rounded
+    through a float."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        x = value
+    else:
+        x = _number(key, value)
+        if not x.is_integer():
+            raise ConfigError(f"{key} must be an integer, not {value!r}")
+        x = int(x)
+    if abs(x) > sys.maxsize:
+        raise ConfigError(f"{key} must be at most {sys.maxsize} in magnitude, not {value!r}")
+    return x
 
 
 def _optional_number(key: str, value):
@@ -258,8 +266,7 @@ def _string(key: str, value) -> str:
     return value
 
 
-# the parser of each declared field type a config object may set; a field
-# of any other type (EAConfig.reference_point) is not a config key
+# the parser of each declared field type of the config objects
 _PARSERS = {"int": _integer, "float": _number, "float | None": _optional_number,
             "str": _string}
 
@@ -276,7 +283,7 @@ def _decode(key: str, cls, values, base=None, fixed=()):
     start with the field name."""
     if not isinstance(values, dict):
         raise ConfigError(f"{key} must be an object, not {values!r}")
-    decoded = [f for f in fields(cls) if f.type in _PARSERS and f.name not in fixed]
+    decoded = [f for f in fields(cls) if f.name not in fixed]
     unknown = sorted(f"{key}.{k}" for k in set(values) - {f.name for f in decoded})
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
@@ -361,8 +368,13 @@ def cmd_optimize(cfg: dict):
 def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
     """The sensitivity space.  Bounds given by name must lie in the model's
     domain: each end of a policy lever's or a coefficient's range is checked
-    as a ``policy`` or ``coefficients`` value is."""
+    as a ``policy`` or ``coefficients`` value is.  ``uncertainty_rel`` is
+    checked whenever it is given, whatever the space."""
     choice = cfg.get("space", "full")
+    value = cfg.get("uncertainty_rel", 0.2)
+    rel = _number("uncertainty_rel", value)
+    if rel <= 0:
+        raise ConfigError(f"uncertainty_rel must be > 0, not {value!r}")
     if isinstance(choice, dict):
         bounds = {}
         for k, v in choice.items():
@@ -383,10 +395,6 @@ def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
         return ParameterSpace.from_dict(
             {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
     if choice == "policy_uncertainty":
-        value = cfg.get("uncertainty_rel", 0.2)
-        rel = _number("uncertainty_rel", value)
-        if rel <= 0:
-            raise ConfigError(f"uncertainty_rel must be > 0, not {value!r}")
         return uncertainty_space(policy, preset.bounds, rel=rel)
     raise ConfigError(f"unknown space {choice!r}")
 
@@ -418,7 +426,7 @@ def cmd_sensitivity(cfg: dict):
     files["sensitivity_matrix.json"] = {
         "method": report.method,
         "sampler": "pseudorandom",
-        "outputs": list(report.outputs),
+        "outputs": list(OUTPUT_NAMES),
         "rows": report.matrix_records(),
     }
     return files, f"{report.method} over {len(space)} parameters"
@@ -497,9 +505,11 @@ def cmd_redistribute(cfg: dict):
     span = cfg.get("years", [2024, 2033])
     if not (isinstance(span, list) and len(span) == 2):
         raise ConfigError(f"years must be [first, last], not {span!r}")
-    years = list(range(_integer("years", span[0]), _integer("years", span[1]) + 1))
-    if not years:
-        raise ConfigError(f"years must have first <= last, not {span!r}")
+    first, last = (_integer("years", y) for y in span)
+    if not 0 <= last - first < sys.maxsize:  # a longer range has no length
+        raise ConfigError(f"years must have first <= last, at most {sys.maxsize} "
+                          f"apart, not {span!r}")
+    years = list(range(first, last + 1))
     params = _decode("island_params", IslandParams, cfg.get("island_params", {}))
     result = redistribute(sites, params, _resolve_schedule(cfg, sites, years), years)
     share_total = result.visitors.sum(axis=0)
@@ -595,8 +605,8 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (EvaluationError, ValueError, ArithmeticError) as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
+    except (EvaluationError, ValueError, ArithmeticError, MemoryError) as e:
+        print(f"numeric failure: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
     n = len(files)
     print(f"{args.command}: {summary}, wrote {n} file{'s' * (n > 1)} to {out}")

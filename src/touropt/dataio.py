@@ -201,9 +201,11 @@ class RegionPreset:
     synth: dict
     initial_env: tuple  # (value,) fixed or (center, halfwidth) randomized
     years: tuple = (2008, 2024)
-    noise_rel: float = 0.02
     ea_population: int = 100
     ea_generations: int = 40
+
+
+_NOISE_REL = 0.02  # bound of the synthetic series' multiplicative noise
 
 
 def _curve(n: int, start: float, end: float, kind: str) -> np.ndarray:
@@ -217,7 +219,7 @@ def synth_dataset(preset: RegionPreset, seed: int) -> ExogenousSeries:
     """Deterministic synthetic series for a preset.
 
     Endpoints are pinned exactly; interior points get multiplicative noise
-    bounded by ``noise_rel`` and are clipped into the preset envelope, so a
+    bounded by ``_NOISE_REL`` and are clipped into the preset envelope, so a
     synthetic series always passes :func:`validate_ranges` for its own
     preset with zero warnings.
     """
@@ -229,7 +231,7 @@ def synth_dataset(preset: RegionPreset, seed: int) -> ExogenousSeries:
     for name in SERIES_FIELDS:
         start, end, kind = preset.synth[name]
         base = _curve(n, start, end, kind)
-        noise = 1.0 + preset.noise_rel * rng.uniform(-1.0, 1.0, size=n)
+        noise = 1.0 + _NOISE_REL * rng.uniform(-1.0, 1.0, size=n)
         noise[0] = noise[-1] = 1.0  # endpoints pinned
         vals = base * noise
         if name in preset.envelope:

@@ -241,11 +241,10 @@ def iceland_sites() -> list:
     ]
 
 
-def constant_schedule(sites, years, **overrides) -> dict:
-    """Hold every site's controls at their current values (or overrides)."""
+def constant_schedule(sites, years) -> dict:
+    """Hold every site's controls at their current values."""
     n = len(list(years))
-    return {s.name: {fld: [getattr(s, fld)] * n for fld in SCHEDULE_FIELDS}
-            | {key: [val] * n for key, val in overrides.items()} for s in sites}
+    return {s.name: {fld: [getattr(s, fld)] * n for fld in SCHEDULE_FIELDS} for s in sites}
 
 
 HOTSPOTS = ("Blue Lagoon", "Vatnajokull", "Golden Circle")

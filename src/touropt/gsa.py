@@ -29,7 +29,6 @@ step) order and the bits of a step-by-step build.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +42,7 @@ from .sd_core import (
     PolicyBounds,
     PolicyVector,
     SimState,
-    simulate,
+    simulate,  # not called here; bench/tracing.py's WRAPS patches touropt.gsa.simulate
     simulate_batch,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "saltelli_sample",
     "sobol_indices",
     "analyze_model",
-    "make_model",
     "uncertainty_space",
     "full_space",
     "OUTPUT_NAMES",
@@ -124,7 +122,6 @@ class SobolResult:
     s1_ci: np.ndarray     # bootstrap CI half-widths for s1
     st_ci: np.ndarray     # same for st
     n: int                # base sample size
-    sampler: str = "pseudorandom"
 
     def ranked(self) -> list:
         order = np.argsort(-self.st, kind="stable")
@@ -203,31 +200,24 @@ def morris_indices(space: ParameterSpace, samples: np.ndarray,
 
 @dataclass
 class SaltelliDesign:
-    """The A/B/A_B()/B_A() evaluation matrices, stacked row-wise."""
+    """The two base matrices A and B of a Saltelli design."""
 
     space: ParameterSpace
     n: int
     A: np.ndarray
     B: np.ndarray
-    AB: np.ndarray  # (k, n, k); AB[i] is A with column i from B
-    BA: np.ndarray  # (k, n, k)
 
     def matrix(self) -> np.ndarray:
-        """All n*(2k+2) evaluation points in canonical order."""
-        k = len(self.space)
-        blocks = [self.A, self.B]
-        blocks += [self.AB[i] for i in range(k)]
-        blocks += [self.BA[i] for i in range(k)]
-        return np.vstack(blocks)
-
-    def split_outputs(self, y: np.ndarray) -> tuple:
+        """All n*(2k+2) evaluation points in canonical order: A, B, then
+        A with column i from B for i = 0..k-1, then B with column i from A."""
         k, n = len(self.space), self.n
-        y = self._checked(y)
-        yA = y[:n]
-        yB = y[n:2 * n]
-        yAB = np.stack([y[(2 + i) * n:(3 + i) * n] for i in range(k)])
-        yBA = np.stack([y[(2 + k + i) * n:(3 + k + i) * n] for i in range(k)])
-        return yA, yB, yAB, yBA
+        out = np.empty(((2 * k + 2) * n, k))
+        out[:n], out[n:2 * n] = self.A, self.B
+        ab = out[2 * n:].reshape(2, k, n, k)
+        ab[0], ab[1] = self.A, self.B
+        cols = np.arange(k)
+        ab[0, cols, :, cols], ab[1, cols, :, cols] = self.B.T, self.A.T
+        return out
 
     def _checked(self, y: np.ndarray) -> np.ndarray:
         """``y`` as floats, after checking it has one row per design point."""
@@ -245,16 +235,8 @@ def saltelli_sample(space: ParameterSpace, n: int, seed: int = 0) -> SaltelliDes
     k = len(space)
     rng = np.random.default_rng(seed)
     unit = rng.random((n, 2 * k))
-    A = space.from_unit(unit[:, :k])
-    B = space.from_unit(unit[:, k:])
-    AB = np.empty((k, n, k))
-    BA = np.empty((k, n, k))
-    for i in range(k):
-        AB[i] = A
-        AB[i, :, i] = B[:, i]
-        BA[i] = B
-        BA[i, :, i] = A[:, i]
-    return SaltelliDesign(space, n, A, B, AB, BA)
+    return SaltelliDesign(space, n, space.from_unit(unit[:, :k]),
+                          space.from_unit(unit[:, k:]))
 
 
 def _check_morris(r: int, levels: int, r_key: str = "r",
@@ -281,16 +263,16 @@ def _check_variance(var: np.ndarray) -> None:
 
 
 def sobol_indices(design: SaltelliDesign, outputs: np.ndarray,
-                  n_boot: int = 200, ci_level: float = 0.95,
-                  seed: int = 0) -> SobolResult:
+                  n_boot: int = 200, seed: int = 0) -> SobolResult:
     """First-order and total-effect indices with bootstrap intervals.
 
     S_i uses the symmetrized direct estimator over both matrix halves,
-    S_Ti the Jansen squared-difference form.  One output's case of
+    S_Ti the Jansen squared-difference form; the intervals are 95%
+    bootstrap percentile intervals.  One output's case of
     :func:`_sobol_tables`.
     """
     return _sobol_tables(design, np.asarray(outputs, dtype=float)[:, None],
-                         n_boot, ci_level, seed)[0]
+                         n_boot, seed)[0]
 
 
 # numpy sums a contiguous span of at most this many values with eight
@@ -304,6 +286,9 @@ _PAIRWISE_LEAF = 128
 # took about 1.5 times as long, the first from per-call overhead, the
 # second from spilling L2.
 _LANE_BYTES = 400_000
+# the tail of a 95% percentile interval, as 0.5 * (1 - 0.95) rounds
+# (0.025000000000000022, not 0.025): the intervals' bits depend on it
+_ALPHA = 0.5 * (1.0 - 0.95)
 
 
 @functools.cache
@@ -383,7 +368,7 @@ def _tree_sum(node, sums: np.ndarray) -> np.ndarray:
 
 
 def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
-                  ci_level: float, seed: int) -> list:
+                  seed: int) -> list:
     """One :class:`SobolResult` per column of the (N, m) outputs ``Y``.
 
     Both estimators are means of per-row terms, so the four (k, n) term
@@ -411,7 +396,7 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
     if bad.any():
         first = int(np.argmax(bad))
         if first:  # outputs before the first bad one fail first, as in separate calls
-            _sobol_tables(design, Y[:, :first], n_boot, ci_level, seed)
+            _sobol_tables(design, Y[:, :first], n_boot, seed)
         raise EvaluationError("non-finite model output in Sobol design")
     # far-apart finite outputs may give NaN indices, which the caller refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -443,9 +428,8 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
             var = np.var(yAyB.take(np.concatenate([idx, idx + n], axis=1), axis=1), axis=2).T
             _check_variance(var)
             boots1[lo:hi], bootst[lo:hi] = indices(var, _gather_means(terms, idx))
-        alpha = 0.5 * (1.0 - ci_level)
-        lo1, hi1 = np.quantile(boots1, [alpha, 1.0 - alpha], axis=0)
-        lot, hit = np.quantile(bootst, [alpha, 1.0 - alpha], axis=0)
+        lo1, hi1 = np.quantile(boots1, [_ALPHA, 1.0 - _ALPHA], axis=0)
+        lot, hit = np.quantile(bootst, [_ALPHA, 1.0 - _ALPHA], axis=0)
         return [SobolResult(design.space.names, s1[j], st[j], 0.5 * (hi1[j] - lo1[j]),
                             0.5 * (hit[j] - lot[j]), n) for j in range(m)]
 
@@ -470,47 +454,17 @@ def _evaluate(space: ParameterSpace, points: np.ndarray, exog: ExogenousSeries,
     return evals
 
 
-def make_model(space: ParameterSpace, exog: ExogenousSeries,
-               coeffs: ModelCoefficients, policy: PolicyVector,
-               init: SimState):
-    """Closure mapping a sample row to the three simulation objectives.
-
-    Space names must be :class:`PolicyVector` or :class:`ModelCoefficients`
-    fields; each evaluation overrides those fields and runs one full
-    scalar simulation.  :func:`analyze_model` does not use it: it runs a
-    whole design through ``simulate_batch``.
-    """
-    _check_parameters(space)
-    pol_idx = [(j, name) for j, name in enumerate(space.names)
-               if name in POLICY_FIELDS]
-    coef_idx = [(j, name) for j, name in enumerate(space.names)
-                if name in COEFF_FIELDS]
-
-    def run(row: np.ndarray) -> tuple:
-        p = replace(policy, **{name: float(row[j]) for j, name in pol_idx}) \
-            if pol_idx else policy
-        c = replace(coeffs, **{name: float(row[j]) for j, name in coef_idx}) \
-            if coef_idx else coeffs
-        _, objs = simulate(p, exog, c, init)
-        if any(math.isnan(v) for v in objs):
-            raise EvaluationError(f"NaN objective at sample {dict(zip(space.names, row))}")
-        return objs
-
-    return run
-
-
 @dataclass
 class AnalysisReport:
     method: str
     space: ParameterSpace
     tables: dict        # output name -> MorrisResult | SobolResult
     matrix: np.ndarray  # (k, 3): mu_star or S_T per parameter and output
-    outputs: tuple = OUTPUT_NAMES
 
     def matrix_records(self) -> list:
         return [
             {"parameter": name,
-             **{out: float(self.matrix[i, j]) for j, out in enumerate(self.outputs)}}
+             **{out: float(self.matrix[i, j]) for j, out in enumerate(OUTPUT_NAMES)}}
             for i, name in enumerate(self.space.names)
         ]
 
@@ -528,18 +482,17 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     and the first NaN sample in design order is named.  ``output``
     narrows which ranked tables are returned while the parameters-by-
     outputs matrix always covers f1..f3 (mu* for Morris, S_T for Sobol).
-    ``method``, ``output``, the chosen method's sizes and the space's
-    parameter names are checked before any sampling or simulation.
+    ``method``, ``output``, every size (those of the other method too)
+    and the space's parameter names are checked before any sampling or
+    simulation.
     """
     if method not in ("morris", "sobol"):
         raise ConfigError(f"unknown method {method!r}; use 'morris' or 'sobol'")
     if output not in OUTPUT_NAMES + ("all",):
         raise ConfigError(f"output must be f1, f2, f3 or all, not {output!r}")
-    if method == "morris":
-        _check_morris(morris_r, morris_levels, "morris_r", "morris_levels")
-    else:
-        _check_sobol_n(sobol_n, "sobol_n")
-        _check_n_boot(n_boot)
+    _check_morris(morris_r, morris_levels, "morris_r", "morris_levels")
+    _check_sobol_n(sobol_n, "sobol_n")
+    _check_n_boot(n_boot)
     _check_parameters(space)
     wanted = OUTPUT_NAMES if output == "all" else (output,)
     if method == "morris":
@@ -553,14 +506,14 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
         design = saltelli_sample(space, sobol_n, seed)
         evals = _evaluate(space, design.matrix(), exog, coeffs, policy, init)
         results = dict(zip(OUTPUT_NAMES,
-                           _sobol_tables(design, evals, n_boot, 0.95, seed)))
+                           _sobol_tables(design, evals, n_boot, seed)))
         matrix = np.column_stack([results[name].st for name in OUTPUT_NAMES])
     tables = {name: results[name] for name in wanted}
     return AnalysisReport(method=method, space=space, tables=tables, matrix=matrix)
 
 
 def uncertainty_space(policy: PolicyVector, bounds: PolicyBounds,
-                      rel: float = 0.2, params=POLICY_FIELDS) -> ParameterSpace:
+                      rel: float = 0.2) -> ParameterSpace:
     """Box of +-``rel`` around a reference policy, clipped to the bounds.
 
     This is the default space for policy-lever sensitivity runs: every
@@ -570,7 +523,7 @@ def uncertainty_space(policy: PolicyVector, bounds: PolicyBounds,
     otherwise: a value of 0, or one whose box lies outside the bounds.
     """
     spec = {}
-    for name in params:
+    for name in POLICY_FIELDS:
         v = getattr(policy, name)
         lo, hi = getattr(bounds, name)
         a = max(lo, v * (1.0 - rel))

@@ -14,9 +14,8 @@ sort, and the dense integer ranks (int16 while they fit) are compared
 instead of the floats.  The sort (a front-by-front peel of the matrix)
 and the front verification call it; the all-time archive uses its two
 parts, the ranking and the "no worse everywhere" test, directly, so it
-ranks old and new rows once per insert.  :func:`dominates` is the
-NaN-checking scalar counterpart.  Crowding distances of a whole pool are
-computed in one pass over all its fronts.  The problem is evaluated a
+ranks old and new rows once per insert.  Crowding distances of a whole
+pool are computed in one pass over all its fronts.  The problem is evaluated a
 generation at a time, (N, genes) genomes to (N, 3) objectives.
 
 The population lives in arrays, genomes (N, genes), objectives (N, 3),
@@ -59,14 +58,12 @@ __all__ = [
     "EAConfig",
     "ParetoFront",
     "EvolveResult",
-    "dominates",
     "dominance_matrix",
     "fast_nondominated_sort",
     "crowding_distance",
     "tournament_select",
     "sbx_crossover",
     "polynomial_mutation",
-    "environmental_selection",
     "hypervolume_3d",
     "evolve",
 ]
@@ -93,7 +90,6 @@ class EAConfig:
     seed: int = 0
     hv_window: int = 10            # generations in the plateau window
     hv_rel_tol: float = 1e-4       # relative improvement below this stops
-    reference_point: tuple | None = None  # hypervolume anchor; auto if None
 
     def validate(self) -> None:
         if self.population_size < 4 or self.population_size % 2:
@@ -112,14 +108,6 @@ class EAConfig:
         if not 0.0 <= self.hv_rel_tol < math.inf:
             raise ConfigError(f"hv_rel_tol must be a finite number >= 0, "
                               f"not {self.hv_rel_tol!r}")
-        ref = self.reference_point
-        if ref is not None:
-            try:
-                ok = len(ref) == 3 and all(math.isfinite(float(v)) for v in ref)
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ConfigError(f"reference_point must be three finite numbers, not {ref!r}")
 
 
 @dataclass
@@ -151,19 +139,6 @@ class ParetoFront:
             if (_covers(ranks[:, lo:hi], ranks) & (sums[lo:hi, None] > sums)).any():
                 return False
         return True
-
-
-def dominates(a, b) -> bool:
-    """Maximization dominance: a is no worse everywhere, better somewhere."""
-    better = False
-    for x, y in zip(a, b):
-        if math.isnan(x) or math.isnan(y):
-            raise EvaluationError(f"NaN objective in dominance check: {a} vs {b}")
-        if x < y:
-            return False
-        if x > y:
-            better = True
-    return better
 
 
 def _int_type(top: int):
@@ -505,19 +480,6 @@ def _select(objs, n: int) -> tuple:
     return np.concatenate([rows[:start], tail]), rank, crowd
 
 
-def environmental_selection(pool, n: int) -> list:
-    """Elitist reduction of a parent+offspring pool to ``n`` survivors.
-
-    Whole fronts are admitted in rank order; the first front that
-    overflows is truncated by descending crowding distance.  Sets every
-    pool member's ``rank`` and ``crowding``.
-    """
-    keep, rank, crowd = _select(np.array([ind.objectives for ind in pool], dtype=float), n)
-    for ind, r, c in zip(pool, rank.tolist(), crowd.tolist()):
-        ind.rank, ind.crowding = r, c
-    return [pool[i] for i in keep]
-
-
 def hypervolume_3d(points, reference_point) -> float:
     """Exact dominated hypervolume of 3-D maximization points.
 
@@ -804,12 +766,9 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     objs = evaluate(genomes)
     _, rank, crowd = _select(objs, len(objs))
 
-    if config.reference_point is not None:
-        ref = tuple(float(v) for v in config.reference_point)
-    else:
-        lo = objs.min(axis=0)
-        span = objs.max(axis=0) - lo
-        ref = tuple(lo - 0.01 * span - 1e-9 * (1.0 + np.abs(lo)))
+    lo = objs.min(axis=0)
+    span = objs.max(axis=0) - lo
+    ref = tuple(lo - 0.01 * span - 1e-9 * (1.0 + np.abs(lo)))
 
     hv_log = []
     gens = 0

@@ -118,8 +118,6 @@ class ScenarioResult:
     trajectory: Trajectory
     allocation: AllocationPolicy    # as run (normalized if needed)
     normalization_scale: float      # 1.0 when no scaling was applied
-    channel_spend: list             # ChannelAmounts per transition year
-    effective_capacity: list        # effective cap per transition year
 
     def objectives(self):
         return self.trajectory.objectives()
@@ -137,8 +135,7 @@ def run_scenario(alloc: AllocationPolicy, policy: PolicyVector,
     fb = feedback if feedback is not None else FeedbackCoefficients()
     used, scale = alloc.normalized()
     traj, _ = simulate(policy, exog, coeffs, init, used, fb)
-    return ScenarioResult(alloc.name, traj, used, scale, traj.channel_spend,
-                          traj.effective_capacity)
+    return ScenarioResult(alloc.name, traj, used, scale)
 
 
 def compare_scenarios(allocs, policy: PolicyVector, exog: ExogenousSeries,

@@ -116,9 +116,6 @@ class PolicyVector:
         with the field's name."""
         _refuse(self, POLICY_FIELDS)
 
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in POLICY_FIELDS], dtype=float)
-
     @classmethod
     def from_array(cls, genome) -> "PolicyVector":
         vals = [float(v) for v in genome]
@@ -144,10 +141,6 @@ class PolicyBounds:
 
     def highs(self) -> np.ndarray:
         return np.array([getattr(self, f)[1] for f in POLICY_FIELDS], dtype=float)
-
-    def contains(self, policy: PolicyVector, tol: float = 0.0) -> bool:
-        x = policy.to_array()
-        return bool(np.all(x >= self.lows() - tol) and np.all(x <= self.highs() + tol))
 
     def validate(self) -> None:
         lo, hi = self.lows(), self.highs()

@@ -161,7 +161,9 @@ def hv_grid_oracle(points, ref):
     return vol
 
 
-def _dominates_ref(a, b):
+def dominates_reference(a, b):
+    """Reference: maximization dominance of two objective tuples, a scalar
+    loop (a is no worse everywhere and better somewhere)."""
     better = False
     for x, y in zip(a, b):
         if x < y:
@@ -183,10 +185,10 @@ def pairwise_nondominated_sort(objectives):
     dom_count = [0] * n
     for p in range(n):
         for q in range(p + 1, n):
-            if _dominates_ref(objs[p], objs[q]):
+            if dominates_reference(objs[p], objs[q]):
                 dominated_by[p].append(q)
                 dom_count[q] += 1
-            elif _dominates_ref(objs[q], objs[p]):
+            elif dominates_reference(objs[q], objs[p]):
                 dominated_by[q].append(p)
                 dom_count[p] += 1
     fronts = [[p for p in range(n) if dom_count[p] == 0]]
@@ -280,16 +282,20 @@ def _sobol_point_estimates(yA, yB, yAB, yBA) -> tuple:
     return s1, st
 
 
-def sobol_bootstrap_loop(design, outputs, n_boot=200, ci_level=0.95, seed=0):
+def sobol_bootstrap_loop(design, outputs, n_boot=200, seed=0):
     """Reference Sobol estimator: every resample recomputes the estimators
-    from resampled outputs, parameter by parameter.  Returns
-    ``(s1, st, s1_ci, st_ci)``; ``gsa.sobol_indices`` must match it bit
-    for bit."""
-    yA, yB, yAB, yBA = design.split_outputs(outputs)
+    from resampled outputs, parameter by parameter, with 95% percentile
+    intervals.  Returns ``(s1, st, s1_ci, st_ci)``; ``gsa.sobol_indices``
+    must match it bit for bit."""
+    k, n = len(design.space), design.n
+    y = np.asarray(outputs, dtype=float)
+    if y.shape[0] != n * (2 * k + 2):
+        raise ConfigError(f"expected {n * (2 * k + 2)} outputs, got {y.shape[0]}")
+    yA, yB = y[:n], y[n:2 * n]
+    yAB, yBA = y[2 * n:].reshape(2, k, n)  # A with column i from B, then B with A's
     if not np.all(np.isfinite(outputs)):
         raise EvaluationError("non-finite model output in Sobol design")
     s1, st = _sobol_point_estimates(yA, yB, yAB, yBA)
-    k, n = len(design.space), design.n
     rng = np.random.default_rng(seed)
     boots1 = np.empty((n_boot, k))
     bootst = np.empty((n_boot, k))
@@ -297,7 +303,7 @@ def sobol_bootstrap_loop(design, outputs, n_boot=200, ci_level=0.95, seed=0):
         idx = rng.integers(0, n, size=n)
         boots1[b], bootst[b] = _sobol_point_estimates(
             yA[idx], yB[idx], yAB[:, idx], yBA[:, idx])
-    alpha = 0.5 * (1.0 - ci_level)
+    alpha = 0.5 * (1.0 - 0.95)
     lo1, hi1 = np.quantile(boots1, [alpha, 1.0 - alpha], axis=0)
     lot, hit = np.quantile(bootst, [alpha, 1.0 - alpha], axis=0)
     return s1, st, 0.5 * (hi1 - lo1), 0.5 * (hit - lot)
@@ -404,14 +410,14 @@ def _staircase_insert(xs, ys, area, x, y, ref_x, ref_y) -> float:
 
 
 def hypervolume_reference(points, reference_point) -> float:
-    """Reference: the sweep with a per-point ``dominates`` check and a
-    Python sort."""
+    """Reference: the sweep with a per-point ``dominates_reference`` check
+    and a Python sort."""
     ref = tuple(float(v) for v in reference_point)
     pts = [tuple(float(v) for v in p) for p in points]
     if not pts:
         return 0.0
     for p in pts:
-        if not moea.dominates(p, ref):
+        if not dominates_reference(p, ref):
             raise ValueError(f"front point {p} does not dominate reference {ref}")
     pts.sort(key=lambda p: -p[2])
     xs, ys = [], []
@@ -464,13 +470,10 @@ def evolve_reference(problem, lows, highs, config):
 
     archive = archive_one_at_a_time(np.empty((0, n_genes)), np.empty((0, 3)), *rows(pop))
 
-    if config.reference_point is not None:
-        ref = tuple(float(v) for v in config.reference_point)
-    else:
-        objs = np.array([ind.objectives for ind in pop])
-        lo = objs.min(axis=0)
-        span = objs.max(axis=0) - lo
-        ref = tuple(lo - 0.01 * span - 1e-9 * (1.0 + np.abs(lo)))
+    objs = np.array([ind.objectives for ind in pop])
+    lo = objs.min(axis=0)
+    span = objs.max(axis=0) - lo
+    ref = tuple(lo - 0.01 * span - 1e-9 * (1.0 + np.abs(lo)))
 
     def archive_hv() -> float:
         pts = [o for o in archive[1].tolist() if all(v > r for v, r in zip(o, ref))]

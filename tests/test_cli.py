@@ -192,7 +192,8 @@ class TestOptimizeCommand:
         ({"eta_m": -1.0}, "ea.eta_m must be > 0"),
         ({"population_size": 6.0, "generations": 0}, "ea.generations"),
         ({"seed": 1}, "ea.seed"),  # the seed is --seed or the section's seed
-        ({"reference_point": [1, 2, 3]}, "ea.reference_point")])
+        ({"reference_point": [1, 2, 3]}, "ea.reference_point"),
+        ({"population_size": 1e300}, "ea.population_size")])
     def test_bad_ea_entry_is_config_error(self, tmp_path, capsys, ea, key):
         _assert_config_error(tmp_path, capsys, "optimize",
                              {"optimize": {"ea": ea}}, key)
@@ -287,10 +288,13 @@ class TestSensitivityCommand:
         _assert_config_error(tmp_path, capsys, "sensitivity",
                              {"sensitivity": {"space": space}}, f"space.{name}")
 
-    @pytest.mark.parametrize("rel", [-1, 0, 0.0])
+    @pytest.mark.parametrize("rel", [-1, 0, 0.0, "x"])
     def test_non_positive_uncertainty_rel_names_key(self, tmp_path, capsys, rel):
-        doc = {"sensitivity": {"space": "policy_uncertainty", "uncertainty_rel": rel}}
-        _assert_config_error(tmp_path, capsys, "sensitivity", doc, "uncertainty_rel")
+        # checked also where the space (here the default) does not read it
+        for doc in ({"space": "policy_uncertainty", "uncertainty_rel": rel},
+                    {"uncertainty_rel": rel}):
+            _assert_config_error(tmp_path, capsys, "sensitivity", {"sensitivity": doc},
+                                 "uncertainty_rel")
 
     @pytest.mark.parametrize("value", [0, 50])  # a zero box, a box above the bounds
     def test_empty_uncertainty_range_names_policy_key(self, tmp_path, capsys, value):
@@ -418,6 +422,16 @@ class TestSensitivityCommand:
         ({"morris_r": 0}, "morris_r"),
         ({"morris_levels": 3}, "morris_levels"),
         ({"method": "sobol", "sobol_n": 1}, "sobol_n"),
+        # every size is checked, also those the chosen method does not read
+        ({"sobol_n": 1}, "sobol_n"),
+        ({"bootstrap": 0}, "bootstrap"),
+        ({"method": "sobol", "morris_r": 0}, "morris_r"),
+        ({"method": "sobol", "morris_levels": 3}, "morris_levels"),
+        # an integer beyond sys.maxsize
+        ({"morris_r": 1e300}, "morris_r"),
+        ({"morris_levels": 1e300}, "morris_levels"),
+        ({"method": "sobol", "sobol_n": 1e300}, "sobol_n"),
+        ({"bootstrap": 1e300}, "bootstrap"),
     ])
     def test_out_of_range_size_names_key(self, tmp_path, capsys, doc, key):
         _assert_config_error(tmp_path, capsys, "sensitivity", {"sensitivity": doc}, key)
@@ -668,7 +682,8 @@ class TestRedistributeCommand:
         assert len(rows) == 7 * 3
 
     @pytest.mark.parametrize("years", [[2024], [2024, 2026, 2028], "2024-2026",
-                                       [2024, "x"], [True, 3], [2025, 2024]])
+                                       [2024, "x"], [True, 3], [2025, 2024],
+                                       [-1e300, 2024], [-2 ** 62, 2 ** 62]])
     def test_bad_years_is_config_error(self, tmp_path, capsys, years):
         _assert_config_error(tmp_path, capsys, "redistribute",
                              {"redistribute": {"years": years}}, "years")
@@ -803,6 +818,17 @@ class TestSynthCommand:
     def test_requires_preset(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "d")]) == 2
 
+    def test_seeds_past_2_to_53_stay_exact(self, tmp_path):
+        # as floats both seeds would be 2**53, giving one stream
+        bodies = []
+        for seed in ("9007199254740992", "9007199254740993"):
+            out = tmp_path / seed
+            assert main(["synth", "--preset", "juneau", "--seed", seed,
+                         "--out", str(out)]) == 0
+            bodies.append([ln for ln in (out / "dataset.csv").read_text().splitlines()
+                           if not ln.startswith("#")])
+        assert bodies[0] != bodies[1]
+
     @pytest.mark.parametrize("gens, window, reason", [
         (3, 10, "generation_cap"), (60, 1, "hv_plateau")])
     def test_stdout_names_stop_reason(self, tmp_path, capsys, gens, window, reason):
@@ -861,6 +887,20 @@ class TestArtifactWriter:
         assert named in err and "Traceback" not in err
         assert sorted(tmp_path.iterdir()) == before
         assert not out.is_dir()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "MemoryError"),
+        (MemoryError("Unable to allocate 1.11 PiB"), "Unable to allocate 1.11 PiB")])
+    def test_failed_allocation_is_numeric_failure(self, tmp_path, capsys, monkeypatch,
+                                                  exc, message):
+        def out_of_memory(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "redistribute", out_of_memory)
+        out = tmp_path / "out"
+        assert main(["redistribute", "--preset", "iceland", "--seed", "0",
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"numeric failure: {message}\n"
+        assert not out.exists()
 
     def test_unwritable_file_is_config_error_naming_out(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1027,7 +1067,7 @@ class TestConfigHandling:
                              repr(section))
 
     @pytest.mark.parametrize("command", ["sensitivity", "synth", "redistribute"])
-    @pytest.mark.parametrize("seed", ["x", 1.7, [1], -2])
+    @pytest.mark.parametrize("seed", ["x", 1.7, [1], -2, 1e300, 2 ** 64])
     def test_bad_config_seed_is_config_error(self, tmp_path, capsys, command, seed):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"common": {"seed": seed}}))

@@ -348,9 +348,10 @@ class TestRedistribute:
     def test_unknown_schedule_field_rejected(self):
         years = list(range(2024, 2034))
         sites = iceland_sites()
+        schedule = constant_schedule(sites, years)
+        schedule["Blue Lagoon"]["marketting"] = [0.0] * len(years)
         with pytest.raises(DataError, match=r"^schedule for Blue Lagoon\.marketting is not one of "):
-            redistribute(sites, IslandParams(),
-                         constant_schedule(sites, years, marketting=0.0), years)
+            redistribute(sites, IslandParams(), schedule, years)
 
     def test_hotspot_share_declines_under_redistribution(self):
         years = list(range(2024, 2034))

@@ -248,10 +248,14 @@ class TestSaltelli:
 
     def test_ab_differs_only_in_one_column(self):
         design = saltelli_sample(_unit_space(4), n=50, seed=2)
+        blocks = design.matrix().reshape(10, 50, 4)  # A, B, A_B(0..3), B_A(0..3)
+        assert np.array_equal(blocks[0], design.A) and np.array_equal(blocks[1], design.B)
         for i in range(4):
-            same = design.AB[i] == design.A
-            assert np.all(same[:, [j for j in range(4) if j != i]])
-            assert np.allclose(design.AB[i][:, i], design.B[:, i])
+            for block, base, other in ((blocks[2 + i], design.A, design.B),
+                                       (blocks[6 + i], design.B, design.A)):
+                same = block == base
+                assert np.all(same[:, [j for j in range(4) if j != i]])
+                assert np.array_equal(block[:, i], other[:, i])
 
 
 class TestSobolIndices:
@@ -410,7 +414,7 @@ class TestSobolTables:
         design = saltelli_sample(_unit_space(12), n, seed=n)
         Y = _spread_columns(design)
         assert np.allclose(Y.min(axis=0), 1e-3) and np.allclose(Y.max(axis=0), 1e9)
-        tables = _sobol_tables(design, Y, n_boot, 0.95, n_boot)
+        tables = _sobol_tables(design, Y, n_boot, n_boot)
         assert len(tables) == 3
         for j, res in enumerate(tables):
             ref = sobol_bootstrap_loop(design, Y[:, j], n_boot=n_boot, seed=n_boot)
@@ -422,10 +426,10 @@ class TestSobolTables:
     def test_chunk_size_changes_no_bits(self, monkeypatch, n):
         design = saltelli_sample(_unit_space(12), n, seed=n)
         Y = _spread_columns(design)
-        want = _sobol_tables(design, Y, 23, 0.95, 5)
+        want = _sobol_tables(design, Y, 23, 5)
         for budget in (1, 10 ** 12):  # one resample per chunk, all in one
             monkeypatch.setattr(gsa, "_LANE_BYTES", budget)
-            got = _sobol_tables(design, Y, 23, 0.95, 5)
+            got = _sobol_tables(design, Y, 23, 5)
             for a, b in zip(got, want):
                 for field in ("s1", "st", "s1_ci", "st_ci"):
                     assert np.array_equal(_bits(getattr(a, field)),
@@ -452,7 +456,7 @@ class TestSobolTables:
         with pytest.raises(EvaluationError) as want:
             sobol_bootstrap_loop(design, y, n_boot=20, seed=9)
         with pytest.raises(EvaluationError) as got:
-            _sobol_tables(design, Y, 20, 0.95, 9)
+            _sobol_tables(design, Y, 20, 9)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("first_ok", [True, False])
@@ -467,7 +471,7 @@ class TestSobolTables:
         Y = np.column_stack([first, bad])
         msg = "non-finite" if first_ok else "zero output variance"
         with pytest.raises(EvaluationError, match=msg):
-            _sobol_tables(design, Y, 20, 0.95, 9)
+            _sobol_tables(design, Y, 20, 9)
 
 
 class TestAnalyzeModel:
@@ -570,9 +574,6 @@ class TestAnalyzeModel:
         with pytest.raises(ConfigError, match=r"unknown parameters \['warp_field'\]"):
             analyze_model(space, juneau_exog, juneau.coefficients,
                           juneau.reference_policy, juneau_init, method=method)
-        with pytest.raises(ConfigError, match=r"unknown parameters \['warp_field'\]"):
-            gsa.make_model(space, juneau_exog, juneau.coefficients,
-                           juneau.reference_policy, juneau_init)
 
     def test_unknown_method_rejected(self, juneau, juneau_exog, juneau_init):
         space = ParameterSpace.from_dict({"tax_rate": (0.0, 0.3)})

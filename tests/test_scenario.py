@@ -110,8 +110,8 @@ class TestApplyFeedback:
         assert res.trajectory.states == traj.states
         for name in DIAGNOSTIC_SERIES:
             assert getattr(res.trajectory, name) == getattr(traj, name), name
-        assert res.channel_spend == [ChannelAmounts(0.0, 0.0, 0.0, 0.0)] * 4
-        assert res.effective_capacity == [2e6] * 4
+        assert res.trajectory.channel_spend == [ChannelAmounts(0.0, 0.0, 0.0, 0.0)] * 4
+        assert res.trajectory.effective_capacity == [2e6] * 4
 
     def test_infrastructure_gain(self):
         fb = FeedbackCoefficients(infra_efficiency=0.04)
@@ -120,7 +120,7 @@ class TestApplyFeedback:
                            neutral_coeffs(), mid_state(), fb)
         surplus = 1e7 - 0.3 * 1e7
         assert res.trajectory.r_net == [surplus] * 4
-        assert res.effective_capacity == pytest.approx(
+        assert res.trajectory.effective_capacity == pytest.approx(
             [2e6 + 0.04 * surplus * k for k in range(1, 5)])
 
     def test_saturated_satisfaction_gains_nothing(self):
@@ -146,8 +146,8 @@ class TestRunScenario:
         assert res.trajectory.states == traj.states
         for name in DIAGNOSTIC_SERIES:
             assert getattr(res.trajectory, name) == getattr(traj, name), name
-        assert res.channel_spend == [ChannelAmounts(0.0, 0.0, 0.0, 0.0)] * 16
-        assert res.effective_capacity == [juneau.reference_policy.capacity_limit] * 16
+        assert res.trajectory.channel_spend == [ChannelAmounts(0.0, 0.0, 0.0, 0.0)] * 16
+        assert res.trajectory.effective_capacity == [juneau.reference_policy.capacity_limit] * 16
 
     def test_spending_never_exceeds_committed_surplus(self, juneau, juneau_exog,
                                                       juneau_init):
@@ -156,7 +156,7 @@ class TestRunScenario:
             policy = random_policy(rng, juneau.bounds)
             res = run_scenario(alloc, policy, juneau_exog, juneau.coefficients,
                                juneau_init, juneau.feedback)
-            for r_net, amounts in zip(res.trajectory.r_net, res.channel_spend):
+            for r_net, amounts in zip(res.trajectory.r_net, res.trajectory.channel_spend):
                 total = sum(amounts)
                 budget = max(0.0, r_net) * alloc.total()
                 assert total <= budget * (1.0 + 1e-12) + 1e-9
@@ -166,7 +166,7 @@ class TestRunScenario:
         res = run_scenario(_by_name("Infrastructure-Led"),
                            juneau.reference_policy, juneau_exog,
                            juneau.coefficients, juneau_init, juneau.feedback)
-        caps = res.effective_capacity
+        caps = res.trajectory.effective_capacity
         assert all(b >= a for a, b in zip(caps, caps[1:]))
         assert caps[0] >= juneau.reference_policy.capacity_limit
 
@@ -273,7 +273,7 @@ class TestYearLoopOnArrays:
                     want_years.append([(s.visitors, s.env_index, s.satisfaction,
                                         s.net_revenue_cum, k)
                                        for s, k in zip(tr.states[1:],
-                                                       res.effective_capacity)])
+                                                       res.trajectory.effective_capacity)])
                     want_final.append(res.objectives())
                     surplus_signs.update(r < 0 for r in tr.r_net)
                 got_years = np.array(years)
