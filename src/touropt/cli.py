@@ -87,37 +87,36 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _effective_config(args, command: str) -> dict:
-    """Merge the file config with CLI overrides for one command.
-
+def _effective_config(args, command: str):
+    """The config of one command as given (its file sections, the flags
+    over them, and ``out``), which ``_write`` hashes, and its options: per
+    ``_KEYS`` key of the command, the given value parsed, else the default.
     The command's section may hold only the keys that command reads, and
-    ``common`` only keys some command reads.
-    """
+    ``common`` only keys some command reads."""
     raw = _load_config(args.config)
     cfg = {}
-    for section, known in (("common", _ALL_KEYS), (command, _COMMAND_KEYS[command])):
+    for section in ("common", command):
         values = raw.get(section, {})
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        unknown = sorted(f"{section}.{k}" for k in set(values) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}")
+        _refuse_unknown(section, values, [k for k, (_, _, commands) in _KEYS.items()
+                                          if section == "common" or command in commands])
         cfg.update(values)
-    if args.preset is not None:
-        cfg["preset"] = args.preset
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out"] = args.out
-    _string("out", cfg.setdefault("out", "out"))
-    for key in ("preset", "dataset"):
-        if cfg.get(key) is not None:
-            _string(key, cfg[key])
-    if cfg.get("seed") is not None and _integer("seed", cfg["seed"]) < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    if cfg.get("seed") is None and command in ("optimize", "sensitivity"):
-        raise ConfigError(f"{command} requires a seed (--seed or config)")
-    return cfg
+    for key in ("preset", "seed", "out"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    required = {"preset": (*_DATA_COMMANDS, "synth"), "seed": ("optimize", "sensitivity")}
+    for key, commands in required.items():
+        if command in commands and key not in cfg:
+            raise ConfigError(f"{command} requires a {key} (--{key} or config)")
+    opts = {}
+    for key, (default, parse, commands) in _KEYS.items():
+        if command in commands:
+            value = cfg.get(key, default)
+            # a given null goes to the parser, which refuses it
+            opts[key] = parse(key, value) if parse and (key in cfg or value is not None) else value
+    cfg.setdefault("out", opts["out"])
+    return cfg, opts
 
 
 def _non_finite_path(value, path=""):
@@ -192,40 +191,22 @@ def _write(cfg: dict, command: str, files: dict) -> Path:
     return out
 
 
-def _resolve_base(cfg: dict):
-    """Dataset + coefficients + bounds + reference policy from the config.
+def _resolve_base(opts: dict):
+    """Preset + series + coefficients + initial state from the options.
 
-    Exactly one of ``preset`` / ``dataset`` must be given; a dataset path
-    still needs a preset-like region for coefficients, so ``preset`` then
-    names the coefficient set while the series come from the file.
+    The series are the ``dataset`` file's when one is given, else the
+    preset's synthetic ones.  The coefficients are the preset's, with
+    ``coefficients`` over them, so a dataset needs a preset too.
     """
-    preset_name = cfg.get("preset")
-    dataset = cfg.get("dataset")
-    if preset_name is None and dataset is None:
-        raise ConfigError("config needs a 'preset' or a 'dataset' path")
-    preset = get_preset(preset_name) if preset_name else get_preset("juneau")
-    seed = _integer("seed", cfg.get("seed", 0))
-    column_map, defaults = cfg.get("column_map", {}), cfg.get("column_defaults", {})
-    for key, values in (("column_map", column_map), ("column_defaults", defaults)):
-        if not isinstance(values, dict):
-            raise ConfigError(f"{key} must be an object, not {values!r}")
-    for header, name in column_map.items():
-        if name != "year" and name not in SERIES_FIELDS:
-            raise ConfigError(f"column_map.{header} must be 'year' or a series name "
-                              f"{list(SERIES_FIELDS)}, not {name!r}")
-    unknown = sorted(f"column_defaults.{k}" for k in set(defaults) - set(SERIES_FIELDS))
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}")
-    defaults = {k: _number(f"column_defaults.{k}", v) for k, v in defaults.items()}
-    if dataset is not None:
-        exog = interpolate_missing(load_table(dataset, column_map), defaults)
+    preset = get_preset(opts["preset"])
+    if opts["dataset"] is not None:
+        table = load_table(opts["dataset"], opts["column_map"])
+        exog = interpolate_missing(table, opts["column_defaults"])
     else:
-        exog = synth_dataset(preset, seed)
-    coeffs = preset.coefficients
-    if "coefficients" in cfg:
-        coeffs = _decode("coefficients", ModelCoefficients, cfg["coefficients"], coeffs)
-    init = initial_state(preset, exog, seed)
-    return preset, exog, coeffs, init
+        exog = synth_dataset(preset, opts["seed"])
+    coeffs = _decode("coefficients", ModelCoefficients, opts["coefficients"],
+                     preset.coefficients)
+    return preset, exog, coeffs, initial_state(preset, exog, opts["seed"])
 
 
 def _number(key: str, value) -> float:
@@ -256,19 +237,27 @@ def _integer(key: str, value) -> int:
     return x
 
 
-def _optional_number(key: str, value):
-    return None if value is None else _number(key, value)
-
-
 def _string(key: str, value) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, not {value!r}")
     return value
 
 
+def _object(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, not {value!r}")
+    return value
+
+
+def _refuse_unknown(key: str, values: dict, known) -> None:
+    unknown = sorted(f"{key}.{k}" for k in set(values) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
+
+
 # the parser of each declared field type of the config objects
-_PARSERS = {"int": _integer, "float": _number, "float | None": _optional_number,
-            "str": _string}
+_PARSERS = {"int": _integer, "float": _number, "str": _string,
+            "float | None": lambda key, value: None if value is None else _number(key, value)}
 
 
 def _decode(key: str, cls, values, base=None, fixed=()):
@@ -281,12 +270,8 @@ def _decode(key: str, cls, values, base=None, fixed=()):
     annotations leave, so no type hint is evaluated.  The ranges are the
     object's own ``validate`` or ``__post_init__`` checks, whose messages
     start with the field name."""
-    if not isinstance(values, dict):
-        raise ConfigError(f"{key} must be an object, not {values!r}")
     decoded = [f for f in fields(cls) if f.name not in fixed]
-    unknown = sorted(f"{key}.{k}" for k in set(values) - {f.name for f in decoded})
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}")
+    _refuse_unknown(key, _object(key, values), [f.name for f in decoded])
     missing = [f"{key}.{f.name}" for f in decoded if base is None
                and f.name not in values and f.default is MISSING]
     if missing:
@@ -302,28 +287,69 @@ def _decode(key: str, cls, values, base=None, fixed=()):
     return obj
 
 
-def _resolve_ea(cfg: dict, preset, seed: int) -> EAConfig:
-    """The ``ea`` settings over the preset's population size and generations."""
-    base = EAConfig(population_size=preset.ea_population,
-                    generations=preset.ea_generations, seed=seed)
-    return _decode("ea", EAConfig, cfg.get("ea", {}), base, fixed=("seed",))
+def _seed(key: str, value) -> int:
+    if (seed := _integer(key, value)) < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, not {value!r}")
+    return seed
 
 
-def _resolve_policy(cfg: dict, preset) -> PolicyVector:
-    choice = cfg.get("policy")
-    if choice is None:
-        return preset.reference_policy
-    if isinstance(choice, list):
-        if len(choice) != len(POLICY_FIELDS):
-            raise ConfigError(f"policy must be a field map or a {len(POLICY_FIELDS)}"
-                              f"-element list, not {choice!r}")
-        choice = dict(zip(POLICY_FIELDS, choice))
-    return _decode("policy", PolicyVector, choice, preset.reference_policy)
+def _positive(key: str, value) -> float:
+    if (x := _number(key, value)) <= 0:
+        raise ConfigError(f"{key} must be > 0, not {value!r}")
+    return x
 
 
-def cmd_simulate(cfg: dict):
-    preset, exog, coeffs, init = _resolve_base(cfg)
-    policy = _resolve_policy(cfg, preset)
+def _column_map(key: str, value) -> dict:
+    """CSV header -> ``year`` or a series name."""
+    for header, name in _object(key, value).items():
+        if name != "year" and name not in SERIES_FIELDS:
+            raise ConfigError(f"{key}.{header} must be 'year' or a series name "
+                              f"{list(SERIES_FIELDS)}, not {name!r}")
+    return value
+
+
+def _column_defaults(key: str, value) -> dict:
+    """Series name -> the constant of a series the dataset lacks."""
+    _refuse_unknown(key, _object(key, value), SERIES_FIELDS)
+    return {k: _number(f"{key}.{k}", v) for k, v in value.items()}
+
+
+def _entries(key: str, cls, value) -> list:
+    """The ``cls`` objects of a non-empty config list; the other form of
+    ``value`` is the word that is the key's default.  Results are keyed by
+    name: no two ``<key>[i]`` entries may share one."""
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{key} must be {_KEYS[key][0]!r} or a non-empty list")
+    entries = [_decode(f"{key}[{i}]", cls, v) for i, v in enumerate(value)]
+    names = [e.name for e in entries]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{key}[{i}].name {name!r} repeats {key}[{names.index(name)}].name")
+    return entries
+
+
+def _scenarios(key: str, value) -> list:
+    return list(DEFAULT_SCENARIOS) if value == "default" else _entries(key, AllocationPolicy, value)
+
+
+def _sites(key: str, value) -> list:
+    return iceland_sites() if value == "iceland7" else _entries(key, SiteState, value)
+
+
+def _years(key: str, value) -> list:
+    """``[first, last]`` as the list of years from first to last."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{key} must be [first, last], not {value!r}")
+    first, last = (_integer(key, y) for y in value)
+    if not 0 <= last - first < sys.maxsize:  # a longer range has no length
+        raise ConfigError(f"{key} must have first <= last, at most {sys.maxsize} "
+                          f"apart, not {value!r}")
+    return list(range(first, last + 1))
+
+
+def cmd_simulate(opts: dict):
+    preset, exog, coeffs, init = _resolve_base(opts)
+    policy = _decode("policy", PolicyVector, opts["policy"], preset.reference_policy)
     traj, objs = simulate(policy, exog, coeffs, init)
     diag = ("r_tourism", "r_gov_total", "exp_env", "exp_gov_total", "r_net", "f_price",
             "f_glacier", "f_attraction")
@@ -339,10 +365,11 @@ def cmd_simulate(cfg: dict):
     }, f"{len(rows)} years"
 
 
-def cmd_optimize(cfg: dict):
-    seed = _integer("seed", cfg["seed"])
-    preset, exog, coeffs, init = _resolve_base(cfg)
-    config = _resolve_ea(cfg, preset, seed)
+def cmd_optimize(opts: dict):
+    preset, exog, coeffs, init = _resolve_base(opts)
+    base = EAConfig(population_size=preset.ea_population,
+                    generations=preset.ea_generations, seed=opts["seed"])
+    config = _decode("ea", EAConfig, opts["ea"], base, fixed=("seed",))
 
     def problem(genomes):
         return simulate_batch(PolicyVector(), exog, coeffs, init,
@@ -365,16 +392,11 @@ def cmd_optimize(cfg: dict):
         f"stopped by {result.stop_reason}")
 
 
-def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
+def _resolve_space(opts: dict, preset, coeffs, policy) -> ParameterSpace:
     """The sensitivity space.  Bounds given by name must lie in the model's
     domain: each end of a policy lever's or a coefficient's range is checked
-    as a ``policy`` or ``coefficients`` value is.  ``uncertainty_rel`` is
-    checked whenever it is given, whatever the space."""
-    choice = cfg.get("space", "full")
-    value = cfg.get("uncertainty_rel", 0.2)
-    rel = _number("uncertainty_rel", value)
-    if rel <= 0:
-        raise ConfigError(f"uncertainty_rel must be > 0, not {value!r}")
+    as a ``policy`` or ``coefficients`` value is."""
+    choice = opts["space"]
     if isinstance(choice, dict):
         bounds = {}
         for k, v in choice.items():
@@ -395,24 +417,18 @@ def _resolve_space(cfg: dict, preset, coeffs, policy) -> ParameterSpace:
         return ParameterSpace.from_dict(
             {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
     if choice == "policy_uncertainty":
-        return uncertainty_space(policy, preset.bounds, rel=rel)
+        return uncertainty_space(policy, preset.bounds, rel=opts["uncertainty_rel"])
     raise ConfigError(f"unknown space {choice!r}")
 
 
-def cmd_sensitivity(cfg: dict):
-    seed = _integer("seed", cfg["seed"])
-    preset, exog, coeffs, init = _resolve_base(cfg)
-    policy = _resolve_policy(cfg, preset)
-    space = _resolve_space(cfg, preset, coeffs, policy)
+def cmd_sensitivity(opts: dict):
+    preset, exog, coeffs, init = _resolve_base(opts)
+    policy = _decode("policy", PolicyVector, opts["policy"], preset.reference_policy)
+    space = _resolve_space(opts, preset, coeffs, policy)
     report = analyze_model(
-        space, exog, coeffs, policy, init, method=cfg.get("method", "morris"),
-        output=cfg.get("output", "all"),
-        morris_r=_integer("morris_r", cfg.get("morris_r", 20)),
-        morris_levels=_integer("morris_levels", cfg.get("morris_levels", 4)),
-        sobol_n=_integer("sobol_n", cfg.get("sobol_n", 512)),
-        n_boot=_integer("bootstrap", cfg.get("bootstrap", 200)),
-        seed=seed,
-    )
+        space, exog, coeffs, policy, init, method=opts["method"], output=opts["output"],
+        morris_r=opts["morris_r"], morris_levels=opts["morris_levels"],
+        sobol_n=opts["sobol_n"], n_boot=opts["bootstrap"], seed=opts["seed"])
     files = {}
     for name, table in sorted(report.tables.items()):
         if isinstance(table, MorrisResult):
@@ -432,18 +448,10 @@ def cmd_sensitivity(cfg: dict):
     return files, f"{report.method} over {len(space)} parameters"
 
 
-def cmd_scenario(cfg: dict):
-    preset, exog, coeffs, init = _resolve_base(cfg)
-    policy = _resolve_policy(cfg, preset)
-    choice = cfg.get("scenarios", "default")
-    if choice == "default":
-        allocs = list(DEFAULT_SCENARIOS)
-    elif isinstance(choice, list) and choice:
-        allocs = [_decode(f"scenarios[{i}]", AllocationPolicy, s)
-                  for i, s in enumerate(choice)]
-        _refuse_repeated_names("scenarios", allocs)
-    else:
-        raise ConfigError("scenarios must be 'default' or a non-empty list")
+def cmd_scenario(opts: dict):
+    preset, exog, coeffs, init = _resolve_base(opts)
+    policy = _decode("policy", PolicyVector, opts["policy"], preset.reference_policy)
+    allocs = opts["scenarios"]
     comparison = compare_scenarios(allocs, policy, exog, coeffs, init,
                                    preset.feedback)
     return {
@@ -454,28 +462,9 @@ def cmd_scenario(cfg: dict):
     }, f"compared {len(allocs)} scenarios"
 
 
-def _refuse_repeated_names(key: str, entries) -> None:
-    """Results are keyed by name: no two ``<key>[i]`` entries may share one."""
-    names = [e.name for e in entries]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigError(f"{key}[{i}].name {name!r} repeats {key}[{names.index(name)}].name")
-
-
-def _resolve_sites(cfg: dict):
-    choice = cfg.get("sites", "iceland7")
-    if choice == "iceland7":
-        return iceland_sites()
-    if not (isinstance(choice, list) and choice):
-        raise ConfigError("sites must be 'iceland7' or a non-empty list")
-    sites = [_decode(f"sites[{i}]", SiteState, s) for i, s in enumerate(choice)]
-    _refuse_repeated_names("sites", sites)
-    return sites
-
-
-def _resolve_schedule(cfg: dict, sites, years) -> dict:
+def _resolve_schedule(opts: dict) -> dict:
     """A preset schedule, or a map whose rules flow.schedule_steps checks."""
-    choice = cfg.get("schedule", "redistribution")
+    choice, sites, years = opts["schedule"], opts["sites"], opts["years"]
     if choice == "redistribution":
         return iceland_redistribution_schedule(sites, years)
     if choice == "constant":
@@ -500,18 +489,9 @@ def _resolve_schedule(cfg: dict, sites, years) -> dict:
     return schedule
 
 
-def cmd_redistribute(cfg: dict):
-    sites = _resolve_sites(cfg)
-    span = cfg.get("years", [2024, 2033])
-    if not (isinstance(span, list) and len(span) == 2):
-        raise ConfigError(f"years must be [first, last], not {span!r}")
-    first, last = (_integer("years", y) for y in span)
-    if not 0 <= last - first < sys.maxsize:  # a longer range has no length
-        raise ConfigError(f"years must have first <= last, at most {sys.maxsize} "
-                          f"apart, not {span!r}")
-    years = list(range(first, last + 1))
-    params = _decode("island_params", IslandParams, cfg.get("island_params", {}))
-    result = redistribute(sites, params, _resolve_schedule(cfg, sites, years), years)
+def cmd_redistribute(opts: dict):
+    sites, years = opts["sites"], opts["years"]
+    result = redistribute(sites, opts["island_params"], _resolve_schedule(opts), years)
     share_total = result.visitors.sum(axis=0)
     share_total[share_total == 0] = math.inf  # no visitors that year: every share is 0
     columns = [a.tolist() for a in (result.visitors, result.env, result.sat,
@@ -530,34 +510,15 @@ def cmd_redistribute(cfg: dict):
     }, f"{len(sites)} sites over {len(years)} years"
 
 
-def cmd_synth(cfg: dict):
-    if cfg.get("preset") is None:
-        raise ConfigError("synth requires a preset")
-    preset = get_preset(cfg["preset"])
-    seed = _integer("seed", cfg.get("seed", 0))
-    series = synth_dataset(preset, seed)
+def cmd_synth(opts: dict):
+    preset = get_preset(opts["preset"])
+    series = synth_dataset(preset, opts["seed"])
     warnings = validate_ranges(series, preset.envelope)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return ({"dataset.csv": series},
             f"{len(series)} years, {len(warnings)} warnings")
 
-
-# the keys each command's config section may hold: the flags' keys, the
-# dataset keys of _resolve_base, then the command's own
-_FLAG_KEYS = frozenset({"preset", "seed", "out"})
-_BASE_KEYS = _FLAG_KEYS | {"dataset", "column_map", "column_defaults", "coefficients"}
-_COMMAND_KEYS = {
-    "simulate": _BASE_KEYS | {"policy"},
-    "optimize": _BASE_KEYS | {"ea"},
-    "sensitivity": _BASE_KEYS | {"policy", "space", "uncertainty_rel", "method",
-                                "output", "morris_r", "morris_levels",
-                                "sobol_n", "bootstrap"},
-    "scenario": _BASE_KEYS | {"policy", "scenarios"},
-    "redistribute": _FLAG_KEYS | {"sites", "years", "island_params", "schedule"},
-    "synth": _FLAG_KEYS,
-}
-_ALL_KEYS = frozenset().union(*_COMMAND_KEYS.values())
 
 COMMANDS = {
     "simulate": cmd_simulate,
@@ -566,6 +527,38 @@ COMMANDS = {
     "scenario": cmd_scenario,
     "redistribute": cmd_redistribute,
     "synth": cmd_synth,
+}
+_DATA_COMMANDS = ("simulate", "optimize", "sensitivity", "scenario")  # call _resolve_base
+
+# Every config key, in the order it is parsed: its default, its parser
+# (None: the command decodes it, with the preset, other keys or the
+# library's own checks) and the commands whose section may hold it.  A
+# given value goes through the parser, null included; a None default
+# stays None.
+_KEYS = {
+    "preset": (None, _string, tuple(COMMANDS)),
+    "seed": (0, _seed, tuple(COMMANDS)),
+    "out": ("out", _string, tuple(COMMANDS)),
+    "dataset": (None, _string, _DATA_COMMANDS),
+    "column_map": ({}, _column_map, _DATA_COMMANDS),
+    "column_defaults": ({}, _column_defaults, _DATA_COMMANDS),
+    "coefficients": ({}, None, _DATA_COMMANDS),
+    "policy": ({}, None, ("simulate", "sensitivity", "scenario")),
+    "ea": ({}, None, ("optimize",)),
+    "space": ("full", None, ("sensitivity",)),
+    "uncertainty_rel": (0.2, _positive, ("sensitivity",)),
+    "method": ("morris", None, ("sensitivity",)),
+    "output": ("all", None, ("sensitivity",)),
+    "morris_r": (20, _integer, ("sensitivity",)),
+    "morris_levels": (4, _integer, ("sensitivity",)),
+    "sobol_n": (512, _integer, ("sensitivity",)),
+    "bootstrap": (200, _integer, ("sensitivity",)),
+    "scenarios": ("default", _scenarios, ("scenario",)),
+    "sites": ("iceland7", _sites, ("redistribute",)),
+    "years": ([2024, 2033], _years, ("redistribute",)),
+    "island_params": ({}, lambda key, value: _decode(key, IslandParams, value),
+                      ("redistribute",)),
+    "schedule": ("redistribution", None, ("redistribute",)),
 }
 
 
@@ -596,8 +589,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _effective_config(args, args.command)
-        files, summary = COMMANDS[args.command](cfg)
+        cfg, opts = _effective_config(args, args.command)
+        files, summary = COMMANDS[args.command](opts)
         out = _write(cfg, args.command, files)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

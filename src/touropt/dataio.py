@@ -14,6 +14,7 @@ interior.  Population and unemployment default to documented constants.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -78,7 +79,8 @@ def load_table(path, column_map: dict | None = None) -> RawAnnualTable:
     """Read an annual CSV into a typed table.
 
     Unparseable cells become missing (NaN), never zero.  A missing year
-    column or duplicate years are format errors.
+    column, a year that is not whole (or beyond ``sys.maxsize``), duplicate
+    years and two headers of one series are format errors.
     """
     mapping = dict(DEFAULT_COLUMN_MAP)
     if column_map:
@@ -98,16 +100,22 @@ def load_table(path, column_map: dict | None = None) -> RawAnnualTable:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
     canon = [mapping.get(h.lower()) for h in header]
+    for j, name in enumerate(canon):
+        if name is not None and name in canon[:j]:
+            raise DataError(f"{path}: headers {header[canon.index(name)]!r} and "
+                            f"{header[j]!r} both map to {name}")
     if "year" not in canon:
         raise DataError(f"{path}: no year column (headers: {header})")
     year_idx = canon.index("year")
-    years, records = [], []
-    for r in rows[1:]:
+    years, records = [], rows[1:]
+    for r in records:
         try:
-            years.append(int(float(r[year_idx])))
+            year = float(r[year_idx])
+            if not (year.is_integer() and abs(year) <= sys.maxsize):  # not inf, NaN, 2009.7
+                raise ValueError
         except (ValueError, IndexError):
             raise DataError(f"{path}: unparseable year in row {r!r}")
-        records.append(r)
+        years.append(int(year))
     if len(set(years)) != len(years):
         dupes = sorted({y for y in years if years.count(y) > 1})
         raise DataError(f"{path}: duplicate years {dupes}")
@@ -133,8 +141,7 @@ def _fill_series(years: np.ndarray, values: np.ndarray, name: str) -> np.ndarray
     known = np.isfinite(values)
     if known.sum() < 2:
         raise DataError(f"column {name}: need at least 2 known values")
-    filled = np.interp(years.astype(float), years[known].astype(float), values[known])
-    return filled
+    return np.interp(years.astype(float), years[known].astype(float), values[known])
 
 
 def interpolate_missing(table: RawAnnualTable,

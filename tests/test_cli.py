@@ -54,6 +54,18 @@ class TestSimulateCommand:
     def test_missing_preset_and_dataset_is_config_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x")]) == 2
 
+    def test_dataset_without_preset_is_config_error(self, tmp_path, capsys):
+        # the coefficients are the preset's, so a dataset needs one too
+        assert main(["synth", "--preset", "juneau", "--seed", "0",
+                     "--out", str(tmp_path / "s")]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulate": {"dataset": str(tmp_path / "s" / "dataset.csv")}}))
+        assert main(["simulate", "--seed", "0", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "preset" in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_dataset_file_is_data_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
@@ -418,6 +430,12 @@ class TestSensitivityCommand:
         _assert_config_error(tmp_path, capsys, "sensitivity",
                              {"sensitivity": {key: value}}, key)
 
+    def test_settings_are_parsed_before_the_dataset_is_read(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "sensitivity",
+                             {"sensitivity": {"morris_r": "x",
+                                              "dataset": str(tmp_path / "ghost.csv")}},
+                             "morris_r")
+
     @pytest.mark.parametrize("doc, key", [
         ({"morris_r": 0}, "morris_r"),
         ({"morris_levels": 3}, "morris_levels"),
@@ -565,6 +583,15 @@ def _documents(draw):
 
 
 class TestConfigDocumentFuzz:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_fuzz_covers_every_key_of_the_command(self, command):
+        always, maybe = _SECTIONS[True][command]
+        fuzzed = set(always) | set(maybe) | {"preset", "seed", "out"}
+        if command in ("simulate", "optimize", "sensitivity", "scenario"):
+            fuzzed.add("dataset")  # a file path: the dataset tests cover it
+        assert fuzzed == {k for k, (_, _, commands) in cli._KEYS.items()
+                          if command in commands}
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(_documents())
     def test_fuzz_config_documents(self, case):
@@ -974,6 +1001,17 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "preset" in err
 
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "preset"), ("redistribute", "preset"), ("synth", "preset"),
+        ("simulate", "dataset"), ("simulate", "policy")])
+    def test_null_is_a_value_the_key_refuses(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({command: {key: None}}))
+        flags = [] if key == "preset" else ["--preset", "juneau"]
+        assert main([command, *flags, "--seed", "0", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
     def test_non_object_column_map_is_config_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("year,V_base\n2008,1\n")
@@ -1049,9 +1087,10 @@ class TestConfigHandling:
                              f"policy.{field}")
 
     def test_bad_policy_list_entry_is_config_error(self, tmp_path, capsys):
-        policy = [0.1, 0.2, 0.5, 2e6, -700.0, 10.0, 0.5]
+        # a policy is a field map only; a list of the seven levers is refused
+        policy = [0.1, 0.2, 0.5, 2e6, 700.0, 10.0, 0.5]
         _assert_config_error(tmp_path, capsys, "simulate",
-                             {"simulate": {"policy": policy}}, "policy.ship_limit")
+                             {"simulate": {"policy": policy}}, "policy must be an object")
 
     def test_non_numeric_coefficient_is_config_error(self, tmp_path, capsys):
         _assert_config_error(tmp_path, capsys, "simulate",
@@ -1066,15 +1105,15 @@ class TestConfigHandling:
         _assert_config_error(tmp_path, capsys, "simulate", {section: 5},
                              repr(section))
 
-    @pytest.mark.parametrize("command", ["sensitivity", "synth", "redistribute"])
-    @pytest.mark.parametrize("seed", ["x", 1.7, [1], -2, 1e300, 2 ** 64])
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    @pytest.mark.parametrize("seed", ["x", 1.7, [1], -2, 1e300, 2 ** 64, None])
     def test_bad_config_seed_is_config_error(self, tmp_path, capsys, command, seed):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"common": {"seed": seed}}))
         assert main([command, "--preset", "juneau", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "seed" in err
+        assert err.startswith("config error: seed must be")
 
     @pytest.mark.parametrize("command, doc, key", [
         ("simulate", {"simulate": {"seed": True}}, "seed"),

@@ -47,6 +47,26 @@ class TestLoadTable:
         with pytest.raises(DataError):
             load_table(_write(tmp_path, body))
 
+    @pytest.mark.parametrize("year", ["inf", "-inf", "1e300", "1e19", "2009.7"])
+    def test_year_that_is_not_whole_rejected(self, tmp_path, year):
+        body = _row(2008, 1.0) + _row(year, 2.0)
+        with pytest.raises(DataError, match=r"unparseable year in row \['" + year):
+            load_table(_write(tmp_path, body))
+
+    def test_whole_float_year_accepted(self, tmp_path):
+        table = load_table(_write(tmp_path, _row(2008, 1.0) + _row("2009.0", 2.0)))
+        assert list(table.years) == [2008, 2009]
+
+    @pytest.mark.parametrize("header, column_map, named", [
+        ("year,V_base,visitors", None, "'V_base' and 'visitors' both map to V_base"),
+        ("year,Year,visitors", None, "'year' and 'Year' both map to year"),
+        ("year,a,b", {"a": "V_base", "b": "V_base"}, "'a' and 'b' both map to V_base")])
+    def test_two_headers_of_one_series_rejected(self, tmp_path, header, column_map, named):
+        p = tmp_path / "twice.csv"
+        p.write_text(f"{header}\n2008,1,2\n2009,3,4\n")
+        with pytest.raises(DataError, match=named):
+            load_table(p, column_map)
+
     def test_missing_year_column_rejected(self, tmp_path):
         p = tmp_path / "noyear.csv"
         p.write_text("visitors,co2\n100,200\n")
