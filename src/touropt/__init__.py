@@ -61,8 +61,7 @@ from .dataio import (
     RegionPreset,
     get_preset,
     initial_state,
-    interpolate_missing,
-    load_table,
+    read_series,
     synth_dataset,
     validate_ranges,
     write_series,

@@ -61,8 +61,7 @@ from .flow import (
 from .dataio import (
     get_preset,
     initial_state,
-    interpolate_missing,
-    load_table,
+    read_series,
     synth_dataset,
     validate_ranges,
     write_series,
@@ -88,11 +87,11 @@ def _load_config(path) -> dict:
 
 
 def _effective_config(args, command: str):
-    """The config of one command as given (its file sections, the flags
-    over them, and ``out``), which ``_write`` hashes, and its options: per
-    ``_KEYS`` key of the command, the given value parsed, else the default.
-    The command's section may hold only the keys that command reads, and
-    ``common`` only keys some command reads."""
+    """The config of one command as given (the keys it reads from its file
+    sections, the flags over them, and ``out``), which ``_write`` hashes,
+    and its options: per ``_KEYS`` key of the command, the given value
+    parsed, else the default.  The command's section may hold only the keys
+    that command reads, and ``common`` only keys some command reads."""
     raw = _load_config(args.config)
     cfg = {}
     for section in ("common", command):
@@ -101,7 +100,7 @@ def _effective_config(args, command: str):
             raise ConfigError(f"config section {section!r} must be an object")
         _refuse_unknown(section, values, [k for k, (_, _, commands) in _KEYS.items()
                                           if section == "common" or command in commands])
-        cfg.update(values)
+        cfg.update((k, v) for k, v in values.items() if command in _KEYS[k][2])
     for key in ("preset", "seed", "out"):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
@@ -200,8 +199,7 @@ def _resolve_base(opts: dict):
     """
     preset = get_preset(opts["preset"])
     if opts["dataset"] is not None:
-        table = load_table(opts["dataset"], opts["column_map"])
-        exog = interpolate_missing(table, opts["column_defaults"])
+        exog = read_series(opts["dataset"], opts["column_map"], opts["column_defaults"])
     else:
         exog = synth_dataset(preset, opts["seed"])
     coeffs = _decode("coefficients", ModelCoefficients, opts["coefficients"],
@@ -344,7 +342,10 @@ def _years(key: str, value) -> list:
     if not 0 <= last - first < sys.maxsize:  # a longer range has no length
         raise ConfigError(f"{key} must have first <= last, at most {sys.maxsize} "
                           f"apart, not {value!r}")
-    return list(range(first, last + 1))
+    try:
+        return list(range(first, last + 1))
+    except MemoryError:
+        raise MemoryError(f"{key} {value!r} spans too many years to hold") from None
 
 
 def cmd_simulate(opts: dict):
@@ -375,7 +376,11 @@ def cmd_optimize(opts: dict):
         return simulate_batch(PolicyVector(), exog, coeffs, init,
                               dict(zip(POLICY_FIELDS, genomes.T)))
 
-    result = evolve(problem, preset.bounds.lows(), preset.bounds.highs(), config)
+    try:
+        result = evolve(problem, preset.bounds.lows(), preset.bounds.highs(), config)
+    except MemoryError as e:  # a ValueError may be the model's own
+        raise MemoryError(f"ea.population_size {config.population_size} is too large "
+                          f"to hold: {e}") from None
     front = result.front
     if not front.check_nondominated():
         raise EvaluationError("front verification failed: dominated pair present")

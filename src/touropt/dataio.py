@@ -1,9 +1,11 @@
 """Dataset ingestion, preprocessing, and calibrated regional presets.
 
-CSV tables come in with a ``year`` column plus any subset of the exogenous
-series (arbitrary headers are handled through a column map).  Gaps are
-filled by linear interpolation, with nearest-value fill at the edges, and
-the dense result is range-checked against a preset envelope.
+One call, :func:`read_series`, reads a CSV table (a ``year`` column plus
+any subset of the exogenous series; a column map adapts other headers)
+into a dense series: gaps are filled by linear interpolation, with
+nearest-value fill at the edges, and every fault in the file is a
+DataError naming it.  :func:`write_series` writes the same format, and
+:func:`validate_ranges` checks a series against a preset envelope.
 
 The published regional tables are not distributed with the model, so each
 preset also ships a synthetic generator: smooth trends pinned to the
@@ -34,11 +36,9 @@ from .sd_core import (
 from .scenario import FeedbackCoefficients
 
 __all__ = [
-    "RawAnnualTable",
     "RegionPreset",
     "DEFAULT_COLUMN_MAP",
-    "load_table",
-    "interpolate_missing",
+    "read_series",
     "validate_ranges",
     "synth_dataset",
     "initial_state",
@@ -67,20 +67,21 @@ DEFAULT_COLUMN_MAP = {
 }
 
 
-@dataclass
-class RawAnnualTable:
-    """Parsed but unfilled annual table; NaN marks missing cells."""
+def read_series(path, column_map: dict | None = None,
+                defaults: dict | None = None) -> ExogenousSeries:
+    """Read an annual CSV, as :func:`write_series` writes it, into a dense,
+    validated :class:`ExogenousSeries`.
 
-    years: np.ndarray
-    columns: dict  # canonical name -> float array aligned with years
-
-
-def load_table(path, column_map: dict | None = None) -> RawAnnualTable:
-    """Read an annual CSV into a typed table.
-
-    Unparseable cells become missing (NaN), never zero.  A missing year
-    column, a year that is not whole (or beyond ``sys.maxsize``), duplicate
-    years and two headers of one series are format errors.
+    Headers are translated through ``DEFAULT_COLUMN_MAP`` with
+    ``column_map`` over it, and ``#`` lines are comments.  The result holds
+    every year from the first row's to the last's.  A blank or unparseable
+    cell, like an absent year, is missing, never zero: interior gaps are
+    linearly interpolated and edge gaps take the nearest known value.  A
+    series the file lacks is the constant ``defaults[name]``.  Every fault
+    is a DataError whose message starts with the path: no year column, a
+    year that is not whole (or beyond ``sys.maxsize``), duplicate years,
+    two headers of one series, a year span too long to hold, a series with
+    fewer than two known values, and a series that fails validation.
     """
     mapping = dict(DEFAULT_COLUMN_MAP)
     if column_map:
@@ -90,12 +91,10 @@ def load_table(path, column_map: dict | None = None) -> RawAnnualTable:
         with path.open(newline="", encoding="utf-8") as fh:
             rows = [r for r in csv.reader(fh)
                     if r and not (r[0] or "").lstrip().startswith("#")]
-    except FileNotFoundError:
-        raise DataError(f"dataset file not found: {path}")
     except UnicodeDecodeError as e:
-        raise DataError(f"dataset {path} is not UTF-8 text ({e.reason})")
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
     except OSError as e:
-        raise DataError(f"dataset {path} cannot be read: {e.strerror}")
+        raise DataError(f"{path}: cannot be read: {e.strerror}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -114,63 +113,45 @@ def load_table(path, column_map: dict | None = None) -> RawAnnualTable:
             if not (year.is_integer() and abs(year) <= sys.maxsize):  # not inf, NaN, 2009.7
                 raise ValueError
         except (ValueError, IndexError):
-            raise DataError(f"{path}: unparseable year in row {r!r}")
+            raise DataError(f"{path}: unparseable year in row {r!r}") from None
         years.append(int(year))
+    if not years:
+        raise DataError(f"{path}: no data rows")
     if len(set(years)) != len(years):
         dupes = sorted({y for y in years if years.count(y) > 1})
         raise DataError(f"{path}: duplicate years {dupes}")
-    order = np.argsort(years)
-    years_arr = np.asarray(years)[order]
-    columns = {}
-    for j, name in enumerate(canon):
-        if name is None or name == "year":
-            continue
-        vals = np.full(len(records), np.nan)
-        for i, r in enumerate(records):
-            cell = r[j].strip() if j < len(r) else ""
-            if cell:
-                try:
-                    vals[i] = float(cell)
-                except ValueError:
-                    pass  # stays missing
-        columns[name] = vals[order]
-    return RawAnnualTable(years=years_arr, columns=columns)
-
-
-def _fill_series(years: np.ndarray, values: np.ndarray, name: str) -> np.ndarray:
-    known = np.isfinite(values)
-    if known.sum() < 2:
-        raise DataError(f"column {name}: need at least 2 known values")
-    return np.interp(years.astype(float), years[known].astype(float), values[known])
-
-
-def interpolate_missing(table: RawAnnualTable,
-                        defaults: dict | None = None) -> ExogenousSeries:
-    """Densify a raw table into an :class:`ExogenousSeries`.
-
-    Interior gaps are linearly interpolated; leading/trailing gaps take the
-    nearest known value.  Missing whole years inside the range are
-    reinstated and filled the same way.  Columns absent from the table can
-    be supplied as constants through ``defaults``.
-    """
-    if len(table.years) == 0:
-        raise DataError("empty table")
-    full_years = np.arange(int(table.years[0]), int(table.years[-1]) + 1)
-    idx = {int(y): i for i, y in enumerate(table.years)}
+    first, last = min(years), max(years)
+    given = {name: canon.index(name) for name in SERIES_FIELDS if name in canon}
+    try:  # one row per given series, one column per year of the span
+        grid = np.full((len(given), last - first + 1), np.nan)
+        full_years = np.arange(first, last + 1)
+    except (MemoryError, ValueError):
+        raise DataError(f"{path}: years {first} to {last} are too many to hold") from None
+    for cells, j in zip(grid, given.values()):
+        for year, r in zip(years, records):
+            try:
+                cells[year - first] = float(r[j])
+            except (ValueError, IndexError):
+                pass  # blank, unparseable or a short row: stays missing
+    columns = dict(zip(given, grid))
+    xs = full_years.astype(float)
     data = {}
     for name in SERIES_FIELDS:
-        if name in table.columns:
-            aligned = np.full(len(full_years), np.nan)
-            for k, y in enumerate(full_years):
-                if int(y) in idx:
-                    aligned[k] = table.columns[name][idx[int(y)]]
-            data[name] = _fill_series(full_years, aligned, name)
+        if name in columns:
+            values = columns[name]
+            known = np.isfinite(values)
+            if known.sum() < 2:
+                raise DataError(f"{path}: column {name}: need at least 2 known values")
+            data[name] = np.interp(xs, xs[known], values[known])
         elif defaults and name in defaults:
             data[name] = np.full(len(full_years), float(defaults[name]))
         else:
-            raise DataError(f"column {name} missing and no default provided")
+            raise DataError(f"{path}: column {name} missing and no default provided")
     series = ExogenousSeries(years=full_years, **data)
-    series.validate()
+    try:
+        series.validate()
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
     return series
 
 

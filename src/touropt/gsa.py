@@ -419,8 +419,11 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
         rng = np.random.default_rng(seed)
         leaves = sum(count for count, _, _ in _sum_plan(n)[1])
         chunk = max(1, _LANE_BYTES // (8 * leaves * terms[0].nbytes))
-        boots1 = np.empty((n_boot, m, k))
-        bootst = np.empty((n_boot, m, k))
+        try:
+            boots1 = np.empty((n_boot, m, k))
+            bootst = np.empty((n_boot, m, k))
+        except (MemoryError, ValueError) as e:  # numpy's ValueError: a shape beyond any memory
+            raise MemoryError(f"bootstrap {n_boot} is too large to hold: {e}") from None
         for lo in range(0, n_boot, chunk):
             hi = min(lo + chunk, n_boot)
             idx = rng.integers(0, n, size=(hi - lo, n))  # the draws of hi - lo size-n calls
@@ -484,7 +487,8 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     outputs matrix always covers f1..f3 (mu* for Morris, S_T for Sobol).
     ``method``, ``output``, every size (those of the other method too)
     and the space's parameter names are checked before any sampling or
-    simulation.
+    simulation.  A design or bootstrap too large to hold is a MemoryError
+    naming its size: ``morris_r``, ``sobol_n`` or ``bootstrap``.
     """
     if method not in ("morris", "sobol"):
         raise ConfigError(f"unknown method {method!r}; use 'morris' or 'sobol'")
@@ -495,16 +499,24 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     _check_n_boot(n_boot)
     _check_parameters(space)
     wanted = OUTPUT_NAMES if output == "all" else (output,)
+    try:  # the design points, the largest arrays of the run
+        if method == "morris":
+            samples = morris_sample(space, morris_r, morris_levels, seed)
+            points = samples.reshape(-1, len(space))
+        else:
+            design = saltelli_sample(space, sobol_n, seed)
+            points = design.matrix()
+    except (MemoryError, ValueError) as e:  # numpy's ValueError: a shape beyond any memory
+        key, size = ("morris_r", morris_r) if method == "morris" else ("sobol_n", sobol_n)
+        raise MemoryError(f"{key} {size} is too large to hold: {e}") from None
+    evals = _evaluate(space, points, exog, coeffs, policy, init)
+    del points  # Sobol's is a copy of the design: free it before the bootstrap
     if method == "morris":
-        samples = morris_sample(space, morris_r, morris_levels, seed)
-        evals = _evaluate(space, samples.reshape(-1, len(space)), exog, coeffs,
-                          policy, init).reshape(morris_r, len(space) + 1, 3)
+        evals = evals.reshape(morris_r, len(space) + 1, 3)
         results = {name: morris_indices(space, samples, evals[:, :, j])
                    for j, name in enumerate(OUTPUT_NAMES)}
         matrix = np.column_stack([results[name].mu_star for name in OUTPUT_NAMES])
     else:
-        design = saltelli_sample(space, sobol_n, seed)
-        evals = _evaluate(space, design.matrix(), exog, coeffs, policy, init)
         results = dict(zip(OUTPUT_NAMES,
                            _sobol_tables(design, evals, n_boot, seed)))
         matrix = np.column_stack([results[name].st for name in OUTPUT_NAMES])

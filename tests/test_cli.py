@@ -40,6 +40,11 @@ def _assert_config_error(tmp_path, capsys, command, doc, key):
     assert err.startswith("config error:") and key in err
 
 
+_DATA_HEAD = ("year,V_base,R_gov_base,EXP_gov_base,G_retreat,CO2_emission,population,"
+              "unemployment,S_sat_base\n")
+_DATA_REST = ",9e6,9e6,250,90000,32000,0.05,0.4\n"  # the cells after V_base
+
+
 class TestSimulateCommand:
     def test_smoke_and_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -143,6 +148,37 @@ class TestSimulateCommand:
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg), "--seed", "0",
                      "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("text, named", [
+        (_DATA_HEAD + "2008,1e6" + _DATA_REST + "20x9,2e6" + _DATA_REST,
+         "unparseable year in row ['20x9'"),
+        (_DATA_HEAD + "2008,1e6" + _DATA_REST + "2008,2e6" + _DATA_REST,
+         "duplicate years [2008]"),
+        (_DATA_HEAD.replace("R_gov_base", "visitors") + "2008,1e6" + _DATA_REST,
+         "headers 'V_base' and 'visitors' both map to V_base"),
+        (_DATA_HEAD.replace("year", "when") + "2008,1e6" + _DATA_REST, "no year column"),
+        (_DATA_HEAD + "2008," + _DATA_REST + "2009," + _DATA_REST,
+         "column V_base: need at least 2 known values"),
+        (_DATA_HEAD.replace(",S_sat_base", "") + "2008,1e6" + _DATA_REST
+         + "2009,2e6" + _DATA_REST, "column S_sat_base missing and no default provided"),
+        (_DATA_HEAD + "2008,-1e6" + _DATA_REST + "2009,2e6" + _DATA_REST,
+         "series V_base contains negative values"),
+        (_DATA_HEAD + "2008,1e6" + _DATA_REST + "1e18,2e6" + _DATA_REST,
+         "years 2008 to 1000000000000000000 are too many to hold"),
+    ], ids=["unparseable_year", "duplicate_years", "two_headers", "no_year_column",
+            "all_blank_column", "missing_column", "negative_cell", "span_too_long"])
+    def test_dataset_fault_is_data_error_naming_the_file(self, tmp_path, capsys,
+                                                         text, named):
+        data = tmp_path / "faulty.csv"
+        data.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulate": {"dataset": str(data)}}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data}: ") and named in err
+        assert not out.exists()
 
     def test_metadata_header_present(self, tmp_path):
         out = tmp_path / "run"
@@ -888,8 +924,29 @@ class TestArtifactWriter:
         ("simulate", "config is a directory", 2, "cfg.json"),
         ("simulate", b'{"simulate": "\x80"}', 2, "cfg.json"),
         ("simulate", "[" * 100_000 + "]" * 100_000, 2, "cfg.json"),
+        # each size's first allocation is beyond any address space, so no host
+        # can make it; the last two shapes are beyond what numpy can describe
+        ("redistribute", {"redistribute": {"years": [2024, 2 ** 62]}}, 4,
+         "years [2024, 4611686018427387904] spans too many years to hold"),
+        ("sensitivity", {"sensitivity": {"morris_r": 10 ** 15}}, 4,
+         "morris_r 1000000000000000 is too large to hold"),
+        ("sensitivity", {"sensitivity": {"method": "sobol", "sobol_n": 10 ** 15}}, 4,
+         "sobol_n 1000000000000000 is too large to hold"),
+        ("sensitivity", {"sensitivity": {"method": "sobol", "sobol_n": 2,
+                                         "bootstrap": 10 ** 15}}, 4,
+         "bootstrap 1000000000000000 is too large to hold"),
+        ("optimize", {"optimize": {"ea": {"population_size": 10 ** 16}}}, 4,
+         "ea.population_size 10000000000000000 is too large to hold"),
+        ("sensitivity", {"sensitivity": {"morris_r": 10 ** 17}}, 4,
+         "morris_r 100000000000000000 is too large to hold"),
+        ("sensitivity", {"sensitivity": {"method": "sobol", "sobol_n": 2,
+                                         "bootstrap": 10 ** 18}}, 4,
+         "bootstrap 1000000000000000000 is too large to hold"),
     ], ids=["out_number", "out_null", "out_is_a_file", "morris_overflow", "sobol_overflow",
-            "config_is_a_directory", "config_not_utf8", "config_too_deep"])
+            "config_is_a_directory", "config_not_utf8", "config_too_deep",
+            "years_too_many", "morris_r_too_large", "sobol_n_too_large",
+            "bootstrap_too_large", "population_too_large", "morris_r_beyond_numpy",
+            "bootstrap_beyond_numpy"])
     def test_refusal_names_its_cause_and_writes_nothing(self, tmp_path, capsys,
                                                         monkeypatch, command, doc,
                                                         code, named):
@@ -1160,11 +1217,16 @@ class TestConfigHandling:
         _assert_config_error(tmp_path, capsys, command, doc, key)
 
     def test_common_holds_keys_of_other_commands(self, tmp_path):
+        # keys the command does not read change nothing, its config hash included
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"common": {"morris_r": 2, "ea": {}},
                                    "sensitivity": {"foo": 1}}))
         assert main(["simulate", "--preset", "juneau", "--config", str(cfg),
                      "--seed", "0", "--out", str(tmp_path / "x")]) == 0
+        assert main(["simulate", "--preset", "juneau", "--seed", "0",
+                     "--out", str(tmp_path / "ref")]) == 0
+        assert ((tmp_path / "x" / "trajectory.csv").read_bytes()
+                == (tmp_path / "ref" / "trajectory.csv").read_bytes())
 
     def test_negative_seed_is_config_error(self, tmp_path):
         assert main(["simulate", "--preset", "juneau", "--seed", "-3",

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from touropt.errors import ConfigError, DataError
 from touropt.dataio import (
-    RawAnnualTable,
     get_preset,
     initial_state,
-    interpolate_missing,
-    load_table,
+    read_series,
     synth_dataset,
     validate_ranges,
     write_series,
@@ -31,31 +29,31 @@ def _row(year, value):
 class TestLoadTable:
     def test_well_formed_17_rows(self, tmp_path):
         body = "".join(_row(2008 + i, 1e6 + i) for i in range(17))
-        table = load_table(_write(tmp_path, body))
-        assert len(table.years) == 17
-        assert table.years[0] == 2008 and table.years[-1] == 2024
-        assert table.columns["V_base"][0] == 1e6
+        series = read_series(_write(tmp_path, body))
+        assert len(series.years) == 17
+        assert series.years[0] == 2008 and series.years[-1] == 2024
+        assert series.V_base[0] == 1e6
 
     def test_blank_cell_is_missing_not_zero(self, tmp_path):
-        body = "2008,,9e6,9e6,250,90000,32000,0.05,0.4\n" + _row(2009, 2e6)
-        table = load_table(_write(tmp_path, body))
-        assert np.isnan(table.columns["V_base"][0])
-        assert table.columns["V_base"][1] == 2e6
+        body = (_row(2008, 1e6) + "2009,,9e6,9e6,250,90000,32000,0.05,0.4\n"
+                + _row(2010, 3e6))
+        series = read_series(_write(tmp_path, body))
+        assert list(series.V_base) == [1e6, 2e6, 3e6]
 
     def test_duplicate_year_rejected(self, tmp_path):
         body = _row(2010, 1.0) + _row(2010, 2.0)
-        with pytest.raises(DataError):
-            load_table(_write(tmp_path, body))
+        with pytest.raises(DataError, match=r"duplicate years \[2010\]"):
+            read_series(_write(tmp_path, body))
 
     @pytest.mark.parametrize("year", ["inf", "-inf", "1e300", "1e19", "2009.7"])
     def test_year_that_is_not_whole_rejected(self, tmp_path, year):
         body = _row(2008, 1.0) + _row(year, 2.0)
         with pytest.raises(DataError, match=r"unparseable year in row \['" + year):
-            load_table(_write(tmp_path, body))
+            read_series(_write(tmp_path, body))
 
     def test_whole_float_year_accepted(self, tmp_path):
-        table = load_table(_write(tmp_path, _row(2008, 1.0) + _row("2009.0", 2.0)))
-        assert list(table.years) == [2008, 2009]
+        series = read_series(_write(tmp_path, _row(2008, 1.0) + _row("2009.0", 2.0)))
+        assert list(series.years) == [2008, 2009]
 
     @pytest.mark.parametrize("header, column_map, named", [
         ("year,V_base,visitors", None, "'V_base' and 'visitors' both map to V_base"),
@@ -65,56 +63,48 @@ class TestLoadTable:
         p = tmp_path / "twice.csv"
         p.write_text(f"{header}\n2008,1,2\n2009,3,4\n")
         with pytest.raises(DataError, match=named):
-            load_table(p, column_map)
+            read_series(p, column_map)
 
     def test_missing_year_column_rejected(self, tmp_path):
         p = tmp_path / "noyear.csv"
         p.write_text("visitors,co2\n100,200\n")
-        with pytest.raises(DataError):
-            load_table(p)
+        with pytest.raises(DataError, match="no year column"):
+            read_series(p)
 
     def test_rows_sorted_by_year(self, tmp_path):
         body = _row(2010, 3.0) + _row(2008, 1.0) + _row(2009, 2.0)
-        table = load_table(_write(tmp_path, body))
-        assert list(table.years) == [2008, 2009, 2010]
-        assert list(table.columns["V_base"]) == [1.0, 2.0, 3.0]
+        series = read_series(_write(tmp_path, body))
+        assert list(series.years) == [2008, 2009, 2010]
+        assert list(series.V_base) == [1.0, 2.0, 3.0]
 
     def test_custom_column_map(self, tmp_path):
         p = tmp_path / "odd.csv"
         p.write_text("yr,arrivals\n2008,5\n2009,6\n")
-        table = load_table(p, column_map={"yr": "year", "arrivals": "V_base"})
-        assert list(table.columns["V_base"]) == [5.0, 6.0]
+        others = {f: 0.5 for f in SERIES_FIELDS if f != "V_base"}
+        series = read_series(p, column_map={"yr": "year", "arrivals": "V_base"},
+                             defaults=others)
+        assert list(series.years) == [2008, 2009]
+        assert list(series.V_base) == [5.0, 6.0]
 
 
 class TestInterpolate:
     def test_linear_midpoint(self, tmp_path):
         body = _row(2008, 100.0) + _row(2010, 200.0)
-        series = interpolate_missing(load_table(_write(tmp_path, body)))
+        series = read_series(_write(tmp_path, body))
         assert series.V_base[1] == pytest.approx(150.0)
         assert list(series.years) == [2008, 2009, 2010]
 
     def test_edge_fill_uses_nearest(self, tmp_path):
         body = ("2008,,9e6,9e6,250,90000,32000,0.05,0.4\n"
                 + _row(2009, 123.0) + _row(2010, 456.0))
-        series = interpolate_missing(load_table(_write(tmp_path, body)))
+        series = read_series(_write(tmp_path, body))
         assert series.V_base[0] == pytest.approx(123.0)
-
-    def test_idempotent_on_dense_tables(self, tmp_path):
-        body = "".join(_row(2008 + i, 1e6 * (i + 1)) for i in range(5))
-        table = load_table(_write(tmp_path, body))
-        s1 = interpolate_missing(table)
-        table2 = RawAnnualTable(
-            years=s1.years.copy(),
-            columns={f: getattr(s1, f).copy() for f in SERIES_FIELDS})
-        s2 = interpolate_missing(table2)
-        for f in SERIES_FIELDS:
-            assert np.array_equal(getattr(s1, f), getattr(s2, f))
 
     def test_all_missing_column_rejected(self, tmp_path):
         body = ("2008,,9e6,9e6,250,90000,32000,0.05,0.4\n"
                 "2009,,9e6,9e6,250,90000,32000,0.05,0.4\n")
-        with pytest.raises(DataError):
-            interpolate_missing(load_table(_write(tmp_path, body)))
+        with pytest.raises(DataError, match="column V_base: need at least 2 known values"):
+            read_series(_write(tmp_path, body))
 
     def test_missing_column_uses_default(self, tmp_path):
         p = tmp_path / "partial.csv"
@@ -122,15 +112,14 @@ class TestInterpolate:
                      "co2,satisfaction\n"
                      "2008,1e6,9e6,9e6,250,90000,0.4\n"
                      "2009,1.1e6,9e6,9e6,250,90000,0.4\n")
-        series = interpolate_missing(
-            load_table(p), defaults={"population": 32000, "unemployment": 0.045})
+        series = read_series(p, defaults={"population": 32000, "unemployment": 0.045})
         assert np.all(series.population == 32000)
 
     def test_missing_column_without_default_rejected(self, tmp_path):
         p = tmp_path / "partial.csv"
         p.write_text("year,visitors\n2008,1e6\n2009,1.1e6\n")
-        with pytest.raises(DataError):
-            interpolate_missing(load_table(p))
+        with pytest.raises(DataError, match="missing and no default provided"):
+            read_series(p)
 
 
 class TestValidateRanges:
@@ -219,7 +208,7 @@ class TestRoundTrip:
         series = synth_dataset(juneau, seed=4)
         path = tmp_path / "series.csv"
         write_series(series, path, header_lines=["roundtrip test"])
-        reloaded = interpolate_missing(load_table(path))
+        reloaded = read_series(path)
         assert np.array_equal(series.years, reloaded.years)
         for f in SERIES_FIELDS:
             assert np.array_equal(getattr(series, f), getattr(reloaded, f)), f
