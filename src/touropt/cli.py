@@ -379,8 +379,10 @@ def cmd_optimize(opts: dict):
     try:
         result = evolve(problem, preset.bounds.lows(), preset.bounds.highs(), config)
     except MemoryError as e:  # a ValueError may be the model's own
-        raise MemoryError(f"ea.population_size {config.population_size} is too large "
-                          f"to hold: {e}") from None
+        # evolve names population_size where it allocates the population
+        named = str(e).startswith("population_size")
+        raise MemoryError(f"ea.{e}" if named else f"ea.population_size "
+                          f"{config.population_size} is too large to hold: {e}") from None
     front = result.front
     if not front.check_nondominated():
         raise EvaluationError("front verification failed: dominated pair present")

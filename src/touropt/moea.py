@@ -7,16 +7,16 @@ hypervolume used both as a quality log and as the convergence signal
 (stop when improvement over a sliding window falls below tolerance).
 
 All dominance logic is in maximization form; objectives are stored as
-returned by the problem, with no sign flips.  Every pairwise comparison
-goes through one numpy primitive, :func:`dominance_matrix`, which works
-in rank space: each objective is ranked over the rows compared, with one
-sort, and the dense integer ranks (int16 while they fit) are compared
-instead of the floats.  The sort (a front-by-front peel of the matrix)
-and the front verification call it; the all-time archive uses its two
-parts, the ranking and the "no worse everywhere" test, directly, so it
-ranks old and new rows once per insert.  Crowding distances of a whole
-pool are computed in one pass over all its fronts.  The problem is evaluated a
-generation at a time, (N, genes) genomes to (N, 3) objectives.
+returned by the problem, with no sign flips.  Dominance is tested in
+rank space: each objective is ranked over the rows compared with one sort,
+and the dense integer ranks (int16 while they fit) are compared instead of
+the floats.  One strict test serves every caller: no worse in every rank,
+and a larger rank sum.  The sort peels :func:`dominance_matrix` (the test
+on all rows) front by front, the front verification runs the test on
+256-row blocks, and the all-time archive ranks old and new rows once per
+insert, screens its candidates with the test and its members with weak
+covers.  Crowding distances of a whole pool are computed in one pass.
+The problem is evaluated a generation at a time, (N, genes) to (N, 3).
 
 The population lives in arrays, genomes (N, genes), objectives (N, 3),
 rank and crowding (N,), and so do the results: ``result.population`` is
@@ -125,18 +125,17 @@ class ParetoFront:
     def check_nondominated(self) -> bool:
         """True when no member dominates another; NaN raises.
 
-        Ranks the front once, then compares blocks of rows against the
-        whole front as :func:`dominance_matrix` does, so memory stays at
-        ``_VERIFY_BLOCK`` x len(front) bools.
+        Ranks the front once, then builds the rows of its
+        :func:`dominance_matrix` ``_VERIFY_BLOCK`` at a time with the same
+        strict test, so memory stays at ``_VERIFY_BLOCK`` x len(front) bools.
         """
         objs = self.objectives
         if np.isnan(objs).any():
             raise EvaluationError("NaN objective in front verification")
-        ranks = _ranks(objs)
-        sums = ranks.sum(axis=0, dtype=_int_type(ranks.size))
+        ranks, sums = _ranks(objs)
         for lo in range(0, len(objs), _VERIFY_BLOCK):
-            hi = lo + _VERIFY_BLOCK
-            if (_covers(ranks[:, lo:hi], ranks) & (sums[lo:hi, None] > sums)).any():
+            rows = slice(lo, lo + _VERIFY_BLOCK)
+            if _strict(_covers(ranks[:, rows], ranks), sums, rows).any():
                 return False
         return True
 
@@ -149,8 +148,9 @@ def _int_type(top: int):
     return np.int64
 
 
-def _ranks(objs) -> np.ndarray:
-    """Dense per-objective ranks of the rows of an (n, m) array, as (m, n).
+def _ranks(objs) -> tuple:
+    """Dense per-objective ranks of the rows of an (n, m) array, as (m, n),
+    and each row's rank sum, as (n,).
 
     Equal values share a rank (-0.0 ties with 0.0), so comparing ranks
     gives the comparisons of the values.  One sort per objective; int16
@@ -166,7 +166,7 @@ def _ranks(objs) -> np.ndarray:
     np.cumsum(steps, axis=1, out=steps)
     ranks = np.empty_like(steps)
     np.put_along_axis(ranks, order, steps, axis=1)
-    return ranks
+    return ranks, ranks.sum(axis=0, dtype=_int_type(ranks.size))
 
 
 def _covers(ra, rb) -> np.ndarray:
@@ -180,36 +180,29 @@ def _covers(ra, rb) -> np.ndarray:
     return ge
 
 
-def dominance_matrix(a, b=None, *, weak: bool = False) -> np.ndarray:
-    """Pairwise maximization dominance between the rows of ``a`` and ``b``.
+def _strict(ge, sums, rows=slice(None)) -> np.ndarray:
+    """``D[i, j]``: row i of ``rows`` dominates row j, from ``ge`` (row i is
+    no worse everywhere) and the rank ``sums``, since where a row is no
+    worse everywhere a larger rank sum is better somewhere."""
+    return ge & (sums[rows, None] > sums)
 
-    ``D[i, j]`` is True when row i of ``a`` dominates row j of ``b`` (no
-    worse everywhere, better somewhere); ``b`` defaults to ``a``.  With
-    ``weak`` it is True when row i is merely no worse everywhere, so equal
-    rows cover each other.  The rows of both operands are ranked together
-    per objective (:func:`_ranks`) and the integer ranks compared one
-    objective at a time, so memory stays at len(a) x len(b) bools.  A row
-    holding NaN compares false everywhere, as NaN does: callers that may
-    hold NaN check for it first.
+
+def dominance_matrix(a) -> np.ndarray:
+    """Pairwise maximization dominance between the rows of ``a``.
+
+    ``D[i, j]`` is True when row i dominates row j (no worse everywhere,
+    better somewhere).  The rows are ranked per objective
+    (:func:`_ranks`) and the integer ranks compared one objective at a
+    time, so memory stays at len(a) x len(a) bools.  A row holding NaN
+    compares false everywhere, as NaN does: callers that may hold NaN
+    check for it first.
     """
     a = np.asarray(a, dtype=float)
-    square = b is None
-    b = a if square else np.asarray(b, dtype=float)
-    ranks = _ranks(a if square else np.concatenate([a, b]))
-    ra, rb = (ranks, ranks) if square else (ranks[:, :len(a)], ranks[:, len(a):])
-    ge = _covers(ra, rb)
-    nan_a = np.isnan(a).any(axis=1)
-    nan_b = nan_a if square else np.isnan(b).any(axis=1)
-    if nan_a.any() or nan_b.any():
-        ge[nan_a] = False
-        ge[:, nan_b] = False
-    if weak:
-        return ge
-    if square:
-        return ge & ~ge.T
-    # where row i is no worse everywhere, a larger rank sum is better somewhere
-    sums = ranks.sum(axis=0, dtype=_int_type(ranks.size))
-    return ge & (sums[:len(a), None] > sums[len(a):])
+    ranks, sums = _ranks(a)
+    ge = _covers(ranks, ranks)
+    # a NaN ranks above every number, so only a NaN row can cover a NaN row
+    ge[np.isnan(a).any(axis=1)] = False
+    return _strict(ge, sums)
 
 
 def fast_nondominated_sort(objectives) -> list:
@@ -557,12 +550,12 @@ class _Archive:
             return
         new = np.asarray(objs, dtype=float)
         old = self.objs
-        ranks = _ranks(np.concatenate([old, new]))
+        ranks, sums = _ranks(np.concatenate([old, new]))
         ro, rn = ranks[:, :len(old)], ranks[:, len(old):]
         among = _covers(rn, rn)
         # a row's first equal row is itself unless it has an earlier twin
         twin = (among & among.T).argmax(axis=0) < np.arange(len(new))
-        keep_new = np.flatnonzero(~((among & ~among.T).any(axis=0) | twin))
+        keep_new = np.flatnonzero(~(_strict(among, sums[len(old):]).any(axis=0) | twin))
         # "no old member is at least as good", as negated ranks: the long
         # old axis stays innermost, which numpy broadcasts several times faster
         keep_new = keep_new[~_covers(-rn[:, keep_new], -ro).any(axis=1)]
@@ -762,7 +755,12 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
                                   f"for genome {genomes[i]}")
         return objs
 
-    genomes = lows + (highs - lows) * rng.random((config.population_size, n_genes))
+    try:  # a ValueError: numpy cannot even describe the shape
+        draws = rng.random((config.population_size, n_genes))
+    except (MemoryError, ValueError) as exc:
+        raise MemoryError(f"population_size {config.population_size} is too large "
+                          f"to hold: {exc}") from None
+    genomes = lows + (highs - lows) * draws
     objs = evaluate(genomes)
     _, rank, crowd = _select(objs, len(objs))
 

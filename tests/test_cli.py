@@ -925,7 +925,7 @@ class TestArtifactWriter:
         ("simulate", b'{"simulate": "\x80"}', 2, "cfg.json"),
         ("simulate", "[" * 100_000 + "]" * 100_000, 2, "cfg.json"),
         # each size's first allocation is beyond any address space, so no host
-        # can make it; the last two shapes are beyond what numpy can describe
+        # can make it; the last four shapes are beyond what numpy can describe
         ("redistribute", {"redistribute": {"years": [2024, 2 ** 62]}}, 4,
          "years [2024, 4611686018427387904] spans too many years to hold"),
         ("sensitivity", {"sensitivity": {"morris_r": 10 ** 15}}, 4,
@@ -942,11 +942,16 @@ class TestArtifactWriter:
         ("sensitivity", {"sensitivity": {"method": "sobol", "sobol_n": 2,
                                          "bootstrap": 10 ** 18}}, 4,
          "bootstrap 1000000000000000000 is too large to hold"),
+        ("optimize", {"optimize": {"ea": {"population_size": 1e18}}}, 4,
+         "ea.population_size 1000000000000000000 is too large to hold"),
+        ("optimize", {"optimize": {"ea": {"population_size": 2 ** 61}}}, 4,
+         "ea.population_size 2305843009213693952 is too large to hold"),
     ], ids=["out_number", "out_null", "out_is_a_file", "morris_overflow", "sobol_overflow",
             "config_is_a_directory", "config_not_utf8", "config_too_deep",
             "years_too_many", "morris_r_too_large", "sobol_n_too_large",
             "bootstrap_too_large", "population_too_large", "morris_r_beyond_numpy",
-            "bootstrap_beyond_numpy"])
+            "bootstrap_beyond_numpy", "population_beyond_numpy",
+            "population_2_61_beyond_numpy"])
     def test_refusal_names_its_cause_and_writes_nothing(self, tmp_path, capsys,
                                                         monkeypatch, command, doc,
                                                         code, named):

@@ -58,7 +58,7 @@ class _ScriptedRng:
 
 def _dominates(a, b) -> bool:
     """One pair through ``dominance_matrix``."""
-    return bool(dominance_matrix([a], [b])[0, 0])
+    return bool(dominance_matrix([a, b])[0, 1])
 
 
 class TestDominates:
@@ -84,6 +84,21 @@ def _grid(rng, n, levels=3):
     return [tuple(float(v) for v in rng.integers(0, levels, 3)) for _ in range(n)]
 
 
+def _weak(a, b) -> np.ndarray:
+    """Rows of ``a`` no worse everywhere than rows of ``b``, as the archive
+    tests them: ``_covers`` on the ranks of both."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ranks, _ = moea._ranks(np.concatenate([a, b]))
+    return moea._covers(ranks[:, :len(a)], ranks[:, len(a):])
+
+
+def _strict_rows(objs, rows) -> np.ndarray:
+    """Rows ``rows`` of ``objs`` against all of them, as the front check
+    tests a block: those rows of ``dominance_matrix(objs)``."""
+    ranks, sums = moea._ranks(np.asarray(objs, dtype=float))
+    return moea._strict(moea._covers(ranks[:, rows], ranks), sums, rows)
+
+
 class TestDominanceMatrix:
     def test_matches_scalar_dominates_on_tie_heavy_grids(self):
         rng = np.random.default_rng(20)
@@ -96,12 +111,14 @@ class TestDominanceMatrix:
                     assert d[i, j] == dominates_reference(a, b)
 
     def test_rectangular_inputs(self):
+        # the front check's strict test on a row slice and the archive's
+        # weak covers, against the scalar definitions
         rng = np.random.default_rng(21)
         for _ in range(200):
             a = _grid(rng, int(rng.integers(1, 25)))
             b = _grid(rng, int(rng.integers(1, 25)))
-            d = dominance_matrix(a, b)
-            w = dominance_matrix(a, b, weak=True)
+            d = _strict_rows(a + b, slice(0, len(a)))[:, len(a):]
+            w = _weak(a, b)
             assert d.shape == w.shape == (len(a), len(b))
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
@@ -109,21 +126,31 @@ class TestDominanceMatrix:
                     assert w[i, j] == all(u >= v for u, v in zip(x, y))
 
     def test_empty_side(self):
-        assert dominance_matrix(np.empty((0, 3)), [(1.0, 2.0, 3.0)]).shape == (0, 1)
-        assert dominance_matrix([(1.0, 2.0, 3.0)], np.empty((0, 3))).shape == (1, 0)
+        one, empty = np.array([(1.0, 2.0, 3.0)]), np.empty((0, 3))
+        assert dominance_matrix(empty).shape == (0, 0)
+        assert _strict_rows(one, slice(0, 0)).shape == (0, 1)
+        assert _weak(empty, one).shape == (0, 1)
+        assert _weak(one, empty).shape == (1, 0)
 
 
 def _assert_matches_loop(a, b=None):
-    """Weak and strict ``dominance_matrix`` equal the float column loop."""
-    for weak in (False, True):
-        got = dominance_matrix(a, b, weak=weak)
-        want = dominance_matrix_loop(a, b, weak=weak)
+    """``dominance_matrix(a)`` equals the float column loop; with ``b``, the
+    archive's weak covers of ``a`` over ``b`` and the front check's strict
+    test of ``a``'s rows against ``a`` and ``b`` stacked do."""
+    a = np.asarray(a, dtype=float)
+    if b is None:
+        pairs = [(dominance_matrix(a), dominance_matrix_loop(a))]
+    else:
+        both = np.concatenate([a, b])
+        pairs = [(_weak(a, b), dominance_matrix_loop(a, b, weak=True)),
+                 (_strict_rows(both, slice(0, len(a))), dominance_matrix_loop(a, both))]
+    for got, want in pairs:
         assert got.dtype == bool and got.shape == want.shape
         assert np.array_equal(got, want)
 
 
 class TestRankKernel:
-    """The rank-space ``dominance_matrix`` against the float column loop."""
+    """The rank-space dominance tests against the float column loop."""
 
     def test_tie_heavy_grids(self):
         rng = np.random.default_rng(30)
@@ -145,6 +172,8 @@ class TestRankKernel:
             _assert_matches_loop(b, a)
 
     def test_nan_rows_in_either_operand(self):
+        # only the square matrix takes NaN: the front check raises on it and
+        # the archive holds finite rows
         rng = np.random.default_rng(32)
         for _ in range(200):
             a = np.array(_grid(rng, int(rng.integers(1, 30))))
@@ -152,11 +181,12 @@ class TestRankKernel:
             for x in (a, b):
                 hit = rng.random(x.shape) < 0.1
                 x[hit] = np.nan
+            both = np.concatenate([a, b])
             _assert_matches_loop(a)
-            _assert_matches_loop(a, b)
-            nan_a, nan_b = np.isnan(a).any(axis=1), np.isnan(b).any(axis=1)
-            w = dominance_matrix(a, b, weak=True)
-            assert not w[nan_a].any() and not w[:, nan_b].any()
+            _assert_matches_loop(both)
+            nan = np.isnan(both).any(axis=1)
+            d = dominance_matrix(both)
+            assert not d[nan].any() and not d[:, nan].any()
 
     def test_empty_operands(self):
         full = np.array([(1.0, 2.0, 3.0), (0.0, 2.0, 3.0)])
@@ -178,14 +208,15 @@ class TestRankKernel:
             _assert_matches_loop(a, b)
 
     def test_wide_ranks(self):
-        # 33,000 + 7 distinct values per objective overflow int16 ranks
+        # 33,000 + 7 distinct values per objective overflow int16 ranks; the
+        # 7 rows go against all 33,007, never the 33,000 against themselves
         rng = np.random.default_rng(35)
         a = rng.normal(size=(33_000, 2))
         b = np.concatenate([rng.normal(size=(5, 2)), a[[7, 32_999]]])
-        assert moea._ranks(np.concatenate([a, b])).dtype == np.int32
-        assert moea._ranks(a[:1000]).dtype == np.int16
-        _assert_matches_loop(a, b)
+        assert moea._ranks(np.concatenate([b, a]))[0].dtype == np.int32
+        assert moea._ranks(a[:1000])[0].dtype == np.int16
         _assert_matches_loop(b, a)
+        assert np.array_equal(_weak(a, b), dominance_matrix_loop(a, b, weak=True))
 
 
 class TestSorting:
@@ -383,12 +414,30 @@ class TestFrontVerification:
         # tie-heavy fronts, some non-dominated and some not, across blocks
         monkeypatch.setattr(moea, "_VERIFY_BLOCK", 16)
         rng = np.random.default_rng(seed)
+        signed = np.array([-0.0, 0.0, np.inf, -np.inf, 1.0, -1.0])
         for n in (1, 15, 16, 17, 60):
-            objs = rng.integers(0, 4, (n, 3)).astype(float)
-            want = not dominance_matrix(objs).any()
-            assert self._front(objs).check_nondominated() == want
-            front = objs[~dominance_matrix(objs).any(axis=0)]
-            assert self._front(front).check_nondominated()
+            for values in (np.arange(4.0), signed):
+                objs = rng.choice(values, (n, 3))
+                want = not dominance_matrix(objs).any()
+                assert want == (not dominance_matrix_loop(objs).any())
+                assert self._front(objs).check_nondominated() == want
+                front = objs[~dominance_matrix(objs).any(axis=0)]
+                assert self._front(front).check_nondominated()
+        # a front over four blocks: points of one plane with signed zeros,
+        # the corners at infinity, and clones of both
+        plane = [(x, y, 6.0 - x - y) for x in range(7) for y in range(7 - x)]
+        rows = np.vstack([plane, np.where(np.eye(3, dtype=bool), np.inf, -np.inf)])
+        objs = rows[np.concatenate([np.arange(len(rows)), rng.integers(0, len(rows), 29)])]
+        zeros = objs == 0.0
+        objs[zeros] *= rng.choice([-1.0, 1.0], zeros.sum())
+        rng.shuffle(objs)
+        assert len(objs) == 60 and self._front(objs).check_nondominated()
+        # one row, in the first block, lowered below a row of the last
+        last = int(np.flatnonzero(np.isfinite(objs).all(axis=1))[-1])
+        assert last >= 48
+        objs[0] = objs[last] - (0.0, 0.5, 0.0)
+        assert not self._front(objs).check_nondominated()
+        assert dominance_matrix(objs)[last, 0]
 
     def test_duplicates_do_not_dominate(self):
         assert self._front([(1.0, 2.0, 3.0)] * 300).check_nondominated()
@@ -670,6 +719,12 @@ class TestEvolve:
         with pytest.raises(EvaluationError, match="shape"):
             evolve(lambda g: _toy(g)[:, :2], [-2.0], [2.0],
                    EAConfig(population_size=8, generations=2))
+
+    @pytest.mark.parametrize("size", [10 ** 18, 2 ** 61])
+    def test_population_beyond_numpy_names_population_size(self, size):
+        # numpy refuses both (size, 3) shapes before it takes any memory
+        with pytest.raises(MemoryError, match=f"^population_size {size} is too large to hold: "):
+            evolve(_toy, [-2.0] * 3, [2.0] * 3, EAConfig(population_size=size, generations=1))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
