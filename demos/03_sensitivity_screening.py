@@ -30,7 +30,7 @@ u_space = uncertainty_space(policy, preset.bounds, rel=0.2)
 report = analyze_model(u_space, stressed, preset.coefficients, policy, init,
                        method="sobol", output="f1", sobol_n=512, seed=11)
 print("parameter           S1      ST")
-for name, s1, st, _, _ in report.tables["f1"].ranked():
+for name, s1, st, _ in report.tables["f1"].ranked():
     print(f"{name:18s} {s1:6.3f}  {st:6.3f}")
 
 print("\nWith arrivals pinned at capacity, the capacity limit owns the")

@@ -445,7 +445,7 @@ def cmd_sensitivity(opts: dict):
             # ci_low/ci_high bracket the total-effect index used for ranking
             files[f"sobol_{name}.csv"] = (
                 ["parameter", "s1", "st", "ci_low", "ci_high"],
-                [[p, s1, st, st - ct, st + ct] for p, s1, st, _, ct in table.ranked()])
+                [[p, s1, st, st - ct, st + ct] for p, s1, st, ct in table.ranked()])
     files["sensitivity_matrix.json"] = {
         "method": report.method,
         "sampler": "pseudorandom",

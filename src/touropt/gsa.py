@@ -4,14 +4,14 @@ Morris builds randomized one-at-a-time trajectories on a coarse grid and
 summarizes each parameter by mu* (mean absolute elementary effect) and
 sigma (spread of the effects, an interaction/nonlinearity signal).  Sobol
 first/total indices use the classic two-matrix sampling design with the
-symmetrized direct estimator for S_i, Jansen's estimator for S_Ti, and
-bootstrap percentile intervals.  Both estimators are means of per-row
-terms, so the bootstrap resamples per-row terms: the term blocks of every
-output are computed once and stacked with one design row per memory row,
-and each resample draws its rows once and adds those whole rows straight
-into the lane accumulators of numpy's pairwise sum, for all outputs
-together (:func:`_sobol_tables`; ``sobol_indices`` is its one-output case,
-with the same bits).
+symmetrized direct estimator for S_i, Jansen's estimator for S_Ti, and a
+bootstrap percentile interval on S_Ti.  Both estimators are means of
+per-row terms, so the bootstrap resamples the S_Ti terms: they are computed
+once for every output and stacked with one design row per memory row, and
+each resample draws its rows once and adds those whole rows straight into
+the lane accumulators of numpy's pairwise sum, for all outputs together
+(:func:`_sobol_tables`; ``sobol_indices`` is its one-output case, with the
+same bits).
 
 Sampling is plain seeded pseudo-random (recorded in result metadata, no
 low-discrepancy sequence); accuracy targets are set accordingly.  Both
@@ -116,17 +116,18 @@ class MorrisResult:
 
 @dataclass
 class SobolResult:
+    """S1 and S_T per parameter, and the 95% bootstrap interval on S_T."""
+
     names: tuple
     s1: np.ndarray        # first-order indices
     st: np.ndarray        # total-effect indices
-    s1_ci: np.ndarray     # bootstrap CI half-widths for s1
-    st_ci: np.ndarray     # same for st
+    st_ci: np.ndarray     # bootstrap CI half-widths for st
     n: int                # base sample size
 
     def ranked(self) -> list:
         order = np.argsort(-self.st, kind="stable")
         return [(self.names[i], float(self.s1[i]), float(self.st[i]),
-                 float(self.s1_ci[i]), float(self.st_ci[i])) for i in order]
+                 float(self.st_ci[i])) for i in order]
 
 
 def morris_sample(space: ParameterSpace, r: int, levels: int = 4,
@@ -264,12 +265,11 @@ def _check_variance(var: np.ndarray) -> None:
 
 def sobol_indices(design: SaltelliDesign, outputs: np.ndarray,
                   n_boot: int = 200, seed: int = 0) -> SobolResult:
-    """First-order and total-effect indices with bootstrap intervals.
+    """First-order and total-effect indices with a bootstrap interval on S_Ti.
 
     S_i uses the symmetrized direct estimator over both matrix halves,
-    S_Ti the Jansen squared-difference form; the intervals are 95%
-    bootstrap percentile intervals.  One output's case of
-    :func:`_sobol_tables`.
+    S_Ti the Jansen squared-difference form with a 95% bootstrap
+    percentile interval.  One output's case of :func:`_sobol_tables`.
     """
     return _sobol_tables(design, np.asarray(outputs, dtype=float)[:, None],
                          n_boot, seed)[0]
@@ -279,13 +279,13 @@ def sobol_indices(design: SaltelliDesign, outputs: np.ndarray,
 # interleaved accumulators and splits a longer one in two (PW_BLOCKSIZE)
 _PAIRWISE_LEAF = 128
 # bytes of lane accumulators one bootstrap chunk adds its resampled rows
-# into: ten resamples of 37 KB at n=512 with 12 parameters and 3 outputs
-# (four leaves of eight lanes of 144 terms), so the accumulators and the
-# rows each step gathers into them stay in a 2 MiB L2 together.  On the
-# n=512 screen design, 8 to 14 resamples a chunk ran fastest; 2 and 20
-# took about 1.5 times as long, the first from per-call overhead, the
-# second from spilling L2.
-_LANE_BYTES = 400_000
+# into: ten resamples of 18 KB at n=512 with 12 parameters and 3 outputs
+# (four leaves of eight lanes of 72 S_T terms).  On the n=512 screen
+# design, budgets of 200 to 520 KB ran equally fast; 40 KB and 1.6 MB took
+# about 1.6 and 2 times as long, from per-call overhead and L2 spills.  The
+# low end keeps each chunk's (m, B, 2n) variance take small: 21 resamples
+# a chunk raised a screen run's peak RSS by 0.4 MB.
+_LANE_BYTES = 200_000
 # the tail of a 95% percentile interval, as 0.5 * (1 - 0.95) rounds
 # (0.025000000000000022, not 0.025): the intervals' bits depend on it
 _ALPHA = 0.5 * (1.0 - 0.95)
@@ -371,18 +371,18 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
                   seed: int) -> list:
     """One :class:`SobolResult` per column of the (N, m) outputs ``Y``.
 
-    Both estimators are means of per-row terms, so the four (k, n) term
-    blocks of every output are computed once and stacked as one C-ordered
-    (n, 4*m*k) block, one design row per memory row.  The bootstrap is
-    per-row terms resampled by gather: each resample draws n design rows
-    (jointly across all matrices and outputs), and :func:`_gather_means`
-    adds those whole rows straight into numpy's eight lane accumulators,
-    in numpy's summation order, without building the resampled block.
-    Resamples go in chunks whose accumulators take at most
-    ``_LANE_BYTES``, and a chunk's variances come from one ``np.var``
-    along contiguous rows.  The point estimate is the same sum over the
-    rows in order.  So every column gets the bits of its own
-    ``sobol_indices`` call, and of the per-resample
+    Both estimators are means of per-row terms.  Each estimator's (k, n)
+    term pair of every output is stacked as one C-ordered (n, 2*m*k)
+    block, one design row per memory row; a column's sum does not depend
+    on the other columns.  Only the S_T block is bootstrapped, by gather:
+    each resample draws n design rows (jointly across all matrices and
+    outputs), and :func:`_gather_means` adds those whole rows straight into
+    numpy's eight lane accumulators, in numpy's summation order, without
+    building the resampled block.  Resamples go in chunks whose
+    accumulators take at most ``_LANE_BYTES``, and a chunk's variances come
+    from one ``np.var`` along contiguous rows.  The point estimates are the
+    same sums over the rows in order.  So every column gets the bits of its
+    own ``sobol_indices`` call, and of the per-resample
     ``take(idx, axis=1).mean(axis=1)`` of the transposed block: the
     resamples are those of ``default_rng(seed)`` whatever m or the chunk
     size is.
@@ -403,24 +403,25 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
         yA, yB = Yt[:, None, :n], Yt[:, None, n:2 * n]
         yAB = Yt[:, 2 * n:(2 + k) * n].reshape(m, k, n)
         yBA = Yt[:, (2 + k) * n:].reshape(m, k, n)
-        terms = np.ascontiguousarray(
-            np.stack([yB * (yAB - yA), yA * (yBA - yB),
-                      (yA - yAB) ** 2, (yB - yBA) ** 2]).reshape(4 * m * k, n).T)
+
+        def pair(a, b):  # the (m, k, n) terms a and b as one (n, 2*m*k) block
+            return np.ascontiguousarray(np.stack([a, b]).reshape(2 * m * k, n).T)
+
+        def half_sum(terms, idx):  # half the sum of a pair's (B, m, k) means over rows idx
+            a, b = _gather_means(terms, idx).reshape(-1, 2, m, k).transpose(1, 0, 2, 3)
+            return 0.5 * (a + b)
+
+        st_terms = pair((yA - yAB) ** 2, (yB - yBA) ** 2)
         yAyB = Yt[:, :2 * n]
-
-        def indices(var, means):  # (B, m) variances, (B, 4*m*k) term means
-            m1, m2, m3, m4 = means.reshape(-1, 4, m, k).transpose(1, 0, 2, 3)
-            var = var[:, :, None]
-            return 0.5 * (m1 + m2) / var, 0.5 * (m3 + m4) / 2.0 / var
-
         var = np.var(yAyB, axis=1)
         _check_variance(var)
-        (s1,), (st,) = indices(var[None], _gather_means(terms, np.arange(n)[None]))
+        rows = np.arange(n)[None]
+        s1 = half_sum(pair(yB * (yAB - yA), yA * (yBA - yB)), rows)[0] / var[:, None]
+        st = half_sum(st_terms, rows)[0] / 2.0 / var[:, None]
         rng = np.random.default_rng(seed)
         leaves = sum(count for count, _, _ in _sum_plan(n)[1])
-        chunk = max(1, _LANE_BYTES // (8 * leaves * terms[0].nbytes))
+        chunk = max(1, _LANE_BYTES // (8 * leaves * st_terms[0].nbytes))
         try:
-            boots1 = np.empty((n_boot, m, k))
             bootst = np.empty((n_boot, m, k))
         except (MemoryError, ValueError) as e:  # numpy's ValueError: a shape beyond any memory
             raise MemoryError(f"bootstrap {n_boot} is too large to hold: {e}") from None
@@ -430,11 +431,10 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
             # (m, B, 2n), C-ordered: each variance reduces one contiguous row
             var = np.var(yAyB.take(np.concatenate([idx, idx + n], axis=1), axis=1), axis=2).T
             _check_variance(var)
-            boots1[lo:hi], bootst[lo:hi] = indices(var, _gather_means(terms, idx))
-        lo1, hi1 = np.quantile(boots1, [_ALPHA, 1.0 - _ALPHA], axis=0)
+            bootst[lo:hi] = half_sum(st_terms, idx) / 2.0 / var[:, :, None]
         lot, hit = np.quantile(bootst, [_ALPHA, 1.0 - _ALPHA], axis=0)
-        return [SobolResult(design.space.names, s1[j], st[j], 0.5 * (hi1[j] - lo1[j]),
-                            0.5 * (hit[j] - lot[j]), n) for j in range(m)]
+        return [SobolResult(design.space.names, s1[j], st[j], 0.5 * (hit[j] - lot[j]), n)
+                for j in range(m)]
 
 
 def _check_parameters(space: ParameterSpace) -> None:

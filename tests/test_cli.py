@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import touropt as tp
 from touropt import cli
 from touropt.cli import main
 from touropt.errors import EvaluationError
-from touropt.gsa import full_space
+from touropt.gsa import ParameterSpace, analyze_model, full_space
+from touropt.sd_core import POLICY_FIELDS
 
 from helpers import brute_force_fronts
 
@@ -298,6 +300,16 @@ class TestSensitivityCommand:
         assert len(rows) == 7
         for r in rows:
             assert float(r[3]) <= float(r[2]) <= float(r[4])
+        # each row is the table's (s1, st) and st -+ st_ci, on the same config
+        preset = tp.get_preset("juneau")
+        exog = tp.synth_dataset(preset, seed=2)
+        space = ParameterSpace.from_dict(
+            {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
+        table = analyze_model(space, exog, preset.coefficients, preset.reference_policy,
+                              tp.initial_state(preset, exog, seed=2), method="sobol",
+                              output="f1", sobol_n=32, n_boot=20, seed=2).tables["f1"]
+        assert rows == [[p, repr(s1), repr(st), repr(st - ct), repr(st + ct)]
+                        for p, s1, st, ct in table.ranked()]
 
     def test_matrix_json_shape(self, tmp_path):
         out = tmp_path / "s"
