@@ -20,10 +20,12 @@ objectives from that one run, never re-simulating per output.  The whole
 design -- the Saltelli matrix, or every point of the r Morris
 trajectories -- goes to ``sd_core.simulate_batch`` in one call, and the
 first NaN sample in design order is named.  Sobol's three outputs go to
-one bootstrap pass.  A Morris trajectory's k+1 points are one mask over
-the ranks of its permutation, and its effects are grouped per parameter
-by a stable sort, so each parameter's effects keep their (trajectory,
-step) order and the bits of a step-by-step build.
+one bootstrap pass, and Morris's to one estimator pass
+(:func:`_morris_tables`; ``morris_indices`` is its one-output case, with
+the same bits).  A Morris trajectory's k+1 points are one mask over the
+ranks of its permutation, and the effects of every output are grouped per
+parameter by one stable sort, so each parameter's effects keep their
+(trajectory, step) order and the bits of a step-by-step build.
 """
 
 from __future__ import annotations
@@ -166,37 +168,63 @@ def morris_indices(space: ParameterSpace, samples: np.ndarray,
     """Elementary-effect statistics from evaluated trajectories.
 
     ``samples`` is the (r, k+1, k) array from :func:`morris_sample` and
-    ``outputs`` the model value at each point, shape (r, k+1).  Effects
-    are finite differences in unit space, signed by the step direction;
-    each step is charged to the parameter it moves most, and a step that
-    moves none raises, naming the first in (trajectory, step) order.
+    ``outputs`` the model value at each point, shape (r, k+1).  The
+    one-output case of :func:`_morris_tables`, with the same bits.
     """
     samples = np.asarray(samples, dtype=float)
     outputs = np.asarray(outputs, dtype=float)
-    r, n_pts, k = samples.shape
+    r, n_pts, _ = samples.shape
     if outputs.shape != (r, n_pts):
         raise ConfigError(f"outputs shape {outputs.shape} != {(r, n_pts)}")
+    return _morris_tables(space, samples, outputs[:, :, None])[0]
+
+
+def _morris_tables(space: ParameterSpace, samples: np.ndarray,
+                   outputs: np.ndarray) -> list:
+    """One :class:`MorrisResult` per output of the (r, k+1, m) ``outputs``
+    at the (r, k+1, k) ``samples``.
+
+    Effects are finite differences in unit space, signed by the step
+    direction; each step is charged to the parameter it moves most, and a
+    step that moves none raises, naming the first in (trajectory, step)
+    order.  The steps and their grouping are found once for all outputs,
+    and the effects of all outputs are one (m, r*(n_pts-1)) block.  A
+    stable sort keeps each parameter's effects in (t, s) order; the
+    parameters moved equally often (all of them, in a :func:`morris_sample`
+    design) are gathered as one C-ordered (m, p, count) block, and each
+    statistic is one reduction along its contiguous last axis, which sums
+    every row in the order of a 1-D call.  So each output keeps the bits of
+    its own :func:`morris_indices` call.
+    """
+    r, n_pts, k = samples.shape
     du = np.diff(space.to_unit(samples), axis=1)  # (r, n_pts - 1, k)
     dim = np.argmax(np.abs(du), axis=2)
     step = np.take_along_axis(du, dim[..., None], axis=2)[..., 0]
     if np.any(step == 0.0):
         t, s = np.unravel_index(int(np.argmax(step == 0.0)), step.shape)
         raise EvaluationError(f"trajectory {t} step {s} moved no parameter")
+    counts = np.bincount(dim.ravel(), minlength=k)
+    if not counts.all():
+        missing = space.names[int(np.argmin(counts))]
+        raise EvaluationError(f"no elementary effects for {missing}")
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(dim.ravel(), kind="stable")
+    y = np.moveaxis(outputs, 2, 0)  # (m, r, n_pts)
+    m = y.shape[0]
+    mu_star = np.empty((m, k))
+    sigma = np.zeros((m, k))
     # finite outputs far apart may give infinite effects and statistics; the
     # caller refuses them (the CLI when it writes them)
     with np.errstate(over="ignore", invalid="ignore"):
-        effects = ((outputs[:, 1:] - outputs[:, :-1]) / step).ravel()
-        # a stable sort keeps each parameter's effects in (t, s) order
-        effects = np.split(effects[np.argsort(dim.ravel(), kind="stable")],
-                           np.cumsum(np.bincount(dim.ravel(), minlength=k))[:-1])
-        mu_star = np.empty(k)
-        sigma = np.empty(k)
-        for i, ee in enumerate(effects):
-            if len(ee) == 0:
-                raise EvaluationError(f"no elementary effects for {space.names[i]}")
-            mu_star[i] = np.mean(np.abs(ee))
-            sigma[i] = np.std(ee, ddof=1) if len(ee) > 1 else 0.0
-    return MorrisResult(space.names, mu_star, sigma, r)
+        effects = ((y[:, :, 1:] - y[:, :, :-1]) / step).reshape(m, -1)
+        for count in sorted(set(counts.tolist())):  # one, in morris_sample's designs
+            cols = np.flatnonzero(counts == count)
+            # (m, len(cols), count), C-ordered: one contiguous row per table cell
+            ee = effects.take(order[starts[cols, None] + np.arange(count)], axis=1)
+            mu_star[:, cols] = np.mean(np.abs(ee), axis=2)
+            if count > 1:
+                sigma[:, cols] = np.std(ee, ddof=1, axis=2)
+    return [MorrisResult(space.names, mu_star[j], sigma[j], r) for j in range(m)]
 
 
 @dataclass
@@ -512,15 +540,13 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     evals = _evaluate(space, points, exog, coeffs, policy, init)
     del points  # Sobol's is a copy of the design: free it before the bootstrap
     if method == "morris":
-        evals = evals.reshape(morris_r, len(space) + 1, 3)
-        results = {name: morris_indices(space, samples, evals[:, :, j])
-                   for j, name in enumerate(OUTPUT_NAMES)}
-        matrix = np.column_stack([results[name].mu_star for name in OUTPUT_NAMES])
+        results = _morris_tables(space, samples,
+                                 evals.reshape(morris_r, len(space) + 1, 3))
+        matrix = np.column_stack([res.mu_star for res in results])
     else:
-        results = dict(zip(OUTPUT_NAMES,
-                           _sobol_tables(design, evals, n_boot, seed)))
-        matrix = np.column_stack([results[name].st for name in OUTPUT_NAMES])
-    tables = {name: results[name] for name in wanted}
+        results = _sobol_tables(design, evals, n_boot, seed)
+        matrix = np.column_stack([res.st for res in results])
+    tables = {name: res for name, res in zip(OUTPUT_NAMES, results) if name in wanted}
     return AnalysisReport(method=method, space=space, tables=tables, matrix=matrix)
 
 

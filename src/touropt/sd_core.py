@@ -275,19 +275,24 @@ class ExogenousSeries:
                 raise DataError(f"series {name} length {arr.shape} != years {years.shape}")
 
     def validate(self) -> None:
+        """Raise a DataError for the first fault: no years, years that are
+        not consecutive, then a series with a non-finite or a negative value
+        (the earlier field in ``SERIES_FIELDS`` order, and non-finite first
+        within one), then ``unemployment`` or ``S_sat_base`` above 1.  The
+        series are checked as one stacked block."""
         if len(self.years) == 0:
             raise DataError("empty series")
         if len(self.years) > 1 and not np.all(np.diff(self.years) == 1):
             raise DataError("years must increase by exactly 1")
-        for name in SERIES_FIELDS:
-            arr = getattr(self, name)
-            if np.any(~np.isfinite(arr)):
-                raise DataError(f"series {name} contains non-finite values")
-            if np.any(arr < 0):
-                raise DataError(f"series {name} contains negative values")
+        block = np.stack([getattr(self, name) for name in SERIES_FIELDS])
+        finite = np.isfinite(block).all(axis=1)
+        bad = ~finite | (block < 0).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "negative" if finite[i] else "non-finite"
+            raise DataError(f"series {SERIES_FIELDS[i]} contains {what} values")
         for name in ("unemployment", "S_sat_base"):
-            arr = getattr(self, name)
-            if np.any(arr > 1.0):
+            if np.any(block[SERIES_FIELDS.index(name)] > 1.0):
                 raise DataError(f"series {name} must lie in [0, 1]")
 
     def __len__(self) -> int:

@@ -7,11 +7,13 @@ from dataclasses import replace
 import numpy as np
 
 from touropt import moea
+from touropt.dataio import _NOISE_REL
 from touropt.errors import ConfigError, DataError, EvaluationError
 from touropt.flow import SCHEDULE_FIELDS, FlowResult, SiteState
 from touropt.sd_core import (
     COEFF_FIELDS,
     POLICY_FIELDS,
+    SERIES_FIELDS,
     ExogenousSeries,
     ModelCoefficients,
     PolicyVector,
@@ -587,6 +589,43 @@ def morris_reference(space, exog, coeffs, policy, init, r, levels=4, seed=0):
             evals[t, s] = objs
     return samples, evals, [morris_indices_loop(space, samples, evals[:, :, j])
                             for j in range(3)]
+
+
+def synth_dataset_loop(preset, seed):
+    """Reference synthetic series: one curve, one size-n noise draw and
+    one clip per series, in ``SERIES_FIELDS`` order."""
+    rng = np.random.default_rng(seed)
+    y0, y1 = preset.years
+    years = np.arange(y0, y1 + 1)
+    n = len(years)
+    data = {}
+    for name in SERIES_FIELDS:
+        start, end, kind = preset.synth[name]
+        u = np.linspace(0.0, 1.0, n)
+        if kind == "s":
+            u = u * u * (3.0 - 2.0 * u)
+        base = start + (end - start) * u
+        noise = 1.0 + _NOISE_REL * rng.uniform(-1.0, 1.0, size=n)
+        noise[0] = noise[-1] = 1.0
+        vals = base * noise
+        if name in preset.envelope:
+            lo, hi = preset.envelope[name]
+            vals = np.clip(vals, lo, hi)
+        data[name] = vals
+    series = ExogenousSeries(years=years, **data)
+    series.validate()
+    return series
+
+
+def validate_ranges_loop(series, envelope):
+    """Reference envelope check: one comparison per value."""
+    warnings = []
+    for name, (lo, hi) in envelope.items():
+        for i, v in enumerate(getattr(series, name)):
+            if v < lo or v > hi:
+                warnings.append(
+                    f"{name}[{int(series.years[i])}] = {v:g} outside [{lo:g}, {hi:g}]")
+    return warnings
 
 
 def _flow_potential(total, price_avg, env_avg, p):

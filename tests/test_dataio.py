@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from helpers import flat_exog, synth_dataset_loop, validate_ranges_loop
 from touropt.errors import ConfigError, DataError
 from touropt.dataio import (
     get_preset,
@@ -139,12 +142,23 @@ class TestValidateRanges:
         assert warnings == []
 
     def test_literal_plausible_values(self, juneau):
-        from helpers import flat_exog
         series = flat_exog(G_retreat=300.0, CO2_emission=90000.0)
         env = {"G_retreat": juneau.envelope["G_retreat"],
                "CO2_emission": juneau.envelope["CO2_emission"]}
         assert validate_ranges(series, env) == []
         assert validate_ranges(flat_exog(G_retreat=1000.0), env) != []
+
+    def test_equals_per_value_loop(self, juneau):
+        # values above, below and inside the envelope, and NaNs, which warn nothing
+        series = flat_exog(n=6, G_retreat=[100.0, np.nan, 300.0, 400.0, 350.0, 219.9],
+                           CO2_emission=[np.nan, 1e6, 0.0, 9e4, np.nan, 76999.0],
+                           S_sat_base=[0.5, 0.2, 0.6, np.nan, 0.25, 0.55])
+        got = validate_ranges(series, juneau.envelope)
+        assert got == validate_ranges_loop(series, juneau.envelope)
+        assert got[:2] == ["G_retreat[2008] = 100 outside [220, 350]",
+                           "G_retreat[2011] = 400 outside [220, 350]"]
+        assert len(got) == 8
+        assert validate_ranges(flat_exog(G_retreat=np.nan), {"G_retreat": (0, 1)}) == []
 
     def test_never_mutates(self, juneau, juneau_exog):
         before = juneau_exog.G_retreat.copy()
@@ -176,6 +190,17 @@ class TestSynthDataset:
             for seed in range(5):
                 s = synth_dataset(preset, seed=seed)
                 assert validate_ranges(s, preset.envelope) == []
+
+    def test_block_equals_per_series_loop(self, juneau, iceland):
+        # a preset copy whose envelope lacks a series leaves that row unclipped
+        partial = replace(juneau, envelope={name: bounds for name, bounds
+                                            in juneau.envelope.items() if name != "V_base"})
+        for preset in (juneau, iceland, partial):
+            for seed in range(21):
+                got, want = synth_dataset(preset, seed), synth_dataset_loop(preset, seed)
+                assert got.years.tobytes() == want.years.tobytes()
+                for f in SERIES_FIELDS:
+                    assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), (f, seed)
 
     def test_horizon_2008_2024(self, juneau):
         s = synth_dataset(juneau, seed=0)

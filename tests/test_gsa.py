@@ -9,6 +9,7 @@ from touropt import gsa
 from touropt.errors import ConfigError, EvaluationError
 from touropt.gsa import (
     ParameterSpace,
+    _morris_tables,
     _sobol_tables,
     analyze_model,
     full_space,
@@ -169,10 +170,12 @@ class TestMorrisReference:
             assert np.array_equal(_bits(got), _bits(morris_sample_loop(space, r, 2, seed)))
 
     def test_random_irregular_trajectories(self):
-        # steps that move one, several or no parameter, of any size and sign
+        # steps that move one, several or no parameter, of any size and sign,
+        # so parameters are moved unequally often or not at all
         rng = np.random.default_rng(17)
         space = ParameterSpace.from_dict({"a": (-2.0, 3.0), "b": (0.0, 1e6),
                                           "c": (5.0, 6.0), "d": (0.0, 1.0)})
+        raised = set()
         for _ in range(200):
             r, n_pts = int(rng.integers(1, 6)), int(rng.integers(1, 10))
             unit = np.empty((r, n_pts, 4))
@@ -183,17 +186,25 @@ class TestMorrisReference:
                 step = rng.choice([-0.5, 0.25, 0.5, 2.0 / 3.0], size=(r, 4))
                 unit[:, s] = unit[:, s - 1] + np.where(moved, step, 0.0)
             samples = space.from_unit(unit)
-            outputs = 10.0 ** rng.uniform(-3.0, 9.0, size=(r, n_pts))
+            # three outputs a point: each column alone, and all in one pass
+            outputs = 10.0 ** rng.uniform(-3.0, 9.0, size=(r, n_pts, 3))
             try:
-                want = morris_indices_loop(space, samples, outputs)
+                want = [morris_indices_loop(space, samples, outputs[:, :, j])
+                        for j in range(3)]
             except EvaluationError as e:
-                with pytest.raises(EvaluationError) as got:
-                    morris_indices(space, samples, outputs)
-                assert str(got.value) == str(e)
+                with pytest.raises(EvaluationError) as one:
+                    morris_indices(space, samples, outputs[:, :, 0])
+                with pytest.raises(EvaluationError) as three:
+                    _morris_tables(space, samples, outputs)
+                assert str(one.value) == str(three.value) == str(e)
+                raised.add(str(e).split()[0])
                 continue
-            res = morris_indices(space, samples, outputs)
-            assert np.array_equal(_bits(res.mu_star), _bits(want[0]))
-            assert np.array_equal(_bits(res.sigma), _bits(want[1]))
+            tables = _morris_tables(space, samples, outputs)
+            for j, (mu_star, sigma) in enumerate(want):
+                for res in (tables[j], morris_indices(space, samples, outputs[:, :, j])):
+                    assert np.array_equal(_bits(res.mu_star), _bits(mu_star))
+                    assert np.array_equal(_bits(res.sigma), _bits(sigma))
+        assert raised == {"trajectory", "no"}  # both messages were compared
 
     @staticmethod
     def _unit_walks(*moves):
@@ -492,6 +503,25 @@ class TestAnalyzeModel:
             for a, b in ((got.s1, want.s1), (got.st, want.st), (got.st_ci, want.st_ci)):
                 assert np.array_equal(_bits(a), _bits(b))
             assert np.array_equal(_bits(report.matrix[:, j]), _bits(want.st))
+
+    def test_morris_tables_equal_per_output_calls(self, juneau, juneau_exog,
+                                                  juneau_init):
+        space = full_space(juneau.bounds, juneau.coefficients)
+        args = (juneau_exog, juneau.coefficients, juneau.reference_policy, juneau_init)
+        report = analyze_model(space, *args, method="morris", morris_r=20, seed=4)
+        samples = morris_sample(space, 20, seed=4)
+        evals = simulate_batch(juneau.reference_policy, juneau_exog,
+                               juneau.coefficients, juneau_init,
+                               dict(zip(space.names, samples.reshape(-1, len(space)).T)))
+        evals = evals.reshape(20, len(space) + 1, 3)
+        tables = _morris_tables(space, samples, evals)
+        assert list(report.tables) == ["f1", "f2", "f3"]
+        for j, name in enumerate(("f1", "f2", "f3")):
+            want = morris_indices(space, samples, evals[:, :, j])
+            for got in (tables[j], report.tables[name]):
+                assert np.array_equal(_bits(got.mu_star), _bits(want.mu_star))
+                assert np.array_equal(_bits(got.sigma), _bits(want.sigma))
+            assert np.array_equal(_bits(report.matrix[:, j]), _bits(want.mu_star))
 
     def test_matrix_shape_contract(self, juneau, juneau_exog, juneau_init):
         space = ParameterSpace.from_dict(

@@ -374,6 +374,38 @@ class TestValidation:
         with pytest.raises(DataError):
             _replace(bad_years, years=_np.array([2008, 2010, 2011, 2012, 2013])).validate()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"G_retreat": [250.0, np.nan, -1.0, 250.0, 250.0]},
+         "series G_retreat contains non-finite values"),
+        ({"G_retreat": [250.0, -1.0, np.nan, 250.0, 250.0]},
+         "series G_retreat contains non-finite values"),
+        ({"CO2_emission": -1.0, "R_gov_base": np.inf},
+         "series R_gov_base contains non-finite values"),
+        ({"population": np.nan, "EXP_gov_base": -5.0},
+         "series EXP_gov_base contains negative values"),
+        ({"S_sat_base": -0.1, "unemployment": 1.5},
+         "series S_sat_base contains negative values"),
+        ({"unemployment": 1.5, "S_sat_base": 2.0},
+         r"series unemployment must lie in \[0, 1\]"),
+        ({"S_sat_base": [0.5, 0.5, 0.5, 0.5, 1.0 + 1e-12]},
+         r"series S_sat_base must lie in \[0, 1\]"),
+    ], ids=["nan_then_negative", "negative_then_nan", "two_fields_non_finite_first",
+            "two_fields_negative_first", "negative_before_range", "both_above_one",
+            "satisfaction_above_one"])
+    def test_series_validation_names_the_first_fault(self, overrides, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            flat_exog(**overrides).validate()
+
+    @pytest.mark.parametrize("years, message", [
+        ([], "empty series"),
+        ([2008, 2010, 2011], "years must increase by exactly 1"),
+        ([2010, 2009, 2008], "years must increase by exactly 1"),
+    ])
+    def test_series_years_validation(self, years, message):
+        series = flat_exog(n=len(years), start_year=0)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            replace(series, years=np.array(years, dtype=int)).validate()
+
     def test_mismatched_series_length_rejected(self):
         import numpy as _np
         with pytest.raises(DataError):
