@@ -40,6 +40,7 @@ from .sd_core import (
     simulate_batch,
 )
 from .moea import EAConfig, evolve
+from . import gsa
 from .gsa import (
     OUTPUT_NAMES,
     MorrisResult,
@@ -89,9 +90,10 @@ def _load_config(path) -> dict:
 def _effective_config(args, command: str):
     """The config of one command as given (the keys it reads from its file
     sections, the flags over them, and ``out``), which ``_write`` hashes,
-    and its options: per ``_KEYS`` key of the command, the given value
-    parsed, else the default.  The command's section may hold only the keys
-    that command reads, and ``common`` only keys some command reads."""
+    and its options: each ``_KEYS`` key of the command, given or default,
+    parsed in table order, so before the command reads any file.  The
+    command's section may hold only the keys that command reads, and
+    ``common`` only keys some command reads."""
     raw = _load_config(args.config)
     cfg = {}
     for section in ("common", command):
@@ -113,7 +115,7 @@ def _effective_config(args, command: str):
         if command in commands:
             value = cfg.get(key, default)
             # a given null goes to the parser, which refuses it
-            opts[key] = parse(key, value) if parse and (key in cfg or value is not None) else value
+            opts[key] = parse(key, value, opts) if key in cfg or value is not None else value
     cfg.setdefault("out", opts["out"])
     return cfg, opts
 
@@ -191,20 +193,14 @@ def _write(cfg: dict, command: str, files: dict) -> Path:
 
 
 def _resolve_base(opts: dict):
-    """Preset + series + coefficients + initial state from the options.
-
-    The series are the ``dataset`` file's when one is given, else the
-    preset's synthetic ones.  The coefficients are the preset's, with
-    ``coefficients`` over them, so a dataset needs a preset too.
-    """
+    """The series and initial state: the ``dataset`` file's series when one
+    is given, else the preset's synthetic ones."""
     preset = get_preset(opts["preset"])
     if opts["dataset"] is not None:
         exog = read_series(opts["dataset"], opts["column_map"], opts["column_defaults"])
     else:
         exog = synth_dataset(preset, opts["seed"])
-    coeffs = _decode("coefficients", ModelCoefficients, opts["coefficients"],
-                     preset.coefficients)
-    return preset, exog, coeffs, initial_state(preset, exog, opts["seed"])
+    return exog, initial_state(preset, exog, opts["seed"])
 
 
 def _number(key: str, value) -> float:
@@ -212,14 +208,14 @@ def _number(key: str, value) -> float:
     Booleans are refused: ``float(True)`` would read JSON ``true`` as 1."""
     try:
         x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past floats
         x = math.nan
     if not math.isfinite(x):
         raise ConfigError(f"{key} must be a finite number, not {value!r}")
     return x
 
 
-def _integer(key: str, value) -> int:
+def _integer(key: str, value, opts=None) -> int:
     """``value`` as an integer of magnitude at most ``sys.maxsize``, else a
     ConfigError naming ``key``.  A non-bool int is kept exact, not rounded
     through a float."""
@@ -235,7 +231,7 @@ def _integer(key: str, value) -> int:
     return x
 
 
-def _string(key: str, value) -> str:
+def _string(key: str, value, opts=None) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, not {value!r}")
     return value
@@ -285,19 +281,19 @@ def _decode(key: str, cls, values, base=None, fixed=()):
     return obj
 
 
-def _seed(key: str, value) -> int:
+def _seed(key: str, value, opts) -> int:
     if (seed := _integer(key, value)) < 0:
         raise ConfigError(f"{key} must be a non-negative integer, not {value!r}")
     return seed
 
 
-def _positive(key: str, value) -> float:
+def _positive(key: str, value, opts) -> float:
     if (x := _number(key, value)) <= 0:
         raise ConfigError(f"{key} must be > 0, not {value!r}")
     return x
 
 
-def _column_map(key: str, value) -> dict:
+def _column_map(key: str, value, opts) -> dict:
     """CSV header -> ``year`` or a series name."""
     for header, name in _object(key, value).items():
         if name != "year" and name not in SERIES_FIELDS:
@@ -306,7 +302,7 @@ def _column_map(key: str, value) -> dict:
     return value
 
 
-def _column_defaults(key: str, value) -> dict:
+def _column_defaults(key: str, value, opts) -> dict:
     """Series name -> the constant of a series the dataset lacks."""
     _refuse_unknown(key, _object(key, value), SERIES_FIELDS)
     return {k: _number(f"{key}.{k}", v) for k, v in value.items()}
@@ -326,15 +322,15 @@ def _entries(key: str, cls, value) -> list:
     return entries
 
 
-def _scenarios(key: str, value) -> list:
+def _scenarios(key: str, value, opts) -> list:
     return list(DEFAULT_SCENARIOS) if value == "default" else _entries(key, AllocationPolicy, value)
 
 
-def _sites(key: str, value) -> list:
+def _sites(key: str, value, opts) -> list:
     return iceland_sites() if value == "iceland7" else _entries(key, SiteState, value)
 
 
-def _years(key: str, value) -> list:
+def _years(key: str, value, opts) -> list:
     """``[first, last]`` as the list of years from first to last."""
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{key} must be [first, last], not {value!r}")
@@ -348,10 +344,75 @@ def _years(key: str, value) -> list:
         raise MemoryError(f"{key} {value!r} spans too many years to hold") from None
 
 
+def _checked(check, parse=lambda key, value: value):
+    """``parse``, then gsa's ``check(value, key)``, which analyze_model runs too."""
+    def parser(key: str, value, opts):
+        check(value := parse(key, value), key)
+        return value
+    return parser
+
+
+def _over_preset(cls, attr: str):
+    """The parser of a ``cls`` object whose fields override the preset's ``attr``."""
+    return lambda key, value, opts: _decode(key, cls, value,
+                                            getattr(get_preset(opts["preset"]), attr))
+
+
+def _ea(key: str, value, opts) -> EAConfig:
+    """``ea`` over the preset's population size and generations, seeded by ``seed``."""
+    preset = get_preset(opts["preset"])
+    base = EAConfig(population_size=preset.ea_population,
+                    generations=preset.ea_generations, seed=opts["seed"])
+    return _decode(key, EAConfig, value, base, fixed=("seed",))
+
+
+def _space(key: str, choice, opts) -> ParameterSpace:
+    """The sensitivity space.  A name must be a policy lever or coefficient,
+    and each end of its range is checked as a ``policy`` or ``coefficients``
+    value is."""
+    preset, coeffs, policy = get_preset(opts["preset"]), opts["coefficients"], opts["policy"]
+    if isinstance(choice, dict):
+        gsa._check_parameters(choice, key)
+        bounds = {}
+        for k, v in choice.items():
+            if not (isinstance(v, list) and len(v) == 2):
+                raise ConfigError(f"{key}.{k} must be [low, high], not {v!r}")
+            bounds[k] = tuple(_number(f"{key}.{k}", x) for x in v)
+            if not bounds[k][0] < bounds[k][1]:
+                raise ConfigError(f"{key}.{k} must have low < high, not {v!r}")
+            model = coeffs if k in COEFF_FIELDS else policy  # each end must decode
+            for x in bounds[k]:
+                _decode(key, type(model), {k: x}, model)
+        return ParameterSpace.from_dict(bounds)
+    if choice == "full":
+        return full_space(preset.bounds, coeffs)
+    if choice == "policy":
+        return ParameterSpace.from_dict(
+            {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
+    if choice == "policy_uncertainty":
+        return uncertainty_space(policy, preset.bounds, rel=opts["uncertainty_rel"])
+    raise ConfigError(f"unknown {key} {choice!r}")
+
+
+def _schedule(key: str, choice, opts) -> dict:
+    """A preset schedule, or a map whose types and rules schedule_steps checks."""
+    sites, years = opts["sites"], opts["years"]
+    if choice == "redistribution":
+        return iceland_redistribution_schedule(sites, years)
+    if choice == "constant":
+        return constant_schedule(sites, years)
+    if not isinstance(choice, dict):
+        raise ConfigError(f"{key} must be 'redistribution', 'constant', or a map")
+    try:
+        schedule_steps(sites, choice, len(years) - 1)
+    except (DataError, ValueError) as e:
+        raise ConfigError(f"{key}.{e}") from None
+    return choice
+
+
 def cmd_simulate(opts: dict):
-    preset, exog, coeffs, init = _resolve_base(opts)
-    policy = _decode("policy", PolicyVector, opts["policy"], preset.reference_policy)
-    traj, objs = simulate(policy, exog, coeffs, init)
+    exog, init = _resolve_base(opts)
+    traj, objs = simulate(opts["policy"], exog, opts["coefficients"], init)
     diag = ("r_tourism", "r_gov_total", "exp_env", "exp_gov_total", "r_net", "f_price",
             "f_glacier", "f_attraction")
     flows = [getattr(traj, d) for d in diag]  # the transition into each year after the first
@@ -367,17 +428,15 @@ def cmd_simulate(opts: dict):
 
 
 def cmd_optimize(opts: dict):
-    preset, exog, coeffs, init = _resolve_base(opts)
-    base = EAConfig(population_size=preset.ea_population,
-                    generations=preset.ea_generations, seed=opts["seed"])
-    config = _decode("ea", EAConfig, opts["ea"], base, fixed=("seed",))
+    exog, init = _resolve_base(opts)
+    bounds, coeffs, config = get_preset(opts["preset"]).bounds, opts["coefficients"], opts["ea"]
 
     def problem(genomes):
         return simulate_batch(PolicyVector(), exog, coeffs, init,
                               dict(zip(POLICY_FIELDS, genomes.T)))
 
     try:
-        result = evolve(problem, preset.bounds.lows(), preset.bounds.highs(), config)
+        result = evolve(problem, bounds.lows(), bounds.highs(), config)
     except MemoryError as e:  # a ValueError may be the model's own
         # evolve names population_size where it allocates the population
         named = str(e).startswith("population_size")
@@ -399,41 +458,11 @@ def cmd_optimize(opts: dict):
         f"stopped by {result.stop_reason}")
 
 
-def _resolve_space(opts: dict, preset, coeffs, policy) -> ParameterSpace:
-    """The sensitivity space.  Bounds given by name must lie in the model's
-    domain: each end of a policy lever's or a coefficient's range is checked
-    as a ``policy`` or ``coefficients`` value is."""
-    choice = opts["space"]
-    if isinstance(choice, dict):
-        bounds = {}
-        for k, v in choice.items():
-            if not (isinstance(v, list) and len(v) == 2):
-                raise ConfigError(f"space.{k} must be [low, high], not {v!r}")
-            bounds[k] = tuple(_number(f"space.{k}", x) for x in v)
-            if not bounds[k][0] < bounds[k][1]:
-                raise ConfigError(f"space.{k} must have low < high, not {v!r}")
-            if k in COEFF_FIELDS or k in POLICY_FIELDS:  # each end must decode
-                model = coeffs if k in COEFF_FIELDS else policy
-                for x in bounds[k]:
-                    _decode("space", type(model), {k: x}, model)
-        # a name that is neither field is rejected by analyze_model before sampling
-        return ParameterSpace.from_dict(bounds)
-    if choice == "full":
-        return full_space(preset.bounds, coeffs)
-    if choice == "policy":
-        return ParameterSpace.from_dict(
-            {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
-    if choice == "policy_uncertainty":
-        return uncertainty_space(policy, preset.bounds, rel=opts["uncertainty_rel"])
-    raise ConfigError(f"unknown space {choice!r}")
-
-
 def cmd_sensitivity(opts: dict):
-    preset, exog, coeffs, init = _resolve_base(opts)
-    policy = _decode("policy", PolicyVector, opts["policy"], preset.reference_policy)
-    space = _resolve_space(opts, preset, coeffs, policy)
+    exog, init = _resolve_base(opts)
     report = analyze_model(
-        space, exog, coeffs, policy, init, method=opts["method"], output=opts["output"],
+        opts["space"], exog, opts["coefficients"], opts["policy"], init,
+        method=opts["method"], output=opts["output"],
         morris_r=opts["morris_r"], morris_levels=opts["morris_levels"],
         sobol_n=opts["sobol_n"], n_boot=opts["bootstrap"], seed=opts["seed"])
     files = {}
@@ -452,15 +481,14 @@ def cmd_sensitivity(opts: dict):
         "outputs": list(OUTPUT_NAMES),
         "rows": report.matrix_records(),
     }
-    return files, f"{report.method} over {len(space)} parameters"
+    return files, f"{report.method} over {len(report.space)} parameters"
 
 
 def cmd_scenario(opts: dict):
-    preset, exog, coeffs, init = _resolve_base(opts)
-    policy = _decode("policy", PolicyVector, opts["policy"], preset.reference_policy)
+    exog, init = _resolve_base(opts)
     allocs = opts["scenarios"]
-    comparison = compare_scenarios(allocs, policy, exog, coeffs, init,
-                                   preset.feedback)
+    comparison = compare_scenarios(allocs, opts["policy"], exog, opts["coefficients"], init,
+                                   get_preset(opts["preset"]).feedback)
     return {
         "scenario_timeseries.csv": (
             ["scenario", "year", "variable", "value"],
@@ -469,36 +497,9 @@ def cmd_scenario(opts: dict):
     }, f"compared {len(allocs)} scenarios"
 
 
-def _resolve_schedule(opts: dict) -> dict:
-    """A preset schedule, or a map whose rules flow.schedule_steps checks."""
-    choice, sites, years = opts["schedule"], opts["sites"], opts["years"]
-    if choice == "redistribution":
-        return iceland_redistribution_schedule(sites, years)
-    if choice == "constant":
-        return constant_schedule(sites, years)
-    if not isinstance(choice, dict):
-        raise ConfigError("schedule must be 'redistribution', 'constant', or a map")
-    schedule = {}
-    for site, entry in choice.items():
-        if not isinstance(entry, dict):
-            raise ConfigError(f"schedule.{site} must be an object of per-year "
-                              f"lists, not {entry!r}")
-        schedule[site] = {}
-        for fld, seq in entry.items():
-            key = f"schedule.{site}.{fld}"
-            if not isinstance(seq, list):
-                raise ConfigError(f"{key} must be a list of numbers, not {seq!r}")
-            schedule[site][fld] = [_number(key, v) for v in seq]
-    try:
-        schedule_steps(sites, schedule, len(years) - 1)
-    except (DataError, ValueError) as e:
-        raise ConfigError(f"schedule.{e}") from None
-    return schedule
-
-
 def cmd_redistribute(opts: dict):
     sites, years = opts["sites"], opts["years"]
-    result = redistribute(sites, opts["island_params"], _resolve_schedule(opts), years)
+    result = redistribute(sites, opts["island_params"], opts["schedule"], years)
     share_total = result.visitors.sum(axis=0)
     share_total[share_total == 0] = math.inf  # no visitors that year: every share is 0
     columns = [a.tolist() for a in (result.visitors, result.env, result.sat,
@@ -537,11 +538,11 @@ COMMANDS = {
 }
 _DATA_COMMANDS = ("simulate", "optimize", "sensitivity", "scenario")  # call _resolve_base
 
-# Every config key, in the order it is parsed: its default, its parser
-# (None: the command decodes it, with the preset, other keys or the
-# library's own checks) and the commands whose section may hold it.  A
-# given value goes through the parser, null included; a None default
-# stays None.
+# Every config key, in the order it is parsed: its default, its parser and
+# the commands whose section may hold it.  A parser is called as
+# ``parse(key, value, opts)``, where ``opts`` holds the keys parsed before
+# it, so a key may be parsed over the preset or an earlier key.  A given
+# value goes through the parser, null included; a None default stays None.
 _KEYS = {
     "preset": (None, _string, tuple(COMMANDS)),
     "seed": (0, _seed, tuple(COMMANDS)),
@@ -549,23 +550,24 @@ _KEYS = {
     "dataset": (None, _string, _DATA_COMMANDS),
     "column_map": ({}, _column_map, _DATA_COMMANDS),
     "column_defaults": ({}, _column_defaults, _DATA_COMMANDS),
-    "coefficients": ({}, None, _DATA_COMMANDS),
-    "policy": ({}, None, ("simulate", "sensitivity", "scenario")),
-    "ea": ({}, None, ("optimize",)),
-    "space": ("full", None, ("sensitivity",)),
+    "coefficients": ({}, _over_preset(ModelCoefficients, "coefficients"), _DATA_COMMANDS),
+    "policy": ({}, _over_preset(PolicyVector, "reference_policy"),
+               ("simulate", "sensitivity", "scenario")),
+    "ea": ({}, _ea, ("optimize",)),
     "uncertainty_rel": (0.2, _positive, ("sensitivity",)),
-    "method": ("morris", None, ("sensitivity",)),
-    "output": ("all", None, ("sensitivity",)),
-    "morris_r": (20, _integer, ("sensitivity",)),
-    "morris_levels": (4, _integer, ("sensitivity",)),
-    "sobol_n": (512, _integer, ("sensitivity",)),
-    "bootstrap": (200, _integer, ("sensitivity",)),
+    "space": ("full", _space, ("sensitivity",)),
+    "method": ("morris", _checked(gsa._check_method), ("sensitivity",)),
+    "output": ("all", _checked(gsa._check_output), ("sensitivity",)),
+    "morris_r": (20, _checked(gsa._check_morris_r, _integer), ("sensitivity",)),
+    "morris_levels": (4, _checked(gsa._check_morris_levels, _integer), ("sensitivity",)),
+    "sobol_n": (512, _checked(gsa._check_sobol_n, _integer), ("sensitivity",)),
+    "bootstrap": (200, _checked(gsa._check_n_boot, _integer), ("sensitivity",)),
     "scenarios": ("default", _scenarios, ("scenario",)),
     "sites": ("iceland7", _sites, ("redistribute",)),
     "years": ([2024, 2033], _years, ("redistribute",)),
-    "island_params": ({}, lambda key, value: _decode(key, IslandParams, value),
+    "island_params": ({}, lambda key, value, opts: _decode(key, IslandParams, value),
                       ("redistribute",)),
-    "schedule": ("redistribution", None, ("redistribute",)),
+    "schedule": ("redistribution", _schedule, ("redistribute",)),
 }
 
 

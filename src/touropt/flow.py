@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -134,25 +135,33 @@ class FlowResult:
 def schedule_steps(sites, schedule: dict, steps: int) -> list:
     """Per year step, one tuple of site values per ``SCHEDULE_FIELDS``
     field: the schedule's entry at that step, else the site's own value.
-    It holds the schedule's rules (listed under ``redistribute``); each
-    message starts with the ``<site>.<field>`` it names."""
+    It owns the schedule's types and rules: a site's entry is a map, and a
+    field's a list, tuple or array of finite numbers (every one, also past
+    ``steps``; no strings or booleans), at least ``steps`` long, with
+    marketing >= 0 where used.  Each message starts with the ``<site>`` or
+    ``<site>.<field>`` it names."""
     names = [s.name for s in sites]
     scheduled = {}  # (site, field) -> the values of the year steps
     for name, entry in (schedule or {}).items():
         if name not in names:
             raise DataError(f"{name} names no site")
-        for fld, seq in (entry or {}).items():
+        if not isinstance(entry, dict):
+            raise DataError(f"{name} must be a map of per-year lists, not {entry!r}")
+        for fld, seq in entry.items():
             if fld not in SCHEDULE_FIELDS:
                 raise DataError(f"{name}.{fld} is not one of {SCHEDULE_FIELDS}")
-            if len(seq) < steps:
-                raise DataError(f"{name}.{fld} too short (need index {len(seq)})")
-            try:
-                values = scheduled[name, fld] = [float(v) for v in seq[:steps]]
-            except ValueError:  # a string that reads as no number
-                values = [math.nan]
-            # the sum screens them; it may also overflow, so check each on a hit
-            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-                raise ValueError(f"{name}.{fld} must hold finite numbers")
+            try:  # float() would also read a numeric string and a boolean
+                kinds, values = set(map(type, seq)) - {float, int}, list(map(float, seq))
+            except (TypeError, ValueError, OverflowError):  # OverflowError: an int past floats
+                kinds = {object}  # no sequence of numbers
+            # the sum screens the values; it may also overflow, so check each on a hit
+            if (not isinstance(seq, (list, tuple, np.ndarray))
+                    or (kinds and not all(issubclass(k, Real) and k is not bool for k in kinds))
+                    or (not math.isfinite(sum(values)) and not all(map(math.isfinite, values)))):
+                raise ValueError(f"{name}.{fld} must be a list of finite numbers")
+            if len(values) < steps:
+                raise DataError(f"{name}.{fld} too short (need index {len(values)})")
+            values = scheduled[name, fld] = values[:steps]
             if fld == "marketing" and any(v < 0 for v in values):
                 raise ValueError(f"{name}.{fld} must be >= 0")
     columns = [list(zip(*[scheduled.get((s.name, fld)) or [getattr(s, fld)] * steps
@@ -166,11 +175,10 @@ def redistribute(sites, params: IslandParams, schedule: dict, years) -> FlowResu
     ``schedule`` maps site name -> {field -> per-year sequence} for any of
     ``SCHEDULE_FIELDS``; a missing field keeps the site's initial value.
     The transition into year t+1 uses the schedule entry at the index of
-    year t.  Every input check runs before the first year step.  The
-    schedule's rules (:func:`schedule_steps`) raise "schedule for " and
-    "<site> names no site", "<site>.<field> is not one of ..." or "... too
-    short (need index i)" (DataError), "<site>.<field> must hold finite
-    numbers" or "<site>.marketing must be >= 0" (ValueError).
+    year t.  Every input check runs before the first year step; the
+    schedule's are :func:`schedule_steps`'s, raised with "schedule for "
+    before the message.  An attractiveness exponent beyond +-500 is a
+    ValueError naming the site and year.
     """
     sites = list(sites)
     years = [int(y) for y in years]
@@ -204,7 +212,8 @@ def redistribute(sites, params: IslandParams, schedule: dict, years) -> FlowResu
             x = (p.a0 + p.a1 * env[i] + p.a2 * sat[i] + p.a3 * math.log1p(mk[i])
                  - p.a4 * pr[i])
             if abs(x) > 500.0:  # exp would overflow/underflow
-                raise ValueError(f"attractiveness exponent {x:.1f} out of range")
+                raise ValueError(f"attractiveness exponent {x:g} out of range for "
+                                 f"{sites[i].name} in {years[t]}")
             scores.append(math.exp(x))
         a = np.asarray(scores, dtype=float)
         w = a / a.sum()

@@ -143,7 +143,8 @@ def morris_sample(space: ParameterSpace, r: int, levels: int = 4,
     dimensions whose permutation rank is below p, each by one add.
     """
     space.validate()
-    _check_morris(r, levels)
+    _check_morris_r(r)
+    _check_morris_levels(levels)
     k = len(space)
     delta = levels / (2.0 * (levels - 1.0))
     step = 1.0 / (levels - 1.0)
@@ -268,12 +269,24 @@ def saltelli_sample(space: ParameterSpace, n: int, seed: int = 0) -> SaltelliDes
                           space.from_unit(unit[:, k:]))
 
 
-def _check_morris(r: int, levels: int, r_key: str = "r",
-                  levels_key: str = "levels") -> None:
-    if levels < 4 or levels % 2:
-        raise ConfigError(f"{levels_key} must be even and >= 4, not {levels!r}")
+def _check_method(method, key: str = "method") -> None:
+    if method not in ("morris", "sobol"):
+        raise ConfigError(f"unknown {key} {method!r}; use 'morris' or 'sobol'")
+
+
+def _check_output(output, key: str = "output") -> None:
+    if output not in OUTPUT_NAMES + ("all",):
+        raise ConfigError(f"{key} must be f1, f2, f3 or all, not {output!r}")
+
+
+def _check_morris_r(r: int, key: str = "r") -> None:
     if r < 1:
-        raise ConfigError(f"{r_key} must be at least one trajectory, not {r!r}")
+        raise ConfigError(f"{key} must be at least one trajectory, not {r!r}")
+
+
+def _check_morris_levels(levels: int, key: str = "levels") -> None:
+    if levels < 4 or levels % 2:
+        raise ConfigError(f"{key} must be even and >= 4, not {levels!r}")
 
 
 def _check_sobol_n(n: int, key: str = "n") -> None:
@@ -281,9 +294,9 @@ def _check_sobol_n(n: int, key: str = "n") -> None:
         raise ConfigError(f"{key} (base sample size) must be >= 2, not {n!r}")
 
 
-def _check_n_boot(n_boot: int) -> None:
+def _check_n_boot(n_boot: int, key: str = "bootstrap") -> None:
     if n_boot < 1:
-        raise ConfigError(f"bootstrap must be at least 1 resample, not {n_boot!r}")
+        raise ConfigError(f"{key} must be at least 1 resample, not {n_boot!r}")
 
 
 def _check_variance(var: np.ndarray) -> None:
@@ -465,9 +478,9 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
                 for j in range(m)]
 
 
-def _check_parameters(space: ParameterSpace) -> None:
-    """Every space name must be a policy or coefficient field."""
-    unknown = [n for n in space.names if n not in POLICY_FIELDS and n not in COEFF_FIELDS]
+def _check_parameters(names, key: str = "space") -> None:
+    """Every parameter name must be a policy or coefficient field."""
+    unknown = [f"{key}.{n}" for n in names if n not in POLICY_FIELDS and n not in COEFF_FIELDS]
     if unknown:
         raise ConfigError(f"unknown parameters {unknown}; not policy or coefficient fields")
 
@@ -480,7 +493,7 @@ def _evaluate(space: ParameterSpace, points: np.ndarray, exog: ExogenousSeries,
     evals = simulate_batch(policy, exog, coeffs, init, dict(zip(space.names, points.T)))
     nan_rows = np.isnan(evals).any(axis=1)
     if nan_rows.any():
-        row = points[int(np.argmax(nan_rows))]
+        row = points[int(np.argmax(nan_rows))].tolist()  # plain floats in the message
         raise EvaluationError(f"NaN objective at sample {dict(zip(space.names, row))}")
     return evals
 
@@ -514,18 +527,18 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     narrows which ranked tables are returned while the parameters-by-
     outputs matrix always covers f1..f3 (mu* for Morris, S_T for Sobol).
     ``method``, ``output``, every size (those of the other method too)
-    and the space's parameter names are checked before any sampling or
-    simulation.  A design or bootstrap too large to hold is a MemoryError
-    naming its size: ``morris_r``, ``sobol_n`` or ``bootstrap``.
+    and the space's parameter names are checked, as the CLI parses them,
+    before any sampling or simulation.  A design or bootstrap too large to
+    hold is a MemoryError naming its size: ``morris_r``, ``sobol_n`` or
+    ``bootstrap``.
     """
-    if method not in ("morris", "sobol"):
-        raise ConfigError(f"unknown method {method!r}; use 'morris' or 'sobol'")
-    if output not in OUTPUT_NAMES + ("all",):
-        raise ConfigError(f"output must be f1, f2, f3 or all, not {output!r}")
-    _check_morris(morris_r, morris_levels, "morris_r", "morris_levels")
+    _check_method(method)
+    _check_output(output)
+    _check_morris_r(morris_r, "morris_r")
+    _check_morris_levels(morris_levels, "morris_levels")
     _check_sobol_n(sobol_n, "sobol_n")
     _check_n_boot(n_boot)
-    _check_parameters(space)
+    _check_parameters(space.names)
     wanted = OUTPUT_NAMES if output == "all" else (output,)
     try:  # the design points, the largest arrays of the run
         if method == "morris":

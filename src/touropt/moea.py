@@ -752,7 +752,7 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
         if bad.any():
             i = int(np.argmax(bad))
             raise EvaluationError(f"bad objectives {tuple(objs[i].tolist())} "
-                                  f"for genome {genomes[i]}")
+                                  f"for genome {genomes[i].tolist()}")
         return objs
 
     try:  # a ValueError: numpy cannot even describe the shape

@@ -456,7 +456,7 @@ def evolve_reference(problem, lows, highs, config):
         if bad.any():
             i = int(np.argmax(bad))
             raise EvaluationError(f"bad objectives {tuple(objs[i].tolist())} "
-                                  f"for genome {genomes[i]}")
+                                  f"for genome {genomes[i].tolist()}")
         return [moea.Individual(g, tuple(o)) for g, o in zip(genomes, objs.tolist())]
 
     pop = evaluate([lows + (highs - lows) * rng.random(n_genes)
@@ -585,7 +585,7 @@ def morris_reference(space, exog, coeffs, policy, init, r, levels=4, seed=0):
             _, objs = simulate(p, exog, c, init)
             if any(math.isnan(v) for v in objs):
                 raise EvaluationError(
-                    f"NaN objective at sample {dict(zip(space.names, row))}")
+                    f"NaN objective at sample {dict(zip(space.names, row.tolist()))}")
             evals[t, s] = objs
     return samples, evals, [morris_indices_loop(space, samples, evals[:, :, j])
                             for j in range(3)]
@@ -635,13 +635,14 @@ def _flow_potential(total, price_avg, env_avg, p):
     return max(0.0, nxt)
 
 
-def _flow_attractiveness(site, p):
+def _flow_attractiveness(site, p, year):
     if site.marketing < 0:
         raise ValueError(f"schedule for {site.name}.marketing must be >= 0")
     exponent = (p.a0 + p.a1 * site.env_index + p.a2 * site.satisfaction
                 + p.a3 * math.log1p(site.marketing) - p.a4 * site.price)
     if abs(exponent) > 500.0:
-        raise ValueError(f"attractiveness exponent {exponent:.1f} out of range")
+        raise ValueError(f"attractiveness exponent {exponent:g} out of range for "
+                         f"{site.name} in {year}")
     return math.exp(exponent)
 
 
@@ -720,7 +721,7 @@ def redistribute_reference(sites, params, schedule, years):
         price_avg = sum(s.price for s in sites) / n_sites
         env_avg = sum(s.env_index for s in sites) / n_sites
         total = _flow_potential(total, price_avg, env_avg, params)
-        w = _flow_weights([_flow_attractiveness(s, params) for s in sites])
+        w = _flow_weights([_flow_attractiveness(s, params, years[t]) for s in sites])
         assigned = np.minimum(w * total, np.asarray([s.capacity for s in sites], dtype=float))
         for i, s in enumerate(sites):
             s.visitors = float(assigned[i])

@@ -478,12 +478,6 @@ class TestSensitivityCommand:
         _assert_config_error(tmp_path, capsys, "sensitivity",
                              {"sensitivity": {key: value}}, key)
 
-    def test_settings_are_parsed_before_the_dataset_is_read(self, tmp_path, capsys):
-        _assert_config_error(tmp_path, capsys, "sensitivity",
-                             {"sensitivity": {"morris_r": "x",
-                                              "dataset": str(tmp_path / "ghost.csv")}},
-                             "morris_r")
-
     @pytest.mark.parametrize("doc, key", [
         ({"morris_r": 0}, "morris_r"),
         ({"morris_levels": 3}, "morris_levels"),
@@ -770,6 +764,12 @@ class TestRedistributeCommand:
         ({"warp": [1.0]}, "schedule.Blue Lagoon.warp"),
         ({"price": [1.0] * 8}, "schedule.Blue Lagoon.price"),  # 10 years need 9
         ({"marketing": [1.0, -1.0] + [1.0] * 7}, "schedule.Blue Lagoon.marketing"),
+        ({"marketing": "222222222"}, "schedule.Blue Lagoon.marketing"),
+        ({"price": [True] * 9}, "schedule.Blue Lagoon.price"),
+        ({"co2": [1.0] * 9 + [None]}, "schedule.Blue Lagoon.co2"),  # past the years too
+        ({"co2": [10 ** 400] * 9}, "schedule.Blue Lagoon.co2"),
+        (None, "schedule.Blue Lagoon"),
+        ([1.0] * 9, "schedule.Blue Lagoon"),
         (3, "schedule.Blue Lagoon")])
     def test_malformed_schedule_is_config_error(self, tmp_path, capsys, entry, key):
         _assert_config_error(tmp_path, capsys, "redistribute",
@@ -1066,7 +1066,50 @@ class TestParser:
         assert "preset" in capsys.readouterr().err
 
 
+# one bad value of each key of the data commands
+_BAD_SETTINGS = {
+    "preset": "atlantis", "seed": -1, "out": 3, "dataset": 3,
+    "column_map": {"yr": "bar"}, "column_defaults": {"nosuch": 1.0},
+    "coefficients": {"delta": -1.0}, "policy": {"tax_rate": -1},
+    "ea": {"population_size": 3}, "uncertainty_rel": 0, "space": {"bogus": [0, 1]},
+    "method": "laplace", "output": "f4", "morris_r": 0, "morris_levels": 3,
+    "sobol_n": 1, "bootstrap": 0, "scenarios": [],
+}
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in ("simulate", "optimize", "sensitivity", "scenario")
+        for key, (_, _, commands) in cli._KEYS.items() if command in commands])
+    def test_settings_are_parsed_before_the_dataset_is_read(self, tmp_path, capsys,
+                                                            command, key):
+        # the section runs into its missing dataset (exit 3) unless one bad
+        # setting is named first (exit 2)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "x"
+        section = {"preset": "juneau", "seed": 0, "out": str(out),
+                   "dataset": str(tmp_path / "ghost.csv")}
+        for doc, code in ((section, 3), ({**section, key: _BAD_SETTINGS[key]}, 2)):
+            cfg.write_text(json.dumps({command: doc}))
+            assert main([command, "--config", str(cfg)]) == code
+            err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first, second", [
+        ({"morris_r": 0}, {"morris_levels": 3}),
+        ({"uncertainty_rel": 0}, {"space": {"bogus": [0, 1]}}),
+        ({"space": {"bogus": [0, 1]}}, {"method": "laplace"}),
+        ({"policy": {"tax_rate": -1}}, {"sobol_n": 1})])
+    def test_of_two_bad_settings_the_earlier_in_table_order_is_named(
+            self, tmp_path, capsys, first, second):
+        (key,), (later,) = first, second
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sensitivity": {**second, **first}}))
+        assert main(["sensitivity", "--preset", "juneau", "--seed", "0",
+                     "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and later not in err, err
+
     def test_non_string_preset_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"simulate": {"preset": ["x"]}}))
@@ -1154,7 +1197,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("field, value", [
         ("capacity_limit", -5), ("tax_rate", "x"), ("carbon_fee", None),
-        ("ship_limit", "inf"), ("env_ratio", "nan")])
+        ("ship_limit", "inf"), ("env_ratio", "nan"), ("tax_rate", 10 ** 400)])
     def test_bad_policy_value_is_config_error(self, tmp_path, capsys, field, value):
         _assert_config_error(tmp_path, capsys, "simulate",
                              {"simulate": {"policy": {field: value}}},

@@ -13,6 +13,7 @@ from touropt.flow import (
     iceland_redistribution_schedule,
     iceland_sites,
     redistribute,
+    schedule_steps,
 )
 
 # every attractiveness coefficient zero but the marketing one: a site's
@@ -78,8 +79,16 @@ class TestAttractiveness:
         assert w[0] < w[1]
 
     def test_overflow_guard(self):
-        with pytest.raises(ValueError, match=r"^attractiveness exponent \S+ out of range$"):
+        with pytest.raises(ValueError, match=r"^attractiveness exponent \S+ out of range "
+                                             r"for s in 2024$"):
             _run([_site(marketing=1e6)], a3=300.0)
+
+    def test_overflow_message_names_site_and_year_in_short_form(self):
+        # a price of 1e300 gives an exponent of -5e299: %g keeps it short
+        sites = [_site(name="a"), _site(name="b", price=1e300)]
+        with pytest.raises(ValueError, match=r"^attractiveness exponent -5e\+299 out of "
+                                             r"range for b in 2030$"):
+            redistribute(sites, IslandParams(), {}, [2030, 2031])
 
 
 class TestAllocationWeights:
@@ -336,8 +345,8 @@ class TestRedistribute:
 
     @pytest.mark.parametrize("field", SCHEDULE_FIELDS)
     def test_non_finite_scheduled_value_rejected(self, field):
-        with pytest.raises(ValueError, match=rf"^schedule for b\.{field} must hold "
-                                             r"finite numbers$"):
+        with pytest.raises(ValueError, match=rf"^schedule for b\.{field} must be a list "
+                                             r"of finite numbers$"):
             _run([_site(name="a"), _site(name="b")],
                  {"b": {field: [1.0, math.nan, 1.0]}}, n_years=4)
 
@@ -352,6 +361,34 @@ class TestRedistribute:
         schedule["Blue Lagoon"]["marketting"] = [0.0] * len(years)
         with pytest.raises(DataError, match=r"^schedule for Blue Lagoon\.marketting is not one of "):
             redistribute(sites, IslandParams(), schedule, years)
+
+    @pytest.mark.parametrize("entry, error, message", [
+        ({"marketing": "222"}, ValueError, "a.marketing must be a list of finite numbers"),
+        ({"marketing": [True, False]}, ValueError,
+         "a.marketing must be a list of finite numbers"),
+        ({"price": 3.0}, ValueError, "a.price must be a list of finite numbers"),
+        ({"price": [1.0, "2"]}, ValueError, "a.price must be a list of finite numbers"),
+        ({"co2": [1.0, 10 ** 400]}, ValueError, "a.co2 must be a list of finite numbers"),
+        # one year step uses only the first entry; the second is checked too
+        ({"price": [1.0, math.nan]}, ValueError, "a.price must be a list of finite numbers"),
+        (None, DataError, "a must be a map of per-year lists, not None"),
+        ([1.0, 2.0], DataError, "a must be a map of per-year lists, not [1.0, 2.0]"),
+    ], ids=["string", "booleans", "scalar", "string_value", "int_past_floats",
+            "nan_past_the_years", "null_entry", "list_entry"])
+    def test_schedule_types_are_checked(self, entry, error, message):
+        with pytest.raises(error) as exc:
+            _run([_site(name="a")], {"a": entry})
+        assert str(exc.value) == f"schedule for {message}"
+        with pytest.raises(error) as exc:
+            schedule_steps([_site(name="a")], {"a": entry}, 1)
+        assert str(exc.value) == message
+
+    def test_schedule_takes_tuples_arrays_and_ints(self):
+        case = ([_site(name="a"), _site(name="b")], IslandParams())
+        years = [2024, 2025, 2026]
+        want = _outcome(redistribute, (*case, {"a": {"price": [2.0, 3.0]}}, years))
+        for price in ((2, 3), np.array([2.0, 3.0]), np.array([2, 3])):
+            assert _outcome(redistribute, (*case, {"a": {"price": price}}, years)) == want
 
     def test_hotspot_share_declines_under_redistribution(self):
         years = list(range(2024, 2034))

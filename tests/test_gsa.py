@@ -162,7 +162,7 @@ class TestMorrisReference:
 
     def test_two_level_grid_bit_for_bit(self, monkeypatch):
         # the CLI rejects levels < 4; the array construction still matches there
-        monkeypatch.setattr(gsa, "_check_morris", lambda r, levels: None)
+        monkeypatch.setattr(gsa, "_check_morris_levels", lambda levels, key="levels": None)
         space = ParameterSpace.from_dict({"a": (-3.0, 5.0), "b": (0.1, 0.2),
                                           "c": (1e6, 4e6)})
         for r, seed in ((1, 0), (2, 1), (20, 2)):
@@ -567,7 +567,7 @@ class TestAnalyzeModel:
         with pytest.raises(EvaluationError) as exc:
             analyze_model(space, juneau_exog, coeffs, juneau.reference_policy,
                           juneau_init, method="sobol", sobol_n=8, seed=3)
-        first = points[nan_rows[0]]
+        first = points[nan_rows[0]].tolist()  # plain floats, as the message prints them
         assert str(exc.value) == f"NaN objective at sample {dict(zip(space.names, first))}"
 
     @pytest.mark.parametrize("seed", range(6))
@@ -582,7 +582,7 @@ class TestAnalyzeModel:
             analyze_model(*args, method="morris", morris_r=3, seed=seed)
         assert str(got.value) == str(want.value)
         if seed == 0:
-            first = morris_sample(space, 3, 4, 0)[0, 0]
+            first = morris_sample(space, 3, 4, 0)[0, 0].tolist()
             assert first[0] == 6.666666666666667e+307
             assert str(got.value) == f"NaN objective at sample {dict(zip(space.names, first))}"
 
@@ -600,7 +600,7 @@ class TestAnalyzeModel:
         monkeypatch.setattr(gsa, "morris_sample", no_sampling)
         monkeypatch.setattr(gsa, "saltelli_sample", no_sampling)
         space = ParameterSpace.from_dict({"tax_rate": (0.0, 0.3), "warp_field": (0.0, 1.0)})
-        with pytest.raises(ConfigError, match=r"unknown parameters \['warp_field'\]"):
+        with pytest.raises(ConfigError, match=r"unknown parameters \['space\.warp_field'\]"):
             analyze_model(space, juneau_exog, juneau.coefficients,
                           juneau.reference_policy, juneau_init, method=method)
 
