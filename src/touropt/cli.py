@@ -203,6 +203,13 @@ def _resolve_base(opts: dict):
     return exog, initial_state(preset, exog, opts["seed"])
 
 
+def _shown(value) -> str:
+    """``repr`` of a refused config value, cut to 40 characters: a JSON
+    integer may have hundreds of digits."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _number(key: str, value) -> float:
     """``value`` as a finite float, else a ConfigError naming ``key``.
     Booleans are refused: ``float(True)`` would read JSON ``true`` as 1."""
@@ -211,7 +218,7 @@ def _number(key: str, value) -> float:
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int past floats
         x = math.nan
     if not math.isfinite(x):
-        raise ConfigError(f"{key} must be a finite number, not {value!r}")
+        raise ConfigError(f"{key} must be a finite number, not {_shown(value)}")
     return x
 
 
@@ -224,22 +231,23 @@ def _integer(key: str, value, opts=None) -> int:
     else:
         x = _number(key, value)
         if not x.is_integer():
-            raise ConfigError(f"{key} must be an integer, not {value!r}")
+            raise ConfigError(f"{key} must be an integer, not {_shown(value)}")
         x = int(x)
     if abs(x) > sys.maxsize:
-        raise ConfigError(f"{key} must be at most {sys.maxsize} in magnitude, not {value!r}")
+        raise ConfigError(f"{key} must be at most {sys.maxsize} in magnitude, "
+                          f"not {_shown(value)}")
     return x
 
 
 def _string(key: str, value, opts=None) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, not {value!r}")
+        raise ConfigError(f"{key} must be a string, not {_shown(value)}")
     return value
 
 
 def _object(key: str, value) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be an object, not {value!r}")
+        raise ConfigError(f"{key} must be an object, not {_shown(value)}")
     return value
 
 
@@ -283,13 +291,13 @@ def _decode(key: str, cls, values, base=None, fixed=()):
 
 def _seed(key: str, value, opts) -> int:
     if (seed := _integer(key, value)) < 0:
-        raise ConfigError(f"{key} must be a non-negative integer, not {value!r}")
+        raise ConfigError(f"{key} must be a non-negative integer, not {_shown(value)}")
     return seed
 
 
 def _positive(key: str, value, opts) -> float:
     if (x := _number(key, value)) <= 0:
-        raise ConfigError(f"{key} must be > 0, not {value!r}")
+        raise ConfigError(f"{key} must be > 0, not {_shown(value)}")
     return x
 
 
@@ -298,7 +306,7 @@ def _column_map(key: str, value, opts) -> dict:
     for header, name in _object(key, value).items():
         if name != "year" and name not in SERIES_FIELDS:
             raise ConfigError(f"{key}.{header} must be 'year' or a series name "
-                              f"{list(SERIES_FIELDS)}, not {name!r}")
+                              f"{list(SERIES_FIELDS)}, not {_shown(name)}")
     return value
 
 
@@ -318,7 +326,8 @@ def _entries(key: str, cls, value) -> list:
     names = [e.name for e in entries]
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise ConfigError(f"{key}[{i}].name {name!r} repeats {key}[{names.index(name)}].name")
+            raise ConfigError(f"{key}[{i}].name {_shown(name)} repeats "
+                              f"{key}[{names.index(name)}].name")
     return entries
 
 
@@ -333,11 +342,11 @@ def _sites(key: str, value, opts) -> list:
 def _years(key: str, value, opts) -> list:
     """``[first, last]`` as the list of years from first to last."""
     if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(f"{key} must be [first, last], not {value!r}")
+        raise ConfigError(f"{key} must be [first, last], not {_shown(value)}")
     first, last = (_integer(key, y) for y in value)
     if not 0 <= last - first < sys.maxsize:  # a longer range has no length
         raise ConfigError(f"{key} must have first <= last, at most {sys.maxsize} "
-                          f"apart, not {value!r}")
+                          f"apart, not {_shown(value)}")
     try:
         return list(range(first, last + 1))
     except MemoryError:
@@ -372,14 +381,16 @@ def _space(key: str, choice, opts) -> ParameterSpace:
     value is."""
     preset, coeffs, policy = get_preset(opts["preset"]), opts["coefficients"], opts["policy"]
     if isinstance(choice, dict):
+        if not choice:
+            raise ConfigError(f"{key} must name at least one parameter")
         gsa._check_parameters(choice, key)
         bounds = {}
         for k, v in choice.items():
             if not (isinstance(v, list) and len(v) == 2):
-                raise ConfigError(f"{key}.{k} must be [low, high], not {v!r}")
+                raise ConfigError(f"{key}.{k} must be [low, high], not {_shown(v)}")
             bounds[k] = tuple(_number(f"{key}.{k}", x) for x in v)
             if not bounds[k][0] < bounds[k][1]:
-                raise ConfigError(f"{key}.{k} must have low < high, not {v!r}")
+                raise ConfigError(f"{key}.{k} must have low < high, not {_shown(v)}")
             model = coeffs if k in COEFF_FIELDS else policy  # each end must decode
             for x in bounds[k]:
                 _decode(key, type(model), {k: x}, model)
@@ -391,7 +402,7 @@ def _space(key: str, choice, opts) -> ParameterSpace:
             {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
     if choice == "policy_uncertainty":
         return uncertainty_space(policy, preset.bounds, rel=opts["uncertainty_rel"])
-    raise ConfigError(f"unknown {key} {choice!r}")
+    raise ConfigError(f"unknown {key} {_shown(choice)}")
 
 
 def _schedule(key: str, choice, opts) -> dict:
@@ -464,7 +475,7 @@ def cmd_sensitivity(opts: dict):
         opts["space"], exog, opts["coefficients"], opts["policy"], init,
         method=opts["method"], output=opts["output"],
         morris_r=opts["morris_r"], morris_levels=opts["morris_levels"],
-        sobol_n=opts["sobol_n"], n_boot=opts["bootstrap"], seed=opts["seed"])
+        sobol_n=opts["sobol_n"], seed=opts["seed"])
     files = {}
     for name, table in sorted(report.tables.items()):
         if isinstance(table, MorrisResult):
@@ -561,7 +572,6 @@ _KEYS = {
     "morris_r": (20, _checked(gsa._check_morris_r, _integer), ("sensitivity",)),
     "morris_levels": (4, _checked(gsa._check_morris_levels, _integer), ("sensitivity",)),
     "sobol_n": (512, _checked(gsa._check_sobol_n, _integer), ("sensitivity",)),
-    "bootstrap": (200, _checked(gsa._check_n_boot, _integer), ("sensitivity",)),
     "scenarios": ("default", _scenarios, ("scenario",)),
     "sites": ("iceland7", _sites, ("redistribute",)),
     "years": ([2024, 2033], _years, ("redistribute",)),

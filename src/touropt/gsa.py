@@ -5,13 +5,13 @@ summarizes each parameter by mu* (mean absolute elementary effect) and
 sigma (spread of the effects, an interaction/nonlinearity signal).  Sobol
 first/total indices use the classic two-matrix sampling design with the
 symmetrized direct estimator for S_i, Jansen's estimator for S_Ti, and a
-bootstrap percentile interval on S_Ti.  Both estimators are means of
-per-row terms, so the bootstrap resamples the S_Ti terms: they are computed
-once for every output and stacked with one design row per memory row, and
-each resample draws its rows once and adds those whole rows straight into
-the lane accumulators of numpy's pairwise sum, for all outputs together
-(:func:`_sobol_tables`; ``sobol_indices`` is its one-output case, with the
-same bits).
+bootstrap percentile interval of 200 resamples on S_Ti.  Both estimators
+are means of per-row terms: the point estimates are plain means, and the
+bootstrap resamples the S_Ti terms, computed once for every output and
+stacked with one design row per memory row.  Each resample draws its rows
+once and adds those whole rows straight into the lane accumulators of
+numpy's pairwise sum, for all outputs together (:func:`_sobol_tables`;
+``sobol_indices`` is its one-output case, with the same bits).
 
 Sampling is plain seeded pseudo-random (recorded in result metadata, no
 low-discrepancy sequence); accuracy targets are set accordingly.  Both
@@ -294,26 +294,21 @@ def _check_sobol_n(n: int, key: str = "n") -> None:
         raise ConfigError(f"{key} (base sample size) must be >= 2, not {n!r}")
 
 
-def _check_n_boot(n_boot: int, key: str = "bootstrap") -> None:
-    if n_boot < 1:
-        raise ConfigError(f"{key} must be at least 1 resample, not {n_boot!r}")
-
-
 def _check_variance(var: np.ndarray) -> None:
     if np.any(var <= 0.0):
         raise EvaluationError("zero output variance: Sobol indices undefined")
 
 
 def sobol_indices(design: SaltelliDesign, outputs: np.ndarray,
-                  n_boot: int = 200, seed: int = 0) -> SobolResult:
+                  seed: int = 0) -> SobolResult:
     """First-order and total-effect indices with a bootstrap interval on S_Ti.
 
     S_i uses the symmetrized direct estimator over both matrix halves,
     S_Ti the Jansen squared-difference form with a 95% bootstrap
-    percentile interval.  One output's case of :func:`_sobol_tables`.
+    percentile interval of ``_N_BOOT`` resamples.  One output's case of
+    :func:`_sobol_tables`.
     """
-    return _sobol_tables(design, np.asarray(outputs, dtype=float)[:, None],
-                         n_boot, seed)[0]
+    return _sobol_tables(design, np.asarray(outputs, dtype=float)[:, None], seed)[0]
 
 
 # numpy sums a contiguous span of at most this many values with eight
@@ -330,6 +325,8 @@ _LANE_BYTES = 200_000
 # the tail of a 95% percentile interval, as 0.5 * (1 - 0.95) rounds
 # (0.025000000000000022, not 0.025): the intervals' bits depend on it
 _ALPHA = 0.5 * (1.0 - 0.95)
+# the resamples behind every S_T interval
+_N_BOOT = 200
 
 
 @functools.cache
@@ -408,27 +405,26 @@ def _tree_sum(node, sums: np.ndarray) -> np.ndarray:
     return _tree_sum(node[0], sums) + _tree_sum(node[1], sums)
 
 
-def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
-                  seed: int) -> list:
+def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, seed: int) -> list:
     """One :class:`SobolResult` per column of the (N, m) outputs ``Y``.
 
-    Both estimators are means of per-row terms.  Each estimator's (k, n)
-    term pair of every output is stacked as one C-ordered (n, 2*m*k)
-    block, one design row per memory row; a column's sum does not depend
-    on the other columns.  Only the S_T block is bootstrapped, by gather:
-    each resample draws n design rows (jointly across all matrices and
-    outputs), and :func:`_gather_means` adds those whole rows straight into
-    numpy's eight lane accumulators, in numpy's summation order, without
-    building the resampled block.  Resamples go in chunks whose
-    accumulators take at most ``_LANE_BYTES``, and a chunk's variances come
-    from one ``np.var`` along contiguous rows.  The point estimates are the
-    same sums over the rows in order.  So every column gets the bits of its
-    own ``sobol_indices`` call, and of the per-resample
+    Both estimators are means of per-row terms, each estimator's (k, n)
+    term pair of every output stacked as one (2, m, k, n) block.  The point
+    estimates are its means along the contiguous last axis.  Only the S_T
+    block is bootstrapped, by gather: it is laid out as one C-ordered
+    (n, 2*m*k) block, one design row per memory row (a column's sum does
+    not depend on the other columns), each of the ``_N_BOOT`` resamples
+    draws n design rows (jointly across all matrices and outputs), and
+    :func:`_gather_means` adds those whole rows straight into numpy's
+    eight lane accumulators, in numpy's summation order, without building
+    the resampled block.  Resamples go in chunks whose accumulators take
+    at most ``_LANE_BYTES``, and a chunk's variances come from one
+    ``np.var`` along contiguous rows.  So every column gets the bits of
+    its own ``sobol_indices`` call, and of the per-resample
     ``take(idx, axis=1).mean(axis=1)`` of the transposed block: the
     resamples are those of ``default_rng(seed)`` whatever m or the chunk
     size is.
     """
-    _check_n_boot(n_boot)
     Y = design._checked(Y)
     k, n = len(design.space), design.n
     Yt = np.ascontiguousarray(Y.T)  # (m, N): one row per output
@@ -437,7 +433,7 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
     if bad.any():
         first = int(np.argmax(bad))
         if first:  # outputs before the first bad one fail first, as in separate calls
-            _sobol_tables(design, Y[:, :first], n_boot, seed)
+            _sobol_tables(design, Y[:, :first], seed)
         raise EvaluationError("non-finite model output in Sobol design")
     # far-apart finite outputs may give NaN indices, which the caller refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -445,34 +441,29 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, n_boot: int,
         yAB = Yt[:, 2 * n:(2 + k) * n].reshape(m, k, n)
         yBA = Yt[:, (2 + k) * n:].reshape(m, k, n)
 
-        def pair(a, b):  # the (m, k, n) terms a and b as one (n, 2*m*k) block
-            return np.ascontiguousarray(np.stack([a, b]).reshape(2 * m * k, n).T)
-
-        def half_sum(terms, idx):  # half the sum of a pair's (B, m, k) means over rows idx
-            a, b = _gather_means(terms, idx).reshape(-1, 2, m, k).transpose(1, 0, 2, 3)
+        def half_mean(pair):  # half the sum of a (2, m, k, n) pair's row means
+            a, b = pair.mean(axis=-1)
             return 0.5 * (a + b)
 
-        st_terms = pair((yA - yAB) ** 2, (yB - yBA) ** 2)
+        st_pair = np.stack([(yA - yAB) ** 2, (yB - yBA) ** 2])
         yAyB = Yt[:, :2 * n]
         var = np.var(yAyB, axis=1)
         _check_variance(var)
-        rows = np.arange(n)[None]
-        s1 = half_sum(pair(yB * (yAB - yA), yA * (yBA - yB)), rows)[0] / var[:, None]
-        st = half_sum(st_terms, rows)[0] / 2.0 / var[:, None]
+        s1 = half_mean(np.stack([yB * (yAB - yA), yA * (yBA - yB)])) / var[:, None]
+        st = half_mean(st_pair) / 2.0 / var[:, None]
+        st_terms = np.ascontiguousarray(st_pair.reshape(2 * m * k, n).T)
         rng = np.random.default_rng(seed)
         leaves = sum(count for count, _, _ in _sum_plan(n)[1])
         chunk = max(1, _LANE_BYTES // (8 * leaves * st_terms[0].nbytes))
-        try:
-            bootst = np.empty((n_boot, m, k))
-        except (MemoryError, ValueError) as e:  # numpy's ValueError: a shape beyond any memory
-            raise MemoryError(f"bootstrap {n_boot} is too large to hold: {e}") from None
-        for lo in range(0, n_boot, chunk):
-            hi = min(lo + chunk, n_boot)
+        bootst = np.empty((_N_BOOT, m, k))
+        for lo in range(0, _N_BOOT, chunk):
+            hi = min(lo + chunk, _N_BOOT)
             idx = rng.integers(0, n, size=(hi - lo, n))  # the draws of hi - lo size-n calls
             # (m, B, 2n), C-ordered: each variance reduces one contiguous row
             var = np.var(yAyB.take(np.concatenate([idx, idx + n], axis=1), axis=1), axis=2).T
             _check_variance(var)
-            bootst[lo:hi] = half_sum(st_terms, idx) / 2.0 / var[:, :, None]
+            a, b = _gather_means(st_terms, idx).reshape(-1, 2, m, k).transpose(1, 0, 2, 3)
+            bootst[lo:hi] = 0.5 * (a + b) / 2.0 / var[:, :, None]
         lot, hit = np.quantile(bootst, [_ALPHA, 1.0 - _ALPHA], axis=0)
         return [SobolResult(design.space.names, s1[j], st[j], 0.5 * (hit[j] - lot[j]), n)
                 for j in range(m)]
@@ -518,7 +509,7 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
                   init: SimState, method: str = "morris",
                   output: str = "all", morris_r: int = 20,
                   morris_levels: int = 4, sobol_n: int = 512,
-                  n_boot: int = 200, seed: int = 0) -> AnalysisReport:
+                  seed: int = 0) -> AnalysisReport:
     """Sensitivity of the simulation objectives over a parameter space.
 
     One simulation per sample point feeds all three outputs: the whole
@@ -528,16 +519,14 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     outputs matrix always covers f1..f3 (mu* for Morris, S_T for Sobol).
     ``method``, ``output``, every size (those of the other method too)
     and the space's parameter names are checked, as the CLI parses them,
-    before any sampling or simulation.  A design or bootstrap too large to
-    hold is a MemoryError naming its size: ``morris_r``, ``sobol_n`` or
-    ``bootstrap``.
+    before any sampling or simulation.  A design too large to hold is a
+    MemoryError naming its size: ``morris_r`` or ``sobol_n``.
     """
     _check_method(method)
     _check_output(output)
     _check_morris_r(morris_r, "morris_r")
     _check_morris_levels(morris_levels, "morris_levels")
     _check_sobol_n(sobol_n, "sobol_n")
-    _check_n_boot(n_boot)
     _check_parameters(space.names)
     wanted = OUTPUT_NAMES if output == "all" else (output,)
     try:  # the design points, the largest arrays of the run
@@ -557,7 +546,7 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
                                  evals.reshape(morris_r, len(space) + 1, 3))
         matrix = np.column_stack([res.mu_star for res in results])
     else:
-        results = _sobol_tables(design, evals, n_boot, seed)
+        results = _sobol_tables(design, evals, seed)
         matrix = np.column_stack([res.st for res in results])
     tables = {name: res for name, res in zip(OUTPUT_NAMES, results) if name in wanted}
     return AnalysisReport(method=method, space=space, tables=tables, matrix=matrix)

@@ -34,7 +34,7 @@ stop, so :func:`evolve` runs them in a worker process forked after the
 initial evaluation, one generation behind the main loop: it sends
 generation t to the worker, makes generation t+1, and only then takes
 the hypervolume of t.  When that stops the run at t, generation t+1 is
-discarded and the generator put back where it was.  Where the platform
+discarded; the generator is not read again.  Where the platform
 cannot fork, the same stage runs in-process in the same order.
 """
 
@@ -727,9 +727,9 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     The archive and its hypervolume run in one worker process, forked
     after the initial evaluation, while the main loop makes the next
     generation.  A plateau stop at generation t is known only after
-    generation t+1 has been made; that generation is discarded, and the
-    population and the generator are put back as they were after t, so
-    the result is the same as a sequential loop's.  ``problem`` is then
+    generation t+1 has been made; that generation is discarded and the
+    population put back as it was after t, so the result is the same as a
+    sequential loop's.  ``problem`` is then
     called once more than ``1 + generations_run`` times.  An exception
     raised while making generation t+1 propagates only if the run does
     not stop at t.
@@ -774,7 +774,7 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     with _archive_worker(_archive_stage(genomes, objs, ref)) as archive:
         while True:
             # archive holds generation ``gens``; make the next one meanwhile
-            state, kept = rng.bit_generator.state, (genomes, objs, rank, crowd)
+            kept = genomes, objs, rank, crowd
             failure = None
             if gens < config.generations:
                 try:
@@ -791,7 +791,6 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
                 base = hv_log[-1 - config.hv_window]
                 gain = hv_log[-1] - base
                 if gain < config.hv_rel_tol * max(abs(base), 1e-30):
-                    rng.bit_generator.state = state
                     genomes, objs, rank, crowd = kept
                     stop_reason = "hv_plateau"
                     break

@@ -292,7 +292,7 @@ class TestSensitivityCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sensitivity": {
             "method": "sobol", "output": "f1", "space": "policy",
-            "sobol_n": 32, "bootstrap": 20}}))
+            "sobol_n": 32}}))
         assert main(["sensitivity", "--preset", "juneau", "--seed", "2",
                      "--config", str(cfg), "--out", str(out)]) == 0
         header, rows = _read_csv(out / "sobol_f1.csv")
@@ -307,7 +307,7 @@ class TestSensitivityCommand:
             {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
         table = analyze_model(space, exog, preset.coefficients, preset.reference_policy,
                               tp.initial_state(preset, exog, seed=2), method="sobol",
-                              output="f1", sobol_n=32, n_boot=20, seed=2).tables["f1"]
+                              output="f1", sobol_n=32, seed=2).tables["f1"]
         assert rows == [[p, repr(s1), repr(st), repr(st - ct), repr(st + ct)]
                         for p, s1, st, ct in table.ranked()]
 
@@ -381,7 +381,7 @@ class TestSensitivityCommand:
             raise AssertionError("simulated before the space check")
         monkeypatch.setattr("touropt.gsa.simulate_batch", no_simulation)
         doc = {"sensitivity": {"method": method, "morris_r": 2, "sobol_n": 4,
-                               "bootstrap": 2, "space": {name: bounds}}}
+                               "space": {name: bounds}}}
         _assert_config_error(tmp_path, capsys, "sensitivity", doc, f"space.{name}")
         assert not (tmp_path / "x").exists()
 
@@ -389,7 +389,6 @@ class TestSensitivityCommand:
     def test_unknown_space_name_is_config_error(self, tmp_path, capsys, method):
         # rejected before sampling, not by simulate_batch's ValueError (exit 4)
         doc = {"sensitivity": {"method": method, "morris_r": 2, "sobol_n": 4,
-                               "bootstrap": 2,
                                "space": {"tax_rate": [0, 0.1], "warp_field": [0, 1]}}}
         _assert_config_error(tmp_path, capsys, "sensitivity", doc, "warp_field")
         assert not (tmp_path / "x").exists()
@@ -445,32 +444,36 @@ class TestSensitivityCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("morris_r", "x"), ("morris_levels", 4.5), ("sobol_n", "many"),
-        ("bootstrap", None), ("sobol_n", 32.5)])
+        ("bootstrap", None),  # the retired key: refused whatever its value
+        ("sobol_n", 32.5)])
     def test_non_integer_setting_is_config_error(self, tmp_path, capsys, key, value):
         _assert_config_error(tmp_path, capsys, "sensitivity",
                              {"sensitivity": {"method": "sobol", key: value}}, key)
 
-    @pytest.mark.parametrize("n_boot", [0, -1])
-    def test_no_bootstrap_resamples_is_config_error(self, tmp_path, capsys,
-                                                    monkeypatch, n_boot):
+    def test_bootstrap_is_not_a_config_key(self, tmp_path, capsys, monkeypatch):
+        # every S_T interval takes gsa._N_BOOT resamples
         def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before the bootstrap check")
+            raise AssertionError("simulated before the config was read")
         monkeypatch.setattr("touropt.gsa.simulate_batch", no_simulation)
         _assert_config_error(tmp_path, capsys, "sensitivity",
-                             {"sensitivity": {"method": "sobol", "space": "full",
-                                              "sobol_n": 16, "bootstrap": n_boot}},
-                             "bootstrap")
+                             {"sensitivity": {"method": "sobol", "bootstrap": 200}},
+                             "unknown config keys ['sensitivity.bootstrap']")
+        assert not (tmp_path / "x").exists()
 
-    def test_one_bootstrap_resample_runs(self, tmp_path):
+    def test_empty_space_names_key(self, tmp_path, capsys):
+        _assert_config_error(tmp_path, capsys, "sensitivity",
+                             {"sensitivity": {"space": {}}},
+                             "space must name at least one parameter")
+
+    def test_huge_refused_value_is_cut_short(self, tmp_path, capsys):
+        # a JSON integer of 401 digits, beyond any float
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sensitivity": {
-            "method": "sobol", "space": "full", "sobol_n": 16, "bootstrap": 1}}))
-        out = tmp_path / "s"
+        cfg.write_text('{"sensitivity": {"space": {"tax_rate": [0, 1%s]}}}' % ("0" * 400))
         assert main(["sensitivity", "--preset", "juneau", "--seed", "0",
-                     "--config", str(cfg), "--out", str(out)]) == 0
-        header, rows = _read_csv(out / "sobol_f1.csv")
-        assert len(rows) == 12
-        assert all(r[3] == r[2] == r[4] for r in rows)  # one resample: zero width
+                     "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "space.tax_rate must be a finite number, not 1000" in err
+        assert err.rstrip().endswith("...") and len(err) < 200
 
     @pytest.mark.parametrize("key, value", [("method", "laplace"), ("output", "f4"),
                                             ("output", ["f1"])])
@@ -484,14 +487,13 @@ class TestSensitivityCommand:
         ({"method": "sobol", "sobol_n": 1}, "sobol_n"),
         # every size is checked, also those the chosen method does not read
         ({"sobol_n": 1}, "sobol_n"),
-        ({"bootstrap": 0}, "bootstrap"),
+        ({"bootstrap": 0}, "bootstrap"),  # the retired key, refused as unknown
         ({"method": "sobol", "morris_r": 0}, "morris_r"),
         ({"method": "sobol", "morris_levels": 3}, "morris_levels"),
         # an integer beyond sys.maxsize
         ({"morris_r": 1e300}, "morris_r"),
         ({"morris_levels": 1e300}, "morris_levels"),
         ({"method": "sobol", "sobol_n": 1e300}, "sobol_n"),
-        ({"bootstrap": 1e300}, "bootstrap"),
     ])
     def test_out_of_range_size_names_key(self, tmp_path, capsys, doc, key):
         _assert_config_error(tmp_path, capsys, "sensitivity", {"sensitivity": doc}, key)
@@ -500,16 +502,14 @@ class TestSensitivityCommand:
                          st.sampled_from(["", "4", "x", None, True]))
 
     @settings(max_examples=200, deadline=None, database=None)
-    @example(method="sobol", morris_r=2, morris_levels=4, sobol_n=4, bootstrap=0)
+    @example(method="sobol", morris_r=2, morris_levels=4, sobol_n=4)
     @given(method=st.sampled_from(["morris", "sobol"]),
            morris_r=_SETTING.filter(lambda v: not isinstance(v, (int, float)) or v <= 3),
-           morris_levels=_SETTING, sobol_n=_SETTING,
-           bootstrap=_SETTING.filter(lambda v: not isinstance(v, (int, float)) or v <= 5))
-    def test_fuzz_integer_settings(self, method, morris_r, morris_levels, sobol_n,
-                                   bootstrap):
+           morris_levels=_SETTING, sobol_n=_SETTING)
+    def test_fuzz_integer_settings(self, method, morris_r, morris_levels, sobol_n):
         doc = {"sensitivity": {"method": method, "space": "full",
                                "morris_r": morris_r, "morris_levels": morris_levels,
-                               "sobol_n": sobol_n, "bootstrap": bootstrap}}
+                               "sobol_n": sobol_n}}
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "cfg.json"
             cfg.write_text(json.dumps(doc))
@@ -521,7 +521,7 @@ class TestSensitivityCommand:
         assert "Traceback" not in err.getvalue()
         if code == 2:  # a bad setting is named by its config key
             assert any(key in err.getvalue() for key in
-                       ("morris_r", "morris_levels", "sobol_n", "bootstrap"))
+                       ("morris_r", "morris_levels", "sobol_n"))
 
 
 def _sections(broken: bool) -> dict:
@@ -571,8 +571,7 @@ def _sections(broken: bool) -> dict:
         "optimize": ({"ea": ea}, base),
         "sensitivity": (
             {"morris_r": pick([1, 2, 3], [0, "x", 2.5]),
-             "sobol_n": pick([2, 4, 8], [1, None]),
-             "bootstrap": pick([1, 5], [0, True])},
+             "sobol_n": pick([2, 4, 8], [1, None])},
             base | {"policy": policy,
                     "method": pick(["morris", "sobol"], ["laplace", 1]),
                     "morris_levels": pick([4, 6], [3, 4.5]),
@@ -930,30 +929,24 @@ class TestArtifactWriter:
         ("simulate", "out is a file", 2, "out "),
         ("sensitivity", {"sensitivity": {"space": {"tax_rate": [0, 1e300]}}}, 4,
          "in morris_f1.csv at parameter=tax_rate"),
-        ("sensitivity", {"sensitivity": {"method": "sobol", "sobol_n": 64, "bootstrap": 10,
+        ("sensitivity", {"sensitivity": {"method": "sobol", "sobol_n": 64,
                                          "space": {"tax_rate": [0, 1e300]}}}, 4,
          "non-finite s1 in sobol_f1.csv at parameter=tax_rate"),
         ("simulate", "config is a directory", 2, "cfg.json"),
         ("simulate", b'{"simulate": "\x80"}', 2, "cfg.json"),
         ("simulate", "[" * 100_000 + "]" * 100_000, 2, "cfg.json"),
         # each size's first allocation is beyond any address space, so no host
-        # can make it; the last four shapes are beyond what numpy can describe
+        # can make it; the last three shapes are beyond what numpy can describe
         ("redistribute", {"redistribute": {"years": [2024, 2 ** 62]}}, 4,
          "years [2024, 4611686018427387904] spans too many years to hold"),
         ("sensitivity", {"sensitivity": {"morris_r": 10 ** 15}}, 4,
          "morris_r 1000000000000000 is too large to hold"),
         ("sensitivity", {"sensitivity": {"method": "sobol", "sobol_n": 10 ** 15}}, 4,
          "sobol_n 1000000000000000 is too large to hold"),
-        ("sensitivity", {"sensitivity": {"method": "sobol", "sobol_n": 2,
-                                         "bootstrap": 10 ** 15}}, 4,
-         "bootstrap 1000000000000000 is too large to hold"),
         ("optimize", {"optimize": {"ea": {"population_size": 10 ** 16}}}, 4,
          "ea.population_size 10000000000000000 is too large to hold"),
         ("sensitivity", {"sensitivity": {"morris_r": 10 ** 17}}, 4,
          "morris_r 100000000000000000 is too large to hold"),
-        ("sensitivity", {"sensitivity": {"method": "sobol", "sobol_n": 2,
-                                         "bootstrap": 10 ** 18}}, 4,
-         "bootstrap 1000000000000000000 is too large to hold"),
         ("optimize", {"optimize": {"ea": {"population_size": 1e18}}}, 4,
          "ea.population_size 1000000000000000000 is too large to hold"),
         ("optimize", {"optimize": {"ea": {"population_size": 2 ** 61}}}, 4,
@@ -961,8 +954,7 @@ class TestArtifactWriter:
     ], ids=["out_number", "out_null", "out_is_a_file", "morris_overflow", "sobol_overflow",
             "config_is_a_directory", "config_not_utf8", "config_too_deep",
             "years_too_many", "morris_r_too_large", "sobol_n_too_large",
-            "bootstrap_too_large", "population_too_large", "morris_r_beyond_numpy",
-            "bootstrap_beyond_numpy", "population_beyond_numpy",
+            "population_too_large", "morris_r_beyond_numpy", "population_beyond_numpy",
             "population_2_61_beyond_numpy"])
     def test_refusal_names_its_cause_and_writes_nothing(self, tmp_path, capsys,
                                                         monkeypatch, command, doc,
@@ -1073,7 +1065,7 @@ _BAD_SETTINGS = {
     "coefficients": {"delta": -1.0}, "policy": {"tax_rate": -1},
     "ea": {"population_size": 3}, "uncertainty_rel": 0, "space": {"bogus": [0, 1]},
     "method": "laplace", "output": "f4", "morris_r": 0, "morris_levels": 3,
-    "sobol_n": 1, "bootstrap": 0, "scenarios": [],
+    "sobol_n": 1, "scenarios": [],
 }
 
 

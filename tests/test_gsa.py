@@ -334,11 +334,12 @@ class TestSobolBootstrapReference:
 
     @pytest.mark.parametrize("n", [2, 37, 512, 1000])
     @pytest.mark.parametrize("n_boot", [1, 7, 200])
-    def test_bit_for_bit(self, n, n_boot):
+    def test_bit_for_bit(self, monkeypatch, n, n_boot):
         design = saltelli_sample(_unit_space(12), n, seed=n)
         y = _spread_outputs(design)
         assert y.min() == pytest.approx(1e-3) and y.max() == pytest.approx(1e9)
-        res = sobol_indices(design, y, n_boot=n_boot, seed=n_boot)
+        monkeypatch.setattr(gsa, "_N_BOOT", n_boot)
+        res = sobol_indices(design, y, seed=n_boot)
         ref = sobol_bootstrap_loop(design, y, n_boot=n_boot, seed=n_boot)
         for got, want in zip((res.s1, res.st, res.st_ci), ref):
             assert np.array_equal(_bits(got), _bits(want))
@@ -349,9 +350,9 @@ class TestSobolBootstrapReference:
         y = np.ones(8 * 8)
         y[0] = 2.0
         with pytest.raises(EvaluationError) as want:
-            sobol_bootstrap_loop(design, y, n_boot=20, seed=9)
+            sobol_bootstrap_loop(design, y, seed=9)
         with pytest.raises(EvaluationError) as got:
-            sobol_indices(design, y, n_boot=20, seed=9)
+            sobol_indices(design, y, seed=9)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -360,13 +361,7 @@ class TestSobolBootstrapReference:
         y = design.matrix().sum(axis=1)
         y[17] = bad
         with pytest.raises(EvaluationError, match="non-finite"):
-            sobol_indices(design, y, n_boot=5, seed=10)
-
-    @pytest.mark.parametrize("n_boot", [0, -1])
-    def test_no_resamples_is_config_error(self, n_boot):
-        design = saltelli_sample(_unit_space(2), 16, seed=11)
-        with pytest.raises(ConfigError, match="bootstrap"):
-            sobol_indices(design, design.matrix().sum(axis=1), n_boot=n_boot)
+            sobol_indices(design, y, seed=10)
 
 
 def _spread_columns(design):
@@ -421,11 +416,12 @@ class TestSobolTables:
 
     @pytest.mark.parametrize("n", [2, 8, 37, 129, 257, 512])
     @pytest.mark.parametrize("n_boot", [1, 7, 200])
-    def test_bit_for_bit(self, n, n_boot):
+    def test_bit_for_bit(self, monkeypatch, n, n_boot):
         design = saltelli_sample(_unit_space(12), n, seed=n)
         Y = _spread_columns(design)
         assert np.allclose(Y.min(axis=0), 1e-3) and np.allclose(Y.max(axis=0), 1e9)
-        tables = _sobol_tables(design, Y, n_boot, n_boot)
+        monkeypatch.setattr(gsa, "_N_BOOT", n_boot)
+        tables = _sobol_tables(design, Y, n_boot)
         assert len(tables) == 3
         for j, res in enumerate(tables):
             ref = sobol_bootstrap_loop(design, Y[:, j], n_boot=n_boot, seed=n_boot)
@@ -437,10 +433,10 @@ class TestSobolTables:
     def test_chunk_size_changes_no_bits(self, monkeypatch, n):
         design = saltelli_sample(_unit_space(12), n, seed=n)
         Y = _spread_columns(design)
-        want = _sobol_tables(design, Y, 23, 5)
+        want = _sobol_tables(design, Y, 5)
         for budget in (1, 10 ** 12):  # one resample per chunk, all in one
             monkeypatch.setattr(gsa, "_LANE_BYTES", budget)
-            got = _sobol_tables(design, Y, 23, 5)
+            got = _sobol_tables(design, Y, 5)
             for a, b in zip(got, want):
                 for field in ("s1", "st", "st_ci"):
                     assert np.array_equal(_bits(getattr(a, field)),
@@ -463,11 +459,11 @@ class TestSobolTables:
         y[0] = 2.0
         Y = np.column_stack([design.matrix().sum(axis=1), y, design.matrix()[:, 0]])
         for ok in (0, 2):  # the other two outputs pass on their own
-            sobol_bootstrap_loop(design, Y[:, ok], n_boot=20, seed=9)
+            sobol_bootstrap_loop(design, Y[:, ok], seed=9)
         with pytest.raises(EvaluationError) as want:
-            sobol_bootstrap_loop(design, y, n_boot=20, seed=9)
+            sobol_bootstrap_loop(design, y, seed=9)
         with pytest.raises(EvaluationError) as got:
-            _sobol_tables(design, Y, 20, 9)
+            _sobol_tables(design, Y, 9)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("first_ok", [True, False])
@@ -482,7 +478,7 @@ class TestSobolTables:
         Y = np.column_stack([first, bad])
         msg = "non-finite" if first_ok else "zero output variance"
         with pytest.raises(EvaluationError, match=msg):
-            _sobol_tables(design, Y, 20, 9)
+            _sobol_tables(design, Y, 9)
 
 
 class TestAnalyzeModel:
@@ -490,15 +486,14 @@ class TestAnalyzeModel:
                                                  juneau_init):
         space = full_space(juneau.bounds, juneau.coefficients)
         args = (juneau_exog, juneau.coefficients, juneau.reference_policy, juneau_init)
-        report = analyze_model(space, *args, method="sobol", sobol_n=64,
-                               n_boot=30, seed=4)
+        report = analyze_model(space, *args, method="sobol", sobol_n=64, seed=4)
         design = saltelli_sample(space, 64, seed=4)
         evals = simulate_batch(juneau.reference_policy, juneau_exog,
                                juneau.coefficients, juneau_init,
                                dict(zip(space.names, design.matrix().T)))
         assert list(report.tables) == ["f1", "f2", "f3"]
         for j, name in enumerate(("f1", "f2", "f3")):
-            want = sobol_indices(design, evals[:, j], n_boot=30, seed=4)
+            want = sobol_indices(design, evals[:, j], seed=4)
             got = report.tables[name]
             for a, b in ((got.s1, want.s1), (got.st, want.st), (got.st_ci, want.st_ci)):
                 assert np.array_equal(_bits(a), _bits(b))

@@ -773,7 +773,8 @@ def _run_both(monkeypatch, problem, lows, highs, cfg, make_rng=np.random.default
               reference_problem=None):
     """Run ``evolve`` and the per-call reference (on ``reference_problem``
     if given) on generators from ``make_rng``; require the same result
-    bits and final generator state."""
+    bits and final generator state, once the reference has also drawn the
+    generation a plateau stop discards."""
     made = []
 
     def factory(seed):
@@ -785,6 +786,12 @@ def _run_both(monkeypatch, problem, lows, highs, cfg, make_rng=np.random.default
     reference, reference_rng = evolve_reference(reference_problem or problem,
                                                  lows, highs, cfg)
     assert _fingerprint(result) == _fingerprint(reference)
+    if result.stop_reason == "hv_plateau" and result.generations_run < cfg.generations:
+        # evolve drew the generation after the stop before discarding it
+        genomes, _, rank, crowd = reference.population
+        pm = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / len(lows)
+        moea._offspring(reference_rng, genomes, rank, crowd, np.asarray(lows, dtype=float),
+                        np.asarray(highs, dtype=float), cfg, pm)
     assert made[0].bit_generator.state == reference_rng.bit_generator.state
     return result
 
