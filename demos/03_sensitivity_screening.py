@@ -26,7 +26,7 @@ for out in ("f1", "f2", "f3"):
 
 print("\n=== Sobol around the working policy, demand capacity-bound, n=512")
 stressed = exog.with_scaled("V_base", 8.0)
-u_space = uncertainty_space(policy, preset.bounds, rel=0.2)
+u_space = uncertainty_space(policy, preset.bounds)  # +-20% around the policy
 report = analyze_model(u_space, stressed, preset.coefficients, policy, init,
                        method="sobol", output="f1", sobol_n=512, seed=11)
 print("parameter           S1      ST")

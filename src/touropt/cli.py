@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DataError, EvaluationError
+from .errors import ConfigError, DataError, EvaluationError, _shown
 from .sd_core import (
     COEFF_FIELDS,
     POLICY_FIELDS,
@@ -203,13 +203,6 @@ def _resolve_base(opts: dict):
     return exog, initial_state(preset, exog, opts["seed"])
 
 
-def _shown(value) -> str:
-    """``repr`` of a refused config value, cut to 40 characters: a JSON
-    integer may have hundreds of digits."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
 def _number(key: str, value) -> float:
     """``value`` as a finite float, else a ConfigError naming ``key``.
     Booleans are refused: ``float(True)`` would read JSON ``true`` as 1."""
@@ -258,8 +251,7 @@ def _refuse_unknown(key: str, values: dict, known) -> None:
 
 
 # the parser of each declared field type of the config objects
-_PARSERS = {"int": _integer, "float": _number, "str": _string,
-            "float | None": lambda key, value: None if value is None else _number(key, value)}
+_PARSERS = {"int": _integer, "float": _number, "str": _string}
 
 
 def _decode(key: str, cls, values, base=None, fixed=()):
@@ -293,12 +285,6 @@ def _seed(key: str, value, opts) -> int:
     if (seed := _integer(key, value)) < 0:
         raise ConfigError(f"{key} must be a non-negative integer, not {_shown(value)}")
     return seed
-
-
-def _positive(key: str, value, opts) -> float:
-    if (x := _number(key, value)) <= 0:
-        raise ConfigError(f"{key} must be > 0, not {_shown(value)}")
-    return x
 
 
 def _column_map(key: str, value, opts) -> dict:
@@ -401,7 +387,7 @@ def _space(key: str, choice, opts) -> ParameterSpace:
         return ParameterSpace.from_dict(
             {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
     if choice == "policy_uncertainty":
-        return uncertainty_space(policy, preset.bounds, rel=opts["uncertainty_rel"])
+        return uncertainty_space(policy, preset.bounds)
     raise ConfigError(f"unknown {key} {_shown(choice)}")
 
 
@@ -474,8 +460,7 @@ def cmd_sensitivity(opts: dict):
     report = analyze_model(
         opts["space"], exog, opts["coefficients"], opts["policy"], init,
         method=opts["method"], output=opts["output"],
-        morris_r=opts["morris_r"], morris_levels=opts["morris_levels"],
-        sobol_n=opts["sobol_n"], seed=opts["seed"])
+        morris_r=opts["morris_r"], sobol_n=opts["sobol_n"], seed=opts["seed"])
     files = {}
     for name, table in sorted(report.tables.items()):
         if isinstance(table, MorrisResult):
@@ -565,12 +550,10 @@ _KEYS = {
     "policy": ({}, _over_preset(PolicyVector, "reference_policy"),
                ("simulate", "sensitivity", "scenario")),
     "ea": ({}, _ea, ("optimize",)),
-    "uncertainty_rel": (0.2, _positive, ("sensitivity",)),
     "space": ("full", _space, ("sensitivity",)),
     "method": ("morris", _checked(gsa._check_method), ("sensitivity",)),
     "output": ("all", _checked(gsa._check_output), ("sensitivity",)),
     "morris_r": (20, _checked(gsa._check_morris_r, _integer), ("sensitivity",)),
-    "morris_levels": (4, _checked(gsa._check_morris_levels, _integer), ("sensitivity",)),
     "sobol_n": (512, _checked(gsa._check_sobol_n, _integer), ("sensitivity",)),
     "scenarios": ("default", _scenarios, ("scenario",)),
     "sites": ("iceland7", _sites, ("redistribute",)),

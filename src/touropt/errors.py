@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and how their messages
+show a refused value.
 
 The CLI maps these onto exit codes (config -> 2, data -> 3, numeric -> 4);
 library callers can catch them individually.
 """
+
+
+def _shown(value) -> str:
+    """``repr`` of a refused config value, cut to 40 characters: a JSON
+    integer may have hundreds of digits, and a list hundreds of items."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 class TouroptError(Exception):

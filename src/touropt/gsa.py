@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, _shown
 from .sd_core import (
     COEFF_FIELDS,
     POLICY_FIELDS,
@@ -65,6 +65,10 @@ __all__ = [
 ]
 
 OUTPUT_NAMES = ("f1", "f2", "f3")  # revenue, environment, satisfaction
+# the Morris grid: 4 levels, steps of Delta = 2/3 (Campolongo et al. 2007)
+_LEVELS = 4
+# the policy_uncertainty box: +-20% around the reference policy
+_UNCERTAINTY_REL = 0.2
 
 
 @dataclass(frozen=True)
@@ -132,23 +136,21 @@ class SobolResult:
                  float(self.st_ci[i])) for i in order]
 
 
-def morris_sample(space: ParameterSpace, r: int, levels: int = 4,
-                  seed: int = 0) -> np.ndarray:
-    """Randomized one-at-a-time trajectories on a ``levels``-point grid.
+def morris_sample(space: ParameterSpace, r: int, seed: int = 0) -> np.ndarray:
+    """Randomized one-at-a-time trajectories on the ``_LEVELS``-point grid.
 
     Returns an (r, k+1, k) array in bound space; consecutive points in a
     trajectory differ in exactly one parameter by +-Delta (unit space),
-    with Delta = levels / (2 * (levels - 1)).  Each trajectory draws its
-    directions, cells and permutation in that order; point p has moved the
-    dimensions whose permutation rank is below p, each by one add.
+    with Delta = levels / (2 * (levels - 1)) = 2/3.  Each trajectory draws
+    its directions, cells and permutation in that order; point p has moved
+    the dimensions whose permutation rank is below p, each by one add.
     """
     space.validate()
     _check_morris_r(r)
-    _check_morris_levels(levels)
     k = len(space)
-    delta = levels / (2.0 * (levels - 1.0))
-    step = 1.0 / (levels - 1.0)
-    n_base = levels - int(round(delta / step))  # grid points leaving room for a step
+    delta = _LEVELS / (2.0 * (_LEVELS - 1.0))
+    step = 1.0 / (_LEVELS - 1.0)
+    n_base = _LEVELS - int(round(delta / step))  # grid points leaving room for a step
     rng = np.random.default_rng(seed)
     points = np.arange(k + 1)[:, None]
     unit = np.empty((r, k + 1, k))
@@ -271,22 +273,17 @@ def saltelli_sample(space: ParameterSpace, n: int, seed: int = 0) -> SaltelliDes
 
 def _check_method(method, key: str = "method") -> None:
     if method not in ("morris", "sobol"):
-        raise ConfigError(f"unknown {key} {method!r}; use 'morris' or 'sobol'")
+        raise ConfigError(f"unknown {key} {_shown(method)}; use 'morris' or 'sobol'")
 
 
 def _check_output(output, key: str = "output") -> None:
     if output not in OUTPUT_NAMES + ("all",):
-        raise ConfigError(f"{key} must be f1, f2, f3 or all, not {output!r}")
+        raise ConfigError(f"{key} must be f1, f2, f3 or all, not {_shown(output)}")
 
 
 def _check_morris_r(r: int, key: str = "r") -> None:
     if r < 1:
         raise ConfigError(f"{key} must be at least one trajectory, not {r!r}")
-
-
-def _check_morris_levels(levels: int, key: str = "levels") -> None:
-    if levels < 4 or levels % 2:
-        raise ConfigError(f"{key} must be even and >= 4, not {levels!r}")
 
 
 def _check_sobol_n(n: int, key: str = "n") -> None:
@@ -508,8 +505,7 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
                   coeffs: ModelCoefficients, policy: PolicyVector,
                   init: SimState, method: str = "morris",
                   output: str = "all", morris_r: int = 20,
-                  morris_levels: int = 4, sobol_n: int = 512,
-                  seed: int = 0) -> AnalysisReport:
+                  sobol_n: int = 512, seed: int = 0) -> AnalysisReport:
     """Sensitivity of the simulation objectives over a parameter space.
 
     One simulation per sample point feeds all three outputs: the whole
@@ -525,13 +521,12 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     _check_method(method)
     _check_output(output)
     _check_morris_r(morris_r, "morris_r")
-    _check_morris_levels(morris_levels, "morris_levels")
     _check_sobol_n(sobol_n, "sobol_n")
     _check_parameters(space.names)
     wanted = OUTPUT_NAMES if output == "all" else (output,)
     try:  # the design points, the largest arrays of the run
         if method == "morris":
-            samples = morris_sample(space, morris_r, morris_levels, seed)
+            samples = morris_sample(space, morris_r, seed)
             points = samples.reshape(-1, len(space))
         else:
             design = saltelli_sample(space, sobol_n, seed)
@@ -552,26 +547,23 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     return AnalysisReport(method=method, space=space, tables=tables, matrix=matrix)
 
 
-def uncertainty_space(policy: PolicyVector, bounds: PolicyBounds,
-                      rel: float = 0.2) -> ParameterSpace:
-    """Box of +-``rel`` around a reference policy, clipped to the bounds.
+def uncertainty_space(policy: PolicyVector, bounds: PolicyBounds) -> ParameterSpace:
+    """Box of +-``_UNCERTAINTY_REL`` around a reference policy, clipped to
+    the bounds.
 
     This is the default space for policy-lever sensitivity runs: every
     lever varies by the same relative amount around the working policy.
-    An empty range is a ``ConfigError`` naming ``uncertainty_rel`` when
-    ``rel`` is too small to widen a nonzero value, and ``policy.<name>``
-    otherwise: a value of 0, or one whose box lies outside the bounds.
+    An empty range is a ``ConfigError`` naming ``policy.<name>``: a value
+    of 0, a subnormal one the width cannot widen, or one whose box lies
+    outside the bounds.
     """
     spec = {}
     for name in POLICY_FIELDS:
         v = getattr(policy, name)
         lo, hi = getattr(bounds, name)
-        a = max(lo, v * (1.0 - rel))
-        b = min(hi, v * (1.0 + rel))
+        a = max(lo, v * (1.0 - _UNCERTAINTY_REL))
+        b = min(hi, v * (1.0 + _UNCERTAINTY_REL))
         if a >= b:
-            if v != 0.0 and not v * (1.0 - rel) < v * (1.0 + rel):
-                raise ConfigError(f"uncertainty_rel = {rel!r} is too small to widen "
-                                  f"{name} = {v!r}: its range [{a!r}, {b!r}] is empty")
             raise ConfigError(f"policy.{name} = {v!r} gives the policy_uncertainty "
                               f"space the range [{a!r}, {b!r}] within the bounds "
                               f"[{lo!r}, {hi!r}], which is empty")

@@ -52,6 +52,16 @@ import numpy as np
 from .errors import ConfigError, EvaluationError
 
 _VERIFY_BLOCK = 256  # rows compared against the whole front at a time
+# the variation operators of Deb et al. (2002): SBX with probability
+# _CROSSOVER_PROB per pair, then polynomial mutation of each gene with
+# probability 1 / genes
+_ETA_C = 15.0  # SBX distribution index
+_ETA_M = 20.0  # polynomial-mutation distribution index
+_CROSSOVER_PROB = 0.9
+# the plateau stop: archive hypervolume gaining less than _HV_REL_TOL
+# (relatively) over _HV_WINDOW generations
+_HV_WINDOW = 10
+_HV_REL_TOL = 1e-4
 
 __all__ = [
     "Individual",
@@ -79,35 +89,17 @@ class Individual:
 
 @dataclass(frozen=True)
 class EAConfig:
-    """Knobs of the evolutionary run."""
+    """Sizes and seed of the evolutionary run."""
 
     population_size: int = 100
     generations: int = 40
-    eta_c: float = 15.0            # SBX distribution index
-    eta_m: float = 20.0            # polynomial-mutation distribution index
-    mutation_prob: float | None = None  # per-gene; default 1/n_genes
-    crossover_prob: float = 0.9
     seed: int = 0
-    hv_window: int = 10            # generations in the plateau window
-    hv_rel_tol: float = 1e-4       # relative improvement below this stops
 
     def validate(self) -> None:
         if self.population_size < 4 or self.population_size % 2:
             raise ConfigError("population_size must be even and >= 4")
-        for name in ("eta_c", "eta_m"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
-            raise ConfigError("mutation_prob must be in [0, 1]")
-        if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ConfigError("crossover_prob must be in [0, 1]")
         if self.generations < 1:
             raise ConfigError("generations must be >= 1")
-        if self.hv_window < 1:
-            raise ConfigError("hv_window must be >= 1")
-        if not 0.0 <= self.hv_rel_tol < math.inf:
-            raise ConfigError(f"hv_rel_tol must be a finite number >= 0, "
-                              f"not {self.hv_rel_tol!r}")
 
 
 @dataclass
@@ -399,24 +391,25 @@ def _replay(raw, n: int, g: int, cx: float, pm: float, has_half: bool, half: int
     return picks, cross, sbx_at, mut_at, dbl, next_gene, pos, has_half, half
 
 
-def _offspring(rng, genomes, rank, crowd, lows, highs, config: EAConfig, pm: float):
+def _offspring(rng, genomes, rank, crowd, lows, highs):
     """One generation of offspring, bit-equal to the per-call loop.
 
     The per-call loop makes ``n / 2`` pairs: two :func:`tournament_select`
-    parents, :func:`sbx_crossover` with probability ``crossover_prob``
-    (else copies), and :func:`polynomial_mutation` of each child.  This
-    draws the generation's uint64s in one block, walks them with
-    :func:`_replay`, does the arithmetic on arrays and leaves the PCG64
-    generator in the state the loop would.  The SBX spread and mutation
+    parents, :func:`sbx_crossover` with probability ``_CROSSOVER_PROB``
+    (else copies), and :func:`polynomial_mutation` of each child, each gene
+    with probability ``1 / genes``.  This draws the generation's uint64s in
+    one block, walks them with :func:`_replay`, does the arithmetic on
+    arrays and leaves the PCG64 generator in the state the loop would.  The SBX spread and mutation
     step stay Python-float powers: ``np.power`` differs from them in the
     last bit for some inputs.  Returns the (n, genes) children in the
     loop's order.
     """
     n, g = genomes.shape
+    pm = 1.0 / g
     bitgen = rng.bit_generator
     saved = bitgen.state
     raw = bitgen.random_raw(n // 2 * (3 + 5 * g))  # enough unless a draw is rejected
-    while (plan := _replay(raw, n, g, config.crossover_prob, pm,
+    while (plan := _replay(raw, n, g, _CROSSOVER_PROB, pm,
                            bool(saved["has_uint32"]), saved["uinteger"])) is None:
         raw = np.concatenate([raw, bitgen.random_raw(len(raw))])
     picks, cross, sbx_at, mut_at, dbl, next_gene, consumed, has_half, half = plan
@@ -431,7 +424,7 @@ def _offspring(rng, genomes, rank, crowd, lows, highs, config: EAConfig, pm: flo
     kids = genomes[np.where(second, j, i)]  # parents a0, b0, a1, b1, ...
     if sbx_at:
         us = dbl[np.add.outer(sbx_at, np.arange(g))]
-        beta = np.array([_sbx_beta(u, config.eta_c) for u in us.ravel().tolist()])
+        beta = np.array([_sbx_beta(u, _ETA_C) for u in us.ravel().tolist()])
         beta = beta.reshape(us.shape)
         rows = 2 * np.flatnonzero(cross)
         pa, pb = kids[rows], kids[rows + 1]
@@ -443,7 +436,7 @@ def _offspring(rng, genomes, rank, crowd, lows, highs, config: EAConfig, pm: flo
         at[:, k] = next_gene[at[:, k - 1]]
     hit = dbl[at] < pm
     if hit.any():
-        delta = [_mutation_delta(u, config.eta_m) for u in dbl[at[hit] + 1].tolist()]
+        delta = [_mutation_delta(u, _ETA_M) for u in dbl[at[hit] + 1].tolist()]
         kids[hit] += np.array(delta) * (highs - lows)[np.nonzero(hit)[1]]
     return np.clip(kids, lows, highs, out=kids)
 
@@ -721,8 +714,8 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     after all of that generation's offspring are drawn; evaluation draws
     no random numbers, so the seeded stream does not depend on it.  Stops
     at the generation limit (``stop_reason`` "generation_cap"), or earlier
-    once the archive hypervolume improves by less than ``hv_rel_tol``
-    (relatively) over ``hv_window`` generations ("hv_plateau").
+    once the archive hypervolume improves by less than ``_HV_REL_TOL``
+    (relatively) over ``_HV_WINDOW`` generations ("hv_plateau").
 
     The archive and its hypervolume run in one worker process, forked
     after the initial evaluation, while the main loop makes the next
@@ -740,7 +733,6 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     if lows.shape != highs.shape or np.any(lows > highs):
         raise ConfigError("invalid bounds")
     n_genes = len(lows)
-    pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / n_genes
     rng = np.random.default_rng(config.seed)
 
     def evaluate(genomes) -> np.ndarray:
@@ -778,7 +770,7 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
             failure = None
             if gens < config.generations:
                 try:
-                    kids = _offspring(rng, genomes, rank, crowd, lows, highs, config, pm)
+                    kids = _offspring(rng, genomes, rank, crowd, lows, highs)
                     kid_objs = evaluate(kids)
                     pool, pool_objs = np.vstack([genomes, kids]), np.vstack([objs, kid_objs])
                     keep, rank, crowd = _select(pool_objs, config.population_size)
@@ -787,10 +779,10 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
                 except Exception as exc:
                     failure = exc
             hv_log.append(archive.recv())
-            if gens > config.hv_window:
-                base = hv_log[-1 - config.hv_window]
+            if gens > _HV_WINDOW:
+                base = hv_log[-1 - _HV_WINDOW]
                 gain = hv_log[-1] - base
-                if gain < config.hv_rel_tol * max(abs(base), 1e-30):
+                if gain < _HV_REL_TOL * max(abs(base), 1e-30):
                     genomes, objs, rank, crowd = kept
                     stop_reason = "hv_plateau"
                     break

@@ -142,12 +142,6 @@ class PolicyBounds:
     def highs(self) -> np.ndarray:
         return np.array([getattr(self, f)[1] for f in POLICY_FIELDS], dtype=float)
 
-    def validate(self) -> None:
-        lo, hi = self.lows(), self.highs()
-        if np.any(lo >= hi):
-            bad = [f for f, a, b in zip(POLICY_FIELDS, lo, hi) if a >= b]
-            raise ValueError(f"degenerate bounds for {bad}")
-
 
 JUNEAU_BOUNDS = PolicyBounds()
 ICELAND_BOUNDS = PolicyBounds(

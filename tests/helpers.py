@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from touropt import moea
+from touropt import gsa, moea
 from touropt.dataio import _NOISE_REL
 from touropt.errors import ConfigError, DataError, EvaluationError
 from touropt.flow import SCHEDULE_FIELDS, FlowResult, SiteState
@@ -436,15 +436,16 @@ def evolve_reference(problem, lows, highs, config):
     """Reference NSGA-II loop: one ``Individual`` per genome, the per-call
     ``tournament_select``/``sbx_crossover``/``polynomial_mutation``, the
     Python peel, the one-at-a-time archive and the per-point hypervolume
-    filter.  ``moea.evolve`` must match it bit for bit, generator state
-    included; returns the ``EvolveResult`` and the generator."""
+    filter, stopping on ``moea._HV_WINDOW`` and ``moea._HV_REL_TOL`` as
+    they are when it runs.  ``moea.evolve`` must match it bit for bit,
+    generator state included; returns the ``EvolveResult`` and the
+    generator."""
     config.validate()
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
     if lows.shape != highs.shape or np.any(lows > highs):
         raise ConfigError("invalid bounds")
     n_genes = len(lows)
-    pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / n_genes
     rng = np.random.default_rng(config.seed)
 
     def evaluate(genomes) -> list:
@@ -482,16 +483,16 @@ def evolve_reference(problem, lows, highs, config):
     gens = 0
     stop_reason = "generation_cap"
     for _ in range(config.generations):
-        offspring = generation_reference(pop, rng, lows, highs, config, pm)
+        offspring = generation_reference(pop, rng, lows, highs, config.population_size)
         offspring = evaluate(offspring)
         pop = environmental_selection_reference(pop + offspring, config.population_size)
         archive = archive_one_at_a_time(*archive, *rows(offspring))
         gens += 1
         hv_log.append(archive_hv())
-        if gens > config.hv_window:
-            base = hv_log[-1 - config.hv_window]
+        if gens > moea._HV_WINDOW:
+            base = hv_log[-1 - moea._HV_WINDOW]
             gain = hv_log[-1] - base
-            if gain < config.hv_rel_tol * max(abs(base), 1e-30):
+            if gain < moea._HV_REL_TOL * max(abs(base), 1e-30):
                 stop_reason = "hv_plateau"
                 break
 
@@ -502,26 +503,30 @@ def evolve_reference(problem, lows, highs, config):
                              population=population, stop_reason=stop_reason), rng
 
 
-def generation_reference(pop, rng, lows, highs, config, pm) -> list:
-    """Reference variation: one generation's offspring genomes, drawn with
-    the per-call operators from a population of ranked ``Individual``s."""
+def generation_reference(pop, rng, lows, highs, n) -> list:
+    """Reference variation: ``n`` offspring genomes, drawn with the per-call
+    operators from a population of ranked ``Individual``s, at ``moea``'s
+    operator constants as they are when it runs and p_m = 1 / genes."""
+    pm = 1.0 / len(lows)
     offspring = []
-    while len(offspring) < config.population_size:
+    while len(offspring) < n:
         pa = moea.tournament_select(pop, rng)
         pb = moea.tournament_select(pop, rng)
-        if rng.random() < config.crossover_prob:
-            ga, gb = moea.sbx_crossover(pa.genome, pb.genome, config.eta_c,
+        if rng.random() < moea._CROSSOVER_PROB:
+            ga, gb = moea.sbx_crossover(pa.genome, pb.genome, moea._ETA_C,
                                         lows, highs, rng)
         else:
             ga, gb = pa.genome.copy(), pb.genome.copy()
         for g in (ga, gb):
-            offspring.append(moea.polynomial_mutation(g, config.eta_m, pm,
+            offspring.append(moea.polynomial_mutation(g, moea._ETA_M, pm,
                                                       lows, highs, rng))
     return offspring
 
 
-def morris_sample_loop(space, r, levels=4, seed=0):
-    """Reference Morris design: each trajectory built a step at a time."""
+def morris_sample_loop(space, r, seed=0):
+    """Reference Morris design: each trajectory built a step at a time, on
+    the ``gsa._LEVELS`` grid as it is when it runs."""
+    levels = gsa._LEVELS
     k = len(space)
     delta = levels / (2.0 * (levels - 1.0))
     step = 1.0 / (levels - 1.0)
@@ -568,11 +573,11 @@ def morris_indices_loop(space, samples, outputs):
     return mu_star, sigma
 
 
-def morris_reference(space, exog, coeffs, policy, init, r, levels=4, seed=0):
+def morris_reference(space, exog, coeffs, policy, init, r, seed=0):
     """Reference Morris analysis: the per-step design, one scalar
     ``simulate`` per point and the per-step effects.  Returns the samples,
     the (r, k+1, 3) objectives and ``(mu_star, sigma)`` per output."""
-    samples = morris_sample_loop(space, r, levels, seed)
+    samples = morris_sample_loop(space, r, seed)
     pol = [(j, n) for j, n in enumerate(space.names) if n in POLICY_FIELDS]
     coef = [(j, n) for j, n in enumerate(space.names) if n in COEFF_FIELDS]
     k = len(space)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import touropt as tp
-from touropt import cli
+from touropt import cli, moea
 from touropt.cli import main
 from touropt.errors import EvaluationError
 from touropt.gsa import ParameterSpace, analyze_model, full_space
@@ -40,6 +40,7 @@ def _assert_config_error(tmp_path, capsys, command, doc, key):
                  "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    return err
 
 
 _DATA_HEAD = ("year,V_base,R_gov_base,EXP_gov_base,G_retreat,CO2_emission,population,"
@@ -122,11 +123,13 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("gens, window, reason", [
         (3, 10, "generation_cap"), (60, 1, "hv_plateau")])
-    def test_stdout_names_stop_reason(self, tmp_path, capsys, gens, window, reason):
+    def test_stdout_names_stop_reason(self, tmp_path, capsys, monkeypatch, gens, window,
+                                      reason):
+        monkeypatch.setattr(moea, "_HV_WINDOW", window)
+        monkeypatch.setattr(moea, "_HV_REL_TOL", 0.5)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimize": {"ea": {
-            "population_size": 8, "generations": gens, "hv_window": window,
-            "hv_rel_tol": 0.5}}}))
+            "population_size": 8, "generations": gens}}}))
         assert main(["optimize", "--preset", "juneau", "--seed", "0",
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert f"generations, stopped by {reason}," in capsys.readouterr().out
@@ -229,6 +232,8 @@ class TestOptimizeCommand:
             outs.append(_read_csv(out / "pareto_front.csv"))
         assert outs[0][0] == outs[1][0]  # same header
 
+    # the retired settings (now moea constants) are refused as unknown keys,
+    # whatever their value
     @pytest.mark.parametrize("ea, key", [
         ({"populaton_size": 4}, "ea.populaton_size"),
         ({"mutation_prob": "x"}, "ea.mutation_prob"),
@@ -238,8 +243,8 @@ class TestOptimizeCommand:
         ({"eta_c": float("inf")}, "ea.eta_c"),
         ({"hv_rel_tol": -1}, "hv_rel_tol"),
         (5, "ea"),
-        ({"eta_c": 0}, "ea.eta_c must be > 0"),
-        ({"eta_m": -1.0}, "ea.eta_m must be > 0"),
+        ({"population_size": 7}, "ea.population_size must be even and >= 4"),
+        ({"mutation_prob": None}, "ea.mutation_prob"),  # a null was once the default
         ({"population_size": 6.0, "generations": 0}, "ea.generations"),
         ({"seed": 1}, "ea.seed"),  # the seed is --seed or the section's seed
         ({"reference_point": [1, 2, 3]}, "ea.reference_point"),
@@ -248,20 +253,22 @@ class TestOptimizeCommand:
         _assert_config_error(tmp_path, capsys, "optimize",
                              {"optimize": {"ea": ea}}, key)
 
-    def test_integral_floats_and_null_mutation_prob_accepted(self, tmp_path):
+    def test_integral_floats_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimize": {"ea": {
-            "population_size": 8.0, "generations": 1, "mutation_prob": None}}}))
+            "population_size": 8.0, "generations": 1.0}}}))
         assert main(["optimize", "--preset", "juneau", "--seed", "0",
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("gens, window, reason", [
         (3, 10, "generation_cap"), (60, 1, "hv_plateau")])
-    def test_stdout_names_stop_reason(self, tmp_path, capsys, gens, window, reason):
+    def test_stdout_names_stop_reason(self, tmp_path, capsys, monkeypatch, gens, window,
+                                      reason):
+        monkeypatch.setattr(moea, "_HV_WINDOW", window)
+        monkeypatch.setattr(moea, "_HV_REL_TOL", 0.5)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimize": {"ea": {
-            "population_size": 8, "generations": gens, "hv_window": window,
-            "hv_rel_tol": 0.5}}}))
+            "population_size": 8, "generations": gens}}}))
         assert main(["optimize", "--preset", "juneau", "--seed", "0",
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert f"generations, stopped by {reason}," in capsys.readouterr().out
@@ -350,22 +357,20 @@ class TestSensitivityCommand:
 
     @pytest.mark.parametrize("rel", [-1, 0, 0.0, "x"])
     def test_non_positive_uncertainty_rel_names_key(self, tmp_path, capsys, rel):
-        # checked also where the space (here the default) does not read it
+        # the retired key (the box is gsa._UNCERTAINTY_REL): refused as
+        # unknown whatever its value, also where the space does not read it
         for doc in ({"space": "policy_uncertainty", "uncertainty_rel": rel},
                     {"uncertainty_rel": rel}):
             _assert_config_error(tmp_path, capsys, "sensitivity", {"sensitivity": doc},
                                  "uncertainty_rel")
 
-    @pytest.mark.parametrize("value", [0, 50])  # a zero box, a box above the bounds
+    # a zero box, a box above the bounds, and a subnormal lever the +-20%
+    # box cannot widen: 5e-324 * (1 -+ 0.2) rounds to 5e-324 at both ends
+    @pytest.mark.parametrize("value", [0, 50, 5e-324])
     def test_empty_uncertainty_range_names_policy_key(self, tmp_path, capsys, value):
         doc = {"sensitivity": {"space": "policy_uncertainty",
                                "policy": {"tax_rate": value}}}
         _assert_config_error(tmp_path, capsys, "sensitivity", doc, "policy.tax_rate")
-
-    def test_tiny_uncertainty_rel_names_key(self, tmp_path, capsys):
-        # 0.12 * (1 -+ 1e-300) rounds to 0.12 at both ends
-        doc = {"sensitivity": {"space": "policy_uncertainty", "uncertainty_rel": 1e-300}}
-        _assert_config_error(tmp_path, capsys, "sensitivity", doc, "uncertainty_rel = 1e-300")
 
     @pytest.mark.parametrize("method, name, bounds", [
         ("morris", "tax_rate", [-1, 0.1]),
@@ -443,9 +448,9 @@ class TestSensitivityCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("morris_r", "x"), ("morris_levels", 4.5), ("sobol_n", "many"),
-        ("bootstrap", None),  # the retired key: refused whatever its value
-        ("sobol_n", 32.5)])
+        ("morris_r", "x"), ("sobol_n", "many"), ("sobol_n", 32.5),
+        # the retired keys: refused as unknown whatever their value
+        ("morris_levels", 4.5), ("bootstrap", None)])
     def test_non_integer_setting_is_config_error(self, tmp_path, capsys, key, value):
         _assert_config_error(tmp_path, capsys, "sensitivity",
                              {"sensitivity": {"method": "sobol", key: value}}, key)
@@ -476,23 +481,24 @@ class TestSensitivityCommand:
         assert err.rstrip().endswith("...") and len(err) < 200
 
     @pytest.mark.parametrize("key, value", [("method", "laplace"), ("output", "f4"),
-                                            ("output", ["f1"])])
+                                            ("output", ["f1"]), ("method", ["f1"] * 100),
+                                            ("output", ["f1"] * 100)])
     def test_bad_method_or_output_is_config_error(self, tmp_path, capsys, key, value):
-        _assert_config_error(tmp_path, capsys, "sensitivity",
-                             {"sensitivity": {key: value}}, key)
-
+        err = _assert_config_error(tmp_path, capsys, "sensitivity",
+                                   {"sensitivity": {key: value}}, key)
+        assert len(err) < 200  # a long refused value is echoed cut short
     @pytest.mark.parametrize("doc, key", [
         ({"morris_r": 0}, "morris_r"),
-        ({"morris_levels": 3}, "morris_levels"),
+        ({"morris_levels": 3}, "morris_levels"),  # a retired key, refused as unknown
         ({"method": "sobol", "sobol_n": 1}, "sobol_n"),
         # every size is checked, also those the chosen method does not read
         ({"sobol_n": 1}, "sobol_n"),
-        ({"bootstrap": 0}, "bootstrap"),  # the retired key, refused as unknown
+        ({"bootstrap": 0}, "bootstrap"),  # a retired key, refused as unknown
         ({"method": "sobol", "morris_r": 0}, "morris_r"),
-        ({"method": "sobol", "morris_levels": 3}, "morris_levels"),
+        ({"method": "sobol", "morris_levels": 3}, "morris_levels"),  # retired
         # an integer beyond sys.maxsize
         ({"morris_r": 1e300}, "morris_r"),
-        ({"morris_levels": 1e300}, "morris_levels"),
+        ({"morris_levels": 1e300}, "morris_levels"),  # retired
         ({"method": "sobol", "sobol_n": 1e300}, "sobol_n"),
     ])
     def test_out_of_range_size_names_key(self, tmp_path, capsys, doc, key):
@@ -502,14 +508,13 @@ class TestSensitivityCommand:
                          st.sampled_from(["", "4", "x", None, True]))
 
     @settings(max_examples=200, deadline=None, database=None)
-    @example(method="sobol", morris_r=2, morris_levels=4, sobol_n=4)
+    @example(method="sobol", morris_r=2, sobol_n=4)
     @given(method=st.sampled_from(["morris", "sobol"]),
            morris_r=_SETTING.filter(lambda v: not isinstance(v, (int, float)) or v <= 3),
-           morris_levels=_SETTING, sobol_n=_SETTING)
-    def test_fuzz_integer_settings(self, method, morris_r, morris_levels, sobol_n):
+           sobol_n=_SETTING)
+    def test_fuzz_integer_settings(self, method, morris_r, sobol_n):
         doc = {"sensitivity": {"method": method, "space": "full",
-                               "morris_r": morris_r, "morris_levels": morris_levels,
-                               "sobol_n": sobol_n}}
+                               "morris_r": morris_r, "sobol_n": sobol_n}}
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "cfg.json"
             cfg.write_text(json.dumps(doc))
@@ -520,8 +525,7 @@ class TestSensitivityCommand:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
         if code == 2:  # a bad setting is named by its config key
-            assert any(key in err.getvalue() for key in
-                       ("morris_r", "morris_levels", "sobol_n"))
+            assert any(key in err.getvalue() for key in ("morris_r", "sobol_n"))
 
 
 def _sections(broken: bool) -> dict:
@@ -562,10 +566,8 @@ def _sections(broken: bool) -> dict:
             "column_defaults": obj({"population": num}
                                    | ({"nosuch": num} if broken else {}))}
     ea = obj({"population_size": pick([4, 4.0], [3, 6, "4", True]),
-              "generations": pick([1, 1.0], [0, 1.5, "1", None]),
-              "eta_c": num, "eta_m": num, "mutation_prob": num,
-              "crossover_prob": num, "hv_window": pick([1, 2], [0, 1.5]),
-              "hv_rel_tol": num}, required=("population_size", "generations"))
+              "generations": pick([1, 1.0], [0, 1.5, "1", None])},
+             required=("population_size", "generations"))
     return {
         "simulate": ({}, base | {"policy": policy}),
         "optimize": ({"ea": ea}, base),
@@ -574,9 +576,7 @@ def _sections(broken: bool) -> dict:
              "sobol_n": pick([2, 4, 8], [1, None])},
             base | {"policy": policy,
                     "method": pick(["morris", "sobol"], ["laplace", 1]),
-                    "morris_levels": pick([4, 6], [3, 4.5]),
                     "output": pick(["all", "f2"], ["f4", ["f1"]]),
-                    "uncertainty_rel": num,
                     "space": st.one_of(
                         pick(["full", "policy", "policy_uncertainty"], ["x", 3]),
                         st.dictionaries(pick(["tax_rate", "kappa"], ["warp"]),
@@ -905,11 +905,13 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("gens, window, reason", [
         (3, 10, "generation_cap"), (60, 1, "hv_plateau")])
-    def test_stdout_names_stop_reason(self, tmp_path, capsys, gens, window, reason):
+    def test_stdout_names_stop_reason(self, tmp_path, capsys, monkeypatch, gens, window,
+                                      reason):
+        monkeypatch.setattr(moea, "_HV_WINDOW", window)
+        monkeypatch.setattr(moea, "_HV_REL_TOL", 0.5)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimize": {"ea": {
-            "population_size": 8, "generations": gens, "hv_window": window,
-            "hv_rel_tol": 0.5}}}))
+            "population_size": 8, "generations": gens}}}))
         assert main(["optimize", "--preset", "juneau", "--seed", "0",
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert f"generations, stopped by {reason}," in capsys.readouterr().out
@@ -1063,9 +1065,8 @@ _BAD_SETTINGS = {
     "preset": "atlantis", "seed": -1, "out": 3, "dataset": 3,
     "column_map": {"yr": "bar"}, "column_defaults": {"nosuch": 1.0},
     "coefficients": {"delta": -1.0}, "policy": {"tax_rate": -1},
-    "ea": {"population_size": 3}, "uncertainty_rel": 0, "space": {"bogus": [0, 1]},
-    "method": "laplace", "output": "f4", "morris_r": 0, "morris_levels": 3,
-    "sobol_n": 1, "scenarios": [],
+    "ea": {"population_size": 3}, "space": {"bogus": [0, 1]},
+    "method": "laplace", "output": "f4", "morris_r": 0, "sobol_n": 1, "scenarios": [],
 }
 
 
@@ -1087,9 +1088,29 @@ class TestConfigHandling:
         assert err.startswith("config error:") and key in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, path, value", [
+        ("optimize", "ea.eta_c", 15.0), ("optimize", "ea.eta_m", 20.0),
+        ("optimize", "ea.mutation_prob", None), ("optimize", "ea.crossover_prob", 0.9),
+        ("optimize", "ea.hv_window", 10), ("optimize", "ea.hv_rel_tol", 1e-4),
+        ("sensitivity", "sensitivity.morris_levels", 4),
+        ("sensitivity", "sensitivity.uncertainty_rel", 0.2)])
+    def test_retired_setting_is_an_unknown_key(self, tmp_path, capsys, monkeypatch,
+                                               command, path, value):
+        # the eight settings are moea and gsa constants now: even the value
+        # that was their default is refused, before anything runs
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the config was read")
+        monkeypatch.setattr("touropt.cli.simulate_batch", no_simulation)
+        monkeypatch.setattr("touropt.gsa.simulate_batch", no_simulation)
+        section, key = path.split(".")
+        doc = {command: {"ea": {key: value}} if section == "ea" else {key: value}}
+        _assert_config_error(tmp_path, capsys, command, doc,
+                             f"config error: unknown config keys [{path!r}]")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("first, second", [
-        ({"morris_r": 0}, {"morris_levels": 3}),
-        ({"uncertainty_rel": 0}, {"space": {"bogus": [0, 1]}}),
+        ({"morris_r": 0}, {"sobol_n": 1}),
+        ({"coefficients": {"delta": -1.0}}, {"space": {"bogus": [0, 1]}}),
         ({"space": {"bogus": [0, 1]}}, {"method": "laplace"}),
         ({"policy": {"tax_rate": -1}}, {"sobol_n": 1})])
     def test_of_two_bad_settings_the_earlier_in_table_order_is_named(
@@ -1228,6 +1249,7 @@ class TestConfigHandling:
         ("simulate", {"simulate": {"seed": True}}, "seed"),
         ("optimize", {"optimize": {"seed": 0, "ea": {"generations": True}}},
          "ea.generations"),
+        # a retired key: refused as unknown whatever its value
         ("optimize", {"optimize": {"seed": 0, "ea": {"mutation_prob": False}}},
          "ea.mutation_prob"),
         ("simulate", {"simulate": {"policy": {"tax_rate": False}}}, "policy.tax_rate"),

@@ -50,12 +50,12 @@ class TestParameterSpace:
 
 class TestMorrisSample:
     def test_trajectory_has_k_plus_one_points(self):
-        samples = morris_sample(_unit_space(2), r=5, levels=4, seed=0)
+        samples = morris_sample(_unit_space(2), r=5, seed=0)
         assert samples.shape == (5, 3, 2)
 
     def test_one_at_a_time_steps(self):
         space = _unit_space(4)
-        samples = morris_sample(space, r=10, levels=4, seed=1)
+        samples = morris_sample(space, r=10, seed=1)
         delta = 4 / (2 * 3)
         for t in range(10):
             for s in range(4):
@@ -65,27 +65,26 @@ class TestMorrisSample:
                 assert abs(abs(du[moved][0]) - delta) < 1e-12
 
     def test_levels_four_delta_two_thirds(self):
-        samples = morris_sample(_unit_space(1), r=3, levels=4, seed=2)
+        samples = morris_sample(_unit_space(1), r=3, seed=2)
         steps = np.abs(np.diff(samples[:, :, 0], axis=1))
         assert np.allclose(steps, 2.0 / 3.0)
 
     def test_points_stay_in_bounds(self):
         space = ParameterSpace.from_dict({"a": (-5.0, 5.0), "b": (100.0, 300.0)})
-        samples = morris_sample(space, r=30, levels=6, seed=3)
+        samples = morris_sample(space, r=30, seed=3)
         assert np.all(samples[:, :, 0] >= -5.0) and np.all(samples[:, :, 0] <= 5.0)
         assert np.all(samples[:, :, 1] >= 100.0) and np.all(samples[:, :, 1] <= 300.0)
 
     def test_invalid_grid_rejected(self):
+        # the grid is fixed (gsa._LEVELS); a design of no trajectories is refused
         with pytest.raises(ConfigError):
-            morris_sample(_unit_space(2), r=5, levels=3)
-        with pytest.raises(ConfigError):
-            morris_sample(_unit_space(2), r=0, levels=4)
+            morris_sample(_unit_space(2), r=0)
 
 
 class TestMorrisIndices:
     def test_linear_function_exact_slopes(self):
         space = _unit_space(2)
-        samples = morris_sample(space, r=20, levels=4, seed=4)
+        samples = morris_sample(space, r=20, seed=4)
         outputs = 2.0 * samples[:, :, 0] + samples[:, :, 1]
         res = morris_indices(space, samples, outputs)
         assert res.mu_star == pytest.approx([2.0, 1.0])
@@ -93,13 +92,13 @@ class TestMorrisIndices:
 
     def test_constant_function(self):
         space = _unit_space(3)
-        samples = morris_sample(space, r=8, levels=4, seed=5)
+        samples = morris_sample(space, r=8, seed=5)
         res = morris_indices(space, samples, np.zeros(samples.shape[:2]))
         assert np.all(res.mu_star == 0.0) and np.all(res.sigma == 0.0)
 
     def test_interaction_shows_in_sigma(self):
         space = _unit_space(2)
-        samples = morris_sample(space, r=30, levels=4, seed=6)
+        samples = morris_sample(space, r=30, seed=6)
         outputs = samples[:, :, 0] * samples[:, :, 1]
         res = morris_indices(space, samples, outputs)
         assert res.sigma[0] > 0.0
@@ -107,7 +106,7 @@ class TestMorrisIndices:
     def test_slopes_respect_bound_scaling(self):
         # in unit space the elementary effect picks up the parameter range
         space = ParameterSpace.from_dict({"a": (0.0, 10.0)})
-        samples = morris_sample(space, r=5, levels=4, seed=7)
+        samples = morris_sample(space, r=5, seed=7)
         res = morris_indices(space, samples, 3.0 * samples[:, :, 0])
         assert res.mu_star == pytest.approx([30.0])
 
@@ -142,17 +141,19 @@ class TestMorrisReference:
 
     @pytest.mark.parametrize("space_name", ["full", "policy", "one", "coefficients"])
     @pytest.mark.parametrize("levels", [4, 6])
-    def test_analysis_bit_for_bit(self, model, space_name, levels):
+    def test_analysis_bit_for_bit(self, monkeypatch, model, space_name, levels):
+        # the fixed 4-level grid, and a 6-level one patched in for both sides
+        monkeypatch.setattr(gsa, "_LEVELS", levels)
         preset, exog, init = model
         space = _morris_spaces(preset)[space_name]
         args = (exog, preset.coefficients, preset.reference_policy, init)
         for r in (1, 2, 20):
             for seed in (0, 5, 1234):
-                samples, evals, ref = morris_reference(space, *args, r, levels, seed)
-                got = morris_sample(space, r, levels, seed)
+                samples, evals, ref = morris_reference(space, *args, r, seed)
+                got = morris_sample(space, r, seed)
                 assert np.array_equal(_bits(got), _bits(samples))
                 report = analyze_model(space, *args, method="morris", morris_r=r,
-                                       morris_levels=levels, seed=seed)
+                                       seed=seed)
                 for j, name in enumerate(("f1", "f2", "f3")):
                     mu_star, sigma = ref[j]
                     res = report.tables[name]
@@ -161,13 +162,13 @@ class TestMorrisReference:
                     assert np.array_equal(_bits(report.matrix[:, j]), _bits(mu_star))
 
     def test_two_level_grid_bit_for_bit(self, monkeypatch):
-        # the CLI rejects levels < 4; the array construction still matches there
-        monkeypatch.setattr(gsa, "_check_morris_levels", lambda levels, key="levels": None)
+        # the grid is fixed at 4 levels; the array construction matches at 2 too
+        monkeypatch.setattr(gsa, "_LEVELS", 2)
         space = ParameterSpace.from_dict({"a": (-3.0, 5.0), "b": (0.1, 0.2),
                                           "c": (1e6, 4e6)})
         for r, seed in ((1, 0), (2, 1), (20, 2)):
-            got = morris_sample(space, r, 2, seed)
-            assert np.array_equal(_bits(got), _bits(morris_sample_loop(space, r, 2, seed)))
+            got = morris_sample(space, r, seed)
+            assert np.array_equal(_bits(got), _bits(morris_sample_loop(space, r, seed)))
 
     def test_random_irregular_trajectories(self):
         # steps that move one, several or no parameter, of any size and sign,
@@ -572,12 +573,12 @@ class TestAnalyzeModel:
         args = (space, juneau_exog, juneau.coefficients, juneau.reference_policy,
                 juneau_init)
         with pytest.raises(EvaluationError) as want:
-            morris_reference(*args, 3, 4, seed)
+            morris_reference(*args, 3, seed)
         with pytest.raises(EvaluationError) as got:
             analyze_model(*args, method="morris", morris_r=3, seed=seed)
         assert str(got.value) == str(want.value)
         if seed == 0:
-            first = morris_sample(space, 3, 4, 0)[0, 0].tolist()
+            first = morris_sample(space, 3, 0)[0, 0].tolist()
             assert first[0] == 6.666666666666667e+307
             assert str(got.value) == f"NaN objective at sample {dict(zip(space.names, first))}"
 
@@ -614,8 +615,9 @@ class TestAnalyzeModel:
 
 
 class TestSpaces:
-    def test_uncertainty_space_clips_to_bounds(self, juneau):
-        space = uncertainty_space(juneau.reference_policy, juneau.bounds, rel=0.5)
+    def test_uncertainty_space_clips_to_bounds(self, monkeypatch, juneau):
+        monkeypatch.setattr(gsa, "_UNCERTAINTY_REL", 0.5)  # a box the bounds clip
+        space = uncertainty_space(juneau.reference_policy, juneau.bounds)
         for name, lo, hi in zip(space.names, space.lows, space.highs):
             blo, bhi = getattr(juneau.bounds, name)
             assert lo >= blo and hi <= bhi and lo < hi

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -646,8 +647,9 @@ def _toy(genomes):
 
 
 class TestEvolve:
-    def test_toy_front_in_analytic_interval(self):
-        cfg = EAConfig(population_size=40, generations=20, seed=1, hv_rel_tol=0.0)
+    def test_toy_front_in_analytic_interval(self, monkeypatch):
+        monkeypatch.setattr(moea, "_HV_REL_TOL", 0.0)  # no plateau stop
+        cfg = EAConfig(population_size=40, generations=20, seed=1)
         res = evolve(_toy, [-2.0], [2.0], cfg)
         xs = res.front.genomes[:, 0]
         assert np.mean((xs >= -1.05) & (xs <= 1.05)) >= 0.95
@@ -668,15 +670,17 @@ class TestEvolve:
         res = evolve(_toy, [0.5], [0.5], cfg)  # degenerate box: all clones
         assert len(res.front.individuals) == 1
 
-    def test_hypervolume_log_nondecreasing(self):
-        cfg = EAConfig(population_size=30, generations=15, seed=4, hv_rel_tol=0.0)
+    def test_hypervolume_log_nondecreasing(self, monkeypatch):
+        monkeypatch.setattr(moea, "_HV_REL_TOL", 0.0)  # no plateau stop
+        cfg = EAConfig(population_size=30, generations=15, seed=4)
         res = evolve(_toy, [-2.0], [2.0], cfg)
         hv = res.hypervolume_log
         assert all(b >= a - 1e-12 for a, b in zip(hv, hv[1:]))
 
-    def test_plateau_stops_early(self):
-        cfg = EAConfig(population_size=20, generations=200, seed=5,
-                       hv_window=5, hv_rel_tol=0.5)
+    def test_plateau_stops_early(self, monkeypatch):
+        monkeypatch.setattr(moea, "_HV_WINDOW", 5)
+        monkeypatch.setattr(moea, "_HV_REL_TOL", 0.5)
+        cfg = EAConfig(population_size=20, generations=200, seed=5)
         res = evolve(_toy, [-2.0], [2.0], cfg)
         assert res.generations_run < 200
         assert res.stop_reason == "hv_plateau"
@@ -701,7 +705,7 @@ class TestEvolve:
             calls.append((type(genomes), genomes.shape))
             return _toy(genomes)
 
-        cfg = EAConfig(population_size=12, generations=5, seed=3, hv_rel_tol=0.0)
+        cfg = EAConfig(population_size=12, generations=5, seed=3)
         res = evolve(counted, [-2.0, 0.0], [2.0, 1.0], cfg)
         assert res.generations_run == 5
         assert calls == [(np.ndarray, (12, 2))] * (1 + res.generations_run)
@@ -729,17 +733,10 @@ class TestEvolve:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             EAConfig(population_size=5).validate()
-        with pytest.raises(ConfigError, match="^eta_c must be > 0$"):
-            EAConfig(eta_c=0.0).validate()
-        with pytest.raises(ConfigError, match="^eta_m must be > 0$"):
-            EAConfig(eta_m=-1.0).validate()
-        with pytest.raises(ConfigError):
-            EAConfig(mutation_prob=1.5).validate()
-
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
-    def test_hv_rel_tol_must_be_finite_and_nonnegative(self, tol):
-        with pytest.raises(ConfigError, match="hv_rel_tol"):
-            EAConfig(hv_rel_tol=tol).validate()
+        with pytest.raises(ConfigError, match="^generations must be >= 1$"):
+            EAConfig(generations=0).validate()
+        assert [f.name for f in dataclasses.fields(EAConfig)] == [
+            "population_size", "generations", "seed"]
 
 
 class TestReferencePoint:
@@ -789,9 +786,8 @@ def _run_both(monkeypatch, problem, lows, highs, cfg, make_rng=np.random.default
     if result.stop_reason == "hv_plateau" and result.generations_run < cfg.generations:
         # evolve drew the generation after the stop before discarding it
         genomes, _, rank, crowd = reference.population
-        pm = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / len(lows)
         moea._offspring(reference_rng, genomes, rank, crowd, np.asarray(lows, dtype=float),
-                        np.asarray(highs, dtype=float), cfg, pm)
+                        np.asarray(highs, dtype=float))
     assert made[0].bit_generator.state == reference_rng.bit_generator.state
     return result
 
@@ -816,28 +812,30 @@ class TestArrayGeneration:
 
     @pytest.mark.parametrize("n", [4, 10, 36])
     def test_tie_heavy_sweep_matches_reference(self, monkeypatch, n):
-        for k, (g, cx, pm) in enumerate(itertools.product(
-                [1, 3, 5, 11], [0.0, 0.5, 0.9, 1.0], [None, 0.0, 1.0])):
-            cfg = EAConfig(population_size=n, generations=5, seed=100 * n + k,
-                           crossover_prob=cx, mutation_prob=pm, hv_rel_tol=0.0)
+        # no pair, some pairs and every pair crossing; with one gene, p_m =
+        # 1 / genes mutates every gene
+        for k, (g, cx) in enumerate(itertools.product([1, 3, 5, 11],
+                                                      [0.0, 0.5, 0.9, 1.0])):
+            monkeypatch.setattr(moea, "_CROSSOVER_PROB", cx)
+            cfg = EAConfig(population_size=n, generations=5, seed=100 * n + k)
             _run_both(monkeypatch, _tie_toy, [-2.0] * g, [2.0] * g, cfg)
 
     def test_degenerate_and_mixed_boxes_match_reference(self, monkeypatch):
-        cfg = EAConfig(population_size=12, generations=6, seed=3, hv_rel_tol=0.0)
+        cfg = EAConfig(population_size=12, generations=6, seed=3)
         _run_both(monkeypatch, _tie_toy, [0.5] * 3, [0.5] * 3, cfg)
         _run_both(monkeypatch, _tie_toy, [0.0, 0.5, -1.0], [1.0, 0.5, 3.0], cfg)
-        # default plateau stop
+        # the plateau stop at the fixed tolerance, over a shorter window
+        monkeypatch.setattr(moea, "_HV_WINDOW", 3)
         _run_both(monkeypatch, _tie_toy, [-2.0] * 2, [2.0] * 2,
-                  EAConfig(population_size=8, generations=60, seed=4, hv_window=3))
+                  EAConfig(population_size=8, generations=60, seed=4))
 
-    @pytest.mark.parametrize("cx, pm", [(0.9, None), (1.0, 1.0)])
-    def test_rejected_tournament_draw_matches_reference(self, monkeypatch, cx, pm):
+    @pytest.mark.parametrize("cx, g", [(0.9, 3), (1.0, 1)])
+    def test_rejected_tournament_draw_matches_reference(self, monkeypatch, cx, g):
         # PCG64(0) advanced by 9,823,191 uint64s: integers(100) rejects the
         # low half of the next uint64 (Lemire).  The initial population's
         # 100 x g doubles come first, so generation 1's first draw hits it.
         word = int(np.random.PCG64(0).advance(9_823_191).random_raw())
         assert ((word & 0xFFFFFFFF) * 100) & 0xFFFFFFFF < (1 << 32) % 100
-        g = 3
         starts, short = [], []
         offspring, replay = moea._offspring, moea._replay
 
@@ -852,20 +850,22 @@ class TestArrayGeneration:
 
         monkeypatch.setattr(moea, "_offspring", offspring_spy)
         monkeypatch.setattr(moea, "_replay", replay_spy)
-        cfg = EAConfig(population_size=100, generations=4, crossover_prob=cx,
-                       mutation_prob=pm, hv_rel_tol=0.0)
+        monkeypatch.setattr(moea, "_CROSSOVER_PROB", cx)
+        cfg = EAConfig(population_size=100, generations=4)
         _run_both(monkeypatch, _tie_toy, [-2.0] * g, [2.0] * g, cfg,
                   make_rng=lambda seed: np.random.Generator(
                       np.random.PCG64(0).advance(9_823_191 - 100 * g)))
         # the odd draw leaves a 32-bit half buffered into the next generation
         assert starts[0] == 0 and all(starts[1:])
-        # with every pair crossing and every gene mutating the block is
-        # exactly the no-rejection worst case, so the rejection overruns it
+        # with every pair crossing and every gene mutating (one gene, so
+        # p_m = 1) the block is exactly the no-rejection worst case, so the
+        # rejection overruns it
         assert any(short) == (cx == 1.0)
 
-    @pytest.mark.parametrize("n, g, cx, pm", [(4, 1, 0.9, None), (10, 3, 1.0, 1.0),
-                                               (36, 7, 0.5, 0.0), (100, 11, 0.9, 0.3)])
-    def test_generation_starting_with_buffered_half(self, n, g, cx, pm):
+    @pytest.mark.parametrize("n, g, cx", [(4, 1, 0.9), (10, 1, 1.0), (36, 7, 0.5),
+                                           (100, 11, 0.9)])
+    def test_generation_starting_with_buffered_half(self, monkeypatch, n, g, cx):
+        monkeypatch.setattr(moea, "_CROSSOVER_PROB", cx)
         rng = np.random.default_rng(n + g)
         lows, highs = -np.ones(g), np.linspace(0.5, 3.0, g)
         genomes = lows + (highs - lows) * rng.random((n, g))
@@ -873,14 +873,12 @@ class TestArrayGeneration:
         crowd = rng.choice([0.0, 0.5, 1.5, math.inf], n)
         pop = [Individual(x, (0.0, 0.0, 0.0), int(r), float(c))
                for x, r, c in zip(genomes, rank, crowd)]
-        cfg = EAConfig(population_size=n, crossover_prob=cx, mutation_prob=pm)
-        pm = 1.0 / g if pm is None else pm
         ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
         for r in (ours, theirs):
             r.integers(n)  # leaves the high half of a uint64 buffered
         assert ours.bit_generator.state["has_uint32"] == 1
-        kids = moea._offspring(ours, genomes, rank, crowd, lows, highs, cfg, pm)
-        want = np.array(generation_reference(pop, theirs, lows, highs, cfg, pm))
+        kids = moea._offspring(ours, genomes, rank, crowd, lows, highs)
+        want = np.array(generation_reference(pop, theirs, lows, highs, n))
         assert kids.tobytes() == want.tobytes()
         assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -917,9 +915,13 @@ class TestArchiveWorker:
     """The archive stage runs in a forked worker, one generation behind."""
 
     box = ([-2.0] * 2, [2.0] * 2)
-    # stops on the plateau at generation 10 of 60
-    plateau = EAConfig(population_size=8, generations=60, seed=4, hv_window=3,
-                       hv_rel_tol=0.01)
+    # stops on the plateau at generation 10 of 60, under _plateau_settings
+    plateau = EAConfig(population_size=8, generations=60, seed=4)
+
+    @pytest.fixture(autouse=True)
+    def _plateau_settings(self, monkeypatch):
+        monkeypatch.setattr(moea, "_HV_WINDOW", 3)
+        monkeypatch.setattr(moea, "_HV_REL_TOL", 0.01)
 
     def test_early_plateau_stop_matches_reference(self, monkeypatch):
         res = _run_both(monkeypatch, _tie_toy, *self.box, self.plateau)
@@ -972,10 +974,19 @@ class TestArchiveWorker:
 
     @pytest.mark.parametrize("why", ["no fork", "one CPU", "fork fails", "threads"])
     def test_in_process_path_gives_the_same_result(self, monkeypatch, why):
-        runs = [(self.plateau, self.box),
-                (EAConfig(population_size=12, generations=6, seed=3, hv_rel_tol=0.0),
+        # a plateau stop, and a run to its generation cap
+        runs = [(0.01, self.plateau, self.box),
+                (0.0, EAConfig(population_size=12, generations=6, seed=3),
                  ([0.0, 0.5, -1.0], [1.0, 0.5, 3.0]))]
-        default = [_fingerprint(evolve(_tie_toy, *box, cfg)) for cfg, box in runs]
+
+        def fingerprints():
+            out = []
+            for tol, cfg, box in runs:
+                monkeypatch.setattr(moea, "_HV_REL_TOL", tol)
+                out.append(_fingerprint(evolve(_tie_toy, *box, cfg)))
+            return out
+
+        default = fingerprints()
         if why == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         elif why == "one CPU":
@@ -993,7 +1004,7 @@ class TestArchiveWorker:
         if why == "threads":
             other.start()
         try:
-            assert [_fingerprint(evolve(_tie_toy, *box, cfg)) for cfg, box in runs] == default
+            assert fingerprints() == default
         finally:
             done.set()
             if other.ident is not None:

@@ -325,11 +325,6 @@ class TestSimulate:
 
 
 class TestValidation:
-    def test_degenerate_bounds_rejected(self):
-        bounds = tp.PolicyBounds(tax_rate=(0.3, 0.3))
-        with pytest.raises(ValueError):
-            bounds.validate()
-
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
             tp.ModelCoefficients(beta1=-1.0).validate()
