@@ -28,7 +28,7 @@ print("\n=== Sobol around the working policy, demand capacity-bound, n=512")
 stressed = exog.with_scaled("V_base", 8.0)
 u_space = uncertainty_space(policy, preset.bounds)  # +-20% around the policy
 report = analyze_model(u_space, stressed, preset.coefficients, policy, init,
-                       method="sobol", output="f1", sobol_n=512, seed=11)
+                       method="sobol", sobol_n=512, seed=11)
 print("parameter           S1      ST")
 for name, s1, st, _ in report.tables["f1"].ranked():
     print(f"{name:18s} {s1:6.3f}  {st:6.3f}")

@@ -459,8 +459,8 @@ def cmd_sensitivity(opts: dict):
     exog, init = _resolve_base(opts)
     report = analyze_model(
         opts["space"], exog, opts["coefficients"], opts["policy"], init,
-        method=opts["method"], output=opts["output"],
-        morris_r=opts["morris_r"], sobol_n=opts["sobol_n"], seed=opts["seed"])
+        method=opts["method"], morris_r=opts["morris_r"], sobol_n=opts["sobol_n"],
+        seed=opts["seed"])
     files = {}
     for name, table in sorted(report.tables.items()):
         if isinstance(table, MorrisResult):
@@ -552,7 +552,6 @@ _KEYS = {
     "ea": ({}, _ea, ("optimize",)),
     "space": ("full", _space, ("sensitivity",)),
     "method": ("morris", _checked(gsa._check_method), ("sensitivity",)),
-    "output": ("all", _checked(gsa._check_output), ("sensitivity",)),
     "morris_r": (20, _checked(gsa._check_morris_r, _integer), ("sensitivity",)),
     "sobol_n": (512, _checked(gsa._check_sobol_n, _integer), ("sensitivity",)),
     "scenarios": ("default", _scenarios, ("scenario",)),

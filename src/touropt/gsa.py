@@ -16,7 +16,8 @@ numpy's pairwise sum, for all outputs together (:func:`_sobol_tables`;
 Sampling is plain seeded pseudo-random (recorded in result metadata, no
 low-discrepancy sequence); accuracy targets are set accordingly.  Both
 analyses evaluate the model once per sample point and take the three
-objectives from that one run, never re-simulating per output.  The whole
+objectives from that one run, never re-simulating per output, and report
+all three: one output that Sobol refuses refuses the run.  The whole
 design -- the Saltelli matrix, or every point of the r Morris
 trajectories -- goes to ``sd_core.simulate_batch`` in one call, and the
 first NaN sample in design order is named.  Sobol's three outputs go to
@@ -276,11 +277,6 @@ def _check_method(method, key: str = "method") -> None:
         raise ConfigError(f"unknown {key} {_shown(method)}; use 'morris' or 'sobol'")
 
 
-def _check_output(output, key: str = "output") -> None:
-    if output not in OUTPUT_NAMES + ("all",):
-        raise ConfigError(f"{key} must be f1, f2, f3 or all, not {_shown(output)}")
-
-
 def _check_morris_r(r: int, key: str = "r") -> None:
     if r < 1:
         raise ConfigError(f"{key} must be at least one trajectory, not {r!r}")
@@ -420,17 +416,16 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, seed: int) -> list:
     its own ``sobol_indices`` call, and of the per-resample
     ``take(idx, axis=1).mean(axis=1)`` of the transposed block: the
     resamples are those of ``default_rng(seed)`` whatever m or the chunk
-    size is.
+    size is.  A non-finite output is refused first; an output that takes
+    one value over the whole design gets S1 = S_T = 0 and a zero-width
+    interval, and any other whose variance, at the point or in a resample,
+    is not positive is refused.
     """
     Y = design._checked(Y)
     k, n = len(design.space), design.n
     Yt = np.ascontiguousarray(Y.T)  # (m, N): one row per output
     m = Yt.shape[0]
-    bad = ~np.isfinite(Yt).all(axis=1)
-    if bad.any():
-        first = int(np.argmax(bad))
-        if first:  # outputs before the first bad one fail first, as in separate calls
-            _sobol_tables(design, Y[:, :first], seed)
+    if not np.isfinite(Yt).all():
         raise EvaluationError("non-finite model output in Sobol design")
     # far-apart finite outputs may give NaN indices, which the caller refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -444,7 +439,10 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, seed: int) -> list:
 
         st_pair = np.stack([(yA - yAB) ** 2, (yB - yBA) ** 2])
         yAyB = Yt[:, :2 * n]
-        var = np.var(yAyB, axis=1)
+        # every term of an output the space cannot move is exactly 0, but its
+        # variance rounds to anything from 0 to 1e-28: divide its terms by 1
+        flat = np.ptp(Yt, axis=1) == 0.0
+        var = np.where(flat, 1.0, np.var(yAyB, axis=1))
         _check_variance(var)
         s1 = half_mean(np.stack([yB * (yAB - yA), yA * (yBA - yB)])) / var[:, None]
         st = half_mean(st_pair) / 2.0 / var[:, None]
@@ -458,6 +456,7 @@ def _sobol_tables(design: SaltelliDesign, Y: np.ndarray, seed: int) -> list:
             idx = rng.integers(0, n, size=(hi - lo, n))  # the draws of hi - lo size-n calls
             # (m, B, 2n), C-ordered: each variance reduces one contiguous row
             var = np.var(yAyB.take(np.concatenate([idx, idx + n], axis=1), axis=1), axis=2).T
+            var[:, flat] = 1.0
             _check_variance(var)
             a, b = _gather_means(st_terms, idx).reshape(-1, 2, m, k).transpose(1, 0, 2, 3)
             bootst[lo:hi] = 0.5 * (a + b) / 2.0 / var[:, :, None]
@@ -503,27 +502,24 @@ class AnalysisReport:
 
 def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
                   coeffs: ModelCoefficients, policy: PolicyVector,
-                  init: SimState, method: str = "morris",
-                  output: str = "all", morris_r: int = 20,
+                  init: SimState, method: str = "morris", morris_r: int = 20,
                   sobol_n: int = 512, seed: int = 0) -> AnalysisReport:
     """Sensitivity of the simulation objectives over a parameter space.
 
     One simulation per sample point feeds all three outputs: the whole
     design runs in one ``simulate_batch`` call, for Sobol and Morris alike,
-    and the first NaN sample in design order is named.  ``output``
-    narrows which ranked tables are returned while the parameters-by-
-    outputs matrix always covers f1..f3 (mu* for Morris, S_T for Sobol).
-    ``method``, ``output``, every size (those of the other method too)
-    and the space's parameter names are checked, as the CLI parses them,
-    before any sampling or simulation.  A design too large to hold is a
-    MemoryError naming its size: ``morris_r`` or ``sobol_n``.
+    and the first NaN sample in design order is named.  The report holds
+    the ranked table of each of f1..f3 and the parameters-by-outputs
+    matrix (mu* for Morris, S_T for Sobol); an output the space cannot
+    move gets zeros.  ``method``, every size (those of the other method
+    too) and the space's parameter names are checked, as the CLI parses
+    them, before any sampling or simulation.  A design too large to hold
+    is a MemoryError naming its size: ``morris_r`` or ``sobol_n``.
     """
     _check_method(method)
-    _check_output(output)
     _check_morris_r(morris_r, "morris_r")
     _check_sobol_n(sobol_n, "sobol_n")
     _check_parameters(space.names)
-    wanted = OUTPUT_NAMES if output == "all" else (output,)
     try:  # the design points, the largest arrays of the run
         if method == "morris":
             samples = morris_sample(space, morris_r, seed)
@@ -543,8 +539,8 @@ def analyze_model(space: ParameterSpace, exog: ExogenousSeries,
     else:
         results = _sobol_tables(design, evals, seed)
         matrix = np.column_stack([res.st for res in results])
-    tables = {name: res for name, res in zip(OUTPUT_NAMES, results) if name in wanted}
-    return AnalysisReport(method=method, space=space, tables=tables, matrix=matrix)
+    return AnalysisReport(method=method, space=space, tables=dict(zip(OUTPUT_NAMES, results)),
+                          matrix=matrix)
 
 
 def uncertainty_space(policy: PolicyVector, bounds: PolicyBounds) -> ParameterSpace:

@@ -269,8 +269,9 @@ def archive_one_at_a_time(genomes, objs, new_genomes, new_objs):
     return genomes, objs
 
 
-def _sobol_point_estimates(yA, yB, yAB, yBA) -> tuple:
-    var = np.var(np.concatenate([yA, yB]))
+def _sobol_point_estimates(yA, yB, yAB, yBA, flat) -> tuple:
+    # a constant output's terms are all 0: they are divided by 1
+    var = 1.0 if flat else np.var(np.concatenate([yA, yB]))
     if var <= 0.0:
         raise EvaluationError("zero output variance: Sobol indices undefined")
     k = yAB.shape[0]
@@ -297,12 +298,14 @@ def sobol_bootstrap_loop(design, outputs, n_boot=200, seed=0):
     yAB, yBA = y[2 * n:].reshape(2, k, n)  # A with column i from B, then B with A's
     if not np.all(np.isfinite(outputs)):
         raise EvaluationError("non-finite model output in Sobol design")
-    s1, st = _sobol_point_estimates(yA, yB, yAB, yBA)
+    flat = np.ptp(y) == 0.0
+    s1, st = _sobol_point_estimates(yA, yB, yAB, yBA, flat)
     rng = np.random.default_rng(seed)
     bootst = np.empty((n_boot, k))
     for b in range(n_boot):
         idx = rng.integers(0, n, size=n)
-        _, bootst[b] = _sobol_point_estimates(yA[idx], yB[idx], yAB[:, idx], yBA[:, idx])
+        _, bootst[b] = _sobol_point_estimates(yA[idx], yB[idx], yAB[:, idx], yBA[:, idx],
+                                              flat)
     alpha = 0.5 * (1.0 - 0.95)
     lot, hit = np.quantile(bootst, [alpha, 1.0 - alpha], axis=0)
     return s1, st, 0.5 * (hit - lot)

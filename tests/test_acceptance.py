@@ -207,7 +207,7 @@ def test_criterion_07_capacity_dominates_revenue(juneau, juneau_init):
     space = uncertainty_space(juneau.reference_policy, juneau.bounds)
     report = analyze_model(space, exog, juneau.coefficients,
                            juneau.reference_policy, juneau_init,
-                           method="sobol", output="f1", sobol_n=512, seed=11)
+                           method="sobol", sobol_n=512, seed=11)
     res = report.tables["f1"]
     st = dict(zip(res.names, res.st))
     cap = st.pop("capacity_limit")

@@ -121,19 +121,6 @@ class TestSimulateCommand:
                              {"simulate": {"coefficients": {"kappa": -1}}},
                              "coefficients.kappa")
 
-    @pytest.mark.parametrize("gens, window, reason", [
-        (3, 10, "generation_cap"), (60, 1, "hv_plateau")])
-    def test_stdout_names_stop_reason(self, tmp_path, capsys, monkeypatch, gens, window,
-                                      reason):
-        monkeypatch.setattr(moea, "_HV_WINDOW", window)
-        monkeypatch.setattr(moea, "_HV_REL_TOL", 0.5)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"optimize": {"ea": {
-            "population_size": 8, "generations": gens}}}))
-        assert main(["optimize", "--preset", "juneau", "--seed", "0",
-                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert f"generations, stopped by {reason}," in capsys.readouterr().out
-
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -298,8 +285,7 @@ class TestSensitivityCommand:
         out = tmp_path / "s"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sensitivity": {
-            "method": "sobol", "output": "f1", "space": "policy",
-            "sobol_n": 32}}))
+            "method": "sobol", "space": "policy", "sobol_n": 32}}))
         assert main(["sensitivity", "--preset", "juneau", "--seed", "2",
                      "--config", str(cfg), "--out", str(out)]) == 0
         header, rows = _read_csv(out / "sobol_f1.csv")
@@ -314,9 +300,24 @@ class TestSensitivityCommand:
             {f: tuple(getattr(preset.bounds, f)) for f in POLICY_FIELDS})
         table = analyze_model(space, exog, preset.coefficients, preset.reference_policy,
                               tp.initial_state(preset, exog, seed=2), method="sobol",
-                              output="f1", sobol_n=32, seed=2).tables["f1"]
+                              sobol_n=32, seed=2).tables["f1"]
         assert rows == [[p, repr(s1), repr(st), repr(st - ct), repr(st + ct)]
                         for p, s1, st, ct in table.ranked()]
+
+    def test_output_the_space_cannot_move_reports_zeros_at_every_seed(self, tmp_path):
+        # alpha_gov_base moves f1 only: f2 and f3 take one value over the design
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sensitivity": {
+            "method": "sobol", "space": {"alpha_gov_base": [0.2, 0.4]}}}))
+        for seed in range(6):
+            out = tmp_path / str(seed)
+            assert main(["sensitivity", "--preset", "juneau", "--seed", str(seed),
+                         "--config", str(cfg), "--out", str(out)]) == 0
+            for name in ("f2", "f3"):
+                _, rows = _read_csv(out / f"sobol_{name}.csv")
+                assert rows == [["alpha_gov_base", "0.0", "0.0", "0.0", "0.0"]]
+            _, rows = _read_csv(out / "sobol_f1.csv")
+            assert float(rows[0][2]) > 0.5
 
     def test_matrix_json_shape(self, tmp_path):
         out = tmp_path / "s"
@@ -484,9 +485,11 @@ class TestSensitivityCommand:
                                             ("output", ["f1"]), ("method", ["f1"] * 100),
                                             ("output", ["f1"] * 100)])
     def test_bad_method_or_output_is_config_error(self, tmp_path, capsys, key, value):
+        # output is a retired key, refused as unknown whatever its value
         err = _assert_config_error(tmp_path, capsys, "sensitivity",
                                    {"sensitivity": {key: value}}, key)
         assert len(err) < 200  # a long refused value is echoed cut short
+
     @pytest.mark.parametrize("doc, key", [
         ({"morris_r": 0}, "morris_r"),
         ({"morris_levels": 3}, "morris_levels"),  # a retired key, refused as unknown
@@ -576,7 +579,6 @@ def _sections(broken: bool) -> dict:
              "sobol_n": pick([2, 4, 8], [1, None])},
             base | {"policy": policy,
                     "method": pick(["morris", "sobol"], ["laplace", 1]),
-                    "output": pick(["all", "f2"], ["f4", ["f1"]]),
                     "space": st.one_of(
                         pick(["full", "policy", "policy_uncertainty"], ["x", 3]),
                         st.dictionaries(pick(["tax_rate", "kappa"], ["warp"]),
@@ -903,19 +905,6 @@ class TestSynthCommand:
                            if not ln.startswith("#")])
         assert bodies[0] != bodies[1]
 
-    @pytest.mark.parametrize("gens, window, reason", [
-        (3, 10, "generation_cap"), (60, 1, "hv_plateau")])
-    def test_stdout_names_stop_reason(self, tmp_path, capsys, monkeypatch, gens, window,
-                                      reason):
-        monkeypatch.setattr(moea, "_HV_WINDOW", window)
-        monkeypatch.setattr(moea, "_HV_REL_TOL", 0.5)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"optimize": {"ea": {
-            "population_size": 8, "generations": gens}}}))
-        assert main(["optimize", "--preset", "juneau", "--seed", "0",
-                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert f"generations, stopped by {reason}," in capsys.readouterr().out
-
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -1066,7 +1055,7 @@ _BAD_SETTINGS = {
     "column_map": {"yr": "bar"}, "column_defaults": {"nosuch": 1.0},
     "coefficients": {"delta": -1.0}, "policy": {"tax_rate": -1},
     "ea": {"population_size": 3}, "space": {"bogus": [0, 1]},
-    "method": "laplace", "output": "f4", "morris_r": 0, "sobol_n": 1, "scenarios": [],
+    "method": "laplace", "morris_r": 0, "sobol_n": 1, "scenarios": [],
 }
 
 
@@ -1093,11 +1082,13 @@ class TestConfigHandling:
         ("optimize", "ea.mutation_prob", None), ("optimize", "ea.crossover_prob", 0.9),
         ("optimize", "ea.hv_window", 10), ("optimize", "ea.hv_rel_tol", 1e-4),
         ("sensitivity", "sensitivity.morris_levels", 4),
-        ("sensitivity", "sensitivity.uncertainty_rel", 0.2)])
+        ("sensitivity", "sensitivity.uncertainty_rel", 0.2),
+        ("sensitivity", "sensitivity.output", "all")])
     def test_retired_setting_is_an_unknown_key(self, tmp_path, capsys, monkeypatch,
                                                command, path, value):
-        # the eight settings are moea and gsa constants now: even the value
-        # that was their default is refused, before anything runs
+        # eight settings are moea and gsa constants now, and every sensitivity
+        # run reports f1..f3: even the value that was a setting's default is
+        # refused, before anything runs
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the config was read")
         monkeypatch.setattr("touropt.cli.simulate_batch", no_simulation)

@@ -289,10 +289,18 @@ class TestSobolIndices:
         assert abs(res.st[1]) < 0.01 and abs(res.st[2]) < 0.01
         assert res.st[0] == pytest.approx(1.0, abs=0.02)
 
-    def test_zero_variance_rejected(self):
+    @pytest.mark.parametrize("value", [1.0, 0.1, 123456.789, -0.7])
+    def test_constant_output_gets_zero_indices(self, value):
+        # every term is exactly 0, while the variance of the constant rounds
+        # to 0 (1.0) or to a few ulps (the others): zeros at every seed
         design = saltelli_sample(_unit_space(2), n=64, seed=5)
-        with pytest.raises(EvaluationError):
-            sobol_indices(design, np.ones(64 * 6), seed=5)
+        y = np.full(64 * 6, value)
+        for seed in range(6):
+            res = sobol_indices(design, y, seed=seed)
+            ref = sobol_bootstrap_loop(design, y, seed=seed)
+            for got, want in zip((res.s1, res.st, res.st_ci), ref):
+                assert np.all(got == 0.0)
+                assert np.array_equal(_bits(got), _bits(want))
 
     def test_same_seed_reproducible(self):
         space = _unit_space(2)
@@ -467,19 +475,30 @@ class TestSobolTables:
             _sobol_tables(design, Y, 9)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("first_ok", [True, False])
-    def test_non_finite_after_failing_output_keeps_call_order(self, first_ok):
-        # separate per-output calls fail on the first output that fails
+    def test_non_finite_output_refused_before_any_variance_check(self):
+        # the first output varies only off A and B: its variance is exactly 0
         design = saltelli_sample(_unit_space(3), 8, seed=9)
         y = np.ones(8 * 8)
-        y[0] = 2.0
-        first = design.matrix().sum(axis=1) if first_ok else y
+        y[16] = 2.0  # the first row of A with column 0 from B
+        with pytest.raises(EvaluationError, match="zero output variance"):
+            _sobol_tables(design, y[:, None], 9)
         bad = design.matrix().sum(axis=1)
         bad[5] = np.inf
-        Y = np.column_stack([first, bad])
-        msg = "non-finite" if first_ok else "zero output variance"
-        with pytest.raises(EvaluationError, match=msg):
-            _sobol_tables(design, Y, 9)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            _sobol_tables(design, np.column_stack([y, bad]), 9)
+
+    def test_constant_output_leaves_the_others_bits(self):
+        # a constant of exactly zero variance between two varying outputs
+        design = saltelli_sample(_unit_space(12), 37, seed=37)
+        Y = _spread_columns(design)
+        Y[:, 1] = 1.0
+        tables = _sobol_tables(design, Y, 5)
+        for j, res in enumerate(tables):
+            ref = sobol_bootstrap_loop(design, Y[:, j], seed=5)
+            for got, want in zip((res.s1, res.st, res.st_ci), ref):
+                assert np.array_equal(_bits(got), _bits(want))
+        for got in (tables[1].s1, tables[1].st, tables[1].st_ci):
+            assert np.all(got == 0.0)
 
 
 class TestAnalyzeModel:
@@ -536,7 +555,7 @@ class TestAnalyzeModel:
         space = ParameterSpace.from_dict({"capacity_limit": (1e6, 4e6)})
         report = analyze_model(space, exog, juneau.coefficients,
                                juneau.reference_policy, juneau_init,
-                               method="sobol", output="f1", sobol_n=256, seed=1)
+                               method="sobol", sobol_n=256, seed=1)
         res = report.tables["f1"]
         assert res.st[0] == pytest.approx(1.0, abs=0.05)
 
