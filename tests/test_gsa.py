@@ -475,17 +475,20 @@ class TestSobolTables:
             _sobol_tables(design, Y, 9)
         assert str(got.value) == str(want.value)
 
-    def test_non_finite_output_refused_before_any_variance_check(self):
-        # the first output varies only off A and B: its variance is exactly 0
+    @pytest.mark.parametrize("first_ok", [True, False])
+    def test_non_finite_output_refused_before_any_variance_check(self,
+                                                                 first_ok):
+        # y varies only off A and B: its variance is exactly 0
         design = saltelli_sample(_unit_space(3), 8, seed=9)
         y = np.ones(8 * 8)
         y[16] = 2.0  # the first row of A with column 0 from B
         with pytest.raises(EvaluationError, match="zero output variance"):
             _sobol_tables(design, y[:, None], 9)
+        first = design.matrix().sum(axis=1) if first_ok else y
         bad = design.matrix().sum(axis=1)
         bad[5] = np.inf
         with pytest.raises(EvaluationError, match="non-finite"):
-            _sobol_tables(design, np.column_stack([y, bad]), 9)
+            _sobol_tables(design, np.column_stack([first, bad]), 9)
 
     def test_constant_output_leaves_the_others_bits(self):
         # a constant of exactly zero variance between two varying outputs
