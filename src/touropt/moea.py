@@ -15,7 +15,9 @@ and a larger rank sum.  The sort peels :func:`dominance_matrix` (the test
 on all rows) front by front, the front verification runs the test on
 256-row blocks, and the all-time archive ranks old and new rows once per
 insert, screens its candidates with the test and its members with weak
-covers.  Crowding distances of a whole pool are computed in one pass.
+covers.  Elitist selection peels only the fronts that fill the next
+population (the sort's ``until``) and computes their crowding distances
+in one pass.
 The problem is evaluated a generation at a time, (N, genes) to (N, 3).
 
 The population lives in arrays, genomes (N, genes), objectives (N, 3),
@@ -197,14 +199,17 @@ def dominance_matrix(a) -> np.ndarray:
     return _strict(ge, sums)
 
 
-def fast_nondominated_sort(objectives) -> list:
+def fast_nondominated_sort(objectives, until=None) -> list:
     """Deb's fast non-dominated sort.
 
     Takes a sequence of objective tuples, returns fronts as lists of
-    indices; front 0 is the non-dominated set and the fronts partition the
-    population.  Within a front, members appear in the order their last
-    dominator is peeled, ties by ascending index.  Peels the dominance
-    matrix a front at a time.
+    indices; front 0 is the non-dominated set.  Within a front, members
+    appear in the order their last dominator is peeled, ties by ascending
+    index.  Peels the dominance matrix a front at a time.  With no
+    ``until`` the fronts partition the population; else peeling stops at
+    the first front that brings the rows peeled to ``until`` or more, so
+    the result is the shortest non-empty prefix of the full sort that
+    holds that many (every front when the population is smaller).
     """
     objs = np.asarray(objectives, dtype=float)
     n = len(objs)
@@ -214,12 +219,13 @@ def fast_nondominated_sort(objectives) -> list:
     if nan_rows.any():
         row = tuple(objs[int(np.argmax(nan_rows))].tolist())
         raise EvaluationError(f"NaN objective in population: {row}")
+    until = n if until is None else min(until, n)
     dom = dominance_matrix(objs)
     dom_count = np.add.reduce(dom, axis=0, dtype=_int_type(n))  # how many solutions dominate each
     front = np.flatnonzero(dom_count == 0)
-    fronts = []
-    while front.size:
-        fronts.append(front.tolist())
+    fronts = [front.tolist()]
+    held = len(front)
+    while held < until:
         peeled = dom[front]
         hits = np.add.reduce(peeled, axis=0, dtype=dom_count.dtype)
         dom_count -= hits
@@ -227,6 +233,8 @@ def fast_nondominated_sort(objectives) -> list:
         # position of each newcomer's last dominator in the peeled front
         last = len(front) - 1 - np.argmax(peeled[::-1, nxt], axis=0)
         front = nxt[np.argsort(last, kind="stable")]
+        fronts.append(front.tolist())
+        held += len(front)
     return fronts
 
 
@@ -446,23 +454,24 @@ def _select(objs, n: int) -> tuple:
 
     Returns the indices of the ``n`` survivors -- whole fronts in rank
     order, the front that overflows truncated by descending crowding
-    distance -- and every row's front index and crowding distance.
+    distance -- and each row's front index and crowding distance.  Only
+    the fronts that fill the ``n`` places are peeled, ranked and crowded;
+    the other rows get rank -1 and crowding NaN.
     """
-    fronts = fast_nondominated_sort(objs)
-    rank = np.empty(len(objs), dtype=np.intp)
-    crowd = np.empty(len(objs))
+    fronts = fast_nondominated_sort(objs, n)
+    rank = np.full(len(objs), -1, dtype=np.intp)
+    crowd = np.full(len(objs), np.nan)
     if not fronts:
         return np.empty(0, dtype=np.intp), rank, crowd
     sizes = [len(f) for f in fronts]
     rows = np.concatenate(fronts)
     rank[rows] = np.repeat(np.arange(len(fronts)), sizes)
     crowd[rows] = _crowding(objs[rows], sizes)
-    ends = np.cumsum(sizes)
-    last = int(np.searchsorted(ends, min(n, len(objs))))  # the front that fills n
-    start = int(ends[last]) - sizes[last]
-    tail = np.array(fronts[last])
-    if ends[last] > n:
-        tail = tail[np.argsort(-crowd[tail], kind="stable")][: n - start]
+    if len(rows) <= n:
+        return rows, rank, crowd
+    start = len(rows) - sizes[-1]  # the last front overflows: cut by crowding
+    tail = rows[start:]
+    tail = tail[np.argsort(-crowd[tail], kind="stable")][: n - start]
     return np.concatenate([rows[:start], tail]), rank, crowd
 
 
@@ -484,14 +493,14 @@ def hypervolume_3d(points, reference_point) -> float:
     if below.any():
         p = tuple(pts[int(np.argmax(below))].tolist())
         raise ValueError(f"front point {p} does not dominate reference {ref}")
-    pts = pts[np.argsort(-pts[:, 2], kind="stable")].tolist()
+    xcol, ycol, zcol = pts[np.argsort(-pts[:, 2], kind="stable")].T.tolist()
     ref_x, ref_y, ref_z = ref
     bisect_left = bisect.bisect_left
     xs, ys = [], []
     area = 0.0
     volume = 0.0
-    prev_z = pts[0][2]
-    for x, y, z in pts:
+    prev_z = zcol[0]
+    for x, y, z in zip(xcol, ycol, zcol):
         if z < prev_z:
             volume += area * (prev_z - z)
             prev_z = z
@@ -506,14 +515,19 @@ def hypervolume_3d(points, reference_point) -> float:
             lo -= 1
         xprev = x_left = xs[lo - 1] if lo else ref_x
         old = 0.0  # the staircase's area over [x_left, x]
-        for k in range(lo, hi):
-            old += (xs[k] - xprev) * (ys[k] - ref_y)
-            xprev = xs[k]
+        if hi > lo:
+            for k in range(lo, hi):
+                old += (xs[k] - xprev) * (ys[k] - ref_y)
+                xprev = xs[k]
         if hi < len(xs) and x > xprev:
             old += (x - xprev) * (ys[hi] - ref_y)
         area += (x - x_left) * (y - ref_y) - old
-        xs[lo:hi] = [x]
-        ys[lo:hi] = [y]
+        if hi > lo:
+            xs[lo:hi] = [x]
+            ys[lo:hi] = [y]
+        else:  # it covers no step
+            xs.insert(lo, x)
+            ys.insert(lo, y)
     volume += area * (prev_z - ref_z)
     return volume
 

@@ -85,6 +85,13 @@ def _grid(rng, n, levels=3):
     return [tuple(float(v) for v in rng.integers(0, levels, 3)) for _ in range(n)]
 
 
+def _prefix(fronts, until) -> list:
+    """The leading fronts of a full sort, up to the first that brings
+    their rows to ``until`` or more."""
+    held = itertools.accumulate(len(f) for f in fronts)
+    return fronts[:next((k + 1 for k, h in enumerate(held) if h >= until), len(fronts))]
+
+
 def _weak(a, b) -> np.ndarray:
     """Rows of ``a`` no worse everywhere than rows of ``b``, as the archive
     tests them: ``_covers`` on the ranks of both."""
@@ -258,6 +265,30 @@ class TestSorting:
         with pytest.raises(EvaluationError):
             fast_nondominated_sort([(1.0, 1.0, 1.0), (0.0, float("nan"), 0.0)])
 
+    def test_until_gives_shortest_prefix_of_full_sort(self):
+        rng = np.random.default_rng(37)
+        single = 0
+        for _ in range(300):
+            objs = _grid(rng, int(rng.integers(1, 60)), levels=int(rng.integers(1, 5)))
+            full = fast_nondominated_sort(objs)
+            until = int(rng.integers(1, len(objs) + 3))  # past len(objs) too
+            got = fast_nondominated_sort(objs, until)
+            sizes = [len(f) for f in got]
+            assert got == full[:len(got)]
+            assert sum(sizes) >= min(until, len(objs)) and sum(sizes[:-1]) < until
+            single += len(got) == 1 < len(full)
+        assert single  # some pools fill ``until`` from front 0 alone
+
+    def test_until_within_front_zero_peels_one_front(self):
+        rng = np.random.default_rng(38)
+        top = _front_points(rng, 20, 10.0)  # dominates every grid row below
+        objs = top + _grid(rng, 40)
+        full = fast_nondominated_sort(objs)
+        assert sorted(full[0]) == list(range(20)) and len(full) > 2
+        for until in range(1, 21):
+            assert fast_nondominated_sort(objs, until) == full[:1]
+        assert fast_nondominated_sort(objs, 21) == full[:2]
+
     def test_partition_property(self):
         rng = np.random.default_rng(2)
         objs = [tuple(rng.uniform(0, 1, 3)) for _ in range(40)]
@@ -305,8 +336,14 @@ class TestOnePassCrowding:
                 objs = rng.normal(0.0, 1e6, (n, 3))
             if trial % 5 == 0:  # clones of existing rows
                 objs = objs[rng.integers(0, n, n + 5)]
-            _, rank, crowd = moea._select(objs, int(rng.integers(1, len(objs) + 1)))
-            for r, front in enumerate(fast_nondominated_sort(objs)):
+            n_keep = int(rng.integers(1, len(objs) + 1))
+            _, rank, crowd = moea._select(objs, n_keep)
+            # only the fronts that fill the survivors are ranked and crowded
+            fronts = _prefix(fast_nondominated_sort(objs), n_keep)
+            peeled = np.concatenate(fronts)
+            unpeeled = np.setdiff1d(np.arange(len(objs)), peeled)
+            assert (rank[unpeeled] == -1).all() and np.isnan(crowd[unpeeled]).all()
+            for r, front in enumerate(fronts):
                 assert (rank[front] == r).all()
                 want = crowding_loop(objs[front])
                 assert crowd[front].tobytes() == want.tobytes()
@@ -585,8 +622,10 @@ class TestEnvironmentalSelection:
             want = environmental_selection_reference(twins, n)
             at = {id(m): i for i, m in enumerate(twins)}
             assert keep.tolist() == [at[id(m)] for m in want]
-            assert rank.tolist() == [m.rank for m in twins]
-            assert crowd.tolist() == [m.crowding for m in twins]
+            # rank and crowding hold for the rows of the fronts that fill n
+            peeled = np.concatenate(_prefix(fast_nondominated_sort(objs), n))
+            assert rank[peeled].tolist() == [twins[i].rank for i in peeled]
+            assert crowd[peeled].tolist() == [twins[i].crowding for i in peeled]
 
 
 class TestHypervolume:
@@ -629,6 +668,28 @@ class TestHypervolume:
             got = hypervolume_3d(pts, ref)
             assert np.float64(got).tobytes() == np.float64(
                 hypervolume_reference(pts.tolist(), ref)).tobytes()
+
+    @pytest.mark.parametrize("n", [500, 1200, 2500])
+    def test_archive_scale_sphere_matches_reference_bit_for_bit(self, n):
+        # the positive octant of the unit sphere: nearly all mutually
+        # non-dominated, so most points land between the staircase's steps;
+        # z comes in tied levels, x values repeat across levels, and -0.0
+        # stands in for 0.0 in every coordinate
+        rng = np.random.default_rng(n)
+        z = rng.choice(np.append(np.linspace(0.0, 0.95, n // 10), -0.0), n)
+        r = np.sqrt(1.0 - z * z)
+        x = r * np.cos(rng.uniform(0.0, np.pi / 2, n))
+        shared = rng.random(n) < 0.3  # x drawn from a few values shared by all levels
+        x[shared] = np.minimum(rng.choice([-0.0, 0.0, 0.1, 0.25, 0.5], shared.sum()), r[shared])
+        y = np.sqrt(np.maximum(r * r - x * x, 0.0))
+        y[rng.random(n) < 0.01] = -0.0
+        pts = np.column_stack([x, y, z])[rng.permutation(n)]
+        pts = pts[(pts > 0.0).any(axis=1)]  # each point must dominate the reference
+        ref = (0.0, 0.0, 0.0)
+        assert np.signbit(pts[pts == 0.0]).any() and len(np.unique(pts[:, 2])) < len(pts)
+        got = hypervolume_3d(pts, ref)
+        assert np.float64(got).tobytes() == np.float64(
+            hypervolume_reference(pts.tolist(), ref)).tobytes()
 
     @pytest.mark.parametrize("pts, ref", [([(1, 1, 1), (1, float("nan"), 1)], (0, 0, 0)),
                                           ([(1, 1, 1)], (0, float("nan"), 0))])
