@@ -16,10 +16,8 @@ a failed allocation included).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
 import math
 import sys
@@ -60,6 +58,7 @@ from .flow import (
     schedule_steps,
 )
 from .dataio import (
+    _csv_text,
     get_preset,
     initial_state,
     read_series,
@@ -132,10 +131,10 @@ def _non_finite_path(value, path=""):
 
 def _render(name: str, meta: dict, head: str, payload) -> str:
     """The text of file ``name``: a JSON payload under ``meta``, or a CSV
-    ``(header, rows)`` under the ``head`` lines, whose Python floats ``csv``
-    writes as ``repr``.  A non-finite number is an EvaluationError naming
-    the file and where in it: the key path, or the column and the row's
-    key cells."""
+    ``(header, rows)`` under the ``head`` lines, rendered by
+    ``dataio._csv_text``, which writes a Python float as its ``repr``.  A
+    non-finite number is an EvaluationError naming the file and where in
+    it: the key path, or the column and the row's key cells."""
     if isinstance(payload, dict):
         try:
             return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True,
@@ -144,9 +143,7 @@ def _render(name: str, meta: dict, head: str, payload) -> str:
             where = _non_finite_path(payload)[1:]
             raise EvaluationError(f"non-finite value in {name} at {where}") from None
     header, rows = payload
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerows([header, *rows])
-    body = buf.getvalue()
+    body = _csv_text(header, rows)
     if "inf" in body or "nan" in body:  # or in a name: check the cells
         for i, row in enumerate(rows):
             bad = [h for h, x in zip(header, row) if isinstance(x, float) and not math.isfinite(x)]

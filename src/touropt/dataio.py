@@ -4,7 +4,8 @@ One call, :func:`read_series`, reads a CSV table (a ``year`` column plus
 any subset of the exogenous series; a column map adapts other headers)
 into a dense series: gaps are filled by linear interpolation, with
 nearest-value fill at the edges, and every fault in the file is a
-DataError naming it.  :func:`write_series` writes the same format, and
+DataError naming it.  :func:`write_series` writes the same format, its
+rows rendered by :func:`_csv_text` as every CSV artifact's are, and
 :func:`validate_ranges` checks a series against a preset envelope.
 
 The published regional tables are not distributed with the model, so each
@@ -16,13 +17,15 @@ interior.  Population and unemployment default to documented constants.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _shown
 from .sd_core import (
     ICELAND_BOUNDS,
     JUNEAU_BOUNDS,
@@ -88,7 +91,7 @@ def read_series(path, column_map: dict | None = None,
         mapping.update({k.lower(): v for k, v in column_map.items()})
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
             rows = [r for r in csv.reader(fh)
                     if r and not (r[0] or "").lstrip().startswith("#")]
     except UnicodeDecodeError as e:
@@ -104,7 +107,7 @@ def read_series(path, column_map: dict | None = None,
             raise DataError(f"{path}: headers {header[canon.index(name)]!r} and "
                             f"{header[j]!r} both map to {name}")
     if "year" not in canon:
-        raise DataError(f"{path}: no year column (headers: {header})")
+        raise DataError(f"{path}: no year column (headers: {_shown(header)})")
     year_idx = canon.index("year")
     years, records = [], rows[1:]
     for r in records:
@@ -113,7 +116,7 @@ def read_series(path, column_map: dict | None = None,
             if not (year.is_integer() and abs(year) <= sys.maxsize):  # not inf, NaN, 2009.7
                 raise ValueError
         except (ValueError, IndexError):
-            raise DataError(f"{path}: unparseable year in row {r!r}") from None
+            raise DataError(f"{path}: unparseable year in row {_shown(r)}") from None
         years.append(int(year))
     if not years:
         raise DataError(f"{path}: no data rows")
@@ -246,18 +249,39 @@ def initial_state(preset: RegionPreset, exog: ExogenousSeries,
     )
 
 
+_EOL = "\r\n"  # the line end of every CSV row, as csv.writer's default
+_PLAIN = frozenset((float, int))  # cells written as their repr, unquoted
+
+
+def _csv_text(header, rows: list) -> str:
+    """The CSV text of the ``header`` row and the list ``rows``, each row
+    ended by ``_EOL``.
+
+    When every cell of ``rows`` is a Python float or int, each row is
+    joined from the cells' reprs, which is what ``csv.writer`` writes for
+    them.  Any other cell (a name that may hold a comma or a quote, a
+    bool, a numpy scalar) sends the table through ``csv.writer``, as does
+    the header; checking per table costs a string table nothing, where a
+    per-row check would.  Either way the bytes are ``csv.writer``'s.
+    """
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator=_EOL)
+    writer.writerow(header)
+    if _PLAIN.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        buf.write("".join([",".join(map(repr, row)) + _EOL for row in rows]))
+    else:
+        writer.writerows(rows)
+    return buf.getvalue()
+
+
 def write_series(series: ExogenousSeries, path, header_lines=()) -> None:
-    """Write a dense series as CSV; floats via repr so reload is exact."""
-    path = Path(path)
-    cols = ("year",) + SERIES_FIELDS
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for i, y in enumerate(series.years):
-            row = [int(y)] + [repr(float(getattr(series, c)[i])) for c in SERIES_FIELDS]
-            w.writerow(row)
+    """Write a dense series as CSV under ``# `` lines; floats via repr so
+    reload is exact."""
+    cols = [np.asarray(getattr(series, c), dtype=float).tolist() for c in SERIES_FIELDS]
+    rows = list(zip([int(y) for y in series.years], *cols))
+    head = "".join(f"# {line}\n" for line in header_lines)
+    text = head + _csv_text(("year",) + SERIES_FIELDS, rows)
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 JUNEAU = RegionPreset(

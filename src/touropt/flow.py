@@ -39,11 +39,21 @@ __all__ = [
 SCHEDULE_FIELDS = ("marketing", "price", "env_fund", "community_fund", "co2")
 
 
+def _sum(values) -> float:
+    """``values`` added left to right from 0.0: the bits of the builtin
+    ``sum`` up to Python 3.11 on every version (3.12 made its float sum
+    compensated)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _refuse_non_finite(obj, first=0) -> None:
     """Raise ValueError naming the first non-finite field of ``obj`` from
     field ``first`` on.  One sum screens them all; only a sum that is not
     finite (it may have overflowed) is looked into field by field."""
-    if not math.isfinite(sum(list(vars(obj).values())[first:])):
+    if not math.isfinite(_sum(list(vars(obj).values())[first:])):
         for name, value in list(vars(obj).items())[first:]:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value!r}")
@@ -157,7 +167,7 @@ def schedule_steps(sites, schedule: dict, steps: int) -> list:
             # the sum screens the values; it may also overflow, so check each on a hit
             if (not isinstance(seq, (list, tuple, np.ndarray))
                     or (kinds and not all(issubclass(k, Real) and k is not bool for k in kinds))
-                    or (not math.isfinite(sum(values)) and not all(map(math.isfinite, values)))):
+                    or (not math.isfinite(_sum(values)) and not all(map(math.isfinite, values)))):
                 raise ValueError(f"{name}.{fld} must be a list of finite numbers")
             if len(values) < steps:
                 raise DataError(f"{name}.{fld} too short (need index {len(values)})")
@@ -199,13 +209,13 @@ def redistribute(sites, params: IslandParams, schedule: dict, years) -> FlowResu
     visitors, env_out, sat_out = (np.zeros((n, steps + 1)) for _ in range(3))
     weights, totals = np.zeros((n, steps)), np.zeros(steps + 1)
     visitors[:, 0], env_out[:, 0], sat_out[:, 0] = [s.visitors for s in sites], env, sat
-    total = totals[0] = float(sum(s.visitors for s in sites))
+    total = totals[0] = float(_sum(s.visitors for s in sites))
     try:
         controls = schedule_steps(sites, schedule, steps)
     except (DataError, ValueError) as e:
         raise type(e)(f"schedule for {e}") from None
     for t, (mk, pr, fe, fc, c2) in enumerate(controls):
-        total = max(0.0, total * (1.0 + p.phi * (sum(pr) / n + sum(env) / n - 1.5))
+        total = max(0.0, total * (1.0 + p.phi * (_sum(pr) / n + _sum(env) / n - 1.5))
                     + p.dev_boost)
         scores = []
         for i in range(n):

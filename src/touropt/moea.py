@@ -13,11 +13,11 @@ and the dense integer ranks (int16 while they fit) are compared instead of
 the floats.  One strict test serves every caller: no worse in every rank,
 and a larger rank sum.  The sort peels :func:`dominance_matrix` (the test
 on all rows) front by front, the front verification runs the test on
-256-row blocks, and the all-time archive ranks old and new rows once per
-insert, screens its candidates with the test and its members with weak
-covers.  Elitist selection peels only the fronts that fill the next
-population (the sort's ``until``) and computes their crowding distances
-in one pass.
+256-row blocks against the rows of no larger rank sum, and the all-time
+archive ranks old and new rows once per insert, screens its candidates
+with the test and its members with weak covers.  Elitist selection
+peels only the fronts that fill the next population (the sort's
+``until``) and computes their crowding distances in one pass.
 The problem is evaluated a generation at a time, (N, genes) to (N, 3).
 
 The population lives in arrays, genomes (N, genes), objectives (N, 3),
@@ -34,10 +34,10 @@ fixed order, and evaluation draws none.
 The all-time archive and its hypervolume are read only by the plateau
 stop, so :func:`evolve` runs them in a worker process forked after the
 initial evaluation, one generation behind the main loop: it sends
-generation t to the worker, makes generation t+1, and only then takes
-the hypervolume of t.  When that stops the run at t, generation t+1 is
-discarded; the generator is not read again.  Where the platform
-cannot fork, the same stage runs in-process in the same order.
+generation t to the worker, as raw float64 bytes, makes generation t+1,
+and only then takes the hypervolume of t.  When that stops the run at t,
+generation t+1 is discarded; the generator is not read again.  Where the
+platform cannot fork, the same stage runs in-process in the same order.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EvaluationError
+from .sd_core import _where
 
 _VERIFY_BLOCK = 256  # rows compared against the whole front at a time
 # the variation operators of Deb et al. (2002): SBX with probability
@@ -119,17 +120,23 @@ class ParetoFront:
     def check_nondominated(self) -> bool:
         """True when no member dominates another; NaN raises.
 
-        Ranks the front once, then builds the rows of its
-        :func:`dominance_matrix` ``_VERIFY_BLOCK`` at a time with the same
-        strict test, so memory stays at ``_VERIFY_BLOCK`` x len(front) bools.
+        Ranks the front once and orders it by ascending rank sum.  A
+        dominator has the strictly larger rank sum, so it comes later: each
+        ``_VERIFY_BLOCK`` rows of the order are tested, with the same strict
+        test as :func:`dominance_matrix`, only against the rows up to the
+        block's end.  That is about half the pairs, and memory stays at
+        ``_VERIFY_BLOCK`` x len(front) bools.
         """
         objs = self.objectives
         if np.isnan(objs).any():
             raise EvaluationError("NaN objective in front verification")
         ranks, sums = _ranks(objs)
+        order = np.argsort(sums, kind="stable")  # ties keep their row order
+        # take, not ranks[:, order], which numpy lays out column-major
+        ranks, sums = ranks.take(order, axis=1), sums.take(order)
         for lo in range(0, len(objs), _VERIFY_BLOCK):
-            rows = slice(lo, lo + _VERIFY_BLOCK)
-            if _strict(_covers(ranks[:, rows], ranks), sums, rows).any():
+            hi = lo + _VERIFY_BLOCK
+            if _strict(_covers(ranks[:, lo:hi], ranks[:, :hi]), sums[:hi], slice(lo, hi)).any():
                 return False
         return True
 
@@ -291,16 +298,27 @@ def tournament_select(population, rng) -> Individual:
     return b if b.crowding > a.crowding else a
 
 
-def _sbx_beta(u: float, eta: float) -> float:
-    if u <= 0.5:
-        return (2.0 * u) ** (1.0 / (eta + 1.0))
-    return (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+def _root(base, eta):
+    """``base ** (1 / (eta + 1))`` by Python's float power, element by
+    element on an array: ``np.power`` differs in the last bit for some
+    inputs."""
+    exponent = 1.0 / (eta + 1.0)
+    if isinstance(base, np.ndarray):
+        return np.array([b ** exponent for b in base.ravel().tolist()]).reshape(base.shape)
+    return base ** exponent
 
 
-def _mutation_delta(u: float, eta: float) -> float:
-    if u < 0.5:
-        return (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
-    return 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
+def _sbx_beta(u, eta):
+    """The SBX spread of a uniform draw ``u`` in [0, 1), or of an array of them."""
+    return _root(_where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))), eta)
+
+
+def _mutation_delta(u, eta):
+    """The polynomial-mutation step, in units of the gene's range, of a
+    uniform draw ``u`` in [0, 1), or of an array of them."""
+    low = u < 0.5
+    pw = _root(_where(low, 2.0 * u, 2.0 * (1.0 - u)), eta)
+    return _where(low, pw - 1.0, 1.0 - pw)
 
 
 def sbx_crossover(parent_a, parent_b, eta_c: float, lows, highs, rng) -> tuple:
@@ -407,10 +425,10 @@ def _offspring(rng, genomes, rank, crowd, lows, highs):
     (else copies), and :func:`polynomial_mutation` of each child, each gene
     with probability ``1 / genes``.  This draws the generation's uint64s in
     one block, walks them with :func:`_replay`, does the arithmetic on
-    arrays and leaves the PCG64 generator in the state the loop would.  The SBX spread and mutation
-    step stay Python-float powers: ``np.power`` differs from them in the
-    last bit for some inputs.  Returns the (n, genes) children in the
-    loop's order.
+    arrays and leaves the PCG64 generator in the state the loop would.  The
+    SBX spreads and mutation steps of the whole generation are each one
+    array call of the scalar operators' helpers.  Returns the (n, genes)
+    children in the loop's order.
     """
     n, g = genomes.shape
     pm = 1.0 / g
@@ -431,9 +449,7 @@ def _offspring(rng, genomes, rank, crowd, lows, highs):
     second = (rank[j] < rank[i]) | ((rank[j] == rank[i]) & (crowd[j] > crowd[i]))
     kids = genomes[np.where(second, j, i)]  # parents a0, b0, a1, b1, ...
     if sbx_at:
-        us = dbl[np.add.outer(sbx_at, np.arange(g))]
-        beta = np.array([_sbx_beta(u, _ETA_C) for u in us.ravel().tolist()])
-        beta = beta.reshape(us.shape)
+        beta = _sbx_beta(dbl[np.add.outer(sbx_at, np.arange(g))], _ETA_C)
         rows = 2 * np.flatnonzero(cross)
         pa, pb = kids[rows], kids[rows + 1]
         kids[rows] = np.clip(0.5 * ((1.0 + beta) * pa + (1.0 - beta) * pb), lows, highs)
@@ -444,8 +460,8 @@ def _offspring(rng, genomes, rank, crowd, lows, highs):
         at[:, k] = next_gene[at[:, k - 1]]
     hit = dbl[at] < pm
     if hit.any():
-        delta = [_mutation_delta(u, _ETA_M) for u in dbl[at[hit] + 1].tolist()]
-        kids[hit] += np.array(delta) * (highs - lows)[np.nonzero(hit)[1]]
+        delta = _mutation_delta(dbl[at[hit] + 1], _ETA_M)
+        kids[hit] += delta * (highs - lows)[np.nonzero(hit)[1]]
     return np.clip(kids, lows, highs, out=kids)
 
 
@@ -589,14 +605,17 @@ def _archive_stage(genomes, objs, ref):
     yield archive.genomes, archive.objs
 
 
-def _serve(conn, stage, main_end, main_cpu) -> None:
+def _serve(conn, stage, width: int, main_end, main_cpu) -> None:
     """Body of the forked worker: answer each message on ``conn`` with
     ``stage``'s next value, starting with its first, until it has sent
     the front or the main process closes ``main_end``, the other end of
     the pipe (the worker closes its own copy first, or it would never see
-    the end).  An exception of the stage is sent back for the main
-    process to raise.  ``os._exit`` ends the worker, so it runs none of
-    the main process's exit handlers and flushes none of its buffers.
+    the end).  A message is the raw float64 bytes of one ``(kids,
+    kid_objs)`` batch side by side, ``width`` columns in all, or empty for
+    None (see :class:`_Forked`).  An exception of the stage is sent back
+    for the main process to raise.  ``os._exit`` ends the worker, so it
+    runs none of the main process's exit handlers and flushes none of its
+    buffers.
 
     The worker keeps off ``main_cpu``, the CPU the main process ran on
     at the fork: a forked process starts on its parent's CPU, and a woken
@@ -619,7 +638,12 @@ def _serve(conn, stage, main_end, main_cpu) -> None:
             conn.send(out)
             if step and msg is None:
                 return  # that was the front: exit while the main process builds its result
-            msg = conn.recv()
+            raw = conn.recv_bytes()
+            if raw:
+                block = np.frombuffer(raw).reshape(-1, width)
+                msg = block[:, :width - 3], block[:, width - 3:]
+            else:  # the empty message stands for None
+                msg = None
     except (EOFError, OSError):
         pass  # the main process is done with the worker
     finally:
@@ -645,11 +669,18 @@ def _usable_cpus() -> int:
 
 
 class _Forked:
-    """The main process's end of the worker."""
+    """The main process's end of the worker.  ``send`` writes a batch as
+    one block of raw float64 bytes, not a pickle, and None as an empty
+    message."""
 
     def __init__(self, conn):
-        self.send = conn.send
         self._conn = conn
+
+    def send(self, msg) -> None:
+        if msg is None:
+            self._conn.send_bytes(b"")
+        else:
+            self._conn.send_bytes(np.hstack(msg, dtype=float))
 
     def recv(self):
         try:
@@ -676,10 +707,11 @@ class _InProcess:
 
 
 @contextlib.contextmanager
-def _archive_worker(stage):
+def _archive_worker(stage, genes: int):
     """``stage`` behind ``send``/``recv``: in one forked worker process
     where that is safe and can help, else in this process.  The worker
-    is joined on every exit."""
+    is sent batches of ``genes`` genome columns and 3 objective columns,
+    and is joined on every exit."""
     import multiprocessing  # here, not at import: it costs about 10 ms
     import threading
 
@@ -693,8 +725,8 @@ def _archive_worker(stage):
         return
     ctx = multiprocessing.get_context("fork")
     ours, theirs = ctx.Pipe()
-    worker = ctx.Process(target=_serve, args=(theirs, stage, ours, _current_cpu()),
-                         daemon=True)
+    worker = ctx.Process(target=_serve,
+                         args=(theirs, stage, genes + 3, ours, _current_cpu()), daemon=True)
     try:
         worker.start()
     except OSError:  # no process to spare: run the stage here
@@ -777,7 +809,7 @@ def evolve(problem, lows, highs, config: EAConfig) -> EvolveResult:
     hv_log = []
     gens = 0
     stop_reason = "generation_cap"
-    with _archive_worker(_archive_stage(genomes, objs, ref)) as archive:
+    with _archive_worker(_archive_stage(genomes, objs, ref), n_genes) as archive:
         while True:
             # archive holds generation ``gens``; make the next one meanwhile
             kept = genomes, objs, rank, crowd

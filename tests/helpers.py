@@ -1,7 +1,9 @@
 """Shared builders for unit and property tests."""
 
 import bisect
+import functools
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -693,6 +695,12 @@ def _flow_schedule_value(schedule, site, fld, idx, fallback):
     return float(seq[idx])
 
 
+def _left_sum(values) -> float:
+    """Floats added left to right from 0.0, as ``sum`` did before Python
+    3.12 made its float sum compensated."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def redistribute_reference(sites, params, schedule, years):
     """Reference ``flow.redistribute``: one-site helpers called per site and
     per year on mutated ``SiteState`` copies, each schedule value looked up
@@ -719,15 +727,15 @@ def redistribute_reference(sites, params, schedule, years):
     totals = np.zeros(n_years)
     for i, s in enumerate(sites):
         visitors[i, 0], env[i, 0], sat[i, 0] = s.visitors, s.env_index, s.satisfaction
-    total = float(sum(s.visitors for s in sites))
+    total = float(_left_sum(s.visitors for s in sites))
     totals[0] = total
     for t in range(n_years - 1):
         for s in sites:
             for fld in SCHEDULE_FIELDS:
                 setattr(s, fld, _flow_schedule_value(schedule, s.name, fld, t,
                                                      getattr(s, fld)))
-        price_avg = sum(s.price for s in sites) / n_sites
-        env_avg = sum(s.env_index for s in sites) / n_sites
+        price_avg = _left_sum(s.price for s in sites) / n_sites
+        env_avg = _left_sum(s.env_index for s in sites) / n_sites
         total = _flow_potential(total, price_avg, env_avg, params)
         w = _flow_weights([_flow_attractiveness(s, params, years[t]) for s in sites])
         assigned = np.minimum(w * total, np.asarray([s.capacity for s in sites], dtype=float))

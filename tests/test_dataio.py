@@ -1,3 +1,6 @@
+import csv
+import io
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from helpers import flat_exog, synth_dataset_loop, validate_ranges_loop
 from touropt.errors import ConfigError, DataError
 from touropt.dataio import (
+    _csv_text,
     get_preset,
     initial_state,
     read_series,
@@ -237,6 +241,88 @@ class TestRoundTrip:
         assert np.array_equal(series.years, reloaded.years)
         for f in SERIES_FIELDS:
             assert np.array_equal(getattr(series, f), getattr(reloaded, f)), f
+
+
+class TestReadRobustness:
+    def _same(self, a, b):
+        for f in ("years",) + SERIES_FIELDS:
+            assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
+
+    def test_utf8_bom_reads_the_same_series(self, tmp_path, juneau):
+        series = synth_dataset(juneau, seed=3)
+        plain = tmp_path / "plain.csv"
+        write_series(series, plain, header_lines=["a comment line first"])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        self._same(read_series(bom), read_series(plain))
+        self._same(read_series(bom), series)
+
+    def test_utf8_bom_before_the_header(self, tmp_path):
+        body = _row(2008, 1e6) + _row(2009, 2e6)
+        plain = _write(tmp_path, body)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes("\ufeff".encode() + plain.read_bytes())
+        self._same(read_series(bom), read_series(plain))
+
+    def test_long_refused_row_is_shown_short(self, tmp_path):
+        body = _row(2008, 1.0) + "20x9," + ",".join(["123456789"] * 50) + "\n"
+        with pytest.raises(DataError, match="unparseable year in row ") as info:
+            read_series(_write(tmp_path, body))
+        shown = str(info.value).split("unparseable year in row ", 1)[1]
+        assert len(shown) <= 40 and shown.startswith("['20x9', '1234") and shown.endswith("...")
+
+    def test_long_header_list_is_shown_short(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        p.write_text(",".join(f"column_{i}" for i in range(30)) + "\n1,2\n")
+        with pytest.raises(DataError, match=r"no year column \(headers: ") as info:
+            read_series(p)
+        shown = str(info.value).split("(headers: ", 1)[1][:-1]
+        assert len(shown) <= 40 and shown.startswith("['column_0', ") and shown.endswith("...")
+
+
+def _csv_writer_text(header, rows) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+class TestCsvText:
+    """The shared table renderer writes exactly what ``csv.writer`` writes."""
+
+    NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-05, 1e-07, 0.1, 2.5, 123456789.0,
+               sys.float_info.max, -sys.float_info.max, float("inf"), float("-inf"),
+               float("nan"), 0, -1, 2008, 10**30, -(10**40), 2**63]
+    OTHERS = [True, False, "", "plain", "a,b", 'say "hi"', '"', "line\r\nbreak", "cr\r",
+              "lf\n", " lead", "trail ", None, np.float64(1.5), np.int64(3), np.float32(0.1)]
+    HEADER = ["year", "a,b", 'say "hi"', ""]
+
+    def _numeric_table(self, rng):
+        rows = [[self.NUMBERS[k] for k in rng.integers(0, len(self.NUMBERS), size)]
+                for size in rng.integers(0, 12, 60)]
+        rows += [(rng.standard_normal(10) * 10.0 ** rng.integers(-300, 300, 10)).tolist()
+                 for _ in range(20)]
+        return rows
+
+    def test_numeric_tables(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            rows = self._numeric_table(rng)
+            assert _csv_text(self.HEADER, rows) == _csv_writer_text(self.HEADER, rows)
+        rows = [tuple(r) for r in rows] + [(), []]
+        assert _csv_text((), rows) == _csv_writer_text((), rows)
+
+    def test_one_other_cell_anywhere_in_a_numeric_table(self):
+        rng = np.random.default_rng(6)
+        for cell in self.OTHERS:
+            rows = self._numeric_table(rng)
+            row = rows[rng.integers(len(rows))]
+            row.insert(rng.integers(len(row) + 1), cell)
+            assert _csv_text(self.HEADER, rows) == _csv_writer_text(self.HEADER, rows)
+        cells = self.NUMBERS + self.OTHERS
+        rows = [[cells[k] for k in rng.integers(0, len(cells), size)]
+                for size in rng.integers(1, 8, 400)]
+        rows += [[""], ["", ""], ["name, with comma", 1.5, 2]]
+        assert _csv_text(self.HEADER, rows) == _csv_writer_text(self.HEADER, rows)
 
 
 class TestPresets:

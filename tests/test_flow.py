@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import redistribute_reference
 
+from touropt import flow
 from touropt.errors import DataError
 from touropt.flow import (
     SCHEDULE_FIELDS,
@@ -397,3 +398,32 @@ class TestRedistribute:
         res = redistribute(sites, IslandParams(), sched, years)
         hot = res.visitors[:3, :].sum(axis=0) / res.visitors.sum(axis=0)
         assert hot[-1] < hot[0]
+
+
+class TestFloatSums:
+    """Sums of floats do not depend on the Python version: from 3.12 the
+    builtin ``sum`` of floats is compensated, so ``flow`` folds left."""
+
+    def test_left_fold_from_zero(self):
+        values = [1e16, 1.0, -1e16]
+        assert flow._sum(values) == 0.0
+        assert math.fsum(values) == 1.0  # what a compensated sum gives
+        assert flow._sum([]) == 0.0 and flow._sum([-0.0]) == 0.0
+
+    def test_first_total_is_the_left_fold(self):
+        # 1e16 + 1.0 rounds back to 1e16 twice; a compensated sum keeps the 2
+        sites = [_site(name=f"s{i}", visitors=v, capacity=2e16)
+                 for i, v in enumerate([1e16, 1.0, 1.0])]
+        res = redistribute(sites, IslandParams(), {}, [2024])
+        assert res.totals[0] == 1e16 != math.fsum([1e16, 1.0, 1.0])
+
+    def test_no_builtin_sum(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("flow calls the builtin sum")
+
+        monkeypatch.setattr(flow, "sum", forbidden, raising=False)
+        years = list(range(2024, 2034))
+        sites = iceland_sites()
+        res = redistribute(sites, IslandParams(),
+                           iceland_redistribution_schedule(sites, years), years)
+        assert res.totals.shape == (len(years),)

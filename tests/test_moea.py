@@ -430,20 +430,22 @@ class TestFrontVerification:
 
     def test_dominated_pair_in_different_row_blocks(self, monkeypatch):
         # 600 points on a line are mutually non-dominated; (590, 9.5, 1) is
-        # dominated by (590, 10, 1) alone, which sits two row blocks away
+        # dominated by (590, 10, 1) alone.  In ascending rank-sum order the
+        # 20 rows of sum 599 come first, so the dominated row is 10th and
+        # its dominator last, two row blocks away
         objs = [(float(i), float(600 - i), 1.0) for i in range(600)]
         assert self._front(objs).check_nondominated()
         objs[10] = (590.0, 9.5, 1.0)
         shapes = []
         covers = moea._covers
 
-        def recording(ra, rb):  # one call per row block, (block rows, front rows)
+        def recording(ra, rb):  # one call per row block: (block rows, rows up to its end)
             shapes.append((ra.shape[1], rb.shape[1]))
             return covers(ra, rb)
 
         monkeypatch.setattr(moea, "_covers", recording)
         assert not self._front(objs).check_nondominated()
-        assert shapes == [(256, 600), (256, 600), (88, 600)]
+        assert shapes == [(256, 256), (256, 512), (88, 600)]
         objs[10], objs[590] = objs[590], objs[10]
         assert not self._front(objs).check_nondominated()
 
@@ -488,6 +490,40 @@ class TestFrontVerification:
         objs[400] = (float("nan"), 1.0, 1.0)
         with pytest.raises(EvaluationError):
             self._front(objs).check_nondominated()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_and_duplicates_across_blocks_match_brute_force(self, seed):
+        # the 595 integer points of the plane x + y + z = 33 share one rank
+        # sum; they, their clones and lowered copies land in every 256-row block
+        rng = np.random.default_rng(seed)
+        plane = np.array([(x, y, 33 - x - y) for x in range(34) for y in range(34 - x)],
+                         dtype=float)
+        for n in (600, 700, 1000):
+            objs = np.vstack([plane, plane[rng.integers(0, len(plane), n - len(plane))]])
+            rng.shuffle(objs)
+            assert len(set(moea._ranks(objs)[1].tolist())) == 1
+            assert _brute_force_dominated(objs) is False
+            assert self._front(objs).check_nondominated()
+            for lowered in (0.0, 0.5, 0.5):  # a clone, or a copy lowered in f2
+                low = objs.copy()
+                i, j = rng.choice(n, 2, replace=False)
+                low[i] = low[j] - (0.0, lowered, 0.0)
+                assert _brute_force_dominated(low) is bool(lowered)
+                assert self._front(low).check_nondominated() is not bool(lowered)
+            for levels in (3, 40):  # random grids, about half their rows on the plane
+                objs = rng.integers(0, levels, (n, 3)).astype(float)
+                objs[:, 2] = np.where(rng.random(n) < 0.5, 33 - objs[:, 0] - objs[:, 1],
+                                      objs[:, 2])
+                want = not _brute_force_dominated(objs)
+                assert self._front(objs).check_nondominated() == want
+                front = objs[~dominance_matrix(objs).any(axis=0)]
+                assert self._front(front).check_nondominated()
+
+
+def _brute_force_dominated(objs) -> bool:
+    """Whether some row dominates another, on the floats, all pairs at once."""
+    a, b = objs[:, None, :], objs[None, :, :]
+    return bool(((a >= b).all(axis=2) & (a > b).any(axis=2)).any())
 
 
 class TestTournament:
@@ -573,6 +609,45 @@ class TestMutation:
             return np.mean(moves)
 
         assert mean_abs(100.0, 5) < mean_abs(20.0, 5)
+
+
+def _beta_per_call(u: float, eta: float) -> float:
+    """The SBX spread as the per-call operator computed it, one float at a time."""
+    if u <= 0.5:
+        return (2.0 * u) ** (1.0 / (eta + 1.0))
+    return (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+
+
+def _delta_per_call(u: float, eta: float) -> float:
+    """The mutation step as the per-call operator computed it."""
+    if u < 0.5:
+        return (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
+    return 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
+
+
+class TestArraySpreads:
+    """The spreads and steps of a whole generation, built on arrays, keep
+    the bits of the per-call formulas."""
+
+    EDGES = [0.0, 2.0 ** -53, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+             1.0 - 2.0 ** -53]
+
+    def _draws(self, seed):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([self.EDGES, rng.random(5000)])
+
+    @pytest.mark.parametrize("eta", [moea._ETA_C, moea._ETA_M, 2.0])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_bits_of_the_per_call_formulas(self, eta, seed):
+        us = self._draws(seed)
+        for helper, per_call in ((moea._sbx_beta, _beta_per_call),
+                                 (moea._mutation_delta, _delta_per_call)):
+            want = np.array([per_call(u, eta) for u in us.tolist()])
+            assert helper(us, eta).tobytes() == want.tobytes()
+            assert np.array([helper(u, eta) for u in us.tolist()]).tobytes() == want.tobytes()
+            grid = us[:4998].reshape(-1, 7)  # a generation's (pairs, genes) block
+            assert helper(grid, eta).shape == grid.shape
+            assert helper(grid, eta).tobytes() == want[:4998].tobytes()
 
 
 def _front_points(rng, n, base):
@@ -1071,6 +1146,42 @@ class TestArchiveWorker:
             if other.ident is not None:
                 other.join(timeout=60)
         assert added  # the stage did run in this process
+        assert multiprocessing.active_children() == []
+
+    @_forks
+    def test_raw_block_round_trip_is_bit_exact(self):
+        def echo():
+            batch = yield "ready"
+            while batch is not None:
+                kids, objs = batch
+                batch = yield kids.shape, objs.shape, kids.tobytes(), objs.tobytes()
+            yield "front"
+
+        rng = np.random.default_rng(0)
+        odd = [-0.0, 0.0, 5e-324, -np.inf, np.inf, 1e16, -1e-05, np.finfo(float).max]
+        with moea._archive_worker(echo(), 2) as worker:
+            assert isinstance(worker, moea._Forked)
+            assert worker.recv() == "ready"
+            for rows in (4, 120, 1):
+                block = rng.choice(np.concatenate([odd, rng.standard_normal(8)]), (rows, 5))
+                kids, objs = block[:, :2].copy(), block[:, 2:].copy()
+                worker.send((kids, objs))
+                assert worker.recv() == ((rows, 2), (rows, 3), kids.tobytes(), objs.tobytes())
+            worker.send(None)
+            assert worker.recv() == "front"
+        assert multiprocessing.active_children() == []
+
+    @_forks
+    def test_stage_exception_crosses_the_raw_pipe(self):
+        def fails():
+            batch = yield 0.0
+            raise ValueError(f"stage got {batch[0].shape} and {batch[1].shape}")
+
+        with moea._archive_worker(fails(), 4) as worker:
+            assert worker.recv() == 0.0
+            worker.send((np.zeros((6, 4)), np.ones((6, 3))))
+            with pytest.raises(ValueError, match=r"stage got \(6, 4\) and \(6, 3\)"):
+                worker.recv()
         assert multiprocessing.active_children() == []
 
     @_forks
